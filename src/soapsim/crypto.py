@@ -4,10 +4,25 @@ Pure-Python arithmetic over the short-Weierstrass NIST prime curves, a
 registry keyed by the IKEv2 Diffie-Hellman transform identifiers those
 curves are negotiated under, deterministic ECDSA, and a seeded DRBG so
 every run of the simulator is reproducible byte for byte.
+
+Scalar multiplication works in Jacobian coordinates (Hankerson, Menezes
+and Vanstone, *Guide to Elliptic Curve Cryptography*):
+
+- k*G uses a fixed-base comb with COMB_TEETH teeth (Alg. 3.44): one
+  doubling and at most one mixed addition per column.  Its 255-point
+  affine table is built on a curve's first k*G and normalised with one
+  batched inversion (Montgomery's trick), as are its teeth before it.
+- k*P for any other point uses width-WNAF_WIDTH NAF (Alg. 3.36) over the
+  affine odd multiples P, 3P, 5P and 7P.
+- ECDSA verification adds u1*G (comb) and u2*Q (wNAF) in Jacobian form
+  and inverts once.
+- x-only decoding on P-224 (p = 1 mod 4) runs Tonelli-Shanks with its
+  per-curve constants computed once.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
@@ -32,6 +47,11 @@ class InvalidScalarError(ValueError):
 
 
 Point = tuple[int, int]
+
+# Comb teeth for k*G: the table holds 2^COMB_TEETH - 1 points per curve.
+COMB_TEETH = 8
+# wNAF window for k*P: 2^(WNAF_WIDTH - 2) precomputed odd multiples.
+WNAF_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -58,6 +78,28 @@ class EcGroup:
     @property
     def generator(self) -> Point:
         return (self.gen_x, self.gen_y)
+
+    @property
+    def _comb_spacing(self) -> int:
+        """Bits between adjacent comb teeth: ceil(bitlen(n) / COMB_TEETH)."""
+        return -(-self.order_n.bit_length() // COMB_TEETH)
+
+    @functools.cached_property
+    def _comb(self) -> tuple[Point | None, ...]:
+        return _comb_table(self)
+
+    @functools.cached_property
+    def _tonelli_shanks(self) -> tuple[int, int, int]:
+        """(q, s, z^q) where p - 1 = q * 2^s and z is the least non-residue."""
+        p = self.field_p
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        return q, s, pow(z, q, p)
 
     def __repr__(self) -> str:
         return f"EcGroup(id={self.group_id}, {self.name})"
@@ -207,26 +249,6 @@ def is_on_curve(group: EcGroup, point: Point | None) -> bool:
     return (y * y - (x * x * x - 3 * x + group.curve_b)) % p == 0
 
 
-def point_add(group: EcGroup, p1: Point | None, p2: Point | None) -> Point | None:
-    """Affine addition, identity encoded as None."""
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    p = group.field_p
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 - 3) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    y3 = (lam * (x1 - x3) - y1) % p
-    return (x3, y3)
-
-
 def _jacobian_double(x, y, z, p):
     if not y:
         return 0, 1, 0
@@ -262,50 +284,156 @@ def _jacobian_add_affine(x1, y1, z1, x2, y2, p):
     return x3, y3, z3
 
 
-def point_mul(group: EcGroup, scalar: int, point: Point | None = None) -> Point | None:
-    """Scalar multiple of point (base point when omitted)."""
-    if point is None:
-        point = group.generator
-    scalar %= group.order_n
-    if scalar == 0 or point is None:
-        return None
+def _jacobian_add(x1, y1, z1, x2, y2, z2, p):
+    # General addition of two Jacobian points.
+    if not z1:
+        return x2, y2, z2
+    if not z2:
+        return x1, y1, z1
+    z1z1 = z1 * z1 % p
+    z2z2 = z2 * z2 % p
+    u1 = x1 * z2z2 % p
+    u2 = x2 * z1z1 % p
+    s1 = y1 * z2 * z2z2 % p
+    s2 = y2 * z1 * z1z1 % p
+    h = (u2 - u1) % p
+    r = (s2 - s1) % p
+    if not h:
+        if not r:
+            return _jacobian_double(x1, y1, z1, p)
+        return 0, 1, 0
+    hh = h * h % p
+    hhh = h * hh % p
+    v = u1 * hh % p
+    x3 = (r * r - hhh - 2 * v) % p
+    y3 = (r * (v - x3) - s1 * hhh) % p
+    z3 = z1 * z2 * h % p
+    return x3, y3, z3
+
+
+def _to_affine(points, p) -> list[Point]:
+    """Affine forms of Jacobian points, none the identity, with one inversion.
+
+    Montgomery's trick: invert the product of every z, then peel each
+    inverse off it with two multiplications.
+    """
+    prefix = []
+    acc = 1
+    for _, _, z in points:
+        prefix.append(acc)
+        acc = acc * z % p
+    inv = pow(acc, -1, p)
+    affine = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        zinv = inv * prefix[i] % p
+        inv = inv * z % p
+        zinv2 = zinv * zinv % p
+        affine[i] = (x * zinv2 % p, y * zinv2 * zinv % p)
+    return affine
+
+
+def _comb_table(group: EcGroup) -> tuple[Point | None, ...]:
+    """Entry j is the sum of 2^(i*d)*G over the set bits i of j (entry 0 unused)."""
     p = group.field_p
-    ax, ay = point
+    teeth = [(group.gen_x, group.gen_y, 1)]
+    for _ in range(COMB_TEETH - 1):
+        x, y, z = teeth[-1]
+        for _ in range(group._comb_spacing):
+            x, y, z = _jacobian_double(x, y, z, p)
+        teeth.append((x, y, z))
+    jacobian = [(0, 1, 0)]
+    for tx, ty in _to_affine(teeth, p):
+        jacobian += [_jacobian_add_affine(*entry, tx, ty, p) for entry in jacobian]
+    return (None, *_to_affine(jacobian[1:], p))
+
+
+def _comb_mul(group: EcGroup, scalar: int):
+    """scalar*G in Jacobian form; scalar must lie in [0, n)."""
+    p = group.field_p
+    d = group._comb_spacing
+    table = group._comb
+    # Row i of the comb is bits [i*d, (i+1)*d) of the scalar, top row first,
+    # so each column read top-down is the table index for that bit position.
+    bits = format(scalar, f"0{COMB_TEETH * d}b")
     x, y, z = 0, 1, 0
-    for bit in bin(scalar)[2:]:
+    for column in zip(*(bits[i : i + d] for i in range(0, COMB_TEETH * d, d))):
         x, y, z = _jacobian_double(x, y, z, p)
-        if bit == "1":
-            x, y, z = _jacobian_add_affine(x, y, z, ax, ay, p)
-    if not z:
+        index = int("".join(column), 2)
+        if index:
+            tx, ty = table[index]
+            x, y, z = _jacobian_add_affine(x, y, z, tx, ty, p)
+    return x, y, z
+
+
+def _wnaf_mul(group: EcGroup, scalar: int, point: Point):
+    """scalar*point in Jacobian form, width-WNAF_WIDTH NAF over odd multiples."""
+    p = group.field_p
+    window = 1 << WNAF_WIDTH
+    digits = []
+    while scalar:
+        digit = 0
+        if scalar & 1:
+            digit = scalar & (window - 1)
+            if digit >= window >> 1:
+                digit -= window
+            scalar -= digit
+        digits.append(digit)
+        scalar >>= 1
+    px, py = point
+    twice = _jacobian_double(px, py, 1, p)
+    odd = [(px, py, 1)]
+    for _ in range(1, 1 << (WNAF_WIDTH - 2)):
+        odd.append(_jacobian_add(*odd[-1], *twice, p))
+    odd = _to_affine(odd, p)  # odd[i] = (2i + 1) * point
+    x, y, z = 0, 1, 0
+    for digit in reversed(digits):
+        x, y, z = _jacobian_double(x, y, z, p)
+        if digit > 0:
+            tx, ty = odd[digit >> 1]
+            x, y, z = _jacobian_add_affine(x, y, z, tx, ty, p)
+        elif digit < 0:
+            tx, ty = odd[-digit >> 1]
+            x, y, z = _jacobian_add_affine(x, y, z, tx, p - ty, p)
+    return x, y, z
+
+
+def point_mul(group: EcGroup, scalar: int, point: Point | None = None) -> Point | None:
+    """Scalar multiple of point (base point when omitted).
+
+    Multiples of the generator use the fixed-base comb; any other point
+    uses wNAF.
+    """
+    scalar %= group.order_n
+    if point is None or point == group.generator:
+        jacobian = _comb_mul(group, scalar)
+    else:
+        jacobian = _wnaf_mul(group, scalar, point)
+    if not jacobian[2]:
         return None
-    zinv = pow(z, -1, p)
-    zinv2 = zinv * zinv % p
-    return (x * zinv2 % p, y * zinv2 * zinv % p)
+    return _to_affine([jacobian], group.field_p)[0]
 
 
-def _mod_sqrt(a: int, p: int) -> int | None:
-    """Square root mod an odd prime, or None when a is a non-residue."""
+def _mod_sqrt(group: EcGroup, a: int) -> int | None:
+    """Square root mod the field prime, or None when a is a non-residue."""
+    p = group.field_p
     a %= p
     if a == 0:
         return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks for p = 1 mod 4 (P-224).
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        r = pow(a, (p + 1) // 4, p)
+        return r if r * r % p == a else None
+    # Tonelli-Shanks for p = 1 mod 4 (P-224).  For a non-residue, t = a^q
+    # has order exactly 2^s, so the search for i below runs into m.
+    q, s, zq = group._tonelli_shanks
+    m, c, t, r = s, zq, pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
+            if i == m:
+                return None
         b = pow(c, 1 << (m - i - 1), p)
         m, c = i, b * b % p
         t = t * c % p
@@ -361,7 +489,7 @@ def point_from_x_octets(group: EcGroup, data: bytes) -> Point:
     x = int.from_bytes(data, "big")
     if x >= p:
         raise InvalidPointError("x coordinate out of field range")
-    y = _mod_sqrt((x * x * x - 3 * x + group.curve_b) % p, p)
+    y = _mod_sqrt(group, x * x * x - 3 * x + group.curve_b)
     if y is None:
         raise InvalidPointError("x coordinate is not on the curve")
     if y % 2:
@@ -563,9 +691,10 @@ def ecdsa_verify(
     w = pow(s, -1, n)
     u1 = e * w % n
     u2 = r * w % n
-    point = point_add(
-        group, point_mul(group, u1), point_mul(group, u2, public_point)
+    p = group.field_p
+    x, y, z = _jacobian_add(
+        *_comb_mul(group, u1), *_wnaf_mul(group, u2, public_point), p
     )
-    if point is None:
+    if not z:
         return False
-    return point[0] % n == r
+    return _to_affine([(x, y, z)], p)[0][0] % n == r

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracle_ec import affine_add, affine_mul
 from soapsim.crypto import (
+    COMB_TEETH,
     DEFAULT_GROUP_ID,
     PSK_OCTETS,
     REGISTRY,
@@ -27,7 +28,6 @@ from soapsim.crypto import (
     known_group_ids,
     octets_to_point,
     octets_to_scalar,
-    point_add,
     point_from_x_octets,
     point_mul,
     point_to_octets,
@@ -43,6 +43,26 @@ ALL_GROUPS = [registry_lookup(gid) for gid in known_group_ids()]
 def oracle_mul(group, k, point=None):
     base = point if point is not None else (group.gen_x, group.gen_y)
     return affine_mul(group.field_p, group.curve_a, k, base)
+
+
+def message_scalar(group, message):
+    """ECDSA's e: SHA-256 of the message, cut to the order's length, mod n."""
+    n = group.order_n
+    e = int.from_bytes(hashlib.sha256(message).digest(), "big")
+    return (e >> max(0, 256 - n.bit_length())) % n
+
+
+def oracle_verify(group, public, e, r, s):
+    """ECDSA's final check, computed with the affine oracle alone."""
+    n = group.order_n
+    w = pow(s, -1, n)
+    total = affine_add(
+        group.field_p,
+        group.curve_a,
+        oracle_mul(group, e * w % n),
+        oracle_mul(group, r * w % n, public),
+    )
+    return total is not None and total[0] % n == r
 
 
 class TestRegistry:
@@ -97,8 +117,20 @@ class TestRegistry:
             assert is_on_curve(group, (numbers.x, numbers.y))
 
 
+def edge_scalars(group):
+    n = group.order_n
+    d = group._comb_spacing
+    return (
+        [1, 2, 3, n - 2, n - 1]
+        + [n, n + 1, 2 * n + 3]  # reduced mod n
+        # just below and at each comb column boundary 2^(i*d)
+        + [v for i in range(1, COMB_TEETH) for v in ((1 << (i * d)) - 1, 1 << (i * d))]
+        + [(1 << n.bit_length()) - 1]  # all ones
+    )
+
+
 class TestPointArithmetic:
-    """Jacobian fast path against the affine textbook oracle."""
+    """Comb (k*G) and wNAF (k*P) against the affine textbook oracle."""
 
     def test_scalar_mult_matches_oracle(self):
         for group in ALL_GROUPS:
@@ -107,37 +139,37 @@ class TestPointArithmetic:
                 k = rng.uniform_scalar(group)
                 assert point_mul(group, k) == oracle_mul(group, k)
 
-    def test_point_add_matches_oracle(self):
-        group = registry_lookup(26)
-        rng = SeededRng(b"add-oracle")
-        for _ in range(20):
-            a = point_mul(group, rng.uniform_scalar(group))
-            b = point_mul(group, rng.uniform_scalar(group))
-            assert point_add(group, a, b) == affine_add(
-                group.field_p, group.curve_a, a, b
-            )
-
-    def test_add_identity_and_inverse(self):
-        group = registry_lookup(26)
-        g = (group.gen_x, group.gen_y)
-        assert point_add(group, g, None) == g
-        assert point_add(group, None, g) == g
-        neg = (g[0], group.field_p - g[1])
-        assert point_add(group, g, neg) is None
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_edge_scalars_match_oracle(self, gid):
+        group = registry_lookup(gid)
+        rng = SeededRng(b"edge-oracle", group.name.encode())
+        point = point_mul(group, rng.uniform_scalar(group))
+        for k in edge_scalars(group):
+            expected = oracle_mul(group, k)
+            assert point_mul(group, k) == expected, k
+            assert point_mul(group, k, group.generator) == expected, k
+            assert point_mul(group, k, point) == oracle_mul(group, k, point), k
 
     def test_doubling_off_identity(self):
         group = registry_lookup(26)
         g = (group.gen_x, group.gen_y)
-        assert point_mul(group, 2) == point_add(group, g, g)
+        assert point_mul(group, 2) == affine_add(group.field_p, group.curve_a, g, g)
 
     @settings(max_examples=15)
     @given(st.integers(min_value=1, max_value=2**200), st.integers(min_value=1, max_value=2**200))
     def test_scalar_mult_is_homomorphic(self, k1, k2):
         group = registry_lookup(26)
         n = group.order_n
-        lhs = point_mul(group, (k1 + k2) % n)
-        rhs = point_add(group, point_mul(group, k1 % n), point_mul(group, k2 % n))
-        assert lhs == rhs
+        point = point_mul(group, 0xC0FFEE)
+        for base in (None, point):
+            lhs = point_mul(group, (k1 + k2) % n, base)
+            rhs = affine_add(
+                group.field_p,
+                group.curve_a,
+                point_mul(group, k1 % n, base),
+                point_mul(group, k2 % n, base),
+            )
+            assert lhs == rhs
 
     def test_off_curve_point_detected(self):
         group = registry_lookup(26)
@@ -187,17 +219,19 @@ class TestEncodings:
             assert point_from_x_octets(group, point_x_octets(group, point))[0] == point[0]
 
     def test_x_without_curve_point_rejected(self):
-        group = registry_lookup(26)
-        rng = SeededRng(b"bad-x")
-        for _ in range(64):
-            candidate = rng.randbytes(group.key_size_octets)
-            x = octets_to_scalar(group, candidate)
-            rhs = (pow(x, 3, group.field_p) + group.curve_a * x + group.curve_b) % group.field_p
-            if pow(rhs, (group.field_p - 1) // 2, group.field_p) == group.field_p - 1:
-                with pytest.raises(InvalidPointError):
-                    point_from_x_octets(group, candidate)
-                return
-        pytest.fail("never sampled a non-residue x")
+        # every curve: P-224 takes Tonelli-Shanks, the others the p = 3 mod 4 root
+        for group in ALL_GROUPS:
+            p = group.field_p
+            rng = SeededRng(b"bad-x", group.name.encode())
+            for _ in range(64):
+                x = octets_to_scalar(group, rng.randbytes(group.key_size_octets)) % p
+                rhs = (pow(x, 3, p) + group.curve_a * x + group.curve_b) % p
+                if pow(rhs, (p - 1) // 2, p) == p - 1:
+                    with pytest.raises(InvalidPointError):
+                        point_from_x_octets(group, scalar_to_octets(group, x))
+                    break
+            else:
+                pytest.fail(f"never sampled a non-residue x on {group.name}")
 
 
 class TestSeededRng:
@@ -358,6 +392,32 @@ class TestEcdsa:
             bad = bytearray(sig)
             bad[bit // 8] ^= 1 << (bit % 8)
             assert not ecdsa_verify(group, key.public_point, b"payload", bytes(bad))
+
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_verify_jacobian_sum_branches(self, gid):
+        # u2*Q = +-u1*G sends the Jacobian sum into its doubling branch (+)
+        # or to the identity (-).  With Q = G that takes r = +-e.  With
+        # Q = (+-e/r)*G it holds for every r, so choosing u1 first and
+        # r = x(2*u1*G) makes the doubling a valid signature, and the
+        # identity one that a doubling in its place would accept.
+        group = registry_lookup(gid)
+        n = group.order_n
+        message = b"jacobian sum"
+        e = message_scalar(group, message)
+        u1 = 0xDEC0DE
+        r = oracle_mul(group, 2 * u1)[0] % n
+        s = e * pow(u1, -1, n) % n
+        cases = [(group.generator, e), (group.generator, n - e)] + [
+            (oracle_mul(group, sign * e * pow(r, -1, n) % n), r) for sign in (1, -1)
+        ]
+        verdicts = [
+            ecdsa_verify(
+                group, public, message, scalar_to_octets(group, rr) + scalar_to_octets(group, s)
+            )
+            for public, rr in cases
+        ]
+        assert verdicts == [oracle_verify(group, public, e, rr, s) for public, rr in cases]
+        assert verdicts[1:] == [False, True, False]
 
     def test_malformed_signature_width_rejected(self):
         group = registry_lookup(26)
