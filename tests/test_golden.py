@@ -1,0 +1,138 @@
+"""Pinned SHA-256 digests of every builtin transcript and of the attack-suite
+report.
+
+The digests were taken from the fixed-step tick loop. Any change to the
+simulator that alters a transcript, a summary or a report fails here, so a
+refactor or an optimisation of the loop must reproduce these bytes exactly.
+"""
+
+import hashlib
+
+import pytest
+
+from soapsim.scenarios import BUILTIN_NAMES, builtin, run_attack_suite
+from soapsim.simnet import run_scenario
+
+TRANSCRIPT_SHA256 = {
+    "benign": {
+        1: "818f0d912f46a8b4a2d0f1cafe8d64d008c2e52376b0f1c93c92832ee6aaaa98",
+        12: "eeefa6aa06b3b48b85bd1143bda974409d417e262c51fda21cb92fd58c4df090",
+        77: "f3b9f5e5f49a483f4fc8acfbe5856884d0ee08857a6565207850e611c1fa85ba",
+    },
+    "benign-multigroup": {
+        1: "0bb9e5635bce58268529c3a77d128db19a7497c46e3fb6f7b1cba6e4a0d73949",
+        12: "6c4f3c220618a95e14a6940dfb1a49dc4149d4edb0a1beeb16b386f004cb537b",
+        77: "55a3c36136ef257a5c6eb7eae70c4f7eda68fb5ff71acc3a2db17e1f82c28e7d",
+    },
+    "benign-strict": {
+        1: "c66fd1b3edcc330ae9444d5b605926d718b1ba25b5213c6b2984a7f7be96a251",
+        12: "22a2d78e7fce087ba1b2561b71ab4d05b0f0344ad4ca985a4c5dffa7274d9fd1",
+        77: "a254029e85e618bacdcfe7518182df68009badb72bd0b10c9dc0ac1b817924cf",
+    },
+    "delete-intercept": {
+        1: "c6b1da84e4538f4a077cea240a11dd723f5903b404af76efd5851e6cfcdb492c",
+        12: "31e2e21abb20b842e68210a64f0505ef2f64b7a766838a227ce7b1ab572f104a",
+        77: "dcd5957081b084a337b61c0825bf300c73a582ff1e00403ecd87dc8ff258c4b4",
+    },
+    "eavesdrop": {
+        1: "7fd866c4752f748fc141d03908c57a10438a5230f38639ba1056663fb60d96af",
+        12: "d791f5905b52c9ce364f65f1f4b27e5424fb2d285ff9d3ffe2806b7d45a2a9de",
+        77: "f151570e987fb97d9c806816fa89b565ae9f64a7aa592387ecd6f952e839be54",
+    },
+    "ephemeral": {
+        1: "56f8e6b55bb2e5b108863065d7fe1140158401ecfd026f9463cfbb07ad11a548",
+        12: "e268362d714db0a5fea59c94ed9ce8e5c7ddbd0006409398713250fd50e3f73a",
+        77: "1e884511c7bd6da8c2c9c63c22a7760f133c68673d83dc9b944d61677b2584fe",
+    },
+    "fallback-disjoint": {
+        1: "53d3d3456e6d8b543eb59fdfb277aef1a616478b8913fbc5c2adaeb23a62a2c3",
+        12: "dcbed1be13c48aeabbefb8cc9994d119865882e5c91e7b251ae9b978a2b6a582",
+        77: "b9150bdc7b91ca03404f6f0ce374aa35e9d46f1112a54173029a3a48bd52e19f",
+    },
+    "force-legacy": {
+        1: "179d662e8f423469702f0d48edb3409fc335ae884481aa460f2c30f745ee6aec",
+        12: "24664c7241f5375682895d917da87d5b5b208388c2dbd8a2d3bf032affb05be0",
+        77: "b349a26db8dd205441c27dfb1b6924ac9177512763ececd22a2e5335cdb73c73",
+    },
+    "hijack-disassoc-mitigated": {
+        1: "63e7da5315156b148e7d36c4cf9e15d12315dd242352936c2aa333795edc8325",
+        12: "791d8cf9ee20acc8c3e1c910659b13dbab89bf3877419b0b68184591b535fe0e",
+        77: "c40067720dd1efc55d8d0b9779a74f33153430fc39bcddd90e62e1d1ec4f044f",
+    },
+    "hijack-disassoc-unmitigated": {
+        1: "76fe21c8f0176aab2919fb2020bd436617fc35f38204eb6e42df9e1010f8d23b",
+        12: "4a72562632a95432ef64b0c9f69eae7172776be17980542c33849f52b77fa40f",
+        77: "2e0a1dfe652b7aa06a661c32b85fd91c535d5592c5b909f29e98a1293c3b1512",
+    },
+    "hijack-mitm": {
+        1: "e93c1136ed4431c8ff85eb847c83db13cff726d8e13451c6c1876a22e9991b19",
+        12: "30543be2674a1f198c54476eb4695ed305272df4121e0560f034b8e13018990e",
+        77: "7a90e511e1ac39ec222321cb5f144c803f7d346cc4972d95309dff92ee7511c3",
+    },
+    "inject-mitigated": {
+        1: "edc53368dc68b36d034442d827bdc19aa3c62ef791bd10995bbcb96308d50fda",
+        12: "e872c797a7ff82512770bf4e2a59d26f553f5dc320cd02a439ad16f0313e881c",
+        77: "c48171955e01f1537c6f381930e1a043722635dd350022a38a35beec9796adf4",
+    },
+    "inject-unmitigated": {
+        1: "2198cdad082de33c0f34b11ce33a2473e1336b6c366ff4c3e616f76b4c7314b9",
+        12: "7e700e313e92afa8a8c329a0bab41a0a4439e6a606fc419438593cb7b3c28155",
+        77: "ec8ed4edda3a9718be2037bd046c9e729925bd476bc195c93bf620f7bb0d59ca",
+    },
+    "leak-selftest": {
+        1: "1c5048a57ca9692fedeb234f2123f7080ae574b2da8c13345b85a687f7486a12",
+        12: "9b46828812e286b2c76c72013334861b1eb43daf009af6b9ebf7e27ee4ff6283",
+        77: "9498e5c3b5b0c0cd99aa44d429e56c8321efb48727e08bf47624bd49dfe1a7c7",
+    },
+    "legacy-ap": {
+        1: "2966b686f6b5e87b86a65f82810ef296a5ae205caf3955c4f0507e25bdaf2639",
+        12: "9c818939c9d98b299c2e06283d64653796bbe8f12ff180afdf9450ca7e25fd10",
+        77: "81c9e36b2ac5738b924d1a7506bbb13a3233736399531ac2daf869c2e6f628f0",
+    },
+    "legacy-client": {
+        1: "6809e3a3e1ee6623056a8f2ca3014fcdc3a60f30d5c4c119bdd21614b744bea2",
+        12: "a10a9d64ddf9cf0a6430cd9d26ca166890f6ccee0a70dea9339b204865a217fc",
+        77: "a23a7367b8e305c081a064b28933b29465c5eba888b3bf74f8001dd37aabf65c",
+    },
+    "masquerade-mitigated": {
+        1: "2038ddcc4024ff031d05166bf3565fabe4e8dbc6634a279484a5136a7d039856",
+        12: "85c74618431ad94a090c039e55be73ed2916c431eee892b421d0cee204986188",
+        77: "f2c0d880d1cb568f103471fde464f013dfe47e77c7bdd0b5f3e3e2aff2d74a73",
+    },
+    "masquerade-unmitigated": {
+        1: "85d554bb5f3bd1ed2a652405493a1b751c001edadf8b0011cb40229caaa581e6",
+        12: "328cc38652c74d496a5dde4ae95c9e8b674f5ad87edf6fbcdce4cdde1ebb159b",
+        77: "37f9dc1305b05cf7d920cf936eeb26f78941a0285df06b2169e62f0cd01c99c8",
+    },
+    "replay-attack": {
+        1: "f00e8b8ef6a361b880ec08bd0e6a6b5f31a80079442f45a5d147a94c7fe5c224",
+        12: "06d683443b8c144306107585b580ea9733545efe2aabd5a450e69c4035a955c6",
+        77: "cb5017825296f26621832fcadee5ad4487190cf7fb066a7ae79e50bc8869f46c",
+    },
+}
+
+SUITE_SHA256 = {
+    1: "916a4a5a7a70028a9c477081d270508e0e6336c98ee246d087b5214c5648a158",
+    12: "65f4110c3c9f4335d730dff80b001ba26a54e54f9d60a76232bcfd83767b6086",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_every_builtin_is_pinned():
+    assert sorted(TRANSCRIPT_SHA256) == sorted(BUILTIN_NAMES)
+
+
+@pytest.mark.parametrize(
+    "name,seed", [(n, s) for n in sorted(TRANSCRIPT_SHA256) for s in (1, 12, 77)]
+)
+def test_transcript_digest(name, seed):
+    transcript = run_scenario(builtin(name), seed)
+    assert sha256(transcript.to_json()) == TRANSCRIPT_SHA256[name][seed]
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_SHA256))
+def test_attack_suite_digest(seed):
+    assert sha256(run_attack_suite(seed).to_json()) == SUITE_SHA256[seed]
