@@ -98,9 +98,6 @@ class FourwayState(Enum):
     FAILED = "failed"
 
 
-TERMINAL_STATES = frozenset({FourwayState.ESTABLISHED, FourwayState.FAILED})
-
-
 class Authenticator:
     """AP side: sends Messages 1 and 3, verifies Messages 2 and 4."""
 

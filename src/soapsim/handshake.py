@@ -54,9 +54,6 @@ class Phase(Enum):
     ABORTED = "aborted"
 
 
-TERMINAL_PHASES = frozenset({Phase.PSK_AGREED, Phase.ABORTED})
-
-
 @dataclass
 class StationIdentity:
     """Long-lived station identity: MAC, supported groups, signing key.

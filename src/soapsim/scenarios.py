@@ -62,6 +62,11 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise ScenarioError(f"{where}: {message}")
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; a JSON boolean is not one, though bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _take(d: dict, where: str, allowed: dict) -> dict:
     """Pop known keys with type checks; reject anything left over."""
     out = {}
@@ -70,7 +75,7 @@ def _take(d: dict, where: str, allowed: dict) -> dict:
             value = d.pop(key)
             if kinds is not None:
                 _require(
-                    isinstance(value, kinds),
+                    _is_int(value) if kinds is int else isinstance(value, kinds),
                     f"{where}.{key}",
                     f"expected {kinds if isinstance(kinds, type) else 'one of several types'},"
                     f" got {type(value).__name__}",
@@ -78,6 +83,25 @@ def _take(d: dict, where: str, allowed: dict) -> dict:
             out[key] = value
     _require(not d, where, f"unknown keys: {sorted(d)}")
     return out
+
+
+def _check_groups(got: dict, where: str) -> None:
+    if "groups" in got:
+        _require(
+            all(_is_int(g) for g in got["groups"]) and got["groups"],
+            f"{where}.groups",
+            "must be a non-empty list of integers",
+        )
+        got["groups"] = tuple(got["groups"])
+
+
+def _check_beacon_timing(got: dict, where: str) -> None:
+    _require(
+        got.get("beacon_period", 1) >= 1, f"{where}.beacon_period", "must be >= 1"
+    )
+    _require(
+        got.get("beacon_offset", 0) >= 0, f"{where}.beacon_offset", "must be >= 0"
+    )
 
 
 def _station_from_dict(d: dict, where: str) -> StationConfig:
@@ -109,13 +133,8 @@ def _station_from_dict(d: dict, where: str) -> StationConfig:
         parse_mac(got["mac"])
     except ValueError as exc:
         raise ScenarioError(f"{where}.mac: {exc}") from None
-    if "groups" in got:
-        _require(
-            all(isinstance(g, int) for g in got["groups"]) and got["groups"],
-            f"{where}.groups",
-            "must be a non-empty list of integers",
-        )
-        got["groups"] = tuple(got["groups"])
+    _check_groups(got, where)
+    _check_beacon_timing(got, where)
     if "legacy_psk" in got:
         try:
             raw = bytes.fromhex(got["legacy_psk"])
@@ -149,8 +168,8 @@ def _adversary_from_dict(d: dict, where: str) -> AdversaryConfig:
     unknown = set(caps) - KNOWN_CAPABILITIES
     _require(not unknown, f"{where}.capabilities", f"unknown: {sorted(unknown)}")
     got["capabilities"] = tuple(caps)
-    if "groups" in got:
-        got["groups"] = tuple(got["groups"])
+    _check_groups(got, where)
+    _check_beacon_timing(got, where)
     return AdversaryConfig(**got)
 
 

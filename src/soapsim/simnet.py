@@ -1,5 +1,17 @@
 """Deterministic discrete-event radio: stations, an optional adversary, and
-a tick loop that delivers every transmitted frame one tick later.
+a clock that delivers every transmitted frame one tick later.
+
+Time advances by next-event jumps. While a frame is in flight the clock steps
+one tick at a time; when nothing is in flight it jumps straight to the
+earliest tick at which something can act: a beacon, an AP retry deadline, a
+client await timeout, an adversary action, a scheduled action, or the end of
+the run. Every timer is a deadline that one method computes; ``on_tick``
+acts when the tick has reached it, and ``_deadlines`` reports it to the
+clock, so the two cannot disagree. A skipped tick is one at which every ``on_tick`` would have
+emitted nothing, recorded nothing, changed no state and drawn no randomness,
+so skipping it changes no output. An AP encodes (and, under the signing
+mitigation, signs) its beacon once and rebuilds it only when the content
+changes; RFC 6979 signatures are deterministic, so the octets are the same.
 
 Determinism contract: all randomness flows from one run seed through
 namespaced SeededRng children, station identity keys flow from a separate
@@ -12,6 +24,7 @@ byte-identical transcripts.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from . import negotiation
@@ -194,6 +207,13 @@ class Transcript:
 # ---------------------------------------------------------------------------
 
 
+def _retry_deadline(entry: dict) -> int | None:
+    """The tick at which an AP retransmits to, or gives up on, a peer."""
+    if entry.get("done") or entry.get("last_tx") is None:
+        return None
+    return entry["last_tx"] + RETRY_TIMEOUT_TICKS
+
+
 class Station:
     """One radio endpoint. Client and AP behavior in a single class keyed on
     role, since they share admission control and mitigation bookkeeping."""
@@ -237,6 +257,9 @@ class Station:
             if cfg.advertise_bogus_key
             else None
         )
+        # The beacon's wire octets and the leaked PSK they carry, if any.
+        self._beacon_wire: bytes | None = None
+        self._beacon_leak: bytes | None = None
 
     # -- common helpers ----------------------------------------------------
 
@@ -316,31 +339,55 @@ class Station:
     def on_tick(self, tick: int) -> list[Transmission]:
         out: list[Transmission] = []
         if self.cfg.role == "ap":
-            period = max(1, self.cfg.beacon_period)
-            if tick >= self.cfg.beacon_offset and (
-                (tick - self.cfg.beacon_offset) % period == 0
-            ):
+            if self._beacon_due(tick) == tick:
                 out.append(self._beacon())
             out.extend(self._ap_check_timers(tick))
         else:
             self._client_check_timers(tick)
         return out
 
+    def _deadlines(self, tick: int):
+        """The timers on_tick acts on from `tick` on: it acts at the first tick
+        that reaches any of them."""
+        if self.cfg.role == "ap":
+            yield self._beacon_due(tick)
+            for entry in self.entries.values():
+                deadline = _retry_deadline(entry)
+                if deadline is not None:
+                    yield deadline
+        else:
+            deadline = self._await_deadline()
+            if deadline is not None:
+                yield deadline
+
+    def _beacon_due(self, tick: int) -> int:
+        """The first beacon tick at or after `tick`."""
+        offset = self.cfg.beacon_offset
+        if tick <= offset:
+            return offset
+        return tick + (offset - tick) % self.cfg.beacon_period
+
     def _beacon(self) -> Transmission:
-        elements = [(ELEMENT_ID_SSID, self.cfg.ssid.encode())]
-        if self.cfg.soap_aware:
-            advertised_key = self.decoy_ecdsa or self.identity.ecdsa
-            elements.append(
-                soap_ie_element(
-                    negotiation.advertisement_ie(advertised_key, self.identity.group_ids)
+        leak = self.psk_history[-1] if self.cfg.debug_leak_psk and self.psk_history else None
+        if self._beacon_wire is None or leak != self._beacon_leak:
+            elements = [(ELEMENT_ID_SSID, self.cfg.ssid.encode())]
+            if self.cfg.soap_aware:
+                advertised_key = self.decoy_ecdsa or self.identity.ecdsa
+                elements.append(
+                    soap_ie_element(
+                        negotiation.advertisement_ie(
+                            advertised_key, self.identity.group_ids
+                        )
+                    )
                 )
+            if leak is not None:
+                elements.append((ELEMENT_ID_DEBUG_LEAK, leak))
+            frame = ManagementFrame(
+                FrameSubtype.BEACON, self.mac, BROADCAST_MAC, tuple(elements)
             )
-        if self.cfg.debug_leak_psk and self.psk_history:
-            elements.append((ELEMENT_ID_DEBUG_LEAK, self.psk_history[-1]))
-        frame = ManagementFrame(
-            FrameSubtype.BEACON, self.mac, BROADCAST_MAC, tuple(elements)
-        )
-        return self._out_mgmt(frame, "beacon")
+            self._beacon_wire = self._out_mgmt(frame, "beacon").wire
+            self._beacon_leak = leak
+        return Transmission(self.cfg.station_id, "beacon", self._beacon_wire)
 
     # -- frame dispatch ----------------------------------------------------
 
@@ -405,10 +452,16 @@ class Station:
             tick, self.cfg.station_id, "station", "scanning", reason=reason
         )
 
-    def _client_check_timers(self, tick: int) -> None:
+    def _await_deadline(self) -> int | None:
+        """The tick at which a client waiting on its AP gives up."""
         if self.state in ("soap", "fourway") and self.await_since is not None:
-            if tick - self.await_since > CLIENT_AWAIT_TIMEOUT_TICKS:
-                self._client_restart(tick, "timeout")
+            return self.await_since + CLIENT_AWAIT_TIMEOUT_TICKS + 1
+        return None
+
+    def _client_check_timers(self, tick: int) -> None:
+        deadline = self._await_deadline()
+        if deadline is not None and tick >= deadline:
+            self._client_restart(tick, "timeout")
 
     def _client_on_mgmt(self, tick: int, frame: ManagementFrame) -> list[Transmission]:
         if frame.subtype is FrameSubtype.DISASSOC:
@@ -594,10 +647,8 @@ class Station:
     def _ap_check_timers(self, tick: int) -> list[Transmission]:
         out = []
         for mac, entry in self.entries.items():
-            if entry.get("done"):
-                continue
-            last = entry.get("last_tx")
-            if last is None or tick - last < RETRY_TIMEOUT_TICKS:
+            deadline = _retry_deadline(entry)
+            if deadline is None or tick < deadline:
                 continue
             if entry["attempts"] >= MAX_RETRANSMISSIONS:
                 entry["done"] = True
@@ -894,6 +945,7 @@ class Adversary:
     ):
         self.cfg = cfg
         self.caps = set(cfg.capabilities)
+        self.mac = parse_mac(cfg.mac)
         self.rng = rng
         self.transcript = transcript
         self.target_ap_mac = target_ap_mac
@@ -916,7 +968,7 @@ class Adversary:
                 advertise_bogus_key=cfg.advertise_bogus_key,
             )
             identity = make_identity(
-                parse_mac(cfg.mac), Role.AP, rogue_cfg.groups, rng.child("rogue-id")
+                self.mac, Role.AP, rogue_cfg.groups, rng.child("rogue-id")
             )
             self.rogue = Station(
                 rogue_cfg,
@@ -926,10 +978,6 @@ class Adversary:
                 transcript,
                 strict_frames,
             )
-
-    @property
-    def mac(self) -> bytes:
-        return parse_mac(self.cfg.mac)
 
     def observe(self, tick: int, t: Transmission) -> None:
         if t.origin == "adversary":
@@ -1002,16 +1050,35 @@ class Adversary:
         )
         return Transmission("adversary", "agreement", wire)
 
+    def _replay_deadline(self) -> int | None:
+        if "replay" in self.caps and not self.replayed:
+            return self.cfg.replay_at
+        return None
+
+    def _disassoc_deadline(self) -> int | None:
+        if (
+            "disassoc-inject" in self.caps
+            and not self.disassoc_sent
+            and self.target_ap_mac is not None
+            and self.target_client_mac is not None
+        ):
+            return self.cfg.disassoc_at
+        return None
+
+    def _deadlines(self, tick: int):
+        """The timers on_tick acts on from `tick` on, as for a station."""
+        if self.rogue is not None:
+            yield from self.rogue._deadlines(tick)
+        for deadline in (self._replay_deadline(), self._disassoc_deadline()):
+            if deadline is not None:
+                yield deadline
+
     def on_tick(self, tick: int) -> list[Transmission]:
         out: list[Transmission] = []
         if self.rogue is not None:
             out.extend(self.rogue.on_tick(tick))
-        if (
-            "replay" in self.caps
-            and self.cfg.replay_at is not None
-            and tick >= self.cfg.replay_at
-            and not self.replayed
-        ):
+        replay_at = self._replay_deadline()
+        if replay_at is not None and tick >= replay_at:
             self.replayed = True
             self.transcript.note(
                 tick, "replay-burst", "adversary", frames=len(self.captured)
@@ -1019,14 +1086,8 @@ class Adversary:
             out.extend(
                 Transmission("adversary", t.kind, t.wire) for t in self.captured
             )
-        if (
-            "disassoc-inject" in self.caps
-            and self.cfg.disassoc_at is not None
-            and tick >= self.cfg.disassoc_at
-            and not self.disassoc_sent
-            and self.target_ap_mac is not None
-            and self.target_client_mac is not None
-        ):
+        disassoc_at = self._disassoc_deadline()
+        if disassoc_at is not None and tick >= disassoc_at:
             self.disassoc_sent = True
             forged = ManagementFrame(
                 FrameSubtype.DISASSOC, self.target_ap_mac, self.target_client_mac
@@ -1050,7 +1111,7 @@ class Adversary:
 
 
 class Simulation:
-    """Builds stations from a script and runs the tick loop."""
+    """Builds stations from a script and runs them under a next-event clock."""
 
     def __init__(self, script: ScenarioScript, seed: int):
         self.script = script
@@ -1115,6 +1176,7 @@ class Simulation:
         self._schedule: dict[int, list[ScheduleAction]] = {}
         for action in script.schedule:
             self._schedule.setdefault(action.tick, []).append(action)
+        self._schedule_ticks = sorted(self._schedule)
 
         self.mac_names = {s.mac: s.cfg.station_id for s in self.stations}
         if self.adversary is not None:
@@ -1124,9 +1186,23 @@ class Simulation:
         self.transcript.tx(tick, t)
         in_flight.append(t)
 
+    def _next_due(self, tick: int) -> int:
+        """The earliest tick >= `tick` at which anything acts, or max_ticks."""
+        due = [self.script.max_ticks]
+        i = bisect_left(self._schedule_ticks, tick)
+        if i < len(self._schedule_ticks):
+            due.append(self._schedule_ticks[i])
+        if self.adversary is not None:
+            due.extend(self.adversary._deadlines(tick))
+        for station in self.stations:
+            due.extend(station._deadlines(tick))
+        # a deadline already passed means on_tick acts at `tick` itself
+        return max(tick, min(due))
+
     def run(self) -> Transcript:
         in_flight: list[Transmission] = []
-        for tick in range(self.script.max_ticks):
+        tick = self._next_due(0)
+        while tick < self.script.max_ticks:
             deliveries, in_flight = in_flight, []
             for t in deliveries:
                 if self.adversary is not None:
@@ -1165,6 +1241,7 @@ class Simulation:
                 station = self.by_id[action.station]
                 for t in station.do_action(tick, action.action):
                     self._transmit(tick, t, in_flight)
+            tick = tick + 1 if in_flight else self._next_due(tick + 1)
         for station in self.stations:
             self.transcript.summaries[station.cfg.station_id] = station.summary(
                 self.mac_names
@@ -1172,7 +1249,7 @@ class Simulation:
             self.transcript.secrets[station.cfg.station_id] = station.secrets()
         if self.adversary is not None:
             adv = {
-                "captured_frames": len(self.captured_frames()),
+                "captured_frames": len(self.adversary.captured),
                 "capabilities": sorted(self.adversary.caps),
             }
             if self.adversary.rogue is not None:
@@ -1182,9 +1259,6 @@ class Simulation:
                 self.transcript.secrets["adversary"] = {"psks": [], "kcks": []}
             self.transcript.summaries["adversary"] = adv
         return self.transcript
-
-    def captured_frames(self) -> list[Transmission]:
-        return [] if self.adversary is None else self.adversary.captured
 
 
 def run_scenario(script: ScenarioScript, seed: int) -> Transcript:

@@ -67,6 +67,44 @@ class TestSchemaAccepts:
         assert script.name == "t"
 
 
+# One script per int field, each with a JSON boolean where the int belongs.
+BOOL_IN_INT = [
+    (minimal(max_ticks=True), "script.max_ticks"),
+    (minimal(identity_seed=False), "script.identity_seed"),
+    (
+        {"name": "t", "stations": [dict(AP, beacon_period=True)]},
+        "script.stations[0].beacon_period",
+    ),
+    (
+        {"name": "t", "stations": [dict(AP, beacon_offset=False)]},
+        "script.stations[0].beacon_offset",
+    ),
+    (
+        {"name": "t", "stations": [dict(AP, groups=[26, True])]},
+        "script.stations[0].groups",
+    ),
+    (
+        minimal(adversary={"capabilities": ["replay"], "replay_at": True}),
+        "script.adversary.replay_at",
+    ),
+    (
+        minimal(adversary={"disassoc_at": True}),
+        "script.adversary.disassoc_at",
+    ),
+    (minimal(adversary={"beacon_period": True}), "script.adversary.beacon_period"),
+    (minimal(adversary={"beacon_offset": True}), "script.adversary.beacon_offset"),
+    (minimal(adversary={"groups": [True]}), "script.adversary.groups"),
+    (
+        minimal(mitigations={"blacklist_threshold": True}),
+        "script.mitigations.blacklist_threshold",
+    ),
+    (
+        minimal(schedule=[{"tick": True, "station": "ap1", "action": "reset"}]),
+        "script.schedule[0].tick",
+    ),
+]
+
+
 class TestSchemaRejects:
     """Each malformed script is refused with the offending location."""
 
@@ -198,6 +236,44 @@ class TestSchemaRejects:
 
     def test_max_ticks_zero(self):
         rejected(minimal(max_ticks=0), "max_ticks: must be >= 1")
+
+    @pytest.mark.parametrize(
+        "data,path", BOOL_IN_INT, ids=[path for _, path in BOOL_IN_INT]
+    )
+    def test_bool_in_int_field(self, data, path):
+        # bool subclasses int in Python; JSON true must not read as 1
+        rejected(data, f"{path}: ")
+
+    @pytest.mark.parametrize("period", [0, -5])
+    def test_station_beacon_period_below_one(self, period):
+        rejected(
+            {"name": "t", "stations": [dict(AP), dict(CLIENT, beacon_period=period)]},
+            "script.stations[1].beacon_period: must be >= 1",
+        )
+
+    def test_station_beacon_offset_negative(self):
+        rejected(
+            {"name": "t", "stations": [dict(AP, beacon_offset=-1)]},
+            "script.stations[0].beacon_offset: must be >= 0",
+        )
+
+    def test_adversary_empty_groups(self):
+        rejected(
+            minimal(adversary={"capabilities": ["masquerade"], "groups": []}),
+            "script.adversary.groups: must be a non-empty list of integers",
+        )
+
+    def test_adversary_beacon_period_below_one(self):
+        rejected(
+            minimal(adversary={"capabilities": ["masquerade"], "beacon_period": 0}),
+            "script.adversary.beacon_period: must be >= 1",
+        )
+
+    def test_adversary_beacon_offset_negative(self):
+        rejected(
+            minimal(adversary={"capabilities": ["inject"], "beacon_offset": -3}),
+            "script.adversary.beacon_offset: must be >= 0",
+        )
 
     def test_load_script_bad_json(self):
         with pytest.raises(ScenarioError, match="not valid JSON"):

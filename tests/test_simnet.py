@@ -1,14 +1,21 @@
-"""Tick-driven radio simulation: stations, adversaries, and transcripts."""
+"""Radio simulation under a next-event clock: stations, adversaries, and
+transcripts."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soapsim import simnet
 from soapsim.simnet import (
     AdversaryConfig,
     Mitigations,
     ScenarioScript,
     ScheduleAction,
+    Simulation,
+    Station,
     StationConfig,
     eavesdropper_view,
     format_mac,
@@ -427,3 +434,194 @@ class TestLeakDetector:
         view = eavesdropper_view(t)
         assert view["psk_octets_on_wire"] >= 1
         assert view["adversary_knows_legit_psk"] is True
+
+
+class FixedStepSimulation(Simulation):
+    """Reference clock: polls every tick, as a fixed-step loop would."""
+
+    def _next_due(self, tick):
+        return tick
+
+
+def run_checked(script, seed=0):
+    """Run under the next-event clock and require the fixed-step transcript."""
+    transcript = run_scenario(script, seed)
+    assert transcript.to_json() == FixedStepSimulation(script, seed).run().to_json()
+    return transcript
+
+
+def ticks_of(transcript, event, **where):
+    return [
+        r["tick"]
+        for r in transcript.records
+        if r["event"] == event and all(r.get(k) == v for k, v in where.items())
+    ]
+
+
+def assert_idle_before(transcript, tick):
+    # nothing was recorded on the previous tick, so no frame was in flight and
+    # the clock had to jump to `tick`
+    assert not any(r["tick"] == tick - 1 for r in transcript.records), tick
+
+
+def beacons_at(tick, period, offset):
+    """The per-tick beacon test a fixed-step loop applies."""
+    return tick >= offset and (tick - offset) % period == 0
+
+
+class TestNextEventClock:
+    """The clock jumps over idle ticks and lands on every deadline."""
+
+    @given(
+        period=st.integers(min_value=1, max_value=300),
+        offset=st.integers(min_value=0, max_value=600),
+        tick=st.integers(min_value=0, max_value=2000),
+    )
+    def test_beacon_due_matches_brute_force(self, period, offset, tick):
+        cfg = StationConfig("ap1", "ap", AP_MAC, beacon_period=period, beacon_offset=offset)
+        expected = next(
+            t for t in range(tick, tick + period + offset + 1)
+            if beacons_at(t, period, offset)
+        )
+        assert Station._beacon_due(SimpleNamespace(cfg=cfg), tick) == expected
+
+    def test_ap_retransmit_deadline(self):
+        # msg1 leaves at tick 2 and is deleted; the AP retries every 100 ticks
+        t = run_checked(adversary_script(["delete-intercept"], max_ticks=700))
+        assert ticks_of(t, "retransmit", station="ap1") == [102, 202, 302, 602]
+        assert ticks_of(t, "transition", station="ap1", to="aborted") == [402]
+        for tick in (102, 202, 302, 402, 602):
+            assert_idle_before(t, tick)
+
+    def test_client_await_timeout(self):
+        # the client latched at tick 1 and never hears msg1
+        t = run_checked(adversary_script(["delete-intercept"], max_ticks=700))
+        assert ticks_of(t, "transition", station="client1", reason="timeout") == [452]
+        assert_idle_before(t, 452)
+
+    def test_scheduled_reset(self):
+        resets = [ScheduleAction(250, "client1", "reset")]
+        t = run_checked(script(max_ticks=400, schedule=resets))
+        assert ticks_of(t, "transition", reason="scripted-reset") == [250]
+        assert [r["tick"] for r in tx_frames(t, "disassoc")] == [250]
+        assert_idle_before(t, 250)
+
+    def test_adversary_replay_at(self):
+        t = run_checked(adversary_script(["replay"], replay_at=1050, max_ticks=1100))
+        assert ticks_of(t, "replay-burst") == [1050]
+        assert_idle_before(t, 1050)
+
+    def test_deadline_before_the_first_tick_fires_at_zero(self):
+        t = run_checked(adversary_script(["replay"], replay_at=-5, max_ticks=50))
+        assert ticks_of(t, "replay-burst") == [0]
+
+    def test_adversary_disassoc_at(self):
+        t = run_checked(
+            adversary_script(["disassoc-inject"], disassoc_at=650, max_ticks=700)
+        )
+        assert [r["tick"] for r in tx_frames(t, "disassoc")] == [650]
+        assert ticks_of(t, "transition", to="halted") == [651]
+        assert_idle_before(t, 650)
+
+    def test_rogue_ap_beacons(self):
+        t = run_checked(
+            adversary_script(
+                ["masquerade"], ssid="publicnet", beacon_period=40, beacon_offset=13,
+                max_ticks=300,
+            )
+        )
+        rogue = [r["tick"] for r in tx_frames(t, "beacon") if r["origin"] == "adversary"]
+        assert rogue == list(range(13, 300, 40))
+        assert_idle_before(t, 93)
+
+    @pytest.mark.parametrize(
+        "max_ticks,beacons", [(200, [0, 100]), (201, [0, 100, 200]), (250, [0, 100, 200])]
+    )
+    def test_max_ticks_inside_a_gap(self, max_ticks, beacons):
+        t = run_checked(script(max_ticks=max_ticks))
+        assert [r["tick"] for r in tx_frames(t, "beacon")] == beacons
+        assert t.summaries["client1"]["state"] == "established"
+
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_random_scripts_match_fixed_step(self, data):
+        max_ticks = data.draw(st.integers(min_value=1, max_value=700), "max_ticks")
+        tick = st.integers(min_value=0, max_value=max_ticks + 50)
+        ap_kw = {
+            "beacon_period": data.draw(st.integers(min_value=20, max_value=150), "period"),
+            "beacon_offset": data.draw(st.integers(min_value=0, max_value=200), "offset"),
+        }
+        stations = pair(ap_kw=ap_kw)
+        stations[0].ssid = stations[1].ssid = "simnet"
+        caps = data.draw(
+            st.sets(
+                st.sampled_from(
+                    ["eavesdrop", "replay", "delete-intercept", "mitm-substitute",
+                     "disassoc-inject", "masquerade", "inject"]
+                ),
+                max_size=3,
+            ),
+            "caps",
+        )
+        adversary = None
+        if caps:
+            adversary = AdversaryConfig(
+                capabilities=tuple(sorted(caps)),
+                beacon_period=data.draw(st.integers(min_value=20, max_value=150)),
+                beacon_offset=data.draw(st.integers(min_value=0, max_value=200)),
+                replay_at=data.draw(tick, "replay_at"),
+                disassoc_at=data.draw(tick, "disassoc_at"),
+                advertise_bogus_key="inject" in caps,
+            )
+        resets = [
+            ScheduleAction(t, "client1", "reset")
+            for t in data.draw(st.lists(tick, max_size=3), "resets")
+        ]
+        mitigations = Mitigations(
+            blacklist_threshold=data.draw(st.sampled_from([None, 2])),
+            sign_management_frames=data.draw(st.booleans(), "signed"),
+        )
+        run_checked(
+            ScenarioScript(
+                "prop", stations, adversary=adversary, mitigations=mitigations,
+                schedule=resets, max_ticks=max_ticks,
+            ),
+            data.draw(st.integers(min_value=0, max_value=2**32), "seed"),
+        )
+
+
+class TestBeaconCache:
+    """An AP builds its beacon once per content, not once per beacon."""
+
+    def count_beacon_builds(self, monkeypatch, run_script):
+        built = []
+        encode = simnet.encode_management_frame
+
+        def counting(frame):
+            if frame.subtype is simnet.FrameSubtype.BEACON:
+                built.append(frame)
+            return encode(frame)
+
+        monkeypatch.setattr(simnet, "encode_management_frame", counting)
+        return built, run_scenario(run_script, 0)
+
+    def test_signed_beacon_built_once(self, monkeypatch):
+        built, t = self.count_beacon_builds(
+            monkeypatch,
+            script(mitigations=Mitigations(sign_management_frames=True)),
+        )
+        beacons = tx_frames(t, "beacon")
+        assert len(beacons) == 6
+        assert len(built) == 1
+        assert built[0].signature is not None
+        assert len({r["hex"] for r in beacons}) == 1
+
+    def test_leaked_psk_rebuilds_beacon(self, monkeypatch):
+        built, t = self.count_beacon_builds(
+            monkeypatch, script(ap_kw={"debug_leak_psk": True}, max_ticks=700)
+        )
+        psk = t.secrets["ap1"]["psks"][0]
+        beacons = tx_frames(t, "beacon")
+        assert len(built) == 2
+        assert psk not in beacons[0]["hex"]
+        assert all(psk in r["hex"] for r in beacons[1:])
