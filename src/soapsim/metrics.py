@@ -161,17 +161,6 @@ class SizeReport:
             "added": [{"kind": a.kind, "octets": a.octets} for a in self.added],
         }
 
-    def to_csv(self) -> str:
-        lines = ["kind,baseline_octets,with_agreement_octets,overhead_fraction"]
-        for r in self.rows:
-            lines.append(
-                f"{r.kind},{r.baseline_octets},{r.soap_octets},"
-                f"{r.overhead_fraction:.6f}"
-            )
-        for a in self.added:
-            lines.append(f"{a.kind},,{a.octets},")
-        return "\n".join(lines) + "\n"
-
 
 def _baseline_elements(
     composition: tuple[tuple[int, int], ...],

@@ -53,6 +53,9 @@ KNOWN_CHECKS = frozenset(
 )
 
 
+MAX_SSID_OCTETS = 32  # the 802.11 limit
+
+
 class ScenarioError(ValueError):
     """Script rejected: message carries the offending location."""
 
@@ -85,17 +88,33 @@ def _take(d: dict, where: str, allowed: dict) -> dict:
     return out
 
 
-def _check_groups(got: dict, where: str) -> None:
+def _check_radio(got: dict, where: str) -> None:
+    """The fields a station and the adversary share: MAC, SSID, groups and
+    beacon timing."""
+    if "mac" in got:
+        try:
+            parse_mac(got["mac"])
+        except ValueError as exc:
+            raise ScenarioError(f"{where}.mac: {exc}") from None
+    if "ssid" in got:
+        try:
+            octets = len(got["ssid"].encode())
+        except UnicodeEncodeError:
+            raise ScenarioError(f"{where}.ssid: not encodable as UTF-8") from None
+        _require(
+            octets <= MAX_SSID_OCTETS,
+            f"{where}.ssid",
+            f"must be at most {MAX_SSID_OCTETS} octets of UTF-8, got {octets}",
+        )
     if "groups" in got:
         _require(
             all(_is_int(g) for g in got["groups"]) and got["groups"],
             f"{where}.groups",
             "must be a non-empty list of integers",
         )
+        for gid in got["groups"]:
+            _require(gid in REGISTRY, f"{where}.groups", f"unregistered group id {gid}")
         got["groups"] = tuple(got["groups"])
-
-
-def _check_beacon_timing(got: dict, where: str) -> None:
     _require(
         got.get("beacon_period", 1) >= 1, f"{where}.beacon_period", "must be >= 1"
     )
@@ -129,12 +148,7 @@ def _station_from_dict(d: dict, where: str) -> StationConfig:
     for key in ("station_id", "role", "mac"):
         _require(key in got, where, f"missing required key {key!r}")
     _require(got["role"] in ("client", "ap"), f"{where}.role", "must be 'client' or 'ap'")
-    try:
-        parse_mac(got["mac"])
-    except ValueError as exc:
-        raise ScenarioError(f"{where}.mac: {exc}") from None
-    _check_groups(got, where)
-    _check_beacon_timing(got, where)
+    _check_radio(got, where)
     if "legacy_psk" in got:
         try:
             raw = bytes.fromhex(got["legacy_psk"])
@@ -168,8 +182,9 @@ def _adversary_from_dict(d: dict, where: str) -> AdversaryConfig:
     unknown = set(caps) - KNOWN_CAPABILITIES
     _require(not unknown, f"{where}.capabilities", f"unknown: {sorted(unknown)}")
     got["capabilities"] = tuple(caps)
-    _check_groups(got, where)
-    _check_beacon_timing(got, where)
+    _check_radio(got, where)
+    for key in ("replay_at", "disassoc_at"):
+        _require(got.get(key, 0) >= 0, f"{where}.{key}", "must be >= 0")
     return AdversaryConfig(**got)
 
 
@@ -201,7 +216,7 @@ def script_from_dict(data: dict) -> ScenarioScript:
     ]
     ids = [s.station_id for s in stations]
     _require(len(ids) == len(set(ids)), "script.stations", "duplicate station_id")
-    macs = [s.mac for s in stations]
+    macs = [parse_mac(s.mac) for s in stations]
     _require(len(macs) == len(set(macs)), "script.stations", "duplicate mac")
     for i, s in enumerate(stations):
         if s.pin_ap is not None:
@@ -209,12 +224,6 @@ def script_from_dict(data: dict) -> ScenarioScript:
                 s.pin_ap in ids,
                 f"script.stations[{i}].pin_ap",
                 f"unknown station {s.pin_ap!r}",
-            )
-        for gid in s.groups:
-            _require(
-                gid in REGISTRY,
-                f"script.stations[{i}].groups",
-                f"unregistered group id {gid}",
             )
 
     adversary = None

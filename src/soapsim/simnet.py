@@ -1,6 +1,11 @@
 """Deterministic discrete-event radio: stations, an optional adversary, and
 a clock that delivers every transmitted frame one tick later.
 
+`Station` holds what both ends share: admission, blacklisting, frame output
+and one ``on_frame`` that parses each frame once and dispatches it. Its
+subclasses are `ClientStation` and `ApStation`; an AP keeps an `ApPeer` per
+client, and a rogue AP is an `ApStation` that hears frames after the stations.
+
 Time advances by next-event jumps. While a frame is in flight the clock steps
 one tick at a time; when nothing is in flight it jumps straight to the
 earliest tick at which something can act: a beacon, an AP retry deadline, a
@@ -24,16 +29,21 @@ byte-identical transcripts.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from . import negotiation
-from .crypto import SeededRng, ecdsa_generate, ecdsa_sign, ecdsa_verify
-from .fourway import (
-    Authenticator,
-    FourwayState,
-    Supplicant,
+from .crypto import (
+    SeededRng,
+    ecdh_generate,
+    ecdsa_generate,
+    ecdsa_sign,
+    ecdsa_verify,
+    point_to_octets,
+    registry_lookup,
 )
+from .fourway import Authenticator, Supplicant
 from .frames import (
     BROADCAST_MAC,
     ELEMENT_ID_SSID,
@@ -57,11 +67,13 @@ from .frames import (
     soap_ie_from_frame,
 )
 from .handshake import (
+    TAG_MESSAGE1,
     ApSession,
     ClientSession,
     Phase,
     Role,
     make_identity,
+    signed_payload,
 )
 
 RETRY_TIMEOUT_TICKS = 100
@@ -69,13 +81,14 @@ MAX_RETRANSMISSIONS = 3
 CLIENT_AWAIT_TIMEOUT_TICKS = 450
 DEFAULT_MAX_TICKS = 3000
 ELEMENT_ID_DEBUG_LEAK = 221
+_MAC = re.compile(r"[0-9A-Fa-f]{2}(:[0-9A-Fa-f]{2}){5}")
 
 
 def parse_mac(text: str) -> bytes:
-    parts = text.split(":")
-    if len(parts) != 6:
+    """Six colon-separated octets of exactly two hex digits each."""
+    if not _MAC.fullmatch(text):
         raise ValueError(f"bad mac {text!r}")
-    return bytes(int(p, 16) for p in parts)
+    return bytes.fromhex(text.replace(":", ""))
 
 
 def format_mac(mac: bytes) -> str:
@@ -207,16 +220,14 @@ class Transcript:
 # ---------------------------------------------------------------------------
 
 
-def _retry_deadline(entry: dict) -> int | None:
-    """The tick at which an AP retransmits to, or gives up on, a peer."""
-    if entry.get("done") or entry.get("last_tx") is None:
-        return None
-    return entry["last_tx"] + RETRY_TIMEOUT_TICKS
-
-
 class Station:
-    """One radio endpoint. Client and AP behavior in a single class keyed on
-    role, since they share admission control and mitigation bookkeeping."""
+    """What both ends of a link share: admission (the blocked list and the
+    management-frame signature check), signature-failure blacklisting, frame
+    output, and one parse-and-dispatch path for received frames. A subclass
+    handles what the dispatch hands it in `_on_mgmt`, `_on_agreement` and
+    `_on_eapol_key`."""
+
+    from_ds = False  # the DS bit of the data frames this station sends
 
     def __init__(
         self,
@@ -234,34 +245,51 @@ class Station:
         self.transcript = transcript
         self.strict_frames = strict_frames
         self.mac = identity.mac
-        self.state = "scanning" if cfg.role == "client" else "ready"
         self.session_counter = 0
         self.psk_history: list[bytes] = []
         self.kck_history: list[bytes] = []
         self.fail_counts: dict[bytes, int] = {}
         self.blocked: set[bytes] = set()
         self.known_keys: dict[bytes, tuple] = {}  # mac -> (group, point)
-        self.seen_nonces: set = set()
-        self.pinned_ap_key = None  # filled by the simulation when pin_ap is set
-        # Client side
-        self.session: ClientSession | None = None
-        self.supplicant: Supplicant | None = None
-        self.ap_mac: bytes | None = None
-        self.await_since: int | None = None
-        self.fallback_recorded = False
-        self.mode: str | None = None  # "soap" | "legacy" once latched
-        # AP side: client mac -> session entry
-        self.entries: dict[bytes, dict] = {}
-        self.decoy_ecdsa = (
-            ecdsa_generate(identity.ecdsa.group, rng.child("decoy"))
-            if cfg.advertise_bogus_key
-            else None
-        )
-        # The beacon's wire octets and the leaked PSK they carry, if any.
-        self._beacon_wire: bytes | None = None
-        self._beacon_leak: bytes | None = None
 
     # -- common helpers ----------------------------------------------------
+
+    def _discard(self, tick: int, reason: str, **detail) -> None:
+        self.transcript.note(
+            tick, "discard", self.cfg.station_id, reason=reason, **detail
+        )
+
+    def _parse(self, tick: int, parser, data: bytes, **kw):
+        """`parser(data, **kw)`, or None once a malformed frame is discarded."""
+        try:
+            return parser(data, **kw)
+        except MalformedFrameError as exc:
+            self._discard(tick, "malformed", detail=str(exc))
+            return None
+
+    def _parse_agreement(self, tick: int, session, payload: bytes):
+        return self._parse(
+            tick,
+            parse_soap_message,
+            payload,
+            key_octets=session.group.key_size_octets,
+            signature_octets=session.peer_signer_group.key_size_octets,
+        )
+
+    def _agreed(self, tick: int, src: bytes, event: str, context: str) -> bool:
+        """Account for the outcome of a signed agreement message from `src`."""
+        if event == "signature":
+            self._sig_failure(tick, src, context)
+            return False
+        if event != "agreed":
+            self._discard(tick, event, src=format_mac(src))
+            return False
+        self.fail_counts[src] = 0
+        return True
+
+    def _ssid_matches(self, frame: ManagementFrame) -> bool:
+        ssid = find_element(frame, ELEMENT_ID_SSID)
+        return ssid is not None and ssid.decode(errors="replace") == self.cfg.ssid
 
     def _out_mgmt(self, frame: ManagementFrame, kind: str) -> Transmission:
         if self.mitigations.sign_management_frames:
@@ -271,14 +299,14 @@ class Station:
         return Transmission(self.cfg.station_id, kind, encode_management_frame(frame))
 
     def _out_eapol(self, dst: bytes, packet: bytes, kind: str) -> Transmission:
-        frame = DataFrame(self.mac, dst, packet, from_ds=self.cfg.role == "ap")
+        frame = DataFrame(self.mac, dst, packet, from_ds=self.from_ds)
         return Transmission(self.cfg.station_id, kind, encode_data_frame(frame))
 
+    def _out_key(self, dst: bytes, key_frame) -> Transmission:
+        return self._out_eapol(dst, encode_eapol_key_frame(key_frame), "eapol-key")
+
     def _sig_failure(self, tick: int, mac: bytes, context: str) -> None:
-        self.transcript.note(
-            tick, "discard", self.cfg.station_id,
-            reason="signature", context=context, src=format_mac(mac),
-        )
+        self._discard(tick, "signature", context=context, src=format_mac(mac))
         threshold = self.mitigations.blacklist_threshold
         if threshold is None:
             return
@@ -289,20 +317,10 @@ class Station:
             self.transcript.note(
                 tick, "blacklisted", self.cfg.station_id, src=format_mac(mac)
             )
-            if self.session is not None and self.session.peer_mac == mac:
-                self._client_restart(tick, "blacklisted")
+            self._on_blacklisted(tick, mac)
 
-    def _sig_success(self, mac: bytes) -> None:
-        self.fail_counts[mac] = 0
-
-    def _admit(self, tick: int, frame_bytes: bytes) -> bool:
-        src = bytes(frame_bytes[10:16])
-        if src in self.blocked:
-            self.transcript.note(
-                tick, "blocked", self.cfg.station_id, src=format_mac(src)
-            )
-            return False
-        return True
+    def _on_blacklisted(self, tick: int, mac: bytes) -> None:
+        """Called once, when `mac` joins the blocked list."""
 
     def _mgmt_signature_ok(self, tick: int, frame: ManagementFrame) -> bool:
         """Admission check for management frames under the signing mitigation."""
@@ -316,7 +334,7 @@ class Station:
             ):
                 self._sig_failure(tick, frame.src_mac, "mgmt")
                 return False
-            self._sig_success(frame.src_mac)
+            self.fail_counts[frame.src_mac] = 0
             return True
         if frame.signature is not None:
             # No provisioned key: check self-consistency against the key the
@@ -334,29 +352,336 @@ class Station:
                     return False
         return True
 
-    # -- tick driver -------------------------------------------------------
+    # -- frame dispatch ----------------------------------------------------
 
-    def on_tick(self, tick: int) -> list[Transmission]:
-        out: list[Transmission] = []
-        if self.cfg.role == "ap":
-            if self._beacon_due(tick) == tick:
-                out.append(self._beacon())
-            out.extend(self._ap_check_timers(tick))
-        else:
-            self._client_check_timers(tick)
-        return out
+    def on_frame(self, tick: int, wire: bytes) -> list[Transmission]:
+        src = bytes(wire[10:16])
+        if src in self.blocked:
+            self.transcript.note(
+                tick, "blocked", self.cfg.station_id, src=format_mac(src)
+            )
+            return []
+        if wire[0] & 0x0C == 0x08:
+            frame = self._parse(tick, parse_data_frame, wire)
+            if frame is None or frame.dst_mac != self.mac:
+                return []
+            kind = classify_eapol(frame.payload)
+            if kind == "agreement":
+                return self._on_agreement(tick, frame)
+            if kind == "key":
+                return self._on_eapol_key(tick, frame)
+            self._discard(tick, "unknown-eapol")
+            return []
+        frame = self._parse(tick, parse_management_frame, wire)
+        if frame is None or frame.dst_mac not in (self.mac, BROADCAST_MAC):
+            return []
+        if not self._mgmt_signature_ok(tick, frame):
+            return []
+        return self._on_mgmt(tick, frame)
+
+    # -- schedule actions and summaries ------------------------------------
+
+    def do_action(self, tick: int, action: str) -> list[Transmission]:
+        return []
+
+    def summary(self, mac_names: dict) -> dict:
+        return {
+            "role": self.cfg.role,
+            "mac": format_mac(self.mac),
+            "psk_count": len(self.psk_history),
+            "blocked": sorted(mac_names.get(m, format_mac(m)) for m in self.blocked),
+            "state": self.state,
+        }
+
+    def secrets(self) -> dict:
+        return {
+            "psks": [p.hex() for p in self.psk_history],
+            "kcks": [k.hex() for k in self.kck_history],
+        }
+
+
+class ClientStation(Station):
+    """A client. It latches onto the first beacon of its SSID, answers the
+    advertised key in its association request, signs agreement message 2 and
+    runs the 4-Way Handshake as supplicant, or falls back to its legacy PSK."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.state = "scanning"
+        self.seen_nonces: set = set()
+        self.pinned_ap_key = None  # filled by the simulation when pin_ap is set
+        self.session: ClientSession | None = None
+        self.supplicant: Supplicant | None = None
+        self.ap_mac: bytes | None = None
+        self.await_since: int | None = None
+        self.fallback_recorded = False
+        self.mode: str | None = None  # "soap" | "legacy" once latched
+
+    def _enter(self, tick: int, state: str, **detail) -> None:
+        self.state = state
+        self.transcript.transition(
+            tick, self.cfg.station_id, "station", state, **detail
+        )
+
+    def _restart(self, tick: int, reason: str) -> None:
+        if self.session is not None and self.session.phase is not Phase.ABORTED:
+            self.session.abort(reason)
+        self.session = None
+        self.supplicant = None
+        self.ap_mac = None
+        self.await_since = None
+        self.mode = None
+        self._enter(tick, "scanning", reason=reason)
+
+    def _on_blacklisted(self, tick: int, mac: bytes) -> None:
+        if self.session is not None and self.session.peer_mac == mac:
+            self._restart(tick, "blacklisted")
+
+    # -- timers ------------------------------------------------------------
+
+    def _await_deadline(self) -> int | None:
+        """The tick at which a client waiting on its AP gives up."""
+        if self.state in ("soap", "fourway") and self.await_since is not None:
+            return self.await_since + CLIENT_AWAIT_TIMEOUT_TICKS + 1
+        return None
 
     def _deadlines(self, tick: int):
         """The timers on_tick acts on from `tick` on: it acts at the first tick
         that reaches any of them."""
-        if self.cfg.role == "ap":
-            yield self._beacon_due(tick)
-            for entry in self.entries.values():
-                deadline = _retry_deadline(entry)
-                if deadline is not None:
-                    yield deadline
-        else:
-            deadline = self._await_deadline()
+        deadline = self._await_deadline()
+        if deadline is not None:
+            yield deadline
+
+    def on_tick(self, tick: int) -> list[Transmission]:
+        deadline = self._await_deadline()
+        if deadline is not None and tick >= deadline:
+            self._restart(tick, "timeout")
+        return []
+
+    # -- received frames ---------------------------------------------------
+
+    def _on_mgmt(self, tick: int, frame: ManagementFrame) -> list[Transmission]:
+        if frame.subtype is FrameSubtype.DISASSOC:
+            if self.ap_mac == frame.src_mac and self.state in ("fourway", "established"):
+                self.session = None
+                self.supplicant = None
+                self._enter(tick, "halted", reason="disassociated")
+            return []
+        if (
+            frame.subtype is not FrameSubtype.BEACON
+            or self.state != "scanning"
+            or not self._ssid_matches(frame)
+        ):
+            return []
+        ie = soap_ie_from_frame(frame) if self.cfg.soap_aware else None
+        if ie is not None and not self.cfg.force_legacy:
+            return self._latch_soap(tick, frame, ie)
+        return self._latch_legacy(tick, frame)
+
+    def _assoc_request(self, ap_mac: bytes, *elements) -> Transmission:
+        ssid = (ELEMENT_ID_SSID, self.cfg.ssid.encode())
+        assoc = ManagementFrame(
+            FrameSubtype.ASSOC_REQUEST, self.mac, ap_mac, (ssid, *elements)
+        )
+        return self._out_mgmt(assoc, "assoc-request")
+
+    def _latch_soap(self, tick, frame, ie) -> list[Transmission]:
+        self.session_counter += 1
+        session = ClientSession(
+            self.identity,
+            self.rng.child(f"session{self.session_counter}"),
+            strict_frames=self.strict_frames,
+            pinned_ap_key=self.pinned_ap_key,
+            seen_nonces=self.seen_nonces,
+        )
+        response, event = session.on_advertisement(ie, frame.src_mac)
+        if event == "fallback":
+            self.fallback_recorded = True
+            self.transcript.note(
+                tick, "negotiation", self.cfg.station_id, outcome="wpa-psk-fallback"
+            )
+            return self._latch_legacy(tick, frame)
+        if event != "respond":
+            self._discard(tick, event, src=format_mac(frame.src_mac))
+            return []
+        self.session = session
+        self.ap_mac = frame.src_mac
+        self.mode = "soap"
+        self.await_since = tick
+        self.transcript.note(
+            tick, "negotiation", self.cfg.station_id,
+            outcome=f"group-{session.group.group_id}",
+        )
+        self.known_keys[frame.src_mac] = (
+            session.peer_signer_group, session.peer_signer_point
+        )
+        session.mark_associated()
+        self._enter(tick, "soap")
+        return [self._assoc_request(frame.src_mac, soap_ie_element(response))]
+
+    def _latch_legacy(self, tick, frame) -> list[Transmission]:
+        if self.cfg.legacy_psk is None:
+            self.transcript.note(
+                tick, "note", self.cfg.station_id, detail="no legacy psk configured"
+            )
+            return []
+        if not self.cfg.soap_aware or self.cfg.force_legacy:
+            self.fallback_recorded = self.fallback_recorded or self.cfg.force_legacy
+        self.ap_mac = frame.src_mac
+        self.mode = "legacy"
+        self.await_since = tick
+        self._enter(tick, "fourway", mode="legacy")
+        return [self._assoc_request(frame.src_mac)]
+
+    def _on_agreement(self, tick, frame: DataFrame) -> list[Transmission]:
+        if self.session is None or self.state != "soap":
+            self._discard(tick, "phase", src=format_mac(frame.src_mac))
+            return []
+        msg = self._parse_agreement(tick, self.session, frame.payload)
+        if msg is None:
+            return []
+        reply, event = self.session.on_message1(msg, frame.src_mac)
+        if not self._agreed(tick, frame.src_mac, event, "agreement-msg1"):
+            return []
+        psk = self.session.psk
+        self.psk_history.append(bytes(psk))
+        self.transcript.transition(
+            tick, self.cfg.station_id, "soap", "psk-agreed",
+            session=self.session_counter,
+        )
+        self.supplicant = Supplicant(
+            psk, frame.src_mac, self.mac, self.rng.child(f"supp{self.session_counter}")
+        )
+        self.await_since = tick
+        self._enter(tick, "fourway")
+        return [self._out_eapol(frame.src_mac, encode_soap_message(reply), "agreement")]
+
+    def _on_eapol_key(self, tick, frame: DataFrame) -> list[Transmission]:
+        if (
+            self.supplicant is None
+            and self.mode == "legacy"
+            and self.state == "fourway"
+            and frame.src_mac == self.ap_mac
+        ):
+            self.session_counter += 1
+            self.supplicant = Supplicant(
+                bytes.fromhex(self.cfg.legacy_psk),
+                self.ap_mac,
+                self.mac,
+                self.rng.child(f"supp{self.session_counter}"),
+            )
+        if self.supplicant is None or frame.src_mac != self.ap_mac:
+            self._discard(tick, "phase")
+            return []
+        key_frame = self._parse(tick, parse_eapol_key_frame, frame.payload)
+        if key_frame is None:
+            return []
+        reply, event = self.supplicant.on_frame(key_frame)
+        out = [] if reply is None else [self._out_key(frame.src_mac, reply)]
+        if event == "established":
+            self.kck_history.append(self.supplicant.keys.kck)
+            self.await_since = None
+            self._enter(tick, "established")
+        elif event == "mic-mismatch":
+            self.transcript.transition(
+                tick, self.cfg.station_id, "fourway", "failed", reason="mic-mismatch"
+            )
+            self._restart(tick, "fourway-failed")
+        elif event in ("replay", "unexpected"):
+            self._discard(tick, event)
+        return out
+
+    # -- schedule actions and summaries ------------------------------------
+
+    def do_action(self, tick: int, action: str) -> list[Transmission]:
+        if action != "reset":
+            return []
+        out = []
+        if self.ap_mac is not None:
+            disassoc = ManagementFrame(FrameSubtype.DISASSOC, self.mac, self.ap_mac)
+            out.append(self._out_mgmt(disassoc, "disassoc"))
+        self._restart(tick, "scripted-reset")
+        return out
+
+    def summary(self, mac_names: dict) -> dict:
+        return {
+            **super().summary(mac_names),
+            "mode": self.mode,
+            "peer": mac_names.get(self.ap_mac, format_mac(self.ap_mac))
+            if self.ap_mac
+            else None,
+            "soap_phase": self.session.phase.value if self.session else None,
+            "abort_reason": self.session.abort_reason if self.session else None,
+            "fallback": self.fallback_recorded,
+            "fourway": self.supplicant.state.value if self.supplicant else None,
+        }
+
+
+@dataclass
+class ApPeer:
+    """An AP's record of one client: the agreement session (None for a legacy
+    client), then the 4-Way authenticator, and the retransmission timer of
+    whichever of the two is running."""
+
+    last_tx: int
+    soap: ApSession | None = None
+    auth: Authenticator | None = None
+    attempts: int = 0
+    established: bool = False
+    done: bool = False
+
+    def retry_deadline(self) -> int | None:
+        """The tick at which the AP retransmits to, or gives up on, the peer."""
+        return None if self.done else self.last_tx + RETRY_TIMEOUT_TICKS
+
+    def retransmission(self) -> tuple[bytes, str] | None:
+        """The packet to resend and its kind: message 1 until message 2 has
+        arrived, then the last 4-Way frame; None when there is none."""
+        if self.auth is None:
+            msg = self.soap.retransmit_message1()
+            return None if msg is None else (encode_soap_message(msg), "agreement")
+        key_frame = self.auth.retransmit()
+        if key_frame is None:
+            return None
+        return encode_eapol_key_frame(key_frame), "eapol-key"
+
+    def summary(self) -> dict:
+        return {
+            "soap_phase": self.soap.phase.value if self.soap else None,
+            "abort_reason": self.soap.abort_reason if self.soap else None,
+            "established": self.established,
+            "fourway": self.auth.state.value if self.auth else None,
+        }
+
+
+class ApStation(Station):
+    """An access point. It beacons its advertisement, answers each client's
+    association request with signed agreement message 1, runs the 4-Way
+    Handshake as authenticator, and retransmits to each peer on its timer."""
+
+    from_ds = True
+    state = "ready"
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.peers: dict[bytes, ApPeer] = {}
+        self.decoy_ecdsa = (
+            ecdsa_generate(self.identity.ecdsa.group, self.rng.child("decoy"))
+            if self.cfg.advertise_bogus_key
+            else None
+        )
+        # The beacon's wire octets and the leaked PSK they carry, if any.
+        self._beacon_wire: bytes | None = None
+        self._beacon_leak: bytes | None = None
+
+    # -- timers ------------------------------------------------------------
+
+    def _deadlines(self, tick: int):
+        """The timers on_tick acts on from `tick` on: it acts at the first tick
+        that reaches any of them."""
+        yield self._beacon_due(tick)
+        for peer in self.peers.values():
+            deadline = peer.retry_deadline()
             if deadline is not None:
                 yield deadline
 
@@ -389,538 +714,163 @@ class Station:
             self._beacon_leak = leak
         return Transmission(self.cfg.station_id, "beacon", self._beacon_wire)
 
-    # -- frame dispatch ----------------------------------------------------
-
-    def on_frame(self, tick: int, wire: bytes) -> list[Transmission]:
-        if not self._admit(tick, wire):
-            return []
-        if wire[0] & 0x0C == 0x08:
-            return self._on_data(tick, wire)
-        try:
-            frame = parse_management_frame(wire)
-        except MalformedFrameError as exc:
-            self.transcript.note(
-                tick, "discard", self.cfg.station_id, reason="malformed", detail=str(exc)
-            )
-            return []
-        if frame.dst_mac not in (self.mac, BROADCAST_MAC):
-            return []
-        if not self._mgmt_signature_ok(tick, frame):
-            return []
-        if self.cfg.role == "client":
-            return self._client_on_mgmt(tick, frame)
-        return self._ap_on_mgmt(tick, frame)
-
-    def _on_data(self, tick: int, wire: bytes) -> list[Transmission]:
-        try:
-            frame = parse_data_frame(wire)
-        except MalformedFrameError as exc:
-            self.transcript.note(
-                tick, "discard", self.cfg.station_id, reason="malformed", detail=str(exc)
-            )
-            return []
-        if frame.dst_mac != self.mac:
-            return []
-        kind = classify_eapol(frame.payload)
-        if self.cfg.role == "client":
-            if kind == "agreement":
-                return self._client_on_agreement(tick, frame)
-            if kind == "key":
-                return self._client_on_eapol_key(tick, frame)
-        else:
-            if kind == "agreement":
-                return self._ap_on_agreement(tick, frame)
-            if kind == "key":
-                return self._ap_on_eapol_key(tick, frame)
-        self.transcript.note(
-            tick, "discard", self.cfg.station_id, reason="unknown-eapol"
-        )
-        return []
-
-    # -- client ------------------------------------------------------------
-
-    def _client_restart(self, tick: int, reason: str) -> None:
-        if self.session is not None and self.session.phase is not Phase.ABORTED:
-            self.session.abort(reason)
-        self.session = None
-        self.supplicant = None
-        self.ap_mac = None
-        self.await_since = None
-        self.mode = None
-        self.state = "scanning"
-        self.transcript.transition(
-            tick, self.cfg.station_id, "station", "scanning", reason=reason
-        )
-
-    def _await_deadline(self) -> int | None:
-        """The tick at which a client waiting on its AP gives up."""
-        if self.state in ("soap", "fourway") and self.await_since is not None:
-            return self.await_since + CLIENT_AWAIT_TIMEOUT_TICKS + 1
-        return None
-
-    def _client_check_timers(self, tick: int) -> None:
-        deadline = self._await_deadline()
-        if deadline is not None and tick >= deadline:
-            self._client_restart(tick, "timeout")
-
-    def _client_on_mgmt(self, tick: int, frame: ManagementFrame) -> list[Transmission]:
-        if frame.subtype is FrameSubtype.DISASSOC:
-            if self.ap_mac == frame.src_mac and self.state in ("fourway", "established"):
-                self.state = "halted"
-                self.session = None
-                self.supplicant = None
-                self.transcript.transition(
-                    tick, self.cfg.station_id, "station", "halted", reason="disassociated"
-                )
-            return []
-        if frame.subtype not in (FrameSubtype.BEACON, FrameSubtype.PROBE_RESPONSE):
-            return []
-        if self.state != "scanning":
-            return []
-        ssid = find_element(frame, ELEMENT_ID_SSID)
-        if ssid is None or ssid.decode(errors="replace") != self.cfg.ssid:
-            return []
-        ie = soap_ie_from_frame(frame) if self.cfg.soap_aware else None
-        if ie is not None and not self.cfg.force_legacy:
-            return self._client_latch_soap(tick, frame, ie)
-        return self._client_latch_legacy(tick, frame)
-
-    def _client_latch_soap(self, tick, frame, ie) -> list[Transmission]:
-        self.session_counter += 1
-        session = ClientSession(
-            self.identity,
-            self.rng.child(f"session{self.session_counter}"),
-            strict_frames=self.strict_frames,
-            pinned_ap_key=self.pinned_ap_key,
-            seen_nonces=self.seen_nonces,
-        )
-        response, event = session.on_advertisement(ie, frame.src_mac)
-        if event == "fallback":
-            self.fallback_recorded = True
-            self.transcript.note(
-                tick, "negotiation", self.cfg.station_id, outcome="wpa-psk-fallback"
-            )
-            return self._client_latch_legacy(tick, frame)
-        if event != "respond":
-            self.transcript.note(
-                tick, "discard", self.cfg.station_id, reason=event,
-                src=format_mac(frame.src_mac),
-            )
-            return []
-        self.session = session
-        self.ap_mac = frame.src_mac
-        self.state = "soap"
-        self.mode = "soap"
-        self.await_since = tick
-        self.transcript.note(
-            tick, "negotiation", self.cfg.station_id,
-            outcome=f"group-{session.group.group_id}",
-        )
-        self.known_keys[frame.src_mac] = (
-            session.peer_signer_group, session.peer_signer_point
-        )
-        session.mark_associated()
-        assoc = ManagementFrame(
-            FrameSubtype.ASSOC_REQUEST,
-            self.mac,
-            frame.src_mac,
-            ((ELEMENT_ID_SSID, self.cfg.ssid.encode()), soap_ie_element(response)),
-        )
-        self.transcript.transition(tick, self.cfg.station_id, "station", "soap")
-        return [self._out_mgmt(assoc, "assoc-request")]
-
-    def _client_latch_legacy(self, tick, frame) -> list[Transmission]:
-        if self.cfg.legacy_psk is None:
-            self.transcript.note(
-                tick, "note", self.cfg.station_id, detail="no legacy psk configured"
-            )
-            return []
-        if not self.cfg.soap_aware or self.cfg.force_legacy:
-            self.fallback_recorded = self.fallback_recorded or self.cfg.force_legacy
-        self.ap_mac = frame.src_mac
-        self.state = "fourway"
-        self.mode = "legacy"
-        self.await_since = tick
-        assoc = ManagementFrame(
-            FrameSubtype.ASSOC_REQUEST,
-            self.mac,
-            frame.src_mac,
-            ((ELEMENT_ID_SSID, self.cfg.ssid.encode()),),
-        )
-        self.transcript.transition(
-            tick, self.cfg.station_id, "station", "fourway", mode="legacy"
-        )
-        return [self._out_mgmt(assoc, "assoc-request")]
-
-    def _client_on_agreement(self, tick, frame: DataFrame) -> list[Transmission]:
-        if self.session is None or self.state != "soap":
-            self.transcript.note(
-                tick, "discard", self.cfg.station_id, reason="phase",
-                src=format_mac(frame.src_mac),
-            )
-            return []
-        try:
-            msg = parse_soap_message(
-                frame.payload,
-                key_octets=self.session.group.key_size_octets,
-                signature_octets=self.session.peer_signer_group.key_size_octets,
-            )
-        except MalformedFrameError as exc:
-            self.transcript.note(
-                tick, "discard", self.cfg.station_id, reason="malformed", detail=str(exc)
-            )
-            return []
-        reply, event = self.session.on_message1(msg, frame.src_mac)
-        if event == "signature":
-            self._sig_failure(tick, frame.src_mac, "agreement-msg1")
-            return []
-        if event != "agreed":
-            self.transcript.note(
-                tick, "discard", self.cfg.station_id, reason=event,
-                src=format_mac(frame.src_mac),
-            )
-            return []
-        self._sig_success(frame.src_mac)
-        psk = self.session.psk
-        self.psk_history.append(bytes(psk))
-        self.transcript.transition(
-            tick, self.cfg.station_id, "soap", "psk-agreed",
-            session=self.session_counter,
-        )
-        self.supplicant = Supplicant(
-            psk, frame.src_mac, self.mac, self.rng.child(f"supp{self.session_counter}")
-        )
-        self.state = "fourway"
-        self.await_since = tick
-        self.transcript.transition(tick, self.cfg.station_id, "station", "fourway")
-        return [self._out_eapol(frame.src_mac, encode_soap_message(reply), "agreement")]
-
-    def _client_on_eapol_key(self, tick, frame: DataFrame) -> list[Transmission]:
-        if (
-            self.supplicant is None
-            and self.mode == "legacy"
-            and self.state == "fourway"
-            and frame.src_mac == self.ap_mac
-            and self.cfg.legacy_psk is not None
-        ):
-            self.session_counter += 1
-            self.supplicant = Supplicant(
-                bytes.fromhex(self.cfg.legacy_psk),
-                self.ap_mac,
-                self.mac,
-                self.rng.child(f"supp{self.session_counter}"),
-            )
-        if self.supplicant is None or frame.src_mac != self.ap_mac:
-            self.transcript.note(tick, "discard", self.cfg.station_id, reason="phase")
-            return []
-        try:
-            key_frame = parse_eapol_key_frame(frame.payload)
-        except MalformedFrameError as exc:
-            self.transcript.note(
-                tick, "discard", self.cfg.station_id, reason="malformed", detail=str(exc)
-            )
-            return []
-        reply, event = self.supplicant.on_frame(key_frame)
-        out = []
-        if reply is not None:
-            out.append(
-                self._out_eapol(
-                    frame.src_mac, encode_eapol_key_frame(reply), "eapol-key"
-                )
-            )
-        if event == "established":
-            self.kck_history.append(self.supplicant.keys.kck)
-            self.state = "established"
-            self.await_since = None
-            self.transcript.transition(tick, self.cfg.station_id, "station", "established")
-        elif event == "mic-mismatch":
-            self.transcript.transition(
-                tick, self.cfg.station_id, "fourway", "failed", reason="mic-mismatch"
-            )
-            self._client_restart(tick, "fourway-failed")
-        elif event in ("replay", "unexpected"):
-            self.transcript.note(tick, "discard", self.cfg.station_id, reason=event)
-        return out
-
-    # -- AP ----------------------------------------------------------------
-
-    def _ap_check_timers(self, tick: int) -> list[Transmission]:
-        out = []
-        for mac, entry in self.entries.items():
-            deadline = _retry_deadline(entry)
+    def on_tick(self, tick: int) -> list[Transmission]:
+        out = [self._beacon()] if self._beacon_due(tick) == tick else []
+        for mac, peer in self.peers.items():
+            deadline = peer.retry_deadline()
             if deadline is None or tick < deadline:
                 continue
-            if entry["attempts"] >= MAX_RETRANSMISSIONS:
-                entry["done"] = True
-                session = entry.get("soap")
-                if session is not None and session.phase is Phase.AWAIT_MSG2:
-                    session.abort("timeout")
+            if peer.attempts >= MAX_RETRANSMISSIONS:
+                peer.done = True
+                if peer.soap is not None and peer.soap.phase is Phase.AWAIT_MSG2:
+                    peer.soap.abort("timeout")
                 self.transcript.transition(
                     tick, self.cfg.station_id, "session", "aborted",
                     peer=format_mac(mac), reason="timeout",
                 )
                 continue
-            packet = None
-            kind = "agreement"
-            if entry.get("await") == "m2" and entry.get("soap") is not None:
-                msg = entry["soap"].retransmit_message1()
-                if msg is not None:
-                    packet = encode_soap_message(msg)
-            elif entry.get("auth") is not None:
-                key_frame = entry["auth"].retransmit()
-                if key_frame is not None:
-                    packet = encode_eapol_key_frame(key_frame)
-                    kind = "eapol-key"
-            if packet is None:
-                entry["done"] = True
+            resend = peer.retransmission()
+            if resend is None:
+                peer.done = True
                 continue
-            entry["attempts"] += 1
-            entry["last_tx"] = tick
+            peer.attempts += 1
+            peer.last_tx = tick
             self.transcript.note(
                 tick, "retransmit", self.cfg.station_id, peer=format_mac(mac)
             )
-            out.append(self._out_eapol(mac, packet, kind))
+            out.append(self._out_eapol(mac, *resend))
         return out
 
-    def _ap_on_mgmt(self, tick: int, frame: ManagementFrame) -> list[Transmission]:
+    # -- received frames ---------------------------------------------------
+
+    def _on_mgmt(self, tick: int, frame: ManagementFrame) -> list[Transmission]:
+        mac = frame.src_mac
         if frame.subtype is FrameSubtype.DISASSOC:
-            entry = self.entries.get(frame.src_mac)
-            if entry is not None:
-                del self.entries[frame.src_mac]
+            if self.peers.pop(mac, None) is not None:
                 self.transcript.note(
                     tick, "client-disassociated", self.cfg.station_id,
-                    src=format_mac(frame.src_mac),
+                    src=format_mac(mac),
                 )
             return []
-        if frame.subtype is not FrameSubtype.ASSOC_REQUEST:
+        if frame.subtype is not FrameSubtype.ASSOC_REQUEST or not self._ssid_matches(
+            frame
+        ):
             return []
-        ssid = find_element(frame, ELEMENT_ID_SSID)
-        if ssid is None or ssid.decode(errors="replace") != self.cfg.ssid:
-            return []
-        existing = self.entries.get(frame.src_mac)
-        if existing is not None and existing.get("established"):
-            self.transcript.note(
-                tick, "discard", self.cfg.station_id, reason="replay",
-                detail="association from established client",
-                src=format_mac(frame.src_mac),
+        existing = self.peers.get(mac)
+        if existing is not None and existing.established:
+            self._discard(
+                tick, "replay", detail="association from established client",
+                src=format_mac(mac),
             )
             return []
         ie = soap_ie_from_frame(frame) if self.cfg.soap_aware else None
         if ie is not None:
-            return self._ap_start_soap(tick, frame, ie)
-        return self._ap_start_legacy(tick, frame)
-
-    def _ap_start_soap(self, tick, frame, ie) -> list[Transmission]:
-        self.session_counter += 1
-        session = ApSession(
-            self.identity,
-            self.rng.child(f"session{self.session_counter}"),
-            frame.src_mac,
-            strict_frames=self.strict_frames,
-        )
-        event = session.on_response_element(ie)
-        if event != "ok":
-            self.transcript.note(
-                tick, "discard", self.cfg.station_id, reason=event,
-                src=format_mac(frame.src_mac),
-            )
-            return []
-        msg = session.build_message1()
-        if msg is None:
-            self.transcript.transition(
-                tick, self.cfg.station_id, "session", "aborted",
-                peer=format_mac(frame.src_mac), reason=session.abort_reason,
-            )
-            return []
-        self.known_keys[frame.src_mac] = (
-            session.peer_signer_group, session.peer_signer_point
-        )
-        self.entries[frame.src_mac] = {
-            "soap": session,
-            "auth": None,
-            "attempts": 0,
-            "last_tx": tick,
-            "await": "m2",
-            "established": False,
-            "done": False,
-        }
-        self.transcript.transition(
-            tick, self.cfg.station_id, "session", "await-msg2",
-            peer=format_mac(frame.src_mac),
-        )
-        return [self._out_eapol(frame.src_mac, encode_soap_message(msg), "agreement")]
-
-    def _ap_start_legacy(self, tick, frame) -> list[Transmission]:
+            return self._start_soap(tick, mac, ie)
         if self.cfg.legacy_psk is None:
             self.transcript.note(
                 tick, "note", self.cfg.station_id, detail="no legacy psk configured"
             )
             return []
         self.session_counter += 1
-        auth = Authenticator(
-            bytes.fromhex(self.cfg.legacy_psk),
-            self.mac,
-            frame.src_mac,
-            self.rng.child(f"auth{self.session_counter}"),
-        )
-        first = auth.start()
-        self.entries[frame.src_mac] = {
-            "soap": None,
-            "auth": auth,
-            "attempts": 0,
-            "last_tx": tick,
-            "await": "m2-key",
-            "established": False,
-            "done": False,
-        }
+        self.peers[mac] = peer = ApPeer(last_tx=tick)
         self.transcript.transition(
             tick, self.cfg.station_id, "session", "fourway",
-            peer=format_mac(frame.src_mac), mode="legacy",
+            peer=format_mac(mac), mode="legacy",
         )
-        return [
-            self._out_eapol(frame.src_mac, encode_eapol_key_frame(first), "eapol-key")
-        ]
+        return [self._start_fourway(tick, mac, peer, bytes.fromhex(self.cfg.legacy_psk))]
 
-    def _ap_on_agreement(self, tick, frame: DataFrame) -> list[Transmission]:
-        entry = self.entries.get(frame.src_mac)
-        if entry is None or entry.get("soap") is None:
-            self.transcript.note(tick, "discard", self.cfg.station_id, reason="phase")
+    def _start_soap(self, tick: int, mac: bytes, ie) -> list[Transmission]:
+        self.session_counter += 1
+        session = ApSession(
+            self.identity,
+            self.rng.child(f"session{self.session_counter}"),
+            mac,
+            strict_frames=self.strict_frames,
+        )
+        event = session.on_response_element(ie)
+        if event != "ok":
+            self._discard(tick, event, src=format_mac(mac))
             return []
-        session: ApSession = entry["soap"]
-        if session.group is None:
-            self.transcript.note(tick, "discard", self.cfg.station_id, reason="phase")
-            return []
-        try:
-            msg = parse_soap_message(
-                frame.payload,
-                key_octets=session.group.key_size_octets,
-                signature_octets=session.peer_signer_group.key_size_octets,
-            )
-        except MalformedFrameError as exc:
-            self.transcript.note(
-                tick, "discard", self.cfg.station_id, reason="malformed", detail=str(exc)
-            )
-            return []
-        event = session.on_message2(msg, frame.src_mac)
-        if event == "signature":
-            self._sig_failure(tick, frame.src_mac, "agreement-msg2")
-            return []
-        if event != "agreed":
-            self.transcript.note(
-                tick, "discard", self.cfg.station_id, reason=event,
-                src=format_mac(frame.src_mac),
+        msg = session.build_message1()
+        if msg is None:
+            self.transcript.transition(
+                tick, self.cfg.station_id, "session", "aborted",
+                peer=format_mac(mac), reason=session.abort_reason,
             )
             return []
-        self._sig_success(frame.src_mac)
-        psk = session.psk
+        self.known_keys[mac] = (session.peer_signer_group, session.peer_signer_point)
+        self.peers[mac] = ApPeer(last_tx=tick, soap=session)
+        self.transcript.transition(
+            tick, self.cfg.station_id, "session", "await-msg2", peer=format_mac(mac)
+        )
+        return [self._out_eapol(mac, encode_soap_message(msg), "agreement")]
+
+    def _start_fourway(self, tick: int, mac: bytes, peer: ApPeer, psk) -> Transmission:
+        """Start the 4-Way Handshake with `mac` over `psk`, as authenticator."""
+        peer.auth = Authenticator(
+            psk, self.mac, mac, self.rng.child(f"auth{self.session_counter}")
+        )
+        peer.attempts = 0
+        peer.last_tx = tick
+        return self._out_key(mac, peer.auth.start())
+
+    def _on_agreement(self, tick, frame: DataFrame) -> list[Transmission]:
+        mac = frame.src_mac
+        peer = self.peers.get(mac)
+        if peer is None or peer.soap is None or peer.soap.group is None:
+            self._discard(tick, "phase")
+            return []
+        msg = self._parse_agreement(tick, peer.soap, frame.payload)
+        if msg is None:
+            return []
+        event = peer.soap.on_message2(msg, mac)
+        if not self._agreed(tick, mac, event, "agreement-msg2"):
+            return []
+        psk = peer.soap.psk
         self.psk_history.append(bytes(psk))
         self.transcript.transition(
-            tick, self.cfg.station_id, "soap", "psk-agreed",
-            peer=format_mac(frame.src_mac),
+            tick, self.cfg.station_id, "soap", "psk-agreed", peer=format_mac(mac)
         )
-        auth = Authenticator(
-            psk, self.mac, frame.src_mac, self.rng.child(f"auth{self.session_counter}")
-        )
-        first = auth.start()
-        entry.update(auth=auth, attempts=0, last_tx=tick)
-        entry["await"] = "m2-key"
-        return [
-            self._out_eapol(frame.src_mac, encode_eapol_key_frame(first), "eapol-key")
-        ]
+        return [self._start_fourway(tick, mac, peer, psk)]
 
-    def _ap_on_eapol_key(self, tick, frame: DataFrame) -> list[Transmission]:
-        entry = self.entries.get(frame.src_mac)
-        if entry is None or entry.get("auth") is None:
-            self.transcript.note(tick, "discard", self.cfg.station_id, reason="phase")
+    def _on_eapol_key(self, tick, frame: DataFrame) -> list[Transmission]:
+        mac = frame.src_mac
+        peer = self.peers.get(mac)
+        if peer is None or peer.auth is None:
+            self._discard(tick, "phase")
             return []
-        try:
-            key_frame = parse_eapol_key_frame(frame.payload)
-        except MalformedFrameError as exc:
-            self.transcript.note(
-                tick, "discard", self.cfg.station_id, reason="malformed", detail=str(exc)
-            )
+        key_frame = self._parse(tick, parse_eapol_key_frame, frame.payload)
+        if key_frame is None:
             return []
-        auth: Authenticator = entry["auth"]
-        reply, event = auth.on_frame(key_frame)
+        reply, event = peer.auth.on_frame(key_frame)
         out = []
         if reply is not None:
-            entry["attempts"] = 0
-            entry["last_tx"] = tick
-            out.append(
-                self._out_eapol(
-                    frame.src_mac, encode_eapol_key_frame(reply), "eapol-key"
-                )
-            )
+            peer.attempts = 0
+            peer.last_tx = tick
+            out.append(self._out_key(mac, reply))
         if event == "established":
-            entry["established"] = True
-            entry["done"] = True
-            self.kck_history.append(auth.keys.kck)
+            peer.established = peer.done = True
+            self.kck_history.append(peer.auth.keys.kck)
             self.transcript.transition(
                 tick, self.cfg.station_id, "session", "established",
-                peer=format_mac(frame.src_mac),
+                peer=format_mac(mac),
             )
         elif event == "mic-mismatch":
-            entry["done"] = True
+            peer.done = True
             self.transcript.transition(
                 tick, self.cfg.station_id, "session", "failed",
-                peer=format_mac(frame.src_mac), reason="mic-mismatch",
+                peer=format_mac(mac), reason="mic-mismatch",
             )
         elif event in ("replay", "unexpected"):
-            self.transcript.note(tick, "discard", self.cfg.station_id, reason=event)
+            self._discard(tick, event)
         return out
 
-    # -- schedule actions and summaries ------------------------------------
-
-    def do_action(self, tick: int, action: str) -> list[Transmission]:
-        if action == "reset" and self.cfg.role == "client":
-            out = []
-            if self.ap_mac is not None:
-                disassoc = ManagementFrame(
-                    FrameSubtype.DISASSOC, self.mac, self.ap_mac
-                )
-                out.append(self._out_mgmt(disassoc, "disassoc"))
-            self._client_restart(tick, "scripted-reset")
-            return out
-        return []
-
     def summary(self, mac_names: dict) -> dict:
-        base = {
-            "role": self.cfg.role,
-            "mac": format_mac(self.mac),
-            "psk_count": len(self.psk_history),
-            "blocked": sorted(mac_names.get(m, format_mac(m)) for m in self.blocked),
+        sessions = {
+            mac_names.get(mac, format_mac(mac)): peer.summary()
+            for mac, peer in self.peers.items()
         }
-        if self.cfg.role == "client":
-            base.update(
-                state=self.state,
-                mode=self.mode,
-                peer=mac_names.get(self.ap_mac, format_mac(self.ap_mac))
-                if self.ap_mac
-                else None,
-                soap_phase=self.session.phase.value if self.session else None,
-                abort_reason=self.session.abort_reason if self.session else None,
-                fallback=self.fallback_recorded,
-                fourway=self.supplicant.state.value if self.supplicant else None,
-            )
-        else:
-            sessions = {}
-            for mac, entry in self.entries.items():
-                soap = entry.get("soap")
-                auth = entry.get("auth")
-                sessions[mac_names.get(mac, format_mac(mac))] = {
-                    "soap_phase": soap.phase.value if soap else None,
-                    "abort_reason": soap.abort_reason if soap else None,
-                    "established": bool(entry.get("established")),
-                    "fourway": auth.state.value if auth else None,
-                }
-            base.update(state=self.state, sessions=sessions)
-        return base
-
-    def secrets(self) -> dict:
-        return {
-            "psks": [p.hex() for p in self.psk_history],
-            "kcks": [k.hex() for k in self.kck_history],
-        }
+        return {**super().summary(mac_names), "sessions": sessions}
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +882,8 @@ class Adversary:
     """Channel-level attacker. Capabilities compose: passive capture, frame
     replay, rogue advertisement (with a consistent or a bogus key), in-path
     substitution of agreement messages, data-frame deletion, and spoofed
-    disassociation."""
+    disassociation. The rogue AP, when there is one, receives frames like any
+    station."""
 
     def __init__(
         self,
@@ -955,7 +906,10 @@ class Adversary:
         self.disassoc_sent = False
         self.flow_groups: dict[bytes, int] = {}
         self._substitutions = 0
-        self.rogue: Station | None = None
+        # Without a rogue AP the substitution signer is made on first use, on
+        # the group of the first flow substituted.
+        self._signer = None
+        self.rogue: ApStation | None = None
         if self.caps & {"masquerade", "inject"}:
             rogue_cfg = StationConfig(
                 station_id="adversary",
@@ -970,7 +924,7 @@ class Adversary:
             identity = make_identity(
                 self.mac, Role.AP, rogue_cfg.groups, rng.child("rogue-id")
             )
-            self.rogue = Station(
+            self.rogue = ApStation(
                 rogue_cfg,
                 identity,
                 rng.child("rogue-run"),
@@ -978,6 +932,7 @@ class Adversary:
                 transcript,
                 strict_frames,
             )
+            self._signer = identity.ecdsa
 
     def observe(self, tick: int, t: Transmission) -> None:
         if t.origin == "adversary":
@@ -1016,10 +971,6 @@ class Adversary:
         return [t]
 
     def _substitute_message1(self, t: Transmission) -> Transmission | None:
-        from .crypto import ecdh_generate, registry_lookup
-        from .handshake import TAG_MESSAGE1, signed_payload
-        from .crypto import point_to_octets
-
         try:
             frame = parse_data_frame(t.wire)
             original = parse_soap_message(frame.payload)
@@ -1027,13 +978,8 @@ class Adversary:
             return None
         group_id = self.flow_groups.get(t.dst_mac, 26)
         group = registry_lookup(group_id)
-        if self.rogue is not None:
-            signer = self.rogue.identity.ecdsa
-        else:
-            signer = getattr(self, "_signer", None)
-            if signer is None:
-                signer = ecdsa_generate(group, self.rng.child("mitm-signer"))
-                self._signer = signer
+        if self._signer is None:
+            self._signer = ecdsa_generate(group, self.rng.child("mitm-signer"))
         self._substitutions += 1
         ephemeral = ecdh_generate(group, self.rng.child(f"mitm{self._substitutions}"))
         fake_public = point_to_octets(group, ephemeral.public_point)
@@ -1044,7 +990,7 @@ class Adversary:
             payload = signed_payload(
                 TAG_MESSAGE1, t.src_mac, t.dst_mac, group_id, nonce, fake_public
             )
-        fake = SoapMessage(fake_public, ecdsa_sign(signer, payload), nonce)
+        fake = SoapMessage(fake_public, ecdsa_sign(self._signer, payload), nonce)
         wire = encode_data_frame(
             DataFrame(t.src_mac, t.dst_mac, encode_soap_message(fake), from_ds=True)
         )
@@ -1099,11 +1045,6 @@ class Adversary:
             )
         return out
 
-    def on_frame(self, tick: int, wire: bytes) -> list[Transmission]:
-        if self.rogue is None:
-            return []
-        return self.rogue.on_frame(tick, wire)
-
 
 # ---------------------------------------------------------------------------
 # Simulation
@@ -1132,7 +1073,8 @@ class Simulation:
         self.stations: list[Station] = []
         self.by_id: dict[str, Station] = {}
         for cfg in script.stations:
-            station = Station(
+            kind = ClientStation if cfg.role == "client" else ApStation
+            station = kind(
                 cfg,
                 identities[cfg.station_id],
                 run_rng.child(f"st:{cfg.station_id}"),
@@ -1153,25 +1095,19 @@ class Simulation:
         self.adversary: Adversary | None = None
         if script.adversary is not None:
             cfg = script.adversary
-            ap_mac = client_mac = None
-            aps = [s for s in self.stations if s.cfg.role == "ap"]
-            clients = [s for s in self.stations if s.cfg.role == "client"]
-            if cfg.target_ap is not None:
-                ap_mac = self.by_id[cfg.target_ap].mac
-            elif aps:
-                ap_mac = aps[0].mac
-            if cfg.target_client is not None:
-                client_mac = self.by_id[cfg.target_client].mac
-            elif clients:
-                client_mac = clients[0].mac
             self.adversary = Adversary(
                 cfg,
                 run_rng.child("adversary"),
                 self.transcript,
                 script.strict_frames,
-                ap_mac,
-                client_mac,
+                self._target(cfg.target_ap, ApStation),
+                self._target(cfg.target_client, ClientStation),
             )
+
+        # Every frame goes to the stations in script order, then the rogue AP.
+        self.receivers = list(self.stations)
+        if self.adversary is not None and self.adversary.rogue is not None:
+            self.receivers.append(self.adversary.rogue)
 
         self._schedule: dict[int, list[ScheduleAction]] = {}
         for action in script.schedule:
@@ -1181,6 +1117,12 @@ class Simulation:
         self.mac_names = {s.mac: s.cfg.station_id for s in self.stations}
         if self.adversary is not None:
             self.mac_names[self.adversary.mac] = "adversary"
+
+    def _target(self, station_id: str | None, kind: type) -> bytes | None:
+        """The MAC of the named station, else of the first station of `kind`."""
+        if station_id is not None:
+            return self.by_id[station_id].mac
+        return next((s.mac for s in self.stations if isinstance(s, kind)), None)
 
     def _transmit(self, tick: int, t: Transmission, in_flight: list) -> None:
         self.transcript.tx(tick, t)
@@ -1216,20 +1158,12 @@ class Simulation:
                 for item in passed:
                     dst = item.dst_mac
                     src = item.src_mac
-                    for station in self.stations:
+                    for station in self.receivers:
                         if station.mac == src:
                             continue
                         if dst not in (station.mac, BROADCAST_MAC):
                             continue
                         for reply in station.on_frame(tick, item.wire):
-                            self._transmit(tick, reply, in_flight)
-                    if (
-                        self.adversary is not None
-                        and self.adversary.rogue is not None
-                        and src != self.adversary.mac
-                        and dst in (self.adversary.mac, BROADCAST_MAC)
-                    ):
-                        for reply in self.adversary.on_frame(tick, item.wire):
                             self._transmit(tick, reply, in_flight)
             if self.adversary is not None:
                 for t in self.adversary.on_tick(tick):

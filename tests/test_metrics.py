@@ -1,7 +1,5 @@
 """Frame-size accounting and crypto benchmark reports."""
 
-import csv
-import io
 import json
 
 import pytest
@@ -124,17 +122,6 @@ class TestSizeRendering:
         assert data["message_octets"] == 148
         assert len(data["rows"]) == 7
         assert len(data["added"]) == 2
-
-    def test_csv_parses(self, p224_report):
-        reader = csv.DictReader(io.StringIO(p224_report.to_csv()))
-        rows = list(reader)
-        assert len(rows) == 9
-        beacon = rows[0]
-        assert beacon["kind"] == "beacon"
-        assert beacon["baseline_octets"] == "105"
-        assert float(beacon["overhead_fraction"]) == pytest.approx(33 / 138, abs=1e-6)
-        assert rows[-1]["kind"] == "agreement-message-2"
-        assert rows[-1]["baseline_octets"] == ""
 
     def test_overhead_fraction_property(self):
         assert SizeRow("x", 100, 125).overhead_fraction == pytest.approx(0.2)

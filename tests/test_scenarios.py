@@ -279,6 +279,94 @@ class TestSchemaRejects:
         with pytest.raises(ScenarioError, match="not valid JSON"):
             load_script("{nope")
 
+    @pytest.mark.parametrize(
+        "mac",
+        [
+            "002:00:00:00:00:01",
+            "0x2:00:00:00:00:01",
+            " 2:00:00:00:00:01",
+            "+2:00:00:00:00:01",
+            "2:00:00:00:00:01",
+            "02:00:00:00:00:01\n",
+            "02-00-00-00-00-01",
+            "02:00:00:00:00:0g",
+            "٠٢:00:00:00:00:01",  # Arabic-Indic digits, which int() reads
+        ],
+    )
+    def test_mac_must_be_six_two_digit_octets(self, mac):
+        rejected(
+            {"name": "t", "stations": [dict(AP, mac=mac)]},
+            "script.stations[0].mac: bad mac",
+        )
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("02:00:00:00:00:0a", "02:00:00:00:00:0A"),
+            ("0A:BC:DE:F0:12:34", "0a:bc:de:f0:12:34"),
+        ],
+    )
+    def test_duplicate_mac_compares_octets(self, first, second):
+        rejected(
+            {"name": "t", "stations": [dict(AP, mac=first), dict(CLIENT, mac=second)]},
+            "script.stations: duplicate mac",
+        )
+
+    @pytest.mark.parametrize("mac", ["zz", "02:00:00:00:00", "002:00:00:00:00:ee"])
+    def test_adversary_mac_checked_at_load(self, mac):
+        rejected(
+            minimal(adversary={"capabilities": ["masquerade"], "mac": mac}),
+            "script.adversary.mac: bad mac",
+        )
+
+    @pytest.mark.parametrize("groups", [[99], [26, 99], [0]])
+    def test_adversary_groups_must_be_registered(self, groups):
+        rejected(
+            minimal(adversary={"capabilities": ["masquerade"], "groups": groups}),
+            "script.adversary.groups: unregistered group id",
+        )
+
+    @pytest.mark.parametrize("key", ["replay_at", "disassoc_at"])
+    @pytest.mark.parametrize("tick", [-1, -5])
+    def test_adversary_tick_negative(self, key, tick):
+        rejected(
+            minimal(adversary={"capabilities": ["replay", "disassoc-inject"], key: tick}),
+            f"script.adversary.{key}: must be >= 0",
+        )
+
+    @pytest.mark.parametrize(
+        "ssid,fragment",
+        [
+            ("x" * 33, "must be at most 32 octets of UTF-8, got 33"),
+            ("€" * 11, "must be at most 32 octets of UTF-8, got 33"),
+            ("x" * 300, "must be at most 32 octets of UTF-8, got 300"),
+            ("\ud800", "not encodable as UTF-8"),
+        ],
+        ids=["33-ascii", "11-euro-signs", "300-ascii", "lone-surrogate"],
+    )
+    @pytest.mark.parametrize("owner", ["station", "adversary"])
+    def test_ssid_over_32_octets(self, owner, ssid, fragment):
+        if owner == "station":
+            data = {"name": "t", "stations": [dict(AP, ssid=ssid)]}
+            where = "script.stations[0].ssid"
+        else:
+            data = minimal(adversary={"capabilities": ["masquerade"], "ssid": ssid})
+            where = "script.adversary.ssid"
+        rejected(data, f"{where}: {fragment}")
+
+
+class TestRadioFieldsAtTheLimit:
+    """What the MAC and SSID checks accept still runs to Established."""
+
+    @pytest.mark.parametrize("ssid", ["x" * 32, "é" * 16])
+    def test_32_octet_ssid_establishes(self, ssid):
+        stations = [dict(AP, ssid=ssid), dict(CLIENT, ssid=ssid, mac="02:00:00:00:00:0A")]
+        t = run_scenario(
+            script_from_dict({"name": "t", "stations": stations, "max_ticks": 200}), 0
+        )
+        assert t.summaries["client1"]["state"] == "established"
+        assert t.summaries["client1"]["mac"] == "02:00:00:00:00:0a"
+
 
 class TestDictRoundTrip:
     """Serialization reaches a fixpoint and preserves behavior."""

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from soapsim import simnet
 from soapsim.simnet import (
     AdversaryConfig,
+    ApStation,
     Mitigations,
     ScenarioScript,
     ScheduleAction,
     Simulation,
-    Station,
     StationConfig,
     eavesdropper_view,
     format_mac,
@@ -483,7 +483,7 @@ class TestNextEventClock:
             t for t in range(tick, tick + period + offset + 1)
             if beacons_at(t, period, offset)
         )
-        assert Station._beacon_due(SimpleNamespace(cfg=cfg), tick) == expected
+        assert ApStation._beacon_due(SimpleNamespace(cfg=cfg), tick) == expected
 
     def test_ap_retransmit_deadline(self):
         # msg1 leaves at tick 2 and is deleted; the AP retries every 100 ticks
