@@ -18,9 +18,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
-from .crypto import SeededRng, UnknownGroupError, known_group_ids, registry_lookup
+from .crypto import SeededRng, known_group_ids, registry_lookup
 from .fourway import Authenticator, Supplicant
 from .frames import (
     encode_eapol_key_frame,
@@ -88,10 +89,7 @@ def cmd_run(args) -> int:
                     "scenario": script.name,
                     "seed": seed,
                     "passed": passed,
-                    "checks": [
-                        {"name": c.name, "ok": c.ok, "detail": c.detail}
-                        for c in checks
-                    ],
+                    "checks": [asdict(c) for c in checks],
                 },
                 sort_keys=True,
                 indent=2,
@@ -243,9 +241,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ScenarioError, UnknownGroupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,7 +5,8 @@ attack suite that walks the whole threat table."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import Callable, NamedTuple
 
 from .crypto import REGISTRY
 from .simnet import (
@@ -32,28 +33,12 @@ KNOWN_CAPABILITIES = frozenset(
     }
 )
 
-KNOWN_CHECKS = frozenset(
-    {
-        "station-state",
-        "station-mode",
-        "station-peer",
-        "psk-count",
-        "psk-distinct",
-        "psk-match",
-        "no-psk-on-wire",
-        "frame-count",
-        "event-count",
-        "blocked-contains",
-        "fallback",
-        "adversary-knows-psk",
-        "ap-session-established",
-        "no-transitions-after",
-        "psk-on-wire-hits",
-    }
-)
-
-
 MAX_SSID_OCTETS = 32  # the 802.11 limit
+# A busy run costs time and transcript in proportion to its ticks; the
+# builtins need at most 3000.
+MAX_TICKS = 10**7
+# The transcript keeps the adversary's summary and secrets under this id.
+RESERVED_STATION_ID = "adversary"
 
 
 class ScenarioError(ValueError):
@@ -70,27 +55,75 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _take(d: dict, where: str, allowed: dict) -> dict:
-    """Pop known keys with type checks; reject anything left over."""
-    out = {}
-    for key, kinds in allowed.items():
+@dataclass(frozen=True)
+class _Station:
+    """JSON type of an expectation key that names a script station or one of
+    the ``extra`` names."""
+
+    extra: tuple = ()
+
+
+def _has_type(value, kind) -> bool:
+    if kind is int:
+        return _is_int(value)
+    return isinstance(value, str if isinstance(kind, _Station) else kind)
+
+
+def _type_name(kind) -> str:
+    if isinstance(kind, _Station):
+        return "str"
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+
+
+def _take(d, where: str, types: dict, required=()) -> dict:
+    """Check an object's keys against ``types`` (key -> JSON type) and
+    ``required``; return a copy."""
+    _require(isinstance(d, dict), where, "must be an object")
+    for key, kind in types.items():
         if key in d:
-            value = d.pop(key)
-            if kinds is not None:
-                _require(
-                    _is_int(value) if kinds is int else isinstance(value, kinds),
-                    f"{where}.{key}",
-                    f"expected {kinds if isinstance(kinds, type) else 'one of several types'},"
-                    f" got {type(value).__name__}",
-                )
-            out[key] = value
-    _require(not d, where, f"unknown keys: {sorted(d)}")
-    return out
+            _require(
+                _has_type(d[key], kind),
+                f"{where}.{key}",
+                f"expected {_type_name(kind)}, got {type(d[key]).__name__}",
+            )
+    unknown = sorted(set(d) - set(types))
+    _require(not unknown, where, f"unknown keys: {unknown}")
+    for key in required:
+        _require(key in d, where, f"missing required key {key!r}")
+    return dict(d)
+
+
+# The JSON type of each record field annotation; a tuple is a JSON list.
+_JSON_TYPES = {"str": str, "int": int, "bool": bool, "tuple": list, "list": list,
+               "AdversaryConfig": dict, "Mitigations": dict}
+# The least value of each int field that has one.
+_MINIMUM = {"beacon_period": 1, "beacon_offset": 0, "replay_at": 0, "disassoc_at": 0,
+            "tick": 0, "blacklist_threshold": 1, "max_ticks": 1}
+
+
+def _record(cls, d, where: str) -> dict:
+    """The fields of dataclass ``cls`` found in ``d``, checked against their
+    annotations and `_MINIMUM`, with tuples as tuples. A field without a
+    default is required."""
+    fs = fields(cls)
+    got = _take(
+        d,
+        where,
+        {f.name: _JSON_TYPES[f.type.removesuffix(" | None")] for f in fs},
+        [f.name for f in fs if f.default is MISSING and f.default_factory is MISSING],
+    )
+    for f in fs:
+        if f.name in _MINIMUM and f.name in got:
+            least = _MINIMUM[f.name]
+            _require(got[f.name] >= least, f"{where}.{f.name}", f"must be >= {least}")
+        if f.type == "tuple" and f.name in got:
+            got[f.name] = tuple(got[f.name])
+    return got
 
 
 def _check_radio(got: dict, where: str) -> None:
-    """The fields a station and the adversary share: MAC, SSID, groups and
-    beacon timing."""
+    """The fields a station and the adversary share: MAC, SSID and groups."""
     if "mac" in got:
         try:
             parse_mac(got["mac"])
@@ -114,39 +147,10 @@ def _check_radio(got: dict, where: str) -> None:
         )
         for gid in got["groups"]:
             _require(gid in REGISTRY, f"{where}.groups", f"unregistered group id {gid}")
-        got["groups"] = tuple(got["groups"])
-    _require(
-        got.get("beacon_period", 1) >= 1, f"{where}.beacon_period", "must be >= 1"
-    )
-    _require(
-        got.get("beacon_offset", 0) >= 0, f"{where}.beacon_offset", "must be >= 0"
-    )
 
 
-def _station_from_dict(d: dict, where: str) -> StationConfig:
-    _require(isinstance(d, dict), where, "station must be an object")
-    d = dict(d)
-    got = _take(
-        d,
-        where,
-        {
-            "station_id": str,
-            "role": str,
-            "mac": str,
-            "ssid": str,
-            "groups": list,
-            "soap_aware": bool,
-            "legacy_psk": str,
-            "force_legacy": bool,
-            "pin_ap": str,
-            "beacon_period": int,
-            "beacon_offset": int,
-            "debug_leak_psk": bool,
-            "advertise_bogus_key": bool,
-        },
-    )
-    for key in ("station_id", "role", "mac"):
-        _require(key in got, where, f"missing required key {key!r}")
+def _station_from_dict(d, where: str) -> StationConfig:
+    got = _record(StationConfig, d, where)
     _require(got["role"] in ("client", "ap"), f"{where}.role", "must be 'client' or 'ap'")
     _check_radio(got, where)
     if "legacy_psk" in got:
@@ -158,206 +162,114 @@ def _station_from_dict(d: dict, where: str) -> StationConfig:
     return StationConfig(**got)
 
 
-def _adversary_from_dict(d: dict, where: str) -> AdversaryConfig:
-    _require(isinstance(d, dict), where, "adversary must be an object")
-    d = dict(d)
-    got = _take(
-        d,
-        where,
-        {
-            "capabilities": list,
-            "mac": str,
-            "ssid": str,
-            "groups": list,
-            "beacon_period": int,
-            "beacon_offset": int,
-            "advertise_bogus_key": bool,
-            "replay_at": int,
-            "disassoc_at": int,
-            "target_ap": str,
-            "target_client": str,
-        },
-    )
-    caps = got.get("capabilities", [])
-    unknown = set(caps) - KNOWN_CAPABILITIES
-    _require(not unknown, f"{where}.capabilities", f"unknown: {sorted(unknown)}")
-    got["capabilities"] = tuple(caps)
+def _adversary_from_dict(d, where: str, roles: dict) -> AdversaryConfig:
+    got = _record(AdversaryConfig, d, where)
+    unknown = [
+        c
+        for c in got.get("capabilities", ())
+        if not isinstance(c, str) or c not in KNOWN_CAPABILITIES
+    ]
+    _require(not unknown, f"{where}.capabilities", f"unknown: {unknown}")
     _check_radio(got, where)
-    for key in ("replay_at", "disassoc_at"):
-        _require(got.get(key, 0) >= 0, f"{where}.{key}", "must be >= 0")
+    for key in ("target_ap", "target_client"):
+        ref = got.get(key)
+        _require(ref is None or ref in roles, f"{where}.{key}", f"unknown station {ref!r}")
     return AdversaryConfig(**got)
+
+
+def _schedule_from_dict(d, where: str, roles: dict) -> ScheduleAction:
+    got = _record(ScheduleAction, d, where)
+    _require(got["station"] in roles, f"{where}.station", "unknown station")
+    _require(got["action"] == "reset", f"{where}.action", "only 'reset' is defined")
+    return ScheduleAction(**got)
+
+
+def _expectation_from_dict(check, where: str, roles: dict) -> dict:
+    _require(isinstance(check, dict), where, "must be an object")
+    _require("check" in check, where, "missing required key 'check'")
+    kind = check["check"]
+    _require(
+        isinstance(kind, str) and kind in _CHECKS,
+        f"{where}.check",
+        f"unknown check {kind!r}",
+    )
+    spec = _CHECKS[kind]
+    _take(check, where, spec.types)
+    gap = spec.missing(check)
+    _require(gap is None, where, f"missing required key {gap}")
+    for key, station in spec.types.items():
+        if isinstance(station, _Station) and key in check:
+            ref = check[key]
+            _require(
+                ref in roles or ref in station.extra,
+                f"{where}.{key}",
+                f"unknown station {ref!r}",
+            )
+    return check
 
 
 def script_from_dict(data: dict) -> ScenarioScript:
     _require(isinstance(data, dict), "script", "top level must be an object")
-    data = dict(data)
-    got = _take(
-        data,
-        "script",
-        {
-            "name": str,
-            "stations": list,
-            "adversary": dict,
-            "mitigations": dict,
-            "schedule": list,
-            "expectations": list,
-            "max_ticks": int,
-            "identity_seed": int,
-            "strict_frames": bool,
-        },
-    )
-    _require("name" in got, "script", "missing required key 'name'")
-    _require(
-        bool(got.get("stations")), "script.stations", "at least one station required"
-    )
-    stations = [
+    got = _record(ScenarioScript, data, "script")
+    _require(bool(got["stations"]), "script.stations", "at least one station required")
+    stations = got["stations"] = [
         _station_from_dict(s, f"script.stations[{i}]")
         for i, s in enumerate(got["stations"])
     ]
-    ids = [s.station_id for s in stations]
-    _require(len(ids) == len(set(ids)), "script.stations", "duplicate station_id")
-    macs = [parse_mac(s.mac) for s in stations]
-    _require(len(macs) == len(set(macs)), "script.stations", "duplicate mac")
+    roles = {s.station_id: s.role for s in stations}
+    _require(len(roles) == len(stations), "script.stations", "duplicate station_id")
+    _require(
+        RESERVED_STATION_ID not in roles,
+        "script.stations",
+        f"station_id {RESERVED_STATION_ID!r} is reserved for the adversary",
+    )
+    macs = {parse_mac(s.mac) for s in stations}
+    _require(len(macs) == len(stations), "script.stations", "duplicate mac")
     for i, s in enumerate(stations):
         if s.pin_ap is not None:
-            _require(
-                s.pin_ap in ids,
-                f"script.stations[{i}].pin_ap",
-                f"unknown station {s.pin_ap!r}",
-            )
+            where = f"script.stations[{i}].pin_ap"
+            _require(s.role == "client", where, "only a client may pin an AP")
+            _require(s.pin_ap in roles, where, f"unknown station {s.pin_ap!r}")
+            _require(roles[s.pin_ap] == "ap", where, f"{s.pin_ap!r} is not an AP")
 
-    adversary = None
     if "adversary" in got:
-        adversary = _adversary_from_dict(got["adversary"], "script.adversary")
-        for key in ("target_ap", "target_client"):
-            ref = getattr(adversary, key)
-            _require(
-                ref is None or ref in ids,
-                f"script.adversary.{key}",
-                f"unknown station {ref!r}",
-            )
-
-    mitigations = Mitigations()
+        got["adversary"] = _adversary_from_dict(got["adversary"], "script.adversary", roles)
     if "mitigations" in got:
-        m = _take(
-            dict(got["mitigations"]),
-            "script.mitigations",
-            {"blacklist_threshold": int, "sign_management_frames": bool},
+        got["mitigations"] = Mitigations(
+            **_record(Mitigations, got["mitigations"], "script.mitigations")
         )
-        threshold = m.get("blacklist_threshold")
-        _require(
-            threshold is None or threshold >= 1,
-            "script.mitigations.blacklist_threshold",
-            "must be >= 1",
-        )
-        mitigations = Mitigations(
-            blacklist_threshold=threshold,
-            sign_management_frames=m.get("sign_management_frames", False),
-        )
-
-    schedule = []
-    for i, entry in enumerate(got.get("schedule", [])):
-        where = f"script.schedule[{i}]"
-        e = _take(dict(entry), where, {"tick": int, "station": str, "action": str})
-        for key in ("tick", "station", "action"):
-            _require(key in e, where, f"missing required key {key!r}")
-        _require(e["tick"] >= 0, f"{where}.tick", "must be >= 0")
-        _require(e["station"] in ids, f"{where}.station", f"unknown station")
-        _require(e["action"] == "reset", f"{where}.action", "only 'reset' is defined")
-        schedule.append(ScheduleAction(e["tick"], e["station"], e["action"]))
-
-    expectations = got.get("expectations", [])
-    for i, check in enumerate(expectations):
-        where = f"script.expectations[{i}]"
-        _require(isinstance(check, dict), where, "must be an object")
-        _require("check" in check, where, "missing required key 'check'")
-        _require(
-            check["check"] in KNOWN_CHECKS,
-            f"{where}.check",
-            f"unknown check {check['check']!r}",
-        )
-
-    max_ticks = got.get("max_ticks", 3000)
-    _require(max_ticks >= 1, "script.max_ticks", "must be >= 1")
-
-    return ScenarioScript(
-        name=got["name"],
-        stations=stations,
-        adversary=adversary,
-        mitigations=mitigations,
-        schedule=schedule,
-        expectations=list(expectations),
-        max_ticks=max_ticks,
-        identity_seed=got.get("identity_seed", 0),
-        strict_frames=got.get("strict_frames", False),
+    got["schedule"] = [
+        _schedule_from_dict(e, f"script.schedule[{i}]", roles)
+        for i, e in enumerate(got.get("schedule", []))
+    ]
+    got["expectations"] = [
+        _expectation_from_dict(c, f"script.expectations[{i}]", roles)
+        for i, c in enumerate(got.get("expectations", []))
+    ]
+    _require(
+        got.get("max_ticks", 1) <= MAX_TICKS, "script.max_ticks", f"must be <= {MAX_TICKS}"
     )
+    return ScenarioScript(**got)
+
+
+def _to_json(value):
+    """A record as JSON: the fields that differ from their defaults, with
+    nested records as objects and tuples as lists."""
+    if is_dataclass(value):
+        out = {}
+        for f in fields(value):
+            v = getattr(value, f.name)
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            if v != default:
+                out[f.name] = _to_json(v)
+        return out
+    if isinstance(value, (list, tuple)):
+        return [_to_json(v) for v in value]
+    return value
 
 
 def script_to_dict(script: ScenarioScript) -> dict:
-    def clean(d: dict) -> dict:
-        return {k: v for k, v in d.items() if v is not None}
-
-    out: dict = {
-        "name": script.name,
-        "max_ticks": script.max_ticks,
-        "identity_seed": script.identity_seed,
-        "strict_frames": script.strict_frames,
-        "stations": [],
-        "expectations": script.expectations,
-    }
-    for s in script.stations:
-        out["stations"].append(
-            clean(
-                {
-                    "station_id": s.station_id,
-                    "role": s.role,
-                    "mac": s.mac,
-                    "ssid": s.ssid,
-                    "groups": list(s.groups),
-                    "soap_aware": s.soap_aware,
-                    "legacy_psk": s.legacy_psk,
-                    "force_legacy": s.force_legacy or None,
-                    "pin_ap": s.pin_ap,
-                    "beacon_period": s.beacon_period,
-                    "beacon_offset": s.beacon_offset,
-                    "debug_leak_psk": s.debug_leak_psk or None,
-                    "advertise_bogus_key": s.advertise_bogus_key or None,
-                }
-            )
-        )
-    if script.adversary is not None:
-        a = script.adversary
-        out["adversary"] = clean(
-            {
-                "capabilities": list(a.capabilities),
-                "mac": a.mac,
-                "ssid": a.ssid,
-                "groups": list(a.groups),
-                "beacon_period": a.beacon_period,
-                "beacon_offset": a.beacon_offset,
-                "advertise_bogus_key": a.advertise_bogus_key or None,
-                "replay_at": a.replay_at,
-                "disassoc_at": a.disassoc_at,
-                "target_ap": a.target_ap,
-                "target_client": a.target_client,
-            }
-        )
-    if script.mitigations.blacklist_threshold is not None or (
-        script.mitigations.sign_management_frames
-    ):
-        out["mitigations"] = clean(
-            {
-                "blacklist_threshold": script.mitigations.blacklist_threshold,
-                "sign_management_frames": script.mitigations.sign_management_frames
-                or None,
-            }
-        )
-    if script.schedule:
-        out["schedule"] = [
-            {"tick": a.tick, "station": a.station, "action": a.action}
-            for a in script.schedule
-        ]
-    return out
+    return _to_json(script)
 
 
 def load_script(text: str) -> ScenarioScript:
@@ -380,18 +292,15 @@ class CheckResult:
     detail: str = ""
 
 
-def _records(transcript: Transcript, check: dict):
-    for r in transcript.records:
-        if r["event"] != check.get("event", r["event"]):
-            continue
-        if "station" in check and r.get("station") != check["station"]:
-            continue
-        if "after_tick" in check and r["tick"] <= check["after_tick"]:
-            continue
-        where = check.get("where", {})
-        if any(r.get(k) != v for k, v in where.items()):
-            continue
-        yield r
+def _count_records(check: dict, t: Transcript) -> int:
+    """How many records come after the check's ``after_tick`` and match its
+    ``event``, ``station``, ``frame``, ``origin`` and ``where`` fields."""
+    match = [(k, check[k]) for k in ("event", "station", "frame", "origin") if k in check]
+    match += check.get("where", {}).items()
+    after = check.get("after_tick", -1)
+    return sum(
+        1 for r in t.records if r["tick"] > after and all(r.get(k) == v for k, v in match)
+    )
 
 
 def _count_ok(check: dict, count: int) -> tuple[bool, str]:
@@ -404,87 +313,159 @@ def _count_ok(check: dict, count: int) -> tuple[bool, str]:
     return True, f"count {count}"
 
 
+def _compare(label: str, observe):
+    """The evaluator that compares what ``observe`` reads with the check's
+    ``equals``, or ``not_equals``."""
+
+    def evaluate(check, t):
+        got = observe(check, t)
+        ok = got == check.get("equals", got)
+        if "not_equals" in check:
+            ok = ok and got != check["not_equals"]
+        return ok, f"{label}={got}"
+
+    return evaluate
+
+
+def _counted(observe):
+    """The evaluator that holds the count ``observe`` reads to the bounds."""
+    return lambda check, t: _count_ok(check, observe(check, t))
+
+
+def _summary(key: str):
+    return lambda check, t: t.summaries[check["station"]].get(key)
+
+
+def _view(key: str):
+    return lambda check, t: eavesdropper_view(t)[key]
+
+
+def _ap_session_established(check, t):
+    sessions = t.summaries[check["station"]]["sessions"]
+    return bool(sessions.get(check["client"], {}).get("established"))
+
+
+def _psk_distinct(check, t):
+    psks = t.secrets[check["station"]]["psks"]
+    return len(psks) == len(set(psks)), f"{len(set(psks))} distinct of {len(psks)}"
+
+
+def _psk_match(check, t):
+    a = t.secrets[check["a"]]["psks"]
+    b = t.secrets[check["b"]]["psks"]
+    ok = bool(a) and bool(b) and a[-1] == b[-1]
+    return ok, "last PSKs equal" if ok else "mismatch or missing"
+
+
+def _no_psk_on_wire(check, t):
+    view = eavesdropper_view(t)
+    ok = view["psk_octets_on_wire"] == 0 and view["kck_octets_on_wire"] == 0
+    return ok, f"psk hits {view['psk_octets_on_wire']}"
+
+
+def _blocked_contains(check, t):
+    blocked = t.summaries[check["station"]]["blocked"]
+    return check["equals"] in blocked, f"blocked={blocked}"
+
+
+def _no_transitions_after(check, t):
+    count = _count_records({"event": "transition", "after_tick": check["tick"]}, t)
+    return count == 0, f"{count} transitions"
+
+
+class _Check(NamedTuple):
+    """An expectation kind: its evaluator, (check, transcript) -> (ok, detail),
+    and the JSON types of the keys it requires, of the keys it may have and
+    of the keys of which it requires at least one."""
+
+    evaluate: Callable
+    required: dict
+    optional: dict = {}
+    one_of: dict = {}
+
+    @property
+    def types(self) -> dict:
+        return {"check": str, **self.required, **self.optional, **self.one_of}
+
+    def missing(self, check: dict) -> str | None:
+        """The first required key, or choice of keys, absent from ``check``."""
+        for key in self.required:
+            if key not in check:
+                return repr(key)
+        if self.one_of and not any(key in check for key in self.one_of):
+            return " or ".join(map(repr, self.one_of))
+        return None
+
+
+_STATION = {"station": _Station()}
+_STR_OR_NULL = (str, type(None))
+_BOUNDS = {"equals": int, "at_least": int, "at_most": int}
+
+_CHECKS = {
+    "station-state": _Check(
+        _compare("state", _summary("state")),
+        _STATION,
+        one_of={"equals": str, "not_equals": str},
+    ),
+    "station-mode": _Check(
+        _compare("mode", _summary("mode")), {**_STATION, "equals": _STR_OR_NULL}
+    ),
+    "station-peer": _Check(
+        _compare("peer", _summary("peer")), {**_STATION, "equals": _STR_OR_NULL}
+    ),
+    "fallback": _Check(
+        _compare("fallback", _summary("fallback")), {**_STATION, "equals": bool}
+    ),
+    "adversary-knows-psk": _Check(
+        _compare("knows", _view("adversary_knows_legit_psk")), {"equals": bool}
+    ),
+    "ap-session-established": _Check(
+        _compare("established", _ap_session_established),
+        {**_STATION, "client": _Station(), "equals": bool},
+    ),
+    "psk-count": _Check(_counted(_summary("psk_count")), _STATION, one_of=_BOUNDS),
+    "frame-count": _Check(
+        _counted(lambda check, t: _count_records({**check, "event": "tx"}, t)),
+        {"frame": str},
+        {"origin": str, "after_tick": int},
+        _BOUNDS,
+    ),
+    "event-count": _Check(
+        _counted(_count_records),
+        {},
+        # station filters records, so it may name the adversary too
+        {"event": str, "station": _Station((RESERVED_STATION_ID,)), "after_tick": int,
+         "where": dict},
+        _BOUNDS,
+    ),
+    "psk-on-wire-hits": _Check(_counted(_view("psk_octets_on_wire")), {}, one_of=_BOUNDS),
+    "psk-distinct": _Check(_psk_distinct, _STATION),
+    "psk-match": _Check(_psk_match, {"a": _Station(), "b": _Station()}),
+    "no-psk-on-wire": _Check(_no_psk_on_wire, {}),
+    "blocked-contains": _Check(_blocked_contains, {**_STATION, "equals": str}),
+    "no-transitions-after": _Check(_no_transitions_after, {"tick": int}),
+}
+
+KNOWN_CHECKS = frozenset(_CHECKS)
+
+
 def evaluate_check(check: dict, transcript: Transcript) -> CheckResult:
-    kind = check["check"]
+    kind = check.get("check")
     name = " ".join(
         str(v) for v in (kind, check.get("station"), check.get("frame"), check.get("event"))
         if v
     )
-    summaries = transcript.summaries
+    spec = _CHECKS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        return CheckResult(name, False, f"unknown check kind {kind!r}")
+    gap = spec.missing(check)
+    if gap is not None:
+        return CheckResult(name, False, f"missing key {gap} in check")
     try:
-        if kind == "station-state":
-            state = summaries[check["station"]]["state"]
-            if "equals" in check:
-                ok = state == check["equals"]
-            else:
-                ok = state != check["not_equals"]
-            return CheckResult(name, ok, f"state={state}")
-        if kind == "station-mode":
-            mode = summaries[check["station"]].get("mode")
-            return CheckResult(name, mode == check["equals"], f"mode={mode}")
-        if kind == "station-peer":
-            peer = summaries[check["station"]].get("peer")
-            return CheckResult(name, peer == check["equals"], f"peer={peer}")
-        if kind == "psk-count":
-            count = summaries[check["station"]]["psk_count"]
-            ok, detail = _count_ok(check, count)
-            return CheckResult(name, ok, detail)
-        if kind == "psk-distinct":
-            psks = transcript.secrets[check["station"]]["psks"]
-            ok = len(psks) == len(set(psks))
-            return CheckResult(name, ok, f"{len(set(psks))} distinct of {len(psks)}")
-        if kind == "psk-match":
-            a = transcript.secrets[check["a"]]["psks"]
-            b = transcript.secrets[check["b"]]["psks"]
-            ok = bool(a) and bool(b) and a[-1] == b[-1]
-            return CheckResult(name, ok, "last PSKs equal" if ok else "mismatch or missing")
-        if kind == "no-psk-on-wire":
-            view = eavesdropper_view(transcript)
-            ok = view["psk_octets_on_wire"] == 0 and view["kck_octets_on_wire"] == 0
-            return CheckResult(name, ok, f"psk hits {view['psk_octets_on_wire']}")
-        if kind == "frame-count":
-            count = sum(
-                1
-                for r in transcript.records
-                if r["event"] == "tx" and r["frame"] == check["frame"]
-                and r.get("origin") == check.get("origin", r.get("origin"))
-                and ("after_tick" not in check or r["tick"] > check["after_tick"])
-            )
-            ok, detail = _count_ok(check, count)
-            return CheckResult(name, ok, detail)
-        if kind == "event-count":
-            count = sum(1 for _ in _records(transcript, check))
-            ok, detail = _count_ok(check, count)
-            return CheckResult(name, ok, detail)
-        if kind == "blocked-contains":
-            blocked = summaries[check["station"]]["blocked"]
-            ok = check["equals"] in blocked
-            return CheckResult(name, ok, f"blocked={blocked}")
-        if kind == "fallback":
-            got = summaries[check["station"]].get("fallback")
-            return CheckResult(name, got == check["equals"], f"fallback={got}")
-        if kind == "adversary-knows-psk":
-            view = eavesdropper_view(transcript)
-            got = view["adversary_knows_legit_psk"]
-            return CheckResult(name, got == check["equals"], f"knows={got}")
-        if kind == "ap-session-established":
-            sessions = summaries[check["station"]]["sessions"]
-            got = bool(sessions.get(check["client"], {}).get("established"))
-            return CheckResult(name, got == check["equals"], f"established={got}")
-        if kind == "no-transitions-after":
-            count = sum(
-                1
-                for r in transcript.records
-                if r["event"] == "transition" and r["tick"] > check["tick"]
-            )
-            return CheckResult(name, count == 0, f"{count} transitions")
-        if kind == "psk-on-wire-hits":
-            view = eavesdropper_view(transcript)
-            ok, detail = _count_ok(check, view["psk_octets_on_wire"])
-            return CheckResult(name, ok, detail)
+        ok, detail = spec.evaluate(check, transcript)
     except KeyError as exc:
         return CheckResult(name, False, f"missing key {exc} in check or transcript")
-    return CheckResult(name, False, f"unknown check kind {kind!r}")
+    return CheckResult(name, ok, detail)
 
 
 def evaluate_expectations(
@@ -503,20 +484,11 @@ _SSID = "publicnet"
 _LEGACY_PSK = "2b7e151628aed2a6abf7158809cf4f3c762e7160f38b4da56a784d9045190cfe"
 
 
-def _pair(ap_groups=(26,), client_groups=(26,), **kw):
-    ap = StationConfig(
-        "ap1", "ap", _AP_MAC, ssid=_SSID, groups=tuple(ap_groups),
-        beacon_offset=kw.pop("ap_beacon_offset", 0),
-    )
-    client = StationConfig(
-        "client1", "client", _CLIENT_MAC, ssid=_SSID, groups=tuple(client_groups)
-    )
-    for key, value in kw.pop("ap_kw", {}).items():
-        setattr(ap, key, value)
-    for key, value in kw.pop("client_kw", {}).items():
-        setattr(client, key, value)
-    assert not kw, kw
-    return [ap, client]
+def _pair(ap_kw={}, client_kw={}):
+    return [
+        StationConfig("ap1", "ap", _AP_MAC, ssid=_SSID, **ap_kw),
+        StationConfig("client1", "client", _CLIENT_MAC, ssid=_SSID, **client_kw),
+    ]
 
 
 _ESTABLISHED_PAIR = [
@@ -547,7 +519,7 @@ def _benign(name="benign", strict=False):
 def _benign_multigroup():
     return ScenarioScript(
         name="benign-multigroup",
-        stations=_pair(ap_groups=(26, 19, 20, 21), client_groups=(19, 20)),
+        stations=_pair({"groups": (26, 19, 20, 21)}, {"groups": (19, 20)}),
         max_ticks=600,
         expectations=_ESTABLISHED_PAIR
         + [
@@ -661,7 +633,7 @@ def _inject(mitigated: bool):
     name = "inject-mitigated" if mitigated else "inject-unmitigated"
     script = ScenarioScript(
         name=name,
-        stations=_pair(ap_beacon_offset=50),
+        stations=_pair({"beacon_offset": 50}),
         adversary=AdversaryConfig(
             capabilities=("inject",),
             ssid=_SSID,
@@ -691,7 +663,7 @@ def _inject(mitigated: bool):
 
 def _masquerade(mitigated: bool):
     name = "masquerade-mitigated" if mitigated else "masquerade-unmitigated"
-    stations = _pair(ap_beacon_offset=50)
+    stations = _pair({"beacon_offset": 50})
     if mitigated:
         stations[1].pin_ap = "ap1"
     script = ScenarioScript(
@@ -888,20 +860,7 @@ class SuiteReport:
             {
                 "seed": self.seed,
                 "passed": self.passed,
-                "rows": [
-                    {
-                        "row": r.row,
-                        "variant": r.variant,
-                        "scenario": r.scenario,
-                        "verdict": r.verdict,
-                        "ok": r.ok,
-                        "checks": [
-                            {"name": c.name, "ok": c.ok, "detail": c.detail}
-                            for c in r.checks
-                        ],
-                    }
-                    for r in self.rows
-                ],
+                "rows": [asdict(r) for r in self.rows],
             },
             sort_keys=True,
             indent=2,

@@ -3,12 +3,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soapsim.crypto import REGISTRY
 from soapsim.scenarios import (
     BUILTIN_NAMES,
     CheckResult,
     KNOWN_CAPABILITIES,
     KNOWN_CHECKS,
+    MAX_TICKS,
     SUITE_PLAN,
     ScenarioError,
     SuiteReport,
@@ -21,7 +25,14 @@ from soapsim.scenarios import (
     script_from_dict,
     script_to_dict,
 )
-from soapsim.simnet import run_scenario
+from soapsim.simnet import (
+    AdversaryConfig,
+    Mitigations,
+    ScenarioScript,
+    ScheduleAction,
+    StationConfig,
+    run_scenario,
+)
 
 AP = {"station_id": "ap1", "role": "ap", "mac": "02:00:00:00:00:01"}
 CLIENT = {"station_id": "client1", "role": "client", "mac": "02:00:00:00:00:02"}
@@ -183,6 +194,26 @@ class TestSchemaRejects:
             "pin_ap: unknown station 'ghost'",
         )
 
+    @pytest.mark.parametrize("target", ["client1", "client2"])
+    def test_pin_ap_must_name_an_ap(self, target):
+        other = dict(CLIENT, station_id="client2", mac="02:00:00:00:00:03")
+        rejected(
+            {"name": "t", "stations": [dict(AP), dict(CLIENT, pin_ap=target), other]},
+            f"script.stations[1].pin_ap: {target!r} is not an AP",
+        )
+
+    def test_pin_ap_only_on_a_client(self):
+        rejected(
+            {"name": "t", "stations": [dict(AP, pin_ap="ap1"), dict(CLIENT)]},
+            "script.stations[0].pin_ap: only a client may pin an AP",
+        )
+
+    def test_station_id_adversary_is_reserved(self):
+        rejected(
+            {"name": "t", "stations": [dict(AP, station_id="adversary"), dict(CLIENT)]},
+            "script.stations: station_id 'adversary' is reserved",
+        )
+
     def test_adversary_unknown_capability(self):
         rejected(
             minimal(adversary={"capabilities": ["teleport"]}),
@@ -236,6 +267,11 @@ class TestSchemaRejects:
 
     def test_max_ticks_zero(self):
         rejected(minimal(max_ticks=0), "max_ticks: must be >= 1")
+
+    @pytest.mark.parametrize("ticks", [MAX_TICKS + 1, 10**10])
+    def test_max_ticks_above_the_bound(self, ticks):
+        # only loaded: a run at the bound would take minutes and much memory
+        rejected(minimal(max_ticks=ticks), f"script.max_ticks: must be <= {MAX_TICKS}")
 
     @pytest.mark.parametrize(
         "data,path", BOOL_IN_INT, ids=[path for _, path in BOOL_IN_INT]
@@ -368,6 +404,271 @@ class TestRadioFieldsAtTheLimit:
         assert t.summaries["client1"]["mac"] == "02:00:00:00:00:0a"
 
 
+# A valid expectation of each kind, next to AP and CLIENT.
+VALID_CHECKS = {
+    "station-state": {"station": "client1", "equals": "established"},
+    "station-mode": {"station": "client1", "equals": "soap"},
+    "station-peer": {"station": "client1", "equals": "ap1"},
+    "psk-count": {"station": "client1", "equals": 1},
+    "psk-distinct": {"station": "client1"},
+    "psk-match": {"a": "ap1", "b": "client1"},
+    "no-psk-on-wire": {},
+    "frame-count": {"frame": "agreement", "equals": 2},
+    "event-count": {"event": "negotiation", "at_least": 1},
+    "blocked-contains": {"station": "client1", "equals": "adversary"},
+    "fallback": {"station": "client1", "equals": False},
+    "adversary-knows-psk": {"equals": False},
+    "ap-session-established": {"station": "ap1", "client": "client1", "equals": True},
+    "no-transitions-after": {"tick": 10},
+    "psk-on-wire-hits": {"equals": 0},
+}
+# Keys of the examples above that a check may leave out.
+OPTIONAL_KEYS = {("event-count", "event")}
+STATION_KEYS = ("station", "a", "b", "client")
+
+
+DROP = object()  # a change that removes the key
+
+
+def with_check(kind, **changes):
+    check = {"check": kind, **VALID_CHECKS[kind], **changes}
+    return minimal(expectations=[{k: v for k, v in check.items() if v is not DROP}])
+
+
+def wrong_type(value):
+    """A JSON value of another type; a boolean where an int belongs."""
+    if isinstance(value, bool):
+        return "yes"
+    return True if isinstance(value, int) else 7
+
+
+class TestExpectationSchema:
+    """Every expectation is checked against its kind's keys at load."""
+
+    def test_every_kind_has_an_example(self):
+        assert set(VALID_CHECKS) == KNOWN_CHECKS
+
+    @pytest.mark.parametrize("kind", sorted(VALID_CHECKS))
+    def test_example_loads(self, kind):
+        script = script_from_dict(with_check(kind))
+        assert script.expectations == [{"check": kind, **VALID_CHECKS[kind]}]
+
+    @pytest.mark.parametrize("kind", sorted(VALID_CHECKS))
+    def test_unknown_key(self, kind):
+        rejected(with_check(kind, bogus=1), "script.expectations[0]: unknown keys: ['bogus']")
+
+    @pytest.mark.parametrize(
+        "kind,key",
+        [
+            (kind, key)
+            for kind, example in sorted(VALID_CHECKS.items())
+            for key in example
+            if (kind, key) not in OPTIONAL_KEYS
+        ],
+    )
+    def test_missing_required_key_or_bound(self, kind, key):
+        # a bound is reported as the choice of all three
+        with pytest.raises(ScenarioError) as err:
+            script_from_dict(with_check(kind, **{key: DROP}))
+        assert str(err.value).startswith("script.expectations[0]: missing required key")
+        assert repr(key) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "kind,key",
+        [(kind, key) for kind, example in sorted(VALID_CHECKS.items()) for key in example],
+    )
+    def test_wrong_type(self, kind, key):
+        bad = wrong_type(VALID_CHECKS[kind][key])
+        rejected(
+            with_check(kind, **{key: bad}), f"script.expectations[0].{key}: expected"
+        )
+
+    @pytest.mark.parametrize(
+        "kind,key",
+        [
+            (kind, key)
+            for kind, example in sorted(VALID_CHECKS.items())
+            for key in example
+            if key in STATION_KEYS
+        ],
+    )
+    def test_unknown_station(self, kind, key):
+        rejected(
+            with_check(kind, **{key: "ghost"}),
+            f"script.expectations[0].{key}: unknown station 'ghost'",
+        )
+
+    def test_event_count_may_filter_by_the_adversary(self):
+        script = script_from_dict(with_check("event-count", station="adversary"))
+        assert script.expectations[0]["station"] == "adversary"
+
+    def test_only_event_count_may_name_the_adversary(self):
+        rejected(
+            with_check("station-state", station="adversary"),
+            "script.expectations[0].station: unknown station 'adversary'",
+        )
+
+    @pytest.mark.parametrize(
+        "check,fragment",
+        [
+            ({"check": "frame-count", "frame": "agreement", "equal": 5},
+             "script.expectations[0]: unknown keys: ['equal']"),
+            ({"check": "psk-count", "station": "client1"},
+             "script.expectations[0]: missing required key 'equals' or 'at_least'"),
+            ({"check": "event-count", "event": "discard", "at_lest": 99},
+             "script.expectations[0]: unknown keys: ['at_lest']"),
+            ({"check": "no-psk-on-wire", "station": "client1"},
+             "script.expectations[0]: unknown keys: ['station']"),
+            ({"check": "frame-count", "frame": "agreement", "equals": "2"},
+             "script.expectations[0].equals: expected int, got str"),
+            ({"check": ["station-state"]},
+             "script.expectations[0].check: unknown check ['station-state']"),
+        ],
+        ids=["typo-equal", "no-bound", "typo-at-lest", "stray-key", "string-bound",
+             "unhashable-kind"],
+    )
+    def test_cases_that_once_passed_silently(self, check, fragment):
+        rejected(minimal(expectations=[check]), fragment)
+
+    def test_state_or_peer_may_be_null(self):
+        script = script_from_dict(
+            minimal(expectations=[{"check": "station-peer", "station": "client1",
+                                   "equals": None}])
+        )
+        assert script.expectations[0]["equals"] is None
+
+
+MACS = st.binary(min_size=6, max_size=6).map(lambda b: ":".join(f"{x:02X}" for x in b))
+SSIDS = st.text("aZ9-é€", max_size=10)
+GROUPS = st.lists(st.sampled_from(sorted(REGISTRY)), min_size=1, max_size=4).map(tuple)
+TICKS = st.integers(0, 5000)
+
+
+@st.composite
+def station_configs(draw, station_id, role, index, aps):
+    return StationConfig(
+        station_id=station_id,
+        role=role,
+        mac=f"02:00:00:00:{index // 256:02x}:{index % 256:02X}",
+        ssid=draw(SSIDS),
+        groups=draw(GROUPS),
+        soap_aware=draw(st.booleans()),
+        legacy_psk=draw(st.none() | st.binary(min_size=32, max_size=32).map(bytes.hex)),
+        force_legacy=draw(st.booleans()),
+        pin_ap=draw(st.none() | st.sampled_from(aps)) if role == "client" else None,
+        beacon_period=draw(st.integers(1, 500)),
+        beacon_offset=draw(st.integers(0, 500)),
+        debug_leak_psk=draw(st.booleans()),
+        advertise_bogus_key=draw(st.booleans()),
+    )
+
+
+@st.composite
+def expectations(draw, aps, clients):
+    ids = st.sampled_from(aps + clients)
+    bounds = st.dictionaries(
+        st.sampled_from(["equals", "at_least", "at_most"]), TICKS, min_size=1
+    )
+    text = st.text("abc-", min_size=1, max_size=6)
+    examples = {
+        "station-state": st.fixed_dictionaries(
+            {"station": ids},
+            optional={"equals": text, "not_equals": text},
+        ).filter(lambda c: "equals" in c or "not_equals" in c),
+        "station-mode": st.fixed_dictionaries({"station": ids, "equals": st.none() | text}),
+        "station-peer": st.fixed_dictionaries({"station": ids, "equals": st.none() | text}),
+        "psk-count": st.fixed_dictionaries({"station": ids}),
+        "psk-distinct": st.fixed_dictionaries({"station": ids}),
+        "psk-match": st.fixed_dictionaries({"a": ids, "b": ids}),
+        "no-psk-on-wire": st.just({}),
+        "frame-count": st.fixed_dictionaries(
+            {"frame": text}, optional={"origin": text, "after_tick": TICKS}
+        ),
+        "event-count": st.fixed_dictionaries(
+            {},
+            optional={
+                "event": text,
+                "station": ids | st.just("adversary"),
+                "after_tick": TICKS,
+                "where": st.dictionaries(text, text | TICKS, max_size=2),
+            },
+        ),
+        "blocked-contains": st.fixed_dictionaries({"station": ids, "equals": text}),
+        "fallback": st.fixed_dictionaries({"station": ids, "equals": st.booleans()}),
+        "adversary-knows-psk": st.fixed_dictionaries({"equals": st.booleans()}),
+        "ap-session-established": st.fixed_dictionaries(
+            {"station": st.sampled_from(aps), "client": st.sampled_from(clients),
+             "equals": st.booleans()}
+        ),
+        "no-transitions-after": st.fixed_dictionaries({"tick": TICKS}),
+        "psk-on-wire-hits": st.just({}),
+    }
+    assert set(examples) == KNOWN_CHECKS
+    counts = {"psk-count", "frame-count", "event-count", "psk-on-wire-hits"}
+    return [
+        {"check": kind, **draw(example), **(draw(bounds) if kind in counts else {})}
+        for kind, example in examples.items()
+    ]
+
+
+@st.composite
+def valid_scripts(draw):
+    aps = [f"ap{i}" for i in range(draw(st.integers(1, 2)))]
+    clients = [f"client{i}" for i in range(draw(st.integers(1, 2)))]
+    stations = [
+        draw(station_configs(sid, "ap" if sid in aps else "client", i, aps))
+        for i, sid in enumerate(aps + clients)
+    ]
+    adversary = draw(st.none() | st.builds(
+        AdversaryConfig,
+        capabilities=st.lists(st.sampled_from(sorted(KNOWN_CAPABILITIES)),
+                              unique=True).map(tuple),
+        mac=MACS,
+        ssid=st.none() | SSIDS,
+        groups=GROUPS,
+        beacon_period=st.integers(1, 500),
+        beacon_offset=st.integers(0, 500),
+        advertise_bogus_key=st.booleans(),
+        replay_at=st.none() | TICKS,
+        disassoc_at=st.none() | TICKS,
+        target_ap=st.none() | st.sampled_from(aps),
+        target_client=st.none() | st.sampled_from(clients),
+    ))
+    return ScenarioScript(
+        name=draw(st.text(max_size=8)),
+        stations=stations,
+        adversary=adversary,
+        mitigations=Mitigations(
+            blacklist_threshold=draw(st.none() | st.integers(1, 10)),
+            sign_management_frames=draw(st.booleans()),
+        ),
+        schedule=draw(st.lists(st.builds(
+            ScheduleAction, tick=TICKS, station=st.sampled_from(aps + clients),
+            action=st.just("reset"),
+        ), max_size=3)),
+        expectations=draw(expectations(aps, clients)),
+        max_ticks=draw(st.integers(1, MAX_TICKS)),
+        identity_seed=draw(st.integers(-(2**40), 2**40)),
+        strict_frames=draw(st.booleans()),
+    )
+
+
+class TestDerivedSchema:
+    """The loader and the dumper follow the record fields."""
+
+    @settings(max_examples=60)
+    @given(valid_scripts())
+    def test_round_trip_through_json(self, script):
+        assert script_from_dict(json.loads(json.dumps(script_to_dict(script)))) == script
+
+    def test_defaults_are_left_out(self):
+        assert script_to_dict(script_from_dict(minimal())) == minimal()
+
+    def test_tuples_dump_as_lists(self):
+        data = script_to_dict(builtin("eavesdrop"))
+        assert data["adversary"] == {"capabilities": ["eavesdrop"]}
+
+
 class TestDictRoundTrip:
     """Serialization reaches a fixpoint and preserves behavior."""
 
@@ -458,6 +759,16 @@ class TestEvaluateCheck:
             benign_transcript,
         ).ok
 
+    def test_frame_count_counts_only_transmissions(self):
+        # the adversary's "deleted" records carry a frame kind too
+        t = run_scenario(builtin("delete-intercept"), 3)
+        sent = [r for r in t.records if r["event"] == "tx" and r["frame"] == "agreement"]
+        assert any(r["event"] == "deleted" for r in t.records)
+        r = evaluate_check(
+            {"check": "frame-count", "frame": "agreement", "equals": len(sent)}, t
+        )
+        assert r.ok and r.detail == f"count {len(sent)}"
+
     def test_event_count_filters(self, benign_transcript):
         r = evaluate_check(
             {"check": "event-count", "event": "negotiation", "station": "client1",
@@ -517,9 +828,33 @@ class TestEvaluateCheck:
         r = evaluate_check({"check": "psychic"}, benign_transcript)
         assert not r.ok and "unknown check kind" in r.detail
 
+    @pytest.mark.parametrize("kind", [["station-state"], None])
+    def test_kind_that_is_not_a_string_fails_closed(self, benign_transcript, kind):
+        r = evaluate_check({"check": kind}, benign_transcript)
+        assert not r.ok and "unknown check kind" in r.detail
+
     def test_missing_key_fails_closed(self, benign_transcript):
         r = evaluate_check({"check": "station-state"}, benign_transcript)
         assert not r.ok and "missing key" in r.detail
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            {"check": "psk-count", "station": "client1"},
+            {"check": "station-state", "station": "client1"},
+            {"check": "psk-on-wire-hits"},
+        ],
+    )
+    def test_missing_bound_fails_closed(self, benign_transcript, check):
+        r = evaluate_check(check, benign_transcript)
+        assert not r.ok and "missing key" in r.detail
+
+    def test_state_equals_and_not_equals_both_hold(self, benign_transcript):
+        check = {"check": "station-state", "station": "client1", "equals": "established"}
+        assert evaluate_check({**check, "not_equals": "halted"}, benign_transcript).ok
+        assert not evaluate_check(
+            {**check, "not_equals": "established"}, benign_transcript
+        ).ok
 
     def test_evaluate_expectations_runs_all(self, benign_transcript):
         script = builtin("benign")
