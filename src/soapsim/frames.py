@@ -310,7 +310,7 @@ _FIXED_BODY = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManagementFrame:
     subtype: FrameSubtype
     src_mac: bytes

@@ -10,6 +10,9 @@ from typing import Callable, NamedTuple
 
 from .crypto import REGISTRY
 from .simnet import (
+    EVENTS,
+    FRAME_KINDS,
+    STATION_STATES,
     AdversaryConfig,
     Mitigations,
     ScenarioScript,
@@ -55,22 +58,52 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_ROLE_NAMES = {"client": "a client", "ap": "an AP"}
+
+
 @dataclass(frozen=True)
 class _Station:
-    """JSON type of an expectation key that names a script station or one of
-    the ``extra`` names."""
+    """JSON type of an expectation key that names a script station, of
+    ``role`` when it is set, or one of the ``extra`` names."""
 
+    role: str | None = None
     extra: tuple = ()
+
+    def problem(self, value: str, roles: dict) -> str | None:
+        if value in self.extra:
+            return None
+        if value not in roles:
+            return f"unknown station {value!r}"
+        if self.role is not None and roles[value] != self.role:
+            return f"{value!r} is not {_ROLE_NAMES[self.role]}"
+        return None
+
+
+@dataclass(frozen=True)
+class _Word:
+    """JSON type of an expectation key whose value is one of ``words``."""
+
+    noun: str
+    words: frozenset
+
+    def problem(self, value: str, roles: dict) -> str | None:
+        if value in self.words:
+            return None
+        return f"unknown {self.noun} {value!r}; known: {', '.join(sorted(self.words))}"
+
+
+# The expectation key types that are strings with a closed set of values.
+_CLOSED = (_Station, _Word)
 
 
 def _has_type(value, kind) -> bool:
     if kind is int:
         return _is_int(value)
-    return isinstance(value, str if isinstance(kind, _Station) else kind)
+    return isinstance(value, str if isinstance(kind, _CLOSED) else kind)
 
 
 def _type_name(kind) -> str:
-    if isinstance(kind, _Station):
+    if isinstance(kind, _CLOSED):
         return "str"
     kinds = kind if isinstance(kind, tuple) else (kind,)
     return " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
@@ -197,14 +230,10 @@ def _expectation_from_dict(check, where: str, roles: dict) -> dict:
     _take(check, where, spec.types)
     gap = spec.missing(check)
     _require(gap is None, where, f"missing required key {gap}")
-    for key, station in spec.types.items():
-        if isinstance(station, _Station) and key in check:
-            ref = check[key]
-            _require(
-                ref in roles or ref in station.extra,
-                f"{where}.{key}",
-                f"unknown station {ref!r}",
-            )
+    for key, kind in spec.types.items():
+        if isinstance(kind, _CLOSED) and key in check:
+            problem = kind.problem(check[key], roles)
+            _require(problem is None, f"{where}.{key}", problem)
     return check
 
 
@@ -398,6 +427,10 @@ class _Check(NamedTuple):
 
 
 _STATION = {"station": _Station()}
+# The summary keys "mode", "peer" and "fallback" are a client's, and
+# "sessions" is an AP's, so a check that reads one names a station of that role.
+_CLIENT = {"station": _Station("client")}
+_STATE = _Word("station state", STATION_STATES)
 _STR_OR_NULL = (str, type(None))
 _BOUNDS = {"equals": int, "at_least": int, "at_most": int}
 
@@ -405,28 +438,28 @@ _CHECKS = {
     "station-state": _Check(
         _compare("state", _summary("state")),
         _STATION,
-        one_of={"equals": str, "not_equals": str},
+        one_of={"equals": _STATE, "not_equals": _STATE},
     ),
     "station-mode": _Check(
-        _compare("mode", _summary("mode")), {**_STATION, "equals": _STR_OR_NULL}
+        _compare("mode", _summary("mode")), {**_CLIENT, "equals": _STR_OR_NULL}
     ),
     "station-peer": _Check(
-        _compare("peer", _summary("peer")), {**_STATION, "equals": _STR_OR_NULL}
+        _compare("peer", _summary("peer")), {**_CLIENT, "equals": _STR_OR_NULL}
     ),
     "fallback": _Check(
-        _compare("fallback", _summary("fallback")), {**_STATION, "equals": bool}
+        _compare("fallback", _summary("fallback")), {**_CLIENT, "equals": bool}
     ),
     "adversary-knows-psk": _Check(
         _compare("knows", _view("adversary_knows_legit_psk")), {"equals": bool}
     ),
     "ap-session-established": _Check(
         _compare("established", _ap_session_established),
-        {**_STATION, "client": _Station(), "equals": bool},
+        {"station": _Station("ap"), "client": _Station("client"), "equals": bool},
     ),
     "psk-count": _Check(_counted(_summary("psk_count")), _STATION, one_of=_BOUNDS),
     "frame-count": _Check(
         _counted(lambda check, t: _count_records({**check, "event": "tx"}, t)),
-        {"frame": str},
+        {"frame": _Word("frame kind", FRAME_KINDS)},
         {"origin": str, "after_tick": int},
         _BOUNDS,
     ),
@@ -434,7 +467,8 @@ _CHECKS = {
         _counted(_count_records),
         {},
         # station filters records, so it may name the adversary too
-        {"event": str, "station": _Station((RESERVED_STATION_ID,)), "after_tick": int,
+        {"event": _Word("event", EVENTS),
+         "station": _Station(extra=(RESERVED_STATION_ID,)), "after_tick": int,
          "where": dict},
         _BOUNDS,
     ),
@@ -746,10 +780,44 @@ def _leak_selftest():
     )
 
 
+_CROWD_CLIENTS = 30
+
+
+def _crowd():
+    """One AP and many clients under signed management frames: every client
+    hears the same signed beacons, so it is the many-station workload."""
+    clients = [
+        StationConfig(f"client{i:02d}", "client", f"02:00:00:00:01:{i:02x}", ssid=_SSID)
+        for i in range(1, _CROWD_CLIENTS + 1)
+    ]
+    return ScenarioScript(
+        name="crowd",
+        stations=[StationConfig("ap1", "ap", _AP_MAC, ssid=_SSID), *clients],
+        mitigations=Mitigations(sign_management_frames=True),
+        max_ticks=3000,
+        expectations=[
+            check
+            for c in clients
+            for check in (
+                {"check": "station-state", "station": c.station_id,
+                 "equals": "established"},
+                {"check": "ap-session-established", "station": "ap1",
+                 "client": c.station_id, "equals": True},
+            )
+        ]
+        + [
+            {"check": "frame-count", "frame": "agreement", "equals": 2 * _CROWD_CLIENTS},
+            {"check": "event-count", "event": "discard", "equals": 0},
+            {"check": "no-psk-on-wire"},
+        ],
+    )
+
+
 _BUILTIN_BUILDERS = {
     "benign": lambda: _benign(),
     "benign-strict": lambda: _benign("benign-strict", strict=True),
     "benign-multigroup": _benign_multigroup,
+    "crowd": _crowd,
     "legacy-client": lambda: _legacy("legacy-client", True, False),
     "legacy-ap": lambda: _legacy("legacy-ap", False, True),
     "force-legacy": lambda: _legacy("force-legacy", True, True, force=True,

@@ -2,9 +2,17 @@
 a clock that delivers every transmitted frame one tick later.
 
 `Station` holds what both ends share: admission, blacklisting, frame output
-and one ``on_frame`` that parses each frame once and dispatches it. Its
-subclasses are `ClientStation` and `ApStation`; an AP keeps an `ApPeer` per
-client, and a rogue AP is an `ApStation` that hears frames after the stations.
+and one ``on_frame`` that dispatches each delivered frame. Its subclasses are
+`ClientStation` and `ApStation`; an AP keeps an `ApPeer` per client, and a
+rogue AP is an `ApStation` that hears frames after the stations.
+
+Each transmission's work is done once. The loop parses a delivered frame once,
+on the first receiver that admits its sender, and hands every receiver the same
+frozen record (or the same parse error). The stations of one simulation, the
+rogue AP included, share one verify memo: a byte-identical signed management
+frame is verified once per run and signer, whatever the number of receivers.
+Everything a failed check does to a receiver (its discard, its failure count,
+its blacklist) stays per receiver.
 
 Time advances by next-event jumps. While a frame is in flight the clock steps
 one tick at a time; when nothing is in flight it jumps straight to the
@@ -31,7 +39,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import negotiation
 from .crypto import (
@@ -154,10 +162,14 @@ class ScenarioScript:
     strict_frames: bool = False
 
 
+# The kinds of frame a Transmission carries.
+FRAME_KINDS = frozenset({"beacon", "assoc-request", "disassoc", "agreement", "eapol-key"})
+
+
 @dataclass
 class Transmission:
     origin: str  # station id or "adversary"
-    kind: str  # "beacon" | "assoc-request" | "disassoc" | "agreement" | "eapol-key"
+    kind: str  # one of FRAME_KINDS
     wire: bytes
 
     @property
@@ -167,6 +179,18 @@ class Transmission:
     @property
     def dst_mac(self) -> bytes:
         return bytes(self.wire[4:10])
+
+
+# The event of every transcript record: what `Transcript.tx` and
+# `Transcript.transition` write, and every event that stations and the
+# adversary note.
+EVENTS = frozenset(
+    {
+        "tx", "transition", "discard", "blocked", "blacklisted", "negotiation",
+        "note", "retransmit", "client-disassociated", "deleted",
+        "mitm-substituted", "replay-burst",
+    }
+)
 
 
 class Transcript:
@@ -220,12 +244,31 @@ class Transcript:
 # ---------------------------------------------------------------------------
 
 
+# The `state` of a station summary: the client states, then the AP's one.
+STATION_STATES = frozenset(
+    {"scanning", "soap", "fourway", "established", "halted", "ready"}
+)
+
+
+def _parse_delivery(wire: bytes):
+    """The data or management frame `wire` carries, or the MalformedFrameError
+    its parse raised. Pure, so one parse serves every receiver."""
+    parse = parse_data_frame if wire[0] & 0x0C == 0x08 else parse_management_frame
+    try:
+        return parse(wire)
+    except MalformedFrameError as exc:
+        return exc
+
+
 class Station:
     """What both ends of a link share: admission (the blocked list and the
     management-frame signature check), signature-failure blacklisting, frame
-    output, and one parse-and-dispatch path for received frames. A subclass
-    handles what the dispatch hands it in `_on_mgmt`, `_on_agreement` and
-    `_on_eapol_key`."""
+    output, and one dispatch path for delivered frames. A subclass handles
+    what the dispatch hands it in `_on_mgmt`, `_on_agreement` and
+    `_on_eapol_key`.
+
+    ``verify_memo`` is the simulation's: (group id, signer point, frame
+    octets) -> whether the frame's signature verifies under that signer."""
 
     from_ds = False  # the DS bit of the data frames this station sends
 
@@ -237,6 +280,7 @@ class Station:
         mitigations: Mitigations,
         transcript: Transcript,
         strict_frames: bool,
+        verify_memo: dict,
     ):
         self.cfg = cfg
         self.identity = identity
@@ -244,6 +288,7 @@ class Station:
         self.mitigations = mitigations
         self.transcript = transcript
         self.strict_frames = strict_frames
+        self.verify_memo = verify_memo
         self.mac = identity.mac
         self.session_counter = 0
         self.psk_history: list[bytes] = []
@@ -293,8 +338,9 @@ class Station:
 
     def _out_mgmt(self, frame: ManagementFrame, kind: str) -> Transmission:
         if self.mitigations.sign_management_frames:
-            frame.signature = ecdsa_sign(
-                self.identity.ecdsa, management_signing_input(frame)
+            frame = replace(
+                frame,
+                signature=ecdsa_sign(self.identity.ecdsa, management_signing_input(frame)),
             )
         return Transmission(self.cfg.station_id, kind, encode_management_frame(frame))
 
@@ -322,16 +368,25 @@ class Station:
     def _on_blacklisted(self, tick: int, mac: bytes) -> None:
         """Called once, when `mac` joins the blocked list."""
 
-    def _mgmt_signature_ok(self, tick: int, frame: ManagementFrame) -> bool:
+    def _signed_by(self, group, point, wire: bytes, frame: ManagementFrame) -> bool:
+        """Whether `frame`, parsed from `wire`, carries a valid signature by
+        `point`. The verify runs once per simulation for each input."""
+        key = (group.group_id, point, wire)
+        ok = self.verify_memo.get(key)
+        if ok is None:
+            ok = self.verify_memo[key] = ecdsa_verify(
+                group, point, management_signing_input(frame), frame.signature
+            )
+        return ok
+
+    def _mgmt_signature_ok(self, tick: int, wire: bytes, frame: ManagementFrame) -> bool:
         """Admission check for management frames under the signing mitigation."""
         if not self.mitigations.sign_management_frames:
             return True
         known = self.known_keys.get(frame.src_mac)
         if known is not None:
             group, point = known
-            if frame.signature is None or not ecdsa_verify(
-                group, point, management_signing_input(frame), frame.signature
-            ):
+            if frame.signature is None or not self._signed_by(group, point, wire, frame):
                 self._sig_failure(tick, frame.src_mac, "mgmt")
                 return False
             self.fail_counts[frame.src_mac] = 0
@@ -345,25 +400,29 @@ class Station:
                     group, point = negotiation.resolve_signer(ie)
                 except ValueError:
                     return False
-                if not ecdsa_verify(
-                    group, point, management_signing_input(frame), frame.signature
-                ):
+                if not self._signed_by(group, point, wire, frame):
                     self._sig_failure(tick, frame.src_mac, "mgmt")
                     return False
         return True
 
     # -- frame dispatch ----------------------------------------------------
 
-    def on_frame(self, tick: int, wire: bytes) -> list[Transmission]:
-        src = bytes(wire[10:16])
-        if src in self.blocked:
-            self.transcript.note(
-                tick, "blocked", self.cfg.station_id, src=format_mac(src)
-            )
+    def _blocks(self, tick: int, src: bytes) -> bool:
+        """Whether `src` is on the blocked list; a blocked frame is noted and
+        goes no further."""
+        if src not in self.blocked:
+            return False
+        self.transcript.note(tick, "blocked", self.cfg.station_id, src=format_mac(src))
+        return True
+
+    def on_frame(self, tick: int, wire: bytes, frame) -> list[Transmission]:
+        """Handle `wire`, delivered from an admitted sender; `frame` is its
+        `_parse_delivery`, shared by every receiver."""
+        if isinstance(frame, MalformedFrameError):
+            self._discard(tick, "malformed", detail=str(frame))
             return []
-        if wire[0] & 0x0C == 0x08:
-            frame = self._parse(tick, parse_data_frame, wire)
-            if frame is None or frame.dst_mac != self.mac:
+        if isinstance(frame, DataFrame):
+            if frame.dst_mac != self.mac:
                 return []
             kind = classify_eapol(frame.payload)
             if kind == "agreement":
@@ -372,10 +431,9 @@ class Station:
                 return self._on_eapol_key(tick, frame)
             self._discard(tick, "unknown-eapol")
             return []
-        frame = self._parse(tick, parse_management_frame, wire)
-        if frame is None or frame.dst_mac not in (self.mac, BROADCAST_MAC):
+        if frame.dst_mac not in (self.mac, BROADCAST_MAC):
             return []
-        if not self._mgmt_signature_ok(tick, frame):
+        if not self._mgmt_signature_ok(tick, wire, frame):
             return []
         return self._on_mgmt(tick, frame)
 
@@ -893,6 +951,7 @@ class Adversary:
         strict_frames: bool,
         target_ap_mac: bytes | None,
         target_client_mac: bytes | None,
+        verify_memo: dict,
     ):
         self.cfg = cfg
         self.caps = set(cfg.capabilities)
@@ -931,6 +990,7 @@ class Adversary:
                 Mitigations(),
                 transcript,
                 strict_frames,
+                verify_memo,
             )
             self._signer = identity.ecdsa
 
@@ -1058,6 +1118,8 @@ class Simulation:
         self.script = script
         self.seed = seed
         self.transcript = Transcript(script.name, seed)
+        # Shared by every station and the rogue AP, and by no other simulation.
+        self.verify_memo: dict = {}
         identity_rng = SeededRng(script.identity_seed, b"identities")
         run_rng = SeededRng(seed, b"run")
 
@@ -1081,6 +1143,7 @@ class Simulation:
                 script.mitigations,
                 self.transcript,
                 script.strict_frames,
+                self.verify_memo,
             )
             if cfg.pin_ap is not None:
                 pinned = identities[cfg.pin_ap].ecdsa
@@ -1102,6 +1165,7 @@ class Simulation:
                 script.strict_frames,
                 self._target(cfg.target_ap, ApStation),
                 self._target(cfg.target_client, ClientStation),
+                self.verify_memo,
             )
 
         # Every frame goes to the stations in script order, then the rogue AP.
@@ -1127,6 +1191,22 @@ class Simulation:
     def _transmit(self, tick: int, t: Transmission, in_flight: list) -> None:
         self.transcript.tx(tick, t)
         in_flight.append(t)
+
+    def _deliver(self, tick: int, t: Transmission, in_flight: list) -> None:
+        """Hand `t` to every station it is addressed to, in receiver order.
+        The first receiver that admits the sender has it parsed; the rest get
+        the same parse."""
+        src, dst = t.src_mac, t.dst_mac
+        frame = None
+        for station in self.receivers:
+            if station.mac == src or dst not in (station.mac, BROADCAST_MAC):
+                continue
+            if station._blocks(tick, src):
+                continue
+            if frame is None:
+                frame = _parse_delivery(t.wire)
+            for reply in station.on_frame(tick, t.wire, frame):
+                self._transmit(tick, reply, in_flight)
 
     def _next_due(self, tick: int) -> int:
         """The earliest tick >= `tick` at which anything acts, or max_ticks."""
@@ -1156,15 +1236,7 @@ class Simulation:
                 else:
                     passed = [t]
                 for item in passed:
-                    dst = item.dst_mac
-                    src = item.src_mac
-                    for station in self.receivers:
-                        if station.mac == src:
-                            continue
-                        if dst not in (station.mac, BROADCAST_MAC):
-                            continue
-                        for reply in station.on_frame(tick, item.wire):
-                            self._transmit(tick, reply, in_flight)
+                    self._deliver(tick, item, in_flight)
             if self.adversary is not None:
                 for t in self.adversary.on_tick(tick):
                     self._transmit(tick, t, in_flight)

@@ -29,6 +29,11 @@ TRANSCRIPT_SHA256 = {
         12: "22a2d78e7fce087ba1b2561b71ab4d05b0f0344ad4ca985a4c5dffa7274d9fd1",
         77: "a254029e85e618bacdcfe7518182df68009badb72bd0b10c9dc0ac1b817924cf",
     },
+    "crowd": {
+        1: "a3c69889f45f36fafabdef6266e4e98569d3f4decfe16b13e35684f1afa3039b",
+        12: "bff0b2dc4465f8570406307ad1ee5f77b69ea4cfc79fa2f067845fea23da6187",
+        77: "dc08ed1eba43bfb6cb6cbc6579f1cb16a0142440ea01b5338360ce1442b91c2f",
+    },
     "delete-intercept": {
         1: "c6b1da84e4538f4a077cea240a11dd723f5903b404af76efd5851e6cfcdb492c",
         12: "31e2e21abb20b842e68210a64f0505ef2f64b7a766838a227ce7b1ab572f104a",

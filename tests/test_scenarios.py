@@ -26,6 +26,9 @@ from soapsim.scenarios import (
     script_to_dict,
 )
 from soapsim.simnet import (
+    EVENTS,
+    FRAME_KINDS,
+    STATION_STATES,
     AdversaryConfig,
     Mitigations,
     ScenarioScript,
@@ -538,6 +541,73 @@ class TestExpectationSchema:
         assert script.expectations[0]["equals"] is None
 
 
+class TestClosedVocabularies:
+    """A frame kind, event or station state an expectation compares against
+    is one the simulator emits, and a check that reads a client's or an AP's
+    summary names a station of that role."""
+
+    @pytest.mark.parametrize(
+        "check,fragment",
+        [
+            ({"check": "frame-count", "frame": "agreemnt", "equals": 0},
+             "script.expectations[0].frame: unknown frame kind 'agreemnt'"),
+            ({"check": "event-count", "event": "discrad", "at_most": 0},
+             "script.expectations[0].event: unknown event 'discrad'"),
+            ({"check": "station-state", "station": "client1", "not_equals": "establshed"},
+             "script.expectations[0].not_equals: unknown station state 'establshed'"),
+            ({"check": "station-state", "station": "ap1", "equals": "Ready"},
+             "script.expectations[0].equals: unknown station state 'Ready'"),
+        ],
+        ids=["frame", "event", "not-equals-state", "equals-state"],
+    )
+    def test_unknown_word(self, check, fragment):
+        rejected(minimal(expectations=[check]), fragment)
+
+    @pytest.mark.parametrize(
+        "check,fragment",
+        [
+            ({"check": "ap-session-established", "station": "client1", "client": "ap1",
+              "equals": False},
+             "script.expectations[0].station: 'client1' is not an AP"),
+            ({"check": "ap-session-established", "station": "ap1", "client": "ap1",
+              "equals": False},
+             "script.expectations[0].client: 'ap1' is not a client"),
+            ({"check": "station-mode", "station": "ap1", "equals": None},
+             "script.expectations[0].station: 'ap1' is not a client"),
+            ({"check": "station-peer", "station": "ap1", "equals": None},
+             "script.expectations[0].station: 'ap1' is not a client"),
+            ({"check": "fallback", "station": "ap1", "equals": False},
+             "script.expectations[0].station: 'ap1' is not a client"),
+        ],
+        ids=["session-on-client", "session-client-is-ap", "mode", "peer", "fallback"],
+    )
+    def test_wrong_role(self, check, fragment):
+        rejected(minimal(expectations=[check]), fragment)
+
+    def test_second_expectation_is_named(self):
+        checks = [{"check": "no-psk-on-wire"},
+                  {"check": "frame-count", "frame": "agreemnt", "equals": 0}]
+        rejected(minimal(expectations=checks), "script.expectations[1].frame:")
+
+    def test_every_declared_word_loads(self):
+        checks = [{"check": "frame-count", "frame": f, "equals": 0} for f in FRAME_KINDS]
+        checks += [{"check": "event-count", "event": e, "equals": 0} for e in EVENTS]
+        checks += [{"check": "station-state", "station": "client1", "not_equals": s}
+                   for s in STATION_STATES]
+        assert len(script_from_dict(minimal(expectations=checks)).expectations) == len(
+            checks
+        )
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_runs_stay_inside_the_sets(self, name):
+        t = run_scenario(builtin(name), 1)
+        assert {r["event"] for r in t.records} <= EVENTS
+        assert {r["frame"] for r in t.records if r["event"] == "tx"} <= FRAME_KINDS
+        states = {r["to"] for r in t.records if r.get("scope") == "station"}
+        states |= {s["state"] for k, s in t.summaries.items() if k != "adversary"}
+        assert states <= STATION_STATES
+
+
 MACS = st.binary(min_size=6, max_size=6).map(lambda b: ":".join(f"{x:02X}" for x in b))
 SSIDS = st.text("aZ9-é€", max_size=10)
 GROUPS = st.lists(st.sampled_from(sorted(REGISTRY)), min_size=1, max_size=4).map(tuple)
@@ -566,6 +636,8 @@ def station_configs(draw, station_id, role, index, aps):
 @st.composite
 def expectations(draw, aps, clients):
     ids = st.sampled_from(aps + clients)
+    client_ids = st.sampled_from(clients)
+    states = st.sampled_from(sorted(STATION_STATES))
     bounds = st.dictionaries(
         st.sampled_from(["equals", "at_least", "at_most"]), TICKS, min_size=1
     )
@@ -573,28 +645,33 @@ def expectations(draw, aps, clients):
     examples = {
         "station-state": st.fixed_dictionaries(
             {"station": ids},
-            optional={"equals": text, "not_equals": text},
+            optional={"equals": states, "not_equals": states},
         ).filter(lambda c: "equals" in c or "not_equals" in c),
-        "station-mode": st.fixed_dictionaries({"station": ids, "equals": st.none() | text}),
-        "station-peer": st.fixed_dictionaries({"station": ids, "equals": st.none() | text}),
+        "station-mode": st.fixed_dictionaries(
+            {"station": client_ids, "equals": st.none() | text}
+        ),
+        "station-peer": st.fixed_dictionaries(
+            {"station": client_ids, "equals": st.none() | text}
+        ),
         "psk-count": st.fixed_dictionaries({"station": ids}),
         "psk-distinct": st.fixed_dictionaries({"station": ids}),
         "psk-match": st.fixed_dictionaries({"a": ids, "b": ids}),
         "no-psk-on-wire": st.just({}),
         "frame-count": st.fixed_dictionaries(
-            {"frame": text}, optional={"origin": text, "after_tick": TICKS}
+            {"frame": st.sampled_from(sorted(FRAME_KINDS))},
+            optional={"origin": text, "after_tick": TICKS},
         ),
         "event-count": st.fixed_dictionaries(
             {},
             optional={
-                "event": text,
+                "event": st.sampled_from(sorted(EVENTS)),
                 "station": ids | st.just("adversary"),
                 "after_tick": TICKS,
                 "where": st.dictionaries(text, text | TICKS, max_size=2),
             },
         ),
         "blocked-contains": st.fixed_dictionaries({"station": ids, "equals": text}),
-        "fallback": st.fixed_dictionaries({"station": ids, "equals": st.booleans()}),
+        "fallback": st.fixed_dictionaries({"station": client_ids, "equals": st.booleans()}),
         "adversary-knows-psk": st.fixed_dictionaries({"equals": st.booleans()}),
         "ap-session-established": st.fixed_dictionaries(
             {"station": st.sampled_from(aps), "client": st.sampled_from(clients),

@@ -9,6 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soapsim import simnet
+from soapsim.frames import (
+    MalformedFrameError,
+    management_signing_input,
+    parse_management_frame,
+)
 from soapsim.simnet import (
     AdversaryConfig,
     ApStation,
@@ -625,3 +630,140 @@ class TestBeaconCache:
         assert len(built) == 2
         assert psk not in beacons[0]["hex"]
         assert all(psk in r["hex"] for r in beacons[1:])
+
+
+def crowd(clients=4, max_ticks=500, **mitigations):
+    """One AP and `clients` clients under signed management frames."""
+    stations = [StationConfig("ap1", "ap", AP_MAC)] + [
+        StationConfig(f"client{i}", "client", f"02:00:00:00:01:{i:02x}")
+        for i in range(1, clients + 1)
+    ]
+    return ScenarioScript(
+        "crowd-test", stations, max_ticks=max_ticks,
+        mitigations=Mitigations(sign_management_frames=True, **mitigations),
+    )
+
+
+def record_calls(monkeypatch, *names):
+    """Record, in one list, the arguments of every call made through simnet's
+    bindings of `names`."""
+    calls = []
+
+    def recording(real):
+        def call(*args):
+            calls.append(args)
+            return real(*args)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(simnet, name, recording(getattr(simnet, name)))
+    return calls
+
+
+class TestParseAndVerifyOnce:
+    """Each delivered transmission is parsed once, and each distinct signed
+    management frame is verified once per simulation."""
+
+    def test_one_verify_per_distinct_input(self, monkeypatch):
+        calls = record_calls(monkeypatch, "ecdsa_verify")
+        sim = Simulation(crowd(clients=6), 0)
+        t = sim.run()
+        beacons = len(tx_frames(t, "beacon"))
+        assert all(s["state"] == "established" for s in t.summaries.values()
+                   if s["role"] == "client")
+        distinct = {(group.group_id, *rest) for group, *rest in calls}
+        assert len(calls) == len(distinct) == len(sim.verify_memo)
+        # every client checks every beacon, but the beacon octets never change
+        assert beacons == 5
+        assert len(calls) < beacons * 6
+        assert all(sim.verify_memo.values())
+
+    def test_one_parse_per_delivered_transmission(self, monkeypatch):
+        parsed = record_calls(monkeypatch, "parse_management_frame", "parse_data_frame")
+        script = crowd(clients=5)
+        t = run_scenario(script, 0)
+        # a frame sent at tick n is delivered at n + 1, inside the run or not,
+        # and frames are delivered in the order they were sent
+        delivered = [r for r in tx_frames(t) if r["tick"] + 1 < script.max_ticks]
+        assert [args[0].hex() for args in parsed] == [r["hex"] for r in delivered]
+        # each of the five clients receives every beacon
+        receptions = sum(5 if r["frame"] == "beacon" else 1 for r in delivered)
+        assert len(parsed) == len(delivered) < receptions
+
+    def test_memo_does_not_outlive_its_simulation(self, monkeypatch):
+        calls = record_calls(monkeypatch, "ecdsa_verify")
+        script = crowd(clients=3)
+        first = run_scenario(script, 4).to_json()
+        per_run = len(calls)
+        assert run_scenario(script, 4).to_json() == first
+        assert per_run > 0
+        assert len(calls) == 2 * per_run
+
+    def test_rogue_ap_shares_the_memo(self):
+        sim = Simulation(
+            adversary_script(
+                ["masquerade"], ssid="publicnet",
+                mitigations=Mitigations(sign_management_frames=True),
+            ),
+            0,
+        )
+        assert sim.adversary.rogue.verify_memo is sim.verify_memo
+        assert all(s.verify_memo is sim.verify_memo for s in sim.stations)
+        assert Simulation(sim.script, 0).verify_memo is not sim.verify_memo
+
+    def test_malformed_broadcast_discarded_by_every_receiver(self, monkeypatch):
+        good = ApStation._beacon
+
+        def truncated(self):
+            t = good(self)
+            return simnet.Transmission(t.origin, t.kind, t.wire[:-1])
+
+        monkeypatch.setattr(ApStation, "_beacon", truncated)
+        parsed = record_calls(monkeypatch, "parse_management_frame")
+        t = run_scenario(crowd(clients=3, max_ticks=150), 0)
+        with pytest.raises(MalformedFrameError) as err:
+            parse_management_frame(bytes.fromhex(tx_frames(t, "beacon")[0]["hex"]))
+        discards = events(t, "discard")
+        assert [(r["tick"], r["station"]) for r in discards] == [
+            (tick, f"client{i}") for tick in (1, 101) for i in (1, 2, 3)
+        ]
+        assert {r["reason"] for r in discards} == {"malformed"}
+        assert {r["detail"] for r in discards} == {str(err.value)}
+        assert len(parsed) == 2
+
+    def test_tampered_signature_rejected_by_every_receiver(self, monkeypatch):
+        good = ApStation._beacon
+        sent = []
+
+        def tampering(self):
+            t = good(self)
+            sent.append(t)
+            if len(sent) == 1:
+                return t
+            # the signature element is the last: flip the last octet of s
+            return simnet.Transmission(t.origin, t.kind, t.wire[:-1] + bytes([t.wire[-1] ^ 1]))
+
+        monkeypatch.setattr(ApStation, "_beacon", tampering)
+        calls = record_calls(monkeypatch, "ecdsa_verify")
+        sim = Simulation(crowd(clients=3, max_ticks=450, blacklist_threshold=3), 0)
+        t = sim.run()
+        beacons = tx_frames(t, "beacon")
+        assert len(beacons) == 5
+        assert len({r["hex"] for r in beacons[1:]}) == 1
+        ap = sim.by_id["ap1"]
+        tampered = bytes.fromhex(beacons[1]["hex"])
+        assert sim.verify_memo[(26, ap.identity.ecdsa.public_point, tampered)] is False
+        # one verify of the good beacon and one of the tampered one, which
+        # signs the same elements, however many receptions
+        message = management_signing_input(parse_management_frame(tampered))
+        assert len([a for a in calls if a[2] == message]) == 2
+        for i in (1, 2, 3):
+            client = sim.by_id[f"client{i}"]
+            mine = events(t, "discard", f"client{i}")
+            assert [(r["tick"], r["reason"], r["context"]) for r in mine] == [
+                (tick, "signature", "mgmt") for tick in (101, 201, 301)
+            ]
+            assert client.fail_counts[ap.mac] == 3
+            assert client.blocked == {ap.mac}
+            assert ticks_of(t, "blocked", station=f"client{i}") == [401]
