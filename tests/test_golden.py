@@ -1,15 +1,19 @@
-"""Pinned SHA-256 digests of every builtin transcript and of the attack-suite
-report.
+"""Pinned SHA-256 digests of every builtin transcript, of the attack-suite
+report and of the ``soapsim frames`` output.
 
-The digests were taken from the fixed-step tick loop. Any change to the
-simulator that alters a transcript, a summary or a report fails here, so a
-refactor or an optimisation of the loop must reproduce these bytes exactly.
+The transcript and suite digests were taken from the fixed-step tick loop.
+Any change to the simulator that alters a transcript, a summary or a report
+fails here, so a refactor or an optimisation of the loop must reproduce these
+bytes exactly. The ``frames`` digests cover the golden hex dumps and the size
+table on all four curves, with two advertised groups and in strict mode, so a
+change to the in-memory exchange driver must reproduce those bytes too.
 """
 
 import hashlib
 
 import pytest
 
+from soapsim.cli import main
 from soapsim.scenarios import BUILTIN_NAMES, builtin, run_attack_suite
 from soapsim.simnet import run_scenario
 
@@ -121,6 +125,19 @@ SUITE_SHA256 = {
     12: "65f4110c3c9f4335d730dff80b001ba26a54e54f9d60a76232bcfd83767b6086",
 }
 
+FRAMES_SHA256 = {
+    ("--group", "19"): "4e8e3f74e5695601e986aa6557e390f23e67e9dd31898309661c4012429cff1b",
+    ("--group", "20"): "9f3057807177343b76db50809eb37afc1930661918a6984af9dd7188a6984b6e",
+    ("--group", "21"): "9a930877484c172b28896b69ef530d3fc34679da43bc72c83cae14e985caca6f",
+    ("--group", "26"): "6d18daad8ab159141bbd16bbd43a1a46c2dcf812beb53a6798acb4c52672eacf",
+    ("--group", "26", "--m", "2"): (
+        "c22bcecac39e74d20e9627ce8a181b39d128e215eb11f58dd2089b1a225894b0"
+    ),
+    ("--group", "26", "--strict"): (
+        "c4090252bf33d1520c9cfe91e03421307eaf9d08feead7b444be71d21073af0a"
+    ),
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -141,3 +158,9 @@ def test_transcript_digest(name, seed):
 @pytest.mark.parametrize("seed", sorted(SUITE_SHA256))
 def test_attack_suite_digest(seed):
     assert sha256(run_attack_suite(seed).to_json()) == SUITE_SHA256[seed]
+
+
+@pytest.mark.parametrize("argv", sorted(FRAMES_SHA256))
+def test_frames_output_digest(argv, capsys):
+    assert main(["frames", *argv]) == 0
+    assert sha256(capsys.readouterr().out) == FRAMES_SHA256[argv]
