@@ -21,8 +21,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .crypto import SeededRng, known_group_ids, registry_lookup
-from .fourway import Authenticator, Supplicant
+from .crypto import DEFAULT_GROUP_ID, SeededRng, known_group_ids, registry_lookup
 from .frames import (
     encode_eapol_key_frame,
     encode_soap_ie,
@@ -30,9 +29,8 @@ from .frames import (
     frame_wire_size,
     hexdump,
 )
-from .handshake import ApSession, ClientSession, Role, make_identity
+from .handshake import Role, make_identity, run_exchange
 from .metrics import bench_crypto, size_report
-from .negotiation import advertisement_ie
 from .scenarios import (
     BUILTIN_NAMES,
     ScenarioError,
@@ -105,54 +103,27 @@ def cmd_run(args) -> int:
     return EXIT_OK if passed else EXIT_EXPECTATION
 
 
-def _demo_exchange(group_id: int, group_count: int, strict: bool):
-    """One full key agreement plus key handshake from fixed demo seeds."""
-    registry_lookup(group_id)
-    ids = tuple(known_group_ids())[:group_count]
-    if group_id not in ids:
-        ids = (group_id,) + tuple(g for g in ids if g != group_id)
-        ids = ids[:group_count]
+def cmd_frames(args) -> int:
+    """Dump every frame of one exchange from fixed demo seeds; the AP offers
+    the requested group plus the first others, --m groups in all."""
+    registry_lookup(args.group)
+    others = tuple(g for g in known_group_ids() if g != args.group)
+    ids = ((args.group,) + others)[: args.m]
     rng = SeededRng(0, b"frames-demo")
     ap_id = make_identity(_DEMO_AP_MAC, Role.AP, ids, rng.child(b"ap-identity"))
     cl_id = make_identity(
-        _DEMO_CLIENT_MAC, Role.CLIENT, (group_id,), rng.child(b"client-identity")
+        _DEMO_CLIENT_MAC, Role.CLIENT, (args.group,), rng.child(b"client-identity")
     )
-    adv = advertisement_ie(ap_id.ecdsa, ids)
-
-    client = ClientSession(cl_id, rng.child(b"client"), strict_frames=strict)
-    response, event = client.on_advertisement(adv, ap_id.mac)
-    assert event == "respond", event
-    client.mark_associated()
-
-    ap = ApSession(ap_id, rng.child(b"ap"), cl_id.mac, strict_frames=strict)
-    assert ap.on_response_element(response) == "ok"
-    msg1 = ap.build_message1()
-    msg2, event = client.on_message1(msg1, ap_id.mac)
-    assert event == "agreed", event
-    assert ap.on_message2(msg2, cl_id.mac) == "agreed"
-    assert ap.psk == client.psk
-
-    auth = Authenticator(bytes(ap.psk), ap_id.mac, cl_id.mac, rng.child(b"auth"))
-    supp = Supplicant(bytes(client.psk), ap_id.mac, cl_id.mac, rng.child(b"supp"))
-    k1 = auth.start()
-    k2, _ = supp.on_frame(k1)
-    k3, _ = auth.on_frame(k2)
-    k4, _ = supp.on_frame(k3)
-    auth.on_frame(k4)
-    return adv, response, msg1, msg2, (k1, k2, k3, k4)
-
-
-def cmd_frames(args) -> int:
-    adv, response, msg1, msg2, keys = _demo_exchange(args.group, args.m, args.strict)
+    ex = run_exchange(ap_id, cl_id, rng, strict_frames=args.strict)
     sections = [
-        ("advertisement element", encode_soap_ie(adv), None),
-        ("response element", encode_soap_ie(response), None),
-        ("agreement message 1", encode_soap_message(msg1), msg1),
-        ("agreement message 2", encode_soap_message(msg2), msg2),
+        ("advertisement element", encode_soap_ie(ex.advertisement), None),
+        ("response element", encode_soap_ie(ex.response), None),
+        ("agreement message 1", encode_soap_message(ex.message1), ex.message1),
+        ("agreement message 2", encode_soap_message(ex.message2), ex.message2),
     ]
     sections.extend(
         (f"key handshake message {i}", encode_eapol_key_frame(frame), frame)
-        for i, frame in enumerate(keys, start=1)
+        for i, frame in enumerate(ex.key_frames, start=1)
     )
     for title, wire, framed in sections:
         if framed is None:
@@ -171,7 +142,7 @@ def cmd_frames(args) -> int:
 def cmd_bench(args) -> int:
     report = bench_crypto(args.group, args.iterations)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
+        print(json.dumps(asdict(report), sort_keys=True, indent=2))
     else:
         print(report.to_text())
     return EXIT_OK
@@ -211,7 +182,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     frames = sub.add_parser("frames", help="golden frame dumps and size table")
-    frames.add_argument("--group", type=int, default=26, help="group id (default 26)")
+    frames.add_argument(
+        "--group", type=int, default=DEFAULT_GROUP_ID, help="group id (default %(default)s)"
+    )
     frames.add_argument("--m", type=int, default=1, help="advertised group count")
     frames.add_argument(
         "--strict",
@@ -221,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     frames.set_defaults(func=cmd_frames)
 
     bench = sub.add_parser("bench", help="time the crypto operations")
-    bench.add_argument("--group", type=int, default=26)
+    bench.add_argument("--group", type=int, default=DEFAULT_GROUP_ID)
     bench.add_argument("--iterations", type=int, default=100)
     bench.add_argument("--format", choices=("text", "json"), default="text")
     bench.set_defaults(func=cmd_bench)

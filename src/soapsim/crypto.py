@@ -42,10 +42,6 @@ class InvalidPointError(ValueError):
     """Octet string does not decode to a point on the curve."""
 
 
-class InvalidScalarError(ValueError):
-    """Scalar is outside the private-key range [1, n-1]."""
-
-
 Point = tuple[int, int]
 
 # Comb teeth for k*G: the table holds 2^COMB_TEETH - 1 points per curve.
@@ -448,14 +444,6 @@ def _mod_sqrt(group: EcGroup, a: int) -> int | None:
 
 def scalar_to_octets(group: EcGroup, value: int) -> bytes:
     return value.to_bytes(group.key_size_octets, "big")
-
-
-def octets_to_scalar(group: EcGroup, data: bytes) -> int:
-    if len(data) != group.key_size_octets:
-        raise InvalidScalarError(
-            f"expected {group.key_size_octets} octets, got {len(data)}"
-        )
-    return int.from_bytes(data, "big")
 
 
 def point_to_octets(group: EcGroup, point: Point) -> bytes:

@@ -220,26 +220,13 @@ class Supplicant:
         return None, "unexpected"
 
 
-def run_fourway(authenticator: Authenticator, supplicant: Supplicant, channel=None):
-    """Drive both machines to a terminal state over a lossless in-memory
-    channel; channel, when given, maps (sender, frame) to delivered frames."""
-    pending = [("ap", authenticator.start())]
-    steps = 0
-    while pending and steps < 32:
-        steps += 1
-        sender, frame = pending.pop(0)
-        delivered = [frame] if channel is None else channel(sender, frame)
-        for item in delivered:
-            if sender == "ap":
-                reply, _ = supplicant.on_frame(item)
-                if reply is not None:
-                    pending.append(("client", reply))
-            else:
-                reply, _ = authenticator.on_frame(item)
-                if reply is not None:
-                    pending.append(("ap", reply))
-        if authenticator.state is FourwayState.FAILED or (
-            supplicant.state is FourwayState.FAILED
-        ):
-            break
-    return authenticator.state, supplicant.state
+def run_fourway(auth: Authenticator, supp: Supplicant) -> list[EapolKeyFrame]:
+    """Drive both machines over a lossless in-memory channel: Message 1, then
+    each reply to the other side until one answers nothing. Returns the
+    frames exchanged, in order."""
+    frames = [auth.start()]
+    receiver, sender = supp, auth
+    while (reply := receiver.on_frame(frames[-1])[0]) is not None:
+        frames.append(reply)
+        receiver, sender = sender, receiver
+    return frames

@@ -10,7 +10,7 @@ frame is dropped silently or counted.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 # Information element ids. 251 carries the ECDH group negotiation payload;
@@ -381,25 +381,6 @@ def parse_management_frame(data: bytes) -> ManagementFrame:
 def management_signing_input(frame: ManagementFrame) -> bytes:
     """Octets covered by the optional management-frame signature."""
     return encode_management_frame(replace(frame, signature=None))
-
-
-def extract_elements(source, known_ids):
-    """Split a frame's elements into recognized and skipped-by-length.
-
-    source may be a parsed ManagementFrame or the raw octets of a tagged
-    element area. Unknown ids are counted, not errors; a truncated element
-    area raises MalformedFrameError.
-    """
-    if isinstance(source, ManagementFrame):
-        pairs = list(source.elements)
-        if source.signature is not None:
-            pairs.append((ELEMENT_ID_MGMT_SIGNATURE, source.signature))
-    else:
-        pairs = list(iter_elements(source))
-    known = set(known_ids)
-    recognized = [(eid, payload) for eid, payload in pairs if eid in known]
-    skipped = len(pairs) - len(recognized)
-    return recognized, skipped
 
 
 def find_element(frame: ManagementFrame, eid: int) -> bytes | None:

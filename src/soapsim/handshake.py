@@ -3,6 +3,8 @@
 One client session tracks: advertisement seen, association, Message 1
 verification, Message 2 emission. One AP session tracks the mirror image.
 Both end in PskAgreed with a fresh 32-octet PSK, or Aborted.
+``run_exchange`` drives one lossless exchange between two identities in
+memory, from the advertisement through the 4-Way Handshake.
 
 Authentication binds each signature to the session by default: the signed
 payload covers a role tag, both MAC addresses, the negotiated group and an
@@ -34,7 +36,8 @@ from .crypto import (
     registry_lookup,
     strongest_group_id,
 )
-from .frames import SESSION_NONCE_OCTETS, SoapIe, SoapMessage
+from .fourway import Authenticator, FourwayState, Supplicant, run_fourway
+from .frames import SESSION_NONCE_OCTETS, EapolKeyFrame, SoapIe, SoapMessage
 
 TAG_MESSAGE1 = b"\x01"
 TAG_MESSAGE2 = b"\x02"
@@ -295,3 +298,59 @@ class ApSession(_SessionCore):
         self._own_public = None
         self.phase = Phase.PSK_AGREED
         return "agreed"
+
+
+@dataclass(frozen=True)
+class Exchange:
+    """One completed exchange: both sessions, both 4-Way machines and every
+    frame in the order it was sent."""
+
+    ap: ApSession
+    client: ClientSession
+    authenticator: Authenticator
+    supplicant: Supplicant
+    advertisement: SoapIe
+    response: SoapIe
+    message1: SoapMessage
+    message2: SoapMessage
+    key_frames: tuple[EapolKeyFrame, ...]
+
+
+def _expect(step: str, event: str | None, wanted: str) -> None:
+    if event != wanted:
+        raise ValueError(f"{step} failed: {event}")
+
+
+def run_exchange(
+    ap_id: StationIdentity,
+    cl_id: StationIdentity,
+    rng: SeededRng,
+    *,
+    strict_frames: bool = False,
+) -> Exchange:
+    """Run one lossless agreement plus 4-Way Handshake in memory.
+
+    The AP advertises every group of its identity. Raises ValueError naming
+    the step and its event when a step does not succeed."""
+    adv = negotiation.advertisement_ie(ap_id.ecdsa, ap_id.group_ids)
+    client = ClientSession(cl_id, rng.child(b"client"), strict_frames=strict_frames)
+    response, event = client.on_advertisement(adv, ap_id.mac)
+    _expect("advertisement", event, "respond")
+    client.mark_associated()
+
+    ap = ApSession(ap_id, rng.child(b"ap"), cl_id.mac, strict_frames=strict_frames)
+    _expect("response element", ap.on_response_element(response), "ok")
+    msg1 = ap.build_message1()
+    if msg1 is None:
+        raise ValueError(f"message 1 failed: {ap.abort_reason}")
+    msg2, event = client.on_message1(msg1, ap_id.mac)
+    _expect("message 1", event, "agreed")
+    _expect("message 2", ap.on_message2(msg2, cl_id.mac), "agreed")
+
+    auth = Authenticator(bytes(ap.psk), ap_id.mac, cl_id.mac, rng.child(b"auth"))
+    supp = Supplicant(bytes(client.psk), ap_id.mac, cl_id.mac, rng.child(b"supp"))
+    key_frames = tuple(run_fourway(auth, supp))
+    # The authenticator establishes last, on the supplicant's Message 4.
+    if auth.state is not FourwayState.ESTABLISHED:
+        raise ValueError(f"4-Way Handshake failed: {auth.fail_reason or supp.fail_reason}")
+    return Exchange(ap, client, auth, supp, adv, response, msg1, msg2, key_frames)

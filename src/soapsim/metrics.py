@@ -139,28 +139,6 @@ class SizeReport:
             lines.append(f"{extra.kind:<24} {'-':>9} {extra.octets:>15} {'added':>9}")
         return "\n".join(lines)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "group_id": self.group_id,
-            "group_name": self.group_name,
-            "key_size_octets": self.key_size_octets,
-            "group_count": self.group_count,
-            "strict": self.strict,
-            "ie_octets": self.ie_octets,
-            "ie_key_fraction": round(self.ie_key_fraction, 6),
-            "message_octets": self.message_octets,
-            "rows": [
-                {
-                    "kind": r.kind,
-                    "baseline_octets": r.baseline_octets,
-                    "soap_octets": r.soap_octets,
-                    "overhead_fraction": round(r.overhead_fraction, 6),
-                }
-                for r in self.rows
-            ],
-            "added": [{"kind": a.kind, "octets": a.octets} for a in self.added],
-        }
-
 
 def _baseline_elements(
     composition: tuple[tuple[int, int], ...],
@@ -315,23 +293,6 @@ class BenchReport:
             f"extra frames before the key handshake: {self.message_count_delta}"
         )
         return "\n".join(lines)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "group_id": self.group_id,
-            "group_name": self.group_name,
-            "machine": self.machine,
-            "message_count_delta": self.message_count_delta,
-            "rows": [
-                {
-                    "operation": r.operation,
-                    "mean_seconds": r.mean_seconds,
-                    "stdev_seconds": r.stdev_seconds,
-                    "samples": r.samples,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def _timed(fn, iterations: int) -> list[float]:

@@ -460,7 +460,8 @@ _CHECKS = {
     "frame-count": _Check(
         _counted(lambda check, t: _count_records({**check, "event": "tx"}, t)),
         {"frame": _Word("frame kind", FRAME_KINDS)},
-        {"origin": str, "after_tick": int},
+        # the adversary transmits frames too, so origin may name it
+        {"origin": _Station(extra=(RESERVED_STATION_ID,)), "after_tick": int},
         _BOUNDS,
     ),
     "event-count": _Check(

@@ -22,13 +22,7 @@ from soapsim.crypto import (
     ecdsa_sign,
     ecdsa_verify,
 )
-from soapsim.fourway import (
-    Authenticator,
-    FourwayState,
-    Supplicant,
-    derive_ptk,
-    run_fourway,
-)
+from soapsim.fourway import FourwayState, derive_ptk
 from soapsim.frames import (
     EapolKeyFrame,
     FrameSubtype,
@@ -42,9 +36,9 @@ from soapsim.frames import (
     soap_ie_element,
 )
 from soapsim.fourway import KEY_DATA_M3, KEY_INFO_M3
-from soapsim.handshake import ApSession, ClientSession, Phase, Role, make_identity
+from soapsim.handshake import Phase, Role, make_identity, run_exchange
 from soapsim.metrics import MESSAGE_COUNT_DELTA, bench_crypto, size_report
-from soapsim.negotiation import advertisement_ie, select_group
+from soapsim.negotiation import select_group
 from soapsim.scenarios import SUITE_PLAN, builtin, run_attack_suite
 from soapsim.simnet import ScenarioScript, StationConfig, run_scenario
 
@@ -55,23 +49,6 @@ CLIENT_MAC = bytes.fromhex("020000000002")
 def report(number, ok, detail):
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, detail
-
-
-def agree(ap_id, cl_id, gid, rng):
-    """One complete key agreement; returns the two sessions."""
-    client = ClientSession(cl_id, rng.child(b"client"))
-    ap = ApSession(ap_id, rng.child(b"ap"), CLIENT_MAC)
-    response, event = client.on_advertisement(
-        advertisement_ie(ap_id.ecdsa, (gid,)), ap_id.mac
-    )
-    assert event == "respond", event
-    client.mark_associated()
-    assert ap.on_response_element(response) == "ok"
-    msg2, event = client.on_message1(ap.build_message1(), ap_id.mac)
-    assert event == "agreed", event
-    assert ap.on_message2(msg2, CLIENT_MAC) == "agreed"
-    assert ap.phase is Phase.PSK_AGREED and client.phase is Phase.PSK_AGREED
-    return ap, client
 
 
 def identities(gid, label):
@@ -112,14 +89,13 @@ def test_02_every_group_establishes_with_identical_ptks():
     for gid in sorted(REGISTRY):
         ap_id, cl_id = identities(gid, b"acceptance-02")
         for seed in range(100):
-            rng = SeededRng(seed, b"acceptance-02-run")
-            ap, client = agree(ap_id, cl_id, gid, rng)
-            assert ap.psk == client.psk
-            auth = Authenticator(bytes(ap.psk), AP_MAC, CLIENT_MAC, rng.child(b"a"))
-            supp = Supplicant(bytes(client.psk), AP_MAC, CLIENT_MAC, rng.child(b"s"))
-            a_state, s_state = run_fourway(auth, supp)
-            assert a_state is FourwayState.ESTABLISHED
-            assert s_state is FourwayState.ESTABLISHED
+            ex = run_exchange(ap_id, cl_id, SeededRng(seed, b"acceptance-02-run"))
+            assert ex.ap.phase is Phase.PSK_AGREED
+            assert ex.client.phase is Phase.PSK_AGREED
+            assert ex.ap.psk == ex.client.psk
+            auth, supp = ex.authenticator, ex.supplicant
+            assert auth.state is FourwayState.ESTABLISHED
+            assert supp.state is FourwayState.ESTABLISHED
             assert (auth.keys.kck, auth.keys.kek, auth.keys.tk) == (
                 supp.keys.kck,
                 supp.keys.kek,
@@ -135,9 +111,9 @@ def test_03_hundred_sessions_hundred_psks():
     ap_id, cl_id = identities(26, b"acceptance-03")
     psks = set()
     for seed in range(100):
-        ap, client = agree(ap_id, cl_id, 26, SeededRng(seed, b"acceptance-03-run"))
-        assert ap.psk == client.psk
-        psks.add(bytes(ap.psk))
+        ex = run_exchange(ap_id, cl_id, SeededRng(seed, b"acceptance-03-run"))
+        assert ex.ap.psk == ex.client.psk
+        psks.add(bytes(ex.ap.psk))
     report(3, len(psks) == 100, f"{len(psks)} distinct secrets from 100 sessions")
 
 

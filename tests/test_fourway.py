@@ -103,9 +103,12 @@ class TestHappyPath:
 
     def test_both_established(self):
         auth, supp = make_pair()
-        a_state, s_state = run_fourway(auth, supp)
-        assert a_state is FourwayState.ESTABLISHED
-        assert s_state is FourwayState.ESTABLISHED
+        frames = run_fourway(auth, supp)
+        assert [f.key_info for f in frames] == [
+            KEY_INFO_M1, KEY_INFO_M2, KEY_INFO_M3, KEY_INFO_M4
+        ]
+        assert auth.state is FourwayState.ESTABLISHED
+        assert supp.state is FourwayState.ESTABLISHED
         assert auth.keys == supp.keys
 
     def test_message_sequence(self):
@@ -146,10 +149,10 @@ class TestPmkMismatch:
     def test_authenticator_fails_on_m2(self):
         auth, _ = make_pair()
         _, supp = make_pair(pmk=bytes(32))
-        a_state, s_state = run_fourway(auth, supp)
-        assert a_state is FourwayState.FAILED
+        assert len(run_fourway(auth, supp)) == 2
+        assert auth.state is FourwayState.FAILED
         assert auth.fail_reason == "mic-mismatch"
-        assert s_state is not FourwayState.ESTABLISHED
+        assert supp.state is not FourwayState.ESTABLISHED
 
     @settings(max_examples=25)
     @given(flip=st.integers(min_value=0, max_value=255))
@@ -158,9 +161,9 @@ class TestPmkMismatch:
         bad[flip // 8] ^= 1 << (flip % 8)
         auth, _ = make_pair(pmk=bytes(bad))
         _, supp = make_pair()
-        a_state, s_state = run_fourway(auth, supp)
-        assert a_state is FourwayState.FAILED
-        assert FourwayState.ESTABLISHED not in (a_state, s_state)
+        run_fourway(auth, supp)
+        assert auth.state is FourwayState.FAILED
+        assert FourwayState.ESTABLISHED not in (auth.state, supp.state)
 
     def test_tampered_m3_fails_supplicant(self):
         auth, supp = make_pair()

@@ -28,7 +28,6 @@ from soapsim.frames import (
     encode_management_frame,
     encode_soap_ie,
     encode_soap_message,
-    extract_elements,
     find_element,
     frame_wire_size,
     hexdump,
@@ -302,14 +301,16 @@ class TestLegacyTransparency:
 
     def test_unaware_parser_sees_identical_recognized_elements(self):
         legacy_ids = {ELEMENT_ID_SSID, 1}
-        with_ie = parse_management_frame(encode_management_frame(self.soap_beacon()))
+        with_ie = parse_management_frame(
+            encode_management_frame(self.soap_beacon())
+        ).elements
         without = parse_management_frame(
             encode_management_frame(self.stripped(self.soap_beacon()))
-        )
-        rec_a, skipped_a = extract_elements(with_ie, legacy_ids)
-        rec_b, skipped_b = extract_elements(without, legacy_ids)
+        ).elements
+        rec_a = [e for e in with_ie if e[0] in legacy_ids]
+        rec_b = [e for e in without if e[0] in legacy_ids]
         assert rec_a == rec_b
-        assert skipped_a == skipped_b + 1
+        assert len(with_ie) - len(rec_a) == len(without) - len(rec_b) + 1
 
     def test_stripping_element_changes_exactly_its_size(self):
         with_ie = encode_management_frame(self.soap_beacon())
@@ -338,7 +339,7 @@ class TestLegacyTransparency:
             ((ELEMENT_ID_SSID, b"net"), *extra),
         )
         parsed = parse_management_frame(encode_management_frame(frame))
-        recognized, _ = extract_elements(parsed, {ELEMENT_ID_SSID})
+        recognized = [e for e in parsed.elements if e[0] == ELEMENT_ID_SSID]
         assert recognized == [(ELEMENT_ID_SSID, b"net")]
 
 

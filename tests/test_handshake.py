@@ -13,6 +13,7 @@ from soapsim.handshake import (
     Role,
     StationIdentity,
     make_identity,
+    run_exchange,
     signed_payload,
 )
 from soapsim.negotiation import advertisement_ie
@@ -344,3 +345,14 @@ class TestSignedPayload:
         base = signed_payload(b"\x01", AP_MAC, CLIENT_MAC, 26, bytes(8), b"\xbb" * 8)
         other = signed_payload(tag, AP_MAC, CLIENT_MAC, gid, bytes(8), b"\xbb" * 8)
         assert (base == other) == (tag == b"\x01" and gid == 26)
+
+
+class TestRunExchange:
+    """The in-memory driver, from the advertisement through the 4-Way Handshake."""
+
+    def test_failed_step_names_step_and_event(self):
+        rng = SeededRng(0, b"exchange-test")
+        ap_id = make_identity(AP_MAC, Role.AP, (19,), rng.child(b"ap-id"))
+        cl_id = make_identity(CLIENT_MAC, Role.CLIENT, (26,), rng.child(b"cl-id"))
+        with pytest.raises(ValueError, match="advertisement failed: fallback"):
+            run_exchange(ap_id, cl_id, rng.child(b"run"))

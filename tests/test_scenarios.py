@@ -416,7 +416,7 @@ VALID_CHECKS = {
     "psk-distinct": {"station": "client1"},
     "psk-match": {"a": "ap1", "b": "client1"},
     "no-psk-on-wire": {},
-    "frame-count": {"frame": "agreement", "equals": 2},
+    "frame-count": {"frame": "agreement", "origin": "ap1", "equals": 2},
     "event-count": {"event": "negotiation", "at_least": 1},
     "blocked-contains": {"station": "client1", "equals": "adversary"},
     "fallback": {"station": "client1", "equals": False},
@@ -426,8 +426,8 @@ VALID_CHECKS = {
     "psk-on-wire-hits": {"equals": 0},
 }
 # Keys of the examples above that a check may leave out.
-OPTIONAL_KEYS = {("event-count", "event")}
-STATION_KEYS = ("station", "a", "b", "client")
+OPTIONAL_KEYS = {("event-count", "event"), ("frame-count", "origin")}
+STATION_KEYS = ("station", "a", "b", "client", "origin")
 
 
 DROP = object()  # a change that removes the key
@@ -659,7 +659,7 @@ def expectations(draw, aps, clients):
         "no-psk-on-wire": st.just({}),
         "frame-count": st.fixed_dictionaries(
             {"frame": st.sampled_from(sorted(FRAME_KINDS))},
-            optional={"origin": text, "after_tick": TICKS},
+            optional={"origin": ids | st.just("adversary"), "after_tick": TICKS},
         ),
         "event-count": st.fixed_dictionaries(
             {},
