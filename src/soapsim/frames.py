@@ -274,17 +274,6 @@ def parse_eapol_key_frame(data: bytes) -> EapolKeyFrame:
     )
 
 
-def classify_eapol(data: bytes) -> str:
-    """Cheap discriminator for EAPOL payloads: 'agreement', 'key' or 'unknown'."""
-    if len(data) < 4:
-        return "unknown"
-    if data[0] == AGREEMENT_PROTOCOL_VERSION and data[1] == AGREEMENT_PACKET_TYPE:
-        return "agreement"
-    if data[1] == EAPOL_TYPE_KEY:
-        return "key"
-    return "unknown"
-
-
 # ---------------------------------------------------------------------------
 # Management frames
 # ---------------------------------------------------------------------------
@@ -439,6 +428,36 @@ def parse_data_frame(data: bytes) -> DataFrame:
         payload=bytes(data[MAC_HEADER_OCTETS + len(LLC_SNAP_HEADER) :]),
         from_ds=bool(data[1] & 0x02),
     )
+
+
+# ---------------------------------------------------------------------------
+# Frame kinds
+# ---------------------------------------------------------------------------
+
+# The kinds of frame SOAP puts on the air, as `frame_kind` reads them.
+FRAME_KINDS = frozenset({"beacon", "assoc-request", "disassoc", "agreement", "eapol-key"})
+
+_MANAGEMENT_KINDS = {
+    FrameSubtype.BEACON: "beacon",
+    FrameSubtype.ASSOC_REQUEST: "assoc-request",
+    FrameSubtype.DISASSOC: "disassoc",
+}
+_EAPOL_OFFSET = MAC_HEADER_OCTETS + len(LLC_SNAP_HEADER)
+
+
+def frame_kind(wire: bytes) -> str | None:
+    """The one of FRAME_KINDS that `wire` carries, or None. A peek, not a
+    parse: the frame-control octet and, in a data frame, the two EAPOL header
+    octets after the LLC/SNAP header. A frame of a kind may still not parse."""
+    frame_type = wire[0] & 0x0C if wire else None
+    if frame_type == 0x00:
+        return _MANAGEMENT_KINDS.get(wire[0] >> 4)
+    if frame_type != 0x08:
+        return None
+    eapol = wire[_EAPOL_OFFSET : _EAPOL_OFFSET + 2]
+    if eapol == bytes([AGREEMENT_PROTOCOL_VERSION, AGREEMENT_PACKET_TYPE]):
+        return "agreement"
+    return "eapol-key" if eapol[1:] == bytes([EAPOL_TYPE_KEY]) else None
 
 
 # ---------------------------------------------------------------------------

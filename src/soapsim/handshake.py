@@ -155,7 +155,6 @@ class ClientSession(_SessionCore):
         super().__init__(identity, rng, strict_frames)
         self.pinned_ap_key = pinned_ap_key
         self.seen_nonces = seen_nonces if seen_nonces is not None else set()
-        self.outcome: negotiation.NegotiationOutcome | None = None
         self.session_nonce: bytes | None = None
 
     def on_advertisement(self, ie: SoapIe, ap_mac: bytes):
@@ -170,11 +169,10 @@ class ClientSession(_SessionCore):
             pinned_gid, pinned_point = self.pinned_ap_key
             if signer_group.group_id != pinned_gid or signer_point != pinned_point:
                 return None, "pinned-mismatch"
-        outcome = negotiation.select_group(ie.group_ids, self.identity.group_ids)
-        self.outcome = outcome
-        if not outcome.is_soap:
+        group_id = negotiation.select_group(ie.group_ids, self.identity.group_ids)
+        if group_id is None:
             return None, "fallback"
-        self.group = registry_lookup(outcome.selected_group_id)
+        self.group = registry_lookup(group_id)
         self.peer_mac = bytes(ap_mac)
         self.peer_signer_group = signer_group
         self.peer_signer_point = signer_point
@@ -235,7 +233,7 @@ class ApSession(_SessionCore):
         self.peer_mac = bytes(client_mac)
         self.session_nonce: bytes | None = None
         self.claimed_group_id: int | None = None
-        self._own_public: bytes | None = None
+        self._message1: SoapMessage | None = None
 
     def on_response_element(self, ie: SoapIe) -> str:
         if self.phase is not Phase.IDLE:
@@ -262,18 +260,15 @@ class ApSession(_SessionCore):
         nonce = b"" if self.strict_frames else self.rng.randbytes(SESSION_NONCE_OCTETS)
         self.session_nonce = nonce or None
         self._ephemeral = ecdh_generate(self.group, self.rng)
-        self._own_public = point_to_octets(self.group, self._ephemeral.public_point)
-        signature = self._sign_own(TAG_MESSAGE1, self.peer_mac, nonce, self._own_public)
+        own_public = point_to_octets(self.group, self._ephemeral.public_point)
+        signature = self._sign_own(TAG_MESSAGE1, self.peer_mac, nonce, own_public)
         self.phase = Phase.AWAIT_MSG2
-        return SoapMessage(self._own_public, signature, self.session_nonce)
+        self._message1 = SoapMessage(own_public, signature, self.session_nonce)
+        return self._message1
 
     def retransmit_message1(self) -> SoapMessage | None:
-        """Identical bytes to the first transmission; same nonce, same keys."""
-        if self.phase is not Phase.AWAIT_MSG2 or self._ephemeral is None:
-            return None
-        nonce = self.session_nonce or b""
-        signature = self._sign_own(TAG_MESSAGE1, self.peer_mac, nonce, self._own_public)
-        return SoapMessage(self._own_public, signature, self.session_nonce)
+        """Message 1 as first sent, while Message 2 is awaited."""
+        return self._message1 if self.phase is Phase.AWAIT_MSG2 else None
 
     def on_message2(self, msg: SoapMessage, src_mac: bytes) -> str:
         if self.phase is Phase.PSK_AGREED:
@@ -295,7 +290,6 @@ class ApSession(_SessionCore):
             return "point"
         self.psk = ecdh_agree(self._ephemeral, peer_public)
         self._drop_ephemeral()
-        self._own_public = None
         self.phase = Phase.PSK_AGREED
         return "agreed"
 

@@ -4,8 +4,6 @@ WPA-PSK when they share none."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .crypto import (
     EcdsaKeyPair,
     Point,
@@ -19,36 +17,14 @@ from .crypto import (
 from .frames import MalformedFrameError, SoapIe
 
 
-@dataclass(frozen=True)
-class NegotiationOutcome:
-    """Either a selected ECDH group or the legacy pre-shared-key fallback."""
-
-    selected_group_id: int | None
-
-    @classmethod
-    def soap(cls, group_id: int) -> "NegotiationOutcome":
-        return cls(group_id)
-
-    @classmethod
-    def fallback(cls) -> "NegotiationOutcome":
-        return cls(None)
-
-    @property
-    def is_soap(self) -> bool:
-        return self.selected_group_id is not None
-
-
-def select_group(ap_group_ids, client_group_ids) -> NegotiationOutcome:
-    """Strongest common group wins; disjoint sets mean WPA-PSK fallback.
+def select_group(ap_group_ids, client_group_ids) -> int | None:
+    """The strongest common group id, or None (WPA-PSK fallback) when the two
+    lists share no registered group.
 
     Ids absent from the local registry are ignored, never an error, so a
     station interoperates with peers advertising groups it does not know.
     """
-    common = set(ap_group_ids) & set(client_group_ids)
-    chosen = strongest_group_id(common)
-    if chosen is None:
-        return NegotiationOutcome.fallback()
-    return NegotiationOutcome.soap(chosen)
+    return strongest_group_id(set(ap_group_ids) & set(client_group_ids))
 
 
 def advertisement_ie(signing_key: EcdsaKeyPair, group_ids) -> SoapIe:

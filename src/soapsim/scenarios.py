@@ -9,9 +9,11 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple
 
 from .crypto import REGISTRY
+from .frames import FRAME_KINDS
 from .simnet import (
+    AP_STATES,
+    CLIENT_STATES,
     EVENTS,
-    FRAME_KINDS,
     STATION_STATES,
     AdversaryConfig,
     Mitigations,
@@ -59,6 +61,7 @@ def _is_int(value) -> bool:
 
 
 _ROLE_NAMES = {"client": "a client", "ap": "an AP"}
+_ROLE_STATES = {"client": CLIENT_STATES, "ap": AP_STATES}
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class _Station:
     role: str | None = None
     extra: tuple = ()
 
-    def problem(self, value: str, roles: dict) -> str | None:
+    def problem(self, value: str, check: dict, roles: dict) -> str | None:
         if value in self.extra:
             return None
         if value not in roles:
@@ -86,10 +89,21 @@ class _Word:
     noun: str
     words: frozenset
 
-    def problem(self, value: str, roles: dict) -> str | None:
+    def problem(self, value: str, check: dict, roles: dict) -> str | None:
         if value in self.words:
             return None
         return f"unknown {self.noun} {value!r}; known: {', '.join(sorted(self.words))}"
+
+
+@dataclass(frozen=True)
+class _State(_Word):
+    """JSON type of a state of the role of the station the check names."""
+
+    def problem(self, value: str, check: dict, roles: dict) -> str | None:
+        role = roles[check["station"]]
+        if value in self.words and value not in _ROLE_STATES[role]:
+            return f"{value!r} is not a state of {_ROLE_NAMES[role]}"
+        return super().problem(value, check, roles)
 
 
 # The expectation key types that are strings with a closed set of values.
@@ -214,6 +228,8 @@ def _schedule_from_dict(d, where: str, roles: dict) -> ScheduleAction:
     got = _record(ScheduleAction, d, where)
     _require(got["station"] in roles, f"{where}.station", "unknown station")
     _require(got["action"] == "reset", f"{where}.action", "only 'reset' is defined")
+    station = got["station"]
+    _require(roles[station] == "client", f"{where}.station", f"{station!r} is not a client")
     return ScheduleAction(**got)
 
 
@@ -232,7 +248,7 @@ def _expectation_from_dict(check, where: str, roles: dict) -> dict:
     _require(gap is None, where, f"missing required key {gap}")
     for key, kind in spec.types.items():
         if isinstance(kind, _CLOSED) and key in check:
-            problem = kind.problem(check[key], roles)
+            problem = kind.problem(check[key], check, roles)
             _require(problem is None, f"{where}.{key}", problem)
     return check
 
@@ -430,7 +446,7 @@ _STATION = {"station": _Station()}
 # The summary keys "mode", "peer" and "fallback" are a client's, and
 # "sessions" is an AP's, so a check that reads one names a station of that role.
 _CLIENT = {"station": _Station("client")}
-_STATE = _Word("station state", STATION_STATES)
+_STATE = _State("station state", STATION_STATES)
 _STR_OR_NULL = (str, type(None))
 _BOUNDS = {"equals": int, "at_least": int, "at_most": int}
 

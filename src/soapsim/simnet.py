@@ -6,9 +6,10 @@ and one ``on_frame`` that dispatches each delivered frame. Its subclasses are
 `ClientStation` and `ApStation`; an AP keeps an `ApPeer` per client, and a
 rogue AP is an `ApStation` that hears frames after the stations.
 
-Each transmission's work is done once. The loop parses a delivered frame once,
-on the first receiver that admits its sender, and hands every receiver the same
-frozen record (or the same parse error). The stations of one simulation, the
+Each transmission's work is done once. Its kind is read from its octets, and
+it is parsed once, by its first reader (the adversary, or the first receiver
+that admits its sender); every later reader gets the same frozen record (or
+the same parse error). The stations of one simulation, the
 rogue AP included, share one verify memo: a byte-identical signed management
 frame is verified once per run and signer, whatever the number of receivers.
 Everything a failed check does to a receiver (its discard, its failure count,
@@ -40,6 +41,7 @@ import json
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import negotiation
 from .crypto import (
@@ -60,12 +62,12 @@ from .frames import (
     MalformedFrameError,
     ManagementFrame,
     SoapMessage,
-    classify_eapol,
     encode_data_frame,
     encode_eapol_key_frame,
     encode_management_frame,
     encode_soap_message,
     find_element,
+    frame_kind,
     management_signing_input,
     parse_data_frame,
     parse_eapol_key_frame,
@@ -162,15 +164,32 @@ class ScenarioScript:
     strict_frames: bool = False
 
 
-# The kinds of frame a Transmission carries.
-FRAME_KINDS = frozenset({"beacon", "assoc-request", "disassoc", "agreement", "eapol-key"})
+# The frame kinds carried over EAPOL in a data frame; the rest are management frames.
+EAPOL_KINDS = frozenset({"agreement", "eapol-key"})
 
 
 @dataclass
 class Transmission:
+    """One frame on the air. Its kind is read from the octets, and its parse
+    is made on first use and shared by every reader of the transmission."""
+
     origin: str  # station id or "adversary"
-    kind: str  # one of FRAME_KINDS
     wire: bytes
+
+    @cached_property
+    def kind(self) -> str | None:
+        """The one of FRAME_KINDS the octets carry, read without a parse."""
+        return frame_kind(self.wire)
+
+    @cached_property
+    def frame(self):
+        """The frame the octets carry, or the MalformedFrameError its parse raised."""
+        try:
+            if self.kind in EAPOL_KINDS:
+                return parse_data_frame(self.wire)
+            return parse_management_frame(self.wire)
+        except MalformedFrameError as exc:
+            return exc
 
     @property
     def src_mac(self) -> bytes:
@@ -244,20 +263,10 @@ class Transcript:
 # ---------------------------------------------------------------------------
 
 
-# The `state` of a station summary: the client states, then the AP's one.
-STATION_STATES = frozenset(
-    {"scanning", "soap", "fourway", "established", "halted", "ready"}
-)
-
-
-def _parse_delivery(wire: bytes):
-    """The data or management frame `wire` carries, or the MalformedFrameError
-    its parse raised. Pure, so one parse serves every receiver."""
-    parse = parse_data_frame if wire[0] & 0x0C == 0x08 else parse_management_frame
-    try:
-        return parse(wire)
-    except MalformedFrameError as exc:
-        return exc
+# The `state` of a station summary, by role.
+CLIENT_STATES = frozenset({"scanning", "soap", "fourway", "established", "halted"})
+AP_STATES = frozenset({"ready"})
+STATION_STATES = CLIENT_STATES | AP_STATES
 
 
 class Station:
@@ -336,20 +345,20 @@ class Station:
         ssid = find_element(frame, ELEMENT_ID_SSID)
         return ssid is not None and ssid.decode(errors="replace") == self.cfg.ssid
 
-    def _out_mgmt(self, frame: ManagementFrame, kind: str) -> Transmission:
+    def _out_mgmt(self, frame: ManagementFrame) -> Transmission:
         if self.mitigations.sign_management_frames:
             frame = replace(
                 frame,
                 signature=ecdsa_sign(self.identity.ecdsa, management_signing_input(frame)),
             )
-        return Transmission(self.cfg.station_id, kind, encode_management_frame(frame))
+        return Transmission(self.cfg.station_id, encode_management_frame(frame))
 
-    def _out_eapol(self, dst: bytes, packet: bytes, kind: str) -> Transmission:
+    def _out_eapol(self, dst: bytes, packet: bytes) -> Transmission:
         frame = DataFrame(self.mac, dst, packet, from_ds=self.from_ds)
-        return Transmission(self.cfg.station_id, kind, encode_data_frame(frame))
+        return Transmission(self.cfg.station_id, encode_data_frame(frame))
 
     def _out_key(self, dst: bytes, key_frame) -> Transmission:
-        return self._out_eapol(dst, encode_eapol_key_frame(key_frame), "eapol-key")
+        return self._out_eapol(dst, encode_eapol_key_frame(key_frame))
 
     def _sig_failure(self, tick: int, mac: bytes, context: str) -> None:
         self._discard(tick, "signature", context=context, src=format_mac(mac))
@@ -415,32 +424,24 @@ class Station:
         self.transcript.note(tick, "blocked", self.cfg.station_id, src=format_mac(src))
         return True
 
-    def on_frame(self, tick: int, wire: bytes, frame) -> list[Transmission]:
-        """Handle `wire`, delivered from an admitted sender; `frame` is its
-        `_parse_delivery`, shared by every receiver."""
+    def on_frame(self, tick: int, t: Transmission) -> list[Transmission]:
+        """Handle `t`, addressed to this station or broadcast and delivered
+        from an admitted sender."""
+        frame = t.frame
         if isinstance(frame, MalformedFrameError):
             self._discard(tick, "malformed", detail=str(frame))
             return []
-        if isinstance(frame, DataFrame):
+        if t.kind in EAPOL_KINDS:
             if frame.dst_mac != self.mac:
                 return []
-            kind = classify_eapol(frame.payload)
-            if kind == "agreement":
+            if t.kind == "agreement":
                 return self._on_agreement(tick, frame)
-            if kind == "key":
-                return self._on_eapol_key(tick, frame)
-            self._discard(tick, "unknown-eapol")
-            return []
-        if frame.dst_mac not in (self.mac, BROADCAST_MAC):
-            return []
-        if not self._mgmt_signature_ok(tick, wire, frame):
+            return self._on_eapol_key(tick, frame)
+        if not self._mgmt_signature_ok(tick, t.wire, frame):
             return []
         return self._on_mgmt(tick, frame)
 
-    # -- schedule actions and summaries ------------------------------------
-
-    def do_action(self, tick: int, action: str) -> list[Transmission]:
-        return []
+    # -- summaries ---------------------------------------------------------
 
     def summary(self, mac_names: dict) -> dict:
         return {
@@ -541,7 +542,7 @@ class ClientStation(Station):
         assoc = ManagementFrame(
             FrameSubtype.ASSOC_REQUEST, self.mac, ap_mac, (ssid, *elements)
         )
-        return self._out_mgmt(assoc, "assoc-request")
+        return self._out_mgmt(assoc)
 
     def _latch_soap(self, tick, frame, ie) -> list[Transmission]:
         self.session_counter += 1
@@ -612,7 +613,7 @@ class ClientStation(Station):
         )
         self.await_since = tick
         self._enter(tick, "fourway")
-        return [self._out_eapol(frame.src_mac, encode_soap_message(reply), "agreement")]
+        return [self._out_eapol(frame.src_mac, encode_soap_message(reply))]
 
     def _on_eapol_key(self, tick, frame: DataFrame) -> list[Transmission]:
         if (
@@ -649,15 +650,14 @@ class ClientStation(Station):
             self._discard(tick, event)
         return out
 
-    # -- schedule actions and summaries ------------------------------------
+    # -- scheduled resets and summaries ------------------------------------
 
-    def do_action(self, tick: int, action: str) -> list[Transmission]:
-        if action != "reset":
-            return []
+    def reset(self, tick: int) -> list[Transmission]:
+        """A scheduled reset: disassociate from the AP, if any, and rescan."""
         out = []
         if self.ap_mac is not None:
             disassoc = ManagementFrame(FrameSubtype.DISASSOC, self.mac, self.ap_mac)
-            out.append(self._out_mgmt(disassoc, "disassoc"))
+            out.append(self._out_mgmt(disassoc))
         self._restart(tick, "scripted-reset")
         return out
 
@@ -692,16 +692,14 @@ class ApPeer:
         """The tick at which the AP retransmits to, or gives up on, the peer."""
         return None if self.done else self.last_tx + RETRY_TIMEOUT_TICKS
 
-    def retransmission(self) -> tuple[bytes, str] | None:
-        """The packet to resend and its kind: message 1 until message 2 has
-        arrived, then the last 4-Way frame; None when there is none."""
+    def retransmission(self) -> bytes | None:
+        """The EAPOL packet to resend: message 1 until message 2 has arrived,
+        then the last 4-Way frame; None when there is none."""
         if self.auth is None:
             msg = self.soap.retransmit_message1()
-            return None if msg is None else (encode_soap_message(msg), "agreement")
+            return None if msg is None else encode_soap_message(msg)
         key_frame = self.auth.retransmit()
-        if key_frame is None:
-            return None
-        return encode_eapol_key_frame(key_frame), "eapol-key"
+        return None if key_frame is None else encode_eapol_key_frame(key_frame)
 
     def summary(self) -> dict:
         return {
@@ -768,9 +766,9 @@ class ApStation(Station):
             frame = ManagementFrame(
                 FrameSubtype.BEACON, self.mac, BROADCAST_MAC, tuple(elements)
             )
-            self._beacon_wire = self._out_mgmt(frame, "beacon").wire
+            self._beacon_wire = self._out_mgmt(frame).wire
             self._beacon_leak = leak
-        return Transmission(self.cfg.station_id, "beacon", self._beacon_wire)
+        return Transmission(self.cfg.station_id, self._beacon_wire)
 
     def on_tick(self, tick: int) -> list[Transmission]:
         out = [self._beacon()] if self._beacon_due(tick) == tick else []
@@ -796,7 +794,7 @@ class ApStation(Station):
             self.transcript.note(
                 tick, "retransmit", self.cfg.station_id, peer=format_mac(mac)
             )
-            out.append(self._out_eapol(mac, *resend))
+            out.append(self._out_eapol(mac, resend))
         return out
 
     # -- received frames ---------------------------------------------------
@@ -861,7 +859,7 @@ class ApStation(Station):
         self.transcript.transition(
             tick, self.cfg.station_id, "session", "await-msg2", peer=format_mac(mac)
         )
-        return [self._out_eapol(mac, encode_soap_message(msg), "agreement")]
+        return [self._out_eapol(mac, encode_soap_message(msg))]
 
     def _start_fourway(self, tick: int, mac: bytes, peer: ApPeer, psk) -> Transmission:
         """Start the 4-Way Handshake with `mac` over `psk`, as authenticator."""
@@ -960,7 +958,7 @@ class Adversary:
         self.transcript = transcript
         self.target_ap_mac = target_ap_mac
         self.target_client_mac = target_client_mac
-        self.captured: list[Transmission] = []
+        self.captured: list[bytes] = []
         self.replayed = False
         self.disassoc_sent = False
         self.flow_groups: dict[bytes, int] = {}
@@ -999,21 +997,23 @@ class Adversary:
             return
         if self.caps & {"eavesdrop", "replay"}:
             if self.cfg.replay_at is None or tick < self.cfg.replay_at:
-                self.captured.append(t)
+                self.captured.append(t.wire)
         if "mitm-substitute" in self.caps and t.kind == "assoc-request":
+            frame = t.frame
+            if isinstance(frame, MalformedFrameError):
+                return
             try:
-                frame = parse_management_frame(t.wire)
                 ie = soap_ie_from_frame(frame)
             except MalformedFrameError:
                 return
-            if ie is not None and ie.group_ids:
+            if ie is not None:
                 self.flow_groups[frame.src_mac] = ie.group_ids[0]
 
     def filter(self, tick: int, t: Transmission) -> list[Transmission]:
         """Applied to every legitimate frame in flight; returns replacements."""
         if t.origin == "adversary":
             return [t]
-        if "delete-intercept" in self.caps and t.kind in ("agreement", "eapol-key"):
+        if "delete-intercept" in self.caps and t.kind in EAPOL_KINDS:
             self.transcript.note(
                 tick, "deleted", "adversary", frame=t.kind, src=format_mac(t.src_mac)
             )
@@ -1031,9 +1031,10 @@ class Adversary:
         return [t]
 
     def _substitute_message1(self, t: Transmission) -> Transmission | None:
+        if isinstance(t.frame, MalformedFrameError):
+            return None
         try:
-            frame = parse_data_frame(t.wire)
-            original = parse_soap_message(frame.payload)
+            original = parse_soap_message(t.frame.payload)
         except MalformedFrameError:
             return None
         group_id = self.flow_groups.get(t.dst_mac, 26)
@@ -1054,7 +1055,7 @@ class Adversary:
         wire = encode_data_frame(
             DataFrame(t.src_mac, t.dst_mac, encode_soap_message(fake), from_ds=True)
         )
-        return Transmission("adversary", "agreement", wire)
+        return Transmission("adversary", wire)
 
     def _replay_deadline(self) -> int | None:
         if "replay" in self.caps and not self.replayed:
@@ -1089,20 +1090,14 @@ class Adversary:
             self.transcript.note(
                 tick, "replay-burst", "adversary", frames=len(self.captured)
             )
-            out.extend(
-                Transmission("adversary", t.kind, t.wire) for t in self.captured
-            )
+            out.extend(Transmission("adversary", wire) for wire in self.captured)
         disassoc_at = self._disassoc_deadline()
         if disassoc_at is not None and tick >= disassoc_at:
             self.disassoc_sent = True
             forged = ManagementFrame(
                 FrameSubtype.DISASSOC, self.target_ap_mac, self.target_client_mac
             )
-            out.append(
-                Transmission(
-                    "adversary", "disassoc", encode_management_frame(forged)
-                )
-            )
+            out.append(Transmission("adversary", encode_management_frame(forged)))
         return out
 
 
@@ -1194,18 +1189,15 @@ class Simulation:
 
     def _deliver(self, tick: int, t: Transmission, in_flight: list) -> None:
         """Hand `t` to every station it is addressed to, in receiver order.
-        The first receiver that admits the sender has it parsed; the rest get
-        the same parse."""
+        The first receiver that admits the sender, if none read it before,
+        has it parsed; the rest share that parse."""
         src, dst = t.src_mac, t.dst_mac
-        frame = None
         for station in self.receivers:
             if station.mac == src or dst not in (station.mac, BROADCAST_MAC):
                 continue
             if station._blocks(tick, src):
                 continue
-            if frame is None:
-                frame = _parse_delivery(t.wire)
-            for reply in station.on_frame(tick, t.wire, frame):
+            for reply in station.on_frame(tick, t):
                 self._transmit(tick, reply, in_flight)
 
     def _next_due(self, tick: int) -> int:
@@ -1244,8 +1236,7 @@ class Simulation:
                 for t in station.on_tick(tick):
                     self._transmit(tick, t, in_flight)
             for action in self._schedule.get(tick, ()):
-                station = self.by_id[action.station]
-                for t in station.do_action(tick, action.action):
+                for t in self.by_id[action.station].reset(tick):
                     self._transmit(tick, t, in_flight)
             tick = tick + 1 if in_flight else self._next_due(tick + 1)
         for station in self.stations:

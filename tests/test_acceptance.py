@@ -7,7 +7,6 @@ plain run shows the line for failures and `pytest -s` shows all nine.
 import hashlib
 import hmac
 import itertools
-import json
 import struct
 import time
 from collections import Counter
@@ -175,7 +174,7 @@ def test_06_negotiation_matches_brute_force_oracle():
     compared = 0
     for ap_ids in subsets:
         for client_ids in subsets:
-            got = select_group(ap_ids, client_ids).selected_group_id
+            got = select_group(ap_ids, client_ids)
             assert got == oracle(ap_ids, client_ids), (ap_ids, client_ids)
             compared += 1
     report(6, compared == 256, f"{compared} ordered pairs")

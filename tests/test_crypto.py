@@ -438,7 +438,6 @@ class TestEcdsa:
     @pytest.mark.parametrize("gid", [20, 21])
     def test_large_curves_accepted_by_openssl(self, gid):
         cryptography = pytest.importorskip("cryptography")
-        from cryptography.exceptions import InvalidSignature
         from cryptography.hazmat.primitives import hashes
         from cryptography.hazmat.primitives.asymmetric import ec, utils
 

@@ -4,7 +4,6 @@ The frozen hex constants below come from a straight-line reference
 implementation kept in scripts/ptk_oracle.py; rerun it to regenerate them.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +17,6 @@ from soapsim.fourway import (
     KEY_INFO_M4,
     Authenticator,
     FourwayState,
-    PairwiseKeys,
     Supplicant,
     compute_mic,
     derive_ptk,

@@ -1,7 +1,7 @@
 """Wire codecs: elements, agreement messages, EAPOL-Key, management frames."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from soapsim.crypto import known_group_ids, registry_lookup
@@ -10,10 +10,10 @@ from soapsim.frames import (
     ELEMENT_ID_MGMT_SIGNATURE,
     ELEMENT_ID_SOAP,
     ELEMENT_ID_SSID,
-    EAPOL_KEY_BODY_OCTETS,
     DataFrame,
     EapolKeyFrame,
     FrameError,
+    FRAME_KINDS,
     FrameSubtype,
     LLC_SNAP_HEADER,
     MAC_HEADER_OCTETS,
@@ -22,16 +22,15 @@ from soapsim.frames import (
     OversizeElementError,
     SoapIe,
     SoapMessage,
-    classify_eapol,
     encode_data_frame,
     encode_eapol_key_frame,
     encode_management_frame,
     encode_soap_ie,
     encode_soap_message,
     find_element,
+    frame_kind,
     frame_wire_size,
     hexdump,
-    iter_elements,
     management_signing_input,
     parse_data_frame,
     parse_eapol_key_frame,
@@ -219,16 +218,6 @@ class TestEapolKeyCodec:
         with pytest.raises(MalformedFrameError):
             parse_eapol_key_frame(wire + b"\x00")
 
-    def test_classify(self):
-        key = encode_eapol_key_frame(
-            EapolKeyFrame(key_info=KEY_INFO_M1, replay_counter=0, key_nonce=bytes(32))
-        )
-        agreement = encode_soap_message(SoapMessage(bytes(56), bytes(56)))
-        assert classify_eapol(key) == "key"
-        assert classify_eapol(agreement) == "agreement"
-        assert classify_eapol(b"\x02\x00\x00\x00") == "unknown"
-        assert classify_eapol(b"") == "unknown"
-
 
 class TestManagementFrames:
     """Beacons, association, disassociation, and the signature element."""
@@ -364,6 +353,56 @@ class TestDataFrames:
         parsed = parse_data_frame(encode_data_frame(DataFrame(MAC_A, MAC_B, b"p")))
         assert parsed.src_mac == MAC_A
         assert parsed.dst_mac == MAC_B
+
+
+def _mgmt_wire(subtype) -> bytes:
+    return encode_management_frame(ManagementFrame(subtype, MAC_A, MAC_B))
+
+
+def _data_wire(payload: bytes) -> bytes:
+    return encode_data_frame(DataFrame(MAC_A, MAC_B, payload))
+
+
+class TestFrameKind:
+    """`frame_kind` reads the kind from the headers, without a parse."""
+
+    def test_the_five_kinds(self):
+        key = encode_eapol_key_frame(
+            EapolKeyFrame(key_info=KEY_INFO_M1, replay_counter=0, key_nonce=bytes(32))
+        )
+        agreement = encode_soap_message(SoapMessage(bytes(56), bytes(56)))
+        kinds = {
+            _mgmt_wire(FrameSubtype.BEACON): "beacon",
+            _mgmt_wire(FrameSubtype.ASSOC_REQUEST): "assoc-request",
+            _mgmt_wire(FrameSubtype.DISASSOC): "disassoc",
+            _data_wire(agreement): "agreement",
+            _data_wire(key): "eapol-key",
+        }
+        assert {wire: frame_kind(wire) for wire in kinds} == kinds
+        assert set(kinds.values()) == FRAME_KINDS
+
+    def test_data_frame_that_is_not_agreement_or_key(self):
+        # EAPOL-Start (version 2, packet type 1), then no EAPOL header at all
+        assert frame_kind(_data_wire(b"\x02\x01\x00\x00")) is None
+        assert frame_kind(_data_wire(b"")) is None
+
+    def test_management_subtype_of_no_kind(self):
+        probe = _mgmt_wire(FrameSubtype.PROBE_REQUEST)
+        assert frame_kind(probe) is None
+        # subtype 13 (action) is one the codec does not support
+        action = bytes([13 << 4]) + probe[1:]
+        with pytest.raises(MalformedFrameError, match="unsupported management subtype"):
+            parse_management_frame(action)
+        assert frame_kind(action) is None
+
+    def test_peek_is_not_a_parse(self):
+        truncated = _mgmt_wire(FrameSubtype.BEACON)[:10]
+        with pytest.raises(MalformedFrameError):
+            parse_management_frame(truncated)
+        assert frame_kind(truncated) == "beacon"
+        # a control frame, and no frame at all
+        assert frame_kind(bytes([0x04]) + bytes(23)) is None
+        assert frame_kind(b"") is None
 
 
 class TestWireSizeDispatch:

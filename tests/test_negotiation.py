@@ -15,7 +15,6 @@ from soapsim.crypto import (
 )
 from soapsim.frames import MalformedFrameError, SoapIe, encode_soap_ie, parse_soap_ie
 from soapsim.negotiation import (
-    NegotiationOutcome,
     advertisement_ie,
     resolve_signer,
     response_ie,
@@ -46,55 +45,36 @@ class TestSelectGroup:
         pairs = 0
         for ap_ids in subsets(ALL_IDS):
             for client_ids in subsets(ALL_IDS):
-                outcome = select_group(ap_ids, client_ids)
                 expected = oracle_select(ap_ids, client_ids)
-                if expected is None:
-                    assert not outcome.is_soap, (ap_ids, client_ids)
-                else:
-                    assert outcome.selected_group_id == expected, (ap_ids, client_ids)
+                assert select_group(ap_ids, client_ids) == expected, (ap_ids, client_ids)
                 pairs += 1
         assert pairs == 256
 
     def test_empty_intersection_falls_back(self):
-        assert select_group((26,), (19,)) == NegotiationOutcome.fallback()
-        assert not select_group((), ()).is_soap
+        assert select_group((26,), (19,)) is None
+        assert select_group((), ()) is None
 
     def test_prefers_largest_key_size(self):
-        assert select_group((26, 19, 20), (19, 20)).selected_group_id == 20
-        assert select_group(ALL_IDS, ALL_IDS).selected_group_id == 21
+        assert select_group((26, 19, 20), (19, 20)) == 20
+        assert select_group(ALL_IDS, ALL_IDS) == 21
 
     def test_unknown_ids_ignored(self):
-        assert select_group((26, 99), (26, 150)).selected_group_id == 26
-        assert not select_group((99,), (99,)).is_soap
+        assert select_group((26, 99), (26, 150)) == 26
+        assert select_group((99,), (99,)) is None
 
     def test_order_irrelevant(self):
-        assert (
-            select_group((21, 26), (26, 21)).selected_group_id
-            == select_group((26, 21), (21, 26)).selected_group_id
-        )
+        assert select_group((21, 26), (26, 21)) == select_group((26, 21), (21, 26))
 
     @given(
         ap=st.lists(st.integers(min_value=0, max_value=255), max_size=10),
         client=st.lists(st.integers(min_value=0, max_value=255), max_size=10),
     )
     def test_selection_is_in_intersection(self, ap, client):
-        outcome = select_group(ap, client)
-        if outcome.is_soap:
-            assert outcome.selected_group_id in set(ap) & set(client) & set(ALL_IDS)
+        group_id = select_group(ap, client)
+        if group_id is not None:
+            assert group_id in set(ap) & set(client) & set(ALL_IDS)
         else:
             assert not (set(ap) & set(client) & set(ALL_IDS))
-
-
-class TestOutcome:
-    """The two-valued negotiation result."""
-
-    def test_soap_outcome(self):
-        outcome = NegotiationOutcome.soap(26)
-        assert outcome.is_soap
-        assert outcome.selected_group_id == 26
-
-    def test_fallback_outcome(self):
-        assert NegotiationOutcome.fallback().selected_group_id is None
 
 
 class TestElements:

@@ -25,9 +25,11 @@ from soapsim.scenarios import (
     script_from_dict,
     script_to_dict,
 )
+from soapsim.frames import FRAME_KINDS
 from soapsim.simnet import (
+    AP_STATES,
+    CLIENT_STATES,
     EVENTS,
-    FRAME_KINDS,
     STATION_STATES,
     AdversaryConfig,
     Mitigations,
@@ -257,6 +259,12 @@ class TestSchemaRejects:
         rejected(
             minimal(schedule=[{"tick": -1, "station": "ap1", "action": "reset"}]),
             "tick: must be >= 0",
+        )
+
+    def test_schedule_reset_of_an_ap(self):
+        rejected(
+            minimal(schedule=[{"tick": 300, "station": "ap1", "action": "reset"}]),
+            "script.schedule[0].station: 'ap1' is not a client",
         )
 
     def test_expectation_unknown_check(self):
@@ -578,8 +586,13 @@ class TestClosedVocabularies:
              "script.expectations[0].station: 'ap1' is not a client"),
             ({"check": "fallback", "station": "ap1", "equals": False},
              "script.expectations[0].station: 'ap1' is not a client"),
+            ({"check": "station-state", "station": "client1", "not_equals": "ready"},
+             "script.expectations[0].not_equals: 'ready' is not a state of a client"),
+            ({"check": "station-state", "station": "ap1", "not_equals": "halted"},
+             "script.expectations[0].not_equals: 'halted' is not a state of an AP"),
         ],
-        ids=["session-on-client", "session-client-is-ap", "mode", "peer", "fallback"],
+        ids=["session-on-client", "session-client-is-ap", "mode", "peer", "fallback",
+             "client-state", "ap-state"],
     )
     def test_wrong_role(self, check, fragment):
         rejected(minimal(expectations=[check]), fragment)
@@ -593,7 +606,9 @@ class TestClosedVocabularies:
         checks = [{"check": "frame-count", "frame": f, "equals": 0} for f in FRAME_KINDS]
         checks += [{"check": "event-count", "event": e, "equals": 0} for e in EVENTS]
         checks += [{"check": "station-state", "station": "client1", "not_equals": s}
-                   for s in STATION_STATES]
+                   for s in CLIENT_STATES]
+        checks += [{"check": "station-state", "station": "ap1", "equals": s}
+                   for s in AP_STATES]
         assert len(script_from_dict(minimal(expectations=checks)).expectations) == len(
             checks
         )
@@ -637,16 +652,19 @@ def station_configs(draw, station_id, role, index, aps):
 def expectations(draw, aps, clients):
     ids = st.sampled_from(aps + clients)
     client_ids = st.sampled_from(clients)
-    states = st.sampled_from(sorted(STATION_STATES))
+
+    def states(station):
+        return st.sampled_from(sorted(CLIENT_STATES if station in clients else AP_STATES))
+
     bounds = st.dictionaries(
         st.sampled_from(["equals", "at_least", "at_most"]), TICKS, min_size=1
     )
     text = st.text("abc-", min_size=1, max_size=6)
     examples = {
-        "station-state": st.fixed_dictionaries(
-            {"station": ids},
-            optional={"equals": states, "not_equals": states},
-        ).filter(lambda c: "equals" in c or "not_equals" in c),
+        "station-state": ids.flatmap(lambda station: st.fixed_dictionaries(
+            {"station": st.just(station)},
+            optional={"equals": states(station), "not_equals": states(station)},
+        )).filter(lambda c: "equals" in c or "not_equals" in c),
         "station-mode": st.fixed_dictionaries(
             {"station": client_ids, "equals": st.none() | text}
         ),
@@ -720,7 +738,7 @@ def valid_scripts(draw):
             sign_management_frames=draw(st.booleans()),
         ),
         schedule=draw(st.lists(st.builds(
-            ScheduleAction, tick=TICKS, station=st.sampled_from(aps + clients),
+            ScheduleAction, tick=TICKS, station=st.sampled_from(clients),
             action=st.just("reset"),
         ), max_size=3)),
         expectations=draw(expectations(aps, clients)),

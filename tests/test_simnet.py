@@ -2,6 +2,7 @@
 transcripts."""
 
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -691,6 +692,20 @@ class TestParseAndVerifyOnce:
         receptions = sum(5 if r["frame"] == "beacon" else 1 for r in delivered)
         assert len(parsed) == len(delivered) < receptions
 
+    def test_adversary_shares_the_parse(self, monkeypatch):
+        parsed = record_calls(monkeypatch, "parse_management_frame", "parse_data_frame")
+        script = adversary_script(["mitm-substitute"], max_ticks=1500)
+        t = run_scenario(script, 0)
+        assert events(t, "mitm-substituted")
+        # the adversary reads each association request and each Message 1 it
+        # replaces; a substitute is sent, and delivered, at the tick of the
+        # delivery it replaces
+        delivered = [
+            r["hex"] for r in tx_frames(t)
+            if r["tick"] + 1 < script.max_ticks or r["origin"] == "adversary"
+        ]
+        assert Counter(args[0].hex() for args in parsed) == Counter(delivered)
+
     def test_memo_does_not_outlive_its_simulation(self, monkeypatch):
         calls = record_calls(monkeypatch, "ecdsa_verify")
         script = crowd(clients=3)
@@ -717,7 +732,7 @@ class TestParseAndVerifyOnce:
 
         def truncated(self):
             t = good(self)
-            return simnet.Transmission(t.origin, t.kind, t.wire[:-1])
+            return simnet.Transmission(t.origin, t.wire[:-1])
 
         monkeypatch.setattr(ApStation, "_beacon", truncated)
         parsed = record_calls(monkeypatch, "parse_management_frame")
@@ -742,7 +757,7 @@ class TestParseAndVerifyOnce:
             if len(sent) == 1:
                 return t
             # the signature element is the last: flip the last octet of s
-            return simnet.Transmission(t.origin, t.kind, t.wire[:-1] + bytes([t.wire[-1] ^ 1]))
+            return simnet.Transmission(t.origin, t.wire[:-1] + bytes([t.wire[-1] ^ 1]))
 
         monkeypatch.setattr(ApStation, "_beacon", tampering)
         calls = record_calls(monkeypatch, "ecdsa_verify")
