@@ -14,8 +14,14 @@ and Vanstone, *Guide to Elliptic Curve Cryptography*):
   batched inversion (Montgomery's trick), as are its teeth before it.
 - k*P for any other point uses width-WNAF_WIDTH NAF (Alg. 3.36) over the
   affine odd multiples P, 3P, 5P and 7P.
-- ECDSA verification adds u1*G (comb) and u2*Q (wNAF) in Jacobian form
-  and inverts once.
+- ECDSA verification computes u1*G + u2*Q and inverts once.  A verify key
+  is long-lived (an AP's signer key rides in every beacon), so crypto
+  remembers the KEY_MEMO_ENTRIES keys verified most recently.  A key's
+  first verify adds u1*G (comb) and u2*Q (wNAF); its second builds the
+  key a comb table like G's, and from then on u1*G + u2*Q runs as one
+  comb loop over both tables (simultaneous multiplication, Alg. 3.48),
+  which shares each column's doubling.  A key enters the memo only once
+  the signature's range check and the key's on-curve check pass.
 - x-only decoding on P-224 (p = 1 mod 4) runs Tonelli-Shanks with its
   per-curve constants computed once.
 """
@@ -25,6 +31,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac
+from collections import OrderedDict
 from dataclasses import dataclass
 
 # A derived PSK is always a full SHA-256 digest.
@@ -48,6 +55,9 @@ Point = tuple[int, int]
 COMB_TEETH = 8
 # wNAF window for k*P: 2^(WNAF_WIDTH - 2) precomputed odd multiples.
 WNAF_WIDTH = 4
+# Verify keys remembered, least recently verified out first; each may hold a
+# comb table (44 KiB on P-224, 64 KiB on P-521).
+KEY_MEMO_ENTRIES = 16
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,7 @@ class EcGroup:
 
     @functools.cached_property
     def _comb(self) -> tuple[Point | None, ...]:
-        return _comb_table(self)
+        return _comb_table(self, self.generator)
 
     @functools.cached_property
     def _tonelli_shanks(self) -> tuple[int, int, int]:
@@ -329,10 +339,10 @@ def _to_affine(points, p) -> list[Point]:
     return affine
 
 
-def _comb_table(group: EcGroup) -> tuple[Point | None, ...]:
-    """Entry j is the sum of 2^(i*d)*G over the set bits i of j (entry 0 unused)."""
+def _comb_table(group: EcGroup, base: Point) -> tuple[Point | None, ...]:
+    """Entry j is the sum of 2^(i*d)*base over the set bits i of j (entry 0 unused)."""
     p = group.field_p
-    teeth = [(group.gen_x, group.gen_y, 1)]
+    teeth = [(*base, 1)]
     for _ in range(COMB_TEETH - 1):
         x, y, z = teeth[-1]
         for _ in range(group._comb_spacing):
@@ -344,21 +354,30 @@ def _comb_table(group: EcGroup) -> tuple[Point | None, ...]:
     return (None, *_to_affine(jacobian[1:], p))
 
 
-def _comb_mul(group: EcGroup, scalar: int):
-    """scalar*G in Jacobian form; scalar must lie in [0, n)."""
+def _comb_mul(group: EcGroup, pairs):
+    """The sum of scalar*base over (table, scalar) pairs, in Jacobian form.
+
+    Each table is a _comb_table of its base and each scalar lies in [0, n).
+    The pairs share one doubling per column.
+    """
     p = group.field_p
     d = group._comb_spacing
-    table = group._comb
-    # Row i of the comb is bits [i*d, (i+1)*d) of the scalar, top row first,
+    width = COMB_TEETH * d
+    tables = [table for table, _ in pairs]
+    # Row i of a comb is bits [i*d, (i+1)*d) of its scalar, top row first,
     # so each column read top-down is the table index for that bit position.
-    bits = format(scalar, f"0{COMB_TEETH * d}b")
+    columns = []
+    for _, scalar in pairs:
+        bits = format(scalar, f"0{width}b")
+        rows = (bits[i : i + d] for i in range(0, width, d))
+        columns.append([int("".join(column), 2) for column in zip(*rows)])
     x, y, z = 0, 1, 0
-    for column in zip(*(bits[i : i + d] for i in range(0, COMB_TEETH * d, d))):
+    for indices in zip(*columns):
         x, y, z = _jacobian_double(x, y, z, p)
-        index = int("".join(column), 2)
-        if index:
-            tx, ty = table[index]
-            x, y, z = _jacobian_add_affine(x, y, z, tx, ty, p)
+        for table, index in zip(tables, indices):
+            if index:
+                tx, ty = table[index]
+                x, y, z = _jacobian_add_affine(x, y, z, tx, ty, p)
     return x, y, z
 
 
@@ -402,7 +421,7 @@ def point_mul(group: EcGroup, scalar: int, point: Point | None = None) -> Point 
     """
     scalar %= group.order_n
     if point is None or point == group.generator:
-        jacobian = _comb_mul(group, scalar)
+        jacobian = _comb_mul(group, [(group._comb, scalar)])
     else:
         jacobian = _wnaf_mul(group, scalar, point)
     if not jacobian[2]:
@@ -577,6 +596,26 @@ def ecdh_agree(own: EcdhKeyPair, peer_public: Point) -> SharedPsk:
 # ---------------------------------------------------------------------------
 
 
+# (group id, verify key) -> the key's comb table, or None until its second
+# verify; ordered from least to most recently verified.
+_key_memo: OrderedDict = OrderedDict()
+
+
+def _key_table(group: EcGroup, point: Point) -> tuple[Point | None, ...] | None:
+    """The comb table of a verify key seen before, or None on its first verify."""
+    key = (group.group_id, point)
+    if key not in _key_memo:
+        _key_memo[key] = None
+        if len(_key_memo) > KEY_MEMO_ENTRIES:
+            _key_memo.popitem(last=False)
+        return None
+    _key_memo.move_to_end(key)
+    table = _key_memo[key]
+    if table is None:
+        table = _key_memo[key] = _comb_table(group, point)
+    return table
+
+
 @dataclass
 class EcdsaKeyPair:
     group: EcGroup
@@ -680,9 +719,13 @@ def ecdsa_verify(
     u1 = e * w % n
     u2 = r * w % n
     p = group.field_p
-    x, y, z = _jacobian_add(
-        *_comb_mul(group, u1), *_wnaf_mul(group, u2, public_point), p
-    )
+    table = _key_table(group, public_point)
+    if table is None:
+        x, y, z = _jacobian_add(
+            *_comb_mul(group, [(group._comb, u1)]), *_wnaf_mul(group, u2, public_point), p
+        )
+    else:
+        x, y, z = _comb_mul(group, [(group._comb, u1), (table, u2)])
     if not z:
         return False
     return _to_affine([(x, y, z)], p)[0][0] % n == r

@@ -14,6 +14,8 @@ from .simnet import (
     AP_STATES,
     CLIENT_STATES,
     EVENTS,
+    REASONS,
+    RECORD_KEYS,
     STATION_STATES,
     AdversaryConfig,
     Mitigations,
@@ -71,6 +73,7 @@ class _Station:
 
     role: str | None = None
     extra: tuple = ()
+    json_type = str
 
     def problem(self, value: str, check: dict, roles: dict) -> str | None:
         if value in self.extra:
@@ -88,6 +91,7 @@ class _Word:
 
     noun: str
     words: frozenset
+    json_type = str
 
     def problem(self, value: str, check: dict, roles: dict) -> str | None:
         if value in self.words:
@@ -106,19 +110,41 @@ class _State(_Word):
         return super().problem(value, check, roles)
 
 
-# The expectation key types that are strings with a closed set of values.
-_CLOSED = (_Station, _Word)
+@dataclass(frozen=True)
+class _Where:
+    """JSON type of an event-count's ``where``: an object of record keys of
+    the check's event (of any event when it names none), whose ``reason``,
+    if any, is one declared for that event."""
+
+    json_type = dict
+
+    def problem(self, value: dict, check: dict, roles: dict) -> str | None:
+        event = check.get("event")
+        events = [event] if event is not None else sorted(RECORD_KEYS)
+        unknown = sorted(set(value) - set().union(*(RECORD_KEYS[e] for e in events)))
+        if unknown:
+            records = f"a {event!r} record" if event is not None else "any record"
+            return f"unknown keys for {records}: {unknown}"
+        reason = value.get("reason")
+        reasons = set().union(*(REASONS.get(e, ()) for e in events))
+        if "reason" in value and not (isinstance(reason, str) and reason in reasons):
+            return f"unknown reason {reason!r}; known: {', '.join(sorted(reasons))}"
+        return None
+
+
+# The expectation key types whose values are checked against a closed set.
+_CLOSED = (_Station, _Word, _Where)
 
 
 def _has_type(value, kind) -> bool:
     if kind is int:
         return _is_int(value)
-    return isinstance(value, str if isinstance(kind, _CLOSED) else kind)
+    return isinstance(value, kind.json_type if isinstance(kind, _CLOSED) else kind)
 
 
 def _type_name(kind) -> str:
     if isinstance(kind, _CLOSED):
-        return "str"
+        return kind.json_type.__name__
     kinds = kind if isinstance(kind, tuple) else (kind,)
     return " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
 
@@ -227,7 +253,8 @@ def _adversary_from_dict(d, where: str, roles: dict) -> AdversaryConfig:
 def _schedule_from_dict(d, where: str, roles: dict) -> ScheduleAction:
     got = _record(ScheduleAction, d, where)
     _require(got["station"] in roles, f"{where}.station", "unknown station")
-    _require(got["action"] == "reset", f"{where}.action", "only 'reset' is defined")
+    action = got.get("action", "reset")
+    _require(action == "reset", f"{where}.action", "only 'reset' is defined")
     station = got["station"]
     _require(roles[station] == "client", f"{where}.station", f"{station!r} is not a client")
     return ScheduleAction(**got)
@@ -486,7 +513,7 @@ _CHECKS = {
         # station filters records, so it may name the adversary too
         {"event": _Word("event", EVENTS),
          "station": _Station(extra=(RESERVED_STATION_ID,)), "after_tick": int,
-         "where": dict},
+         "where": _Where()},
         _BOUNDS,
     ),
     "psk-on-wire-hits": _Check(_counted(_view("psk_octets_on_wire")), {}, one_of=_BOUNDS),
@@ -612,7 +639,7 @@ def _fallback_disjoint():
 
 
 def _ephemeral():
-    resets = [ScheduleAction(t, "client1", "reset") for t in (400, 800, 1200, 1600)]
+    resets = [ScheduleAction(t, "client1") for t in (400, 800, 1200, 1600)]
     return ScenarioScript(
         name="ephemeral",
         stations=_pair(),

@@ -148,7 +148,7 @@ class AdversaryConfig:
 class ScheduleAction:
     tick: int
     station: str
-    action: str  # "reset"
+    action: str = "reset"  # the one action: the client restarts its scan
 
 
 @dataclass
@@ -200,16 +200,37 @@ class Transmission:
         return bytes(self.wire[4:10])
 
 
-# The event of every transcript record: what `Transcript.tx` and
+# The keys of every transcript record, by its event: what `Transcript.tx` and
 # `Transcript.transition` write, and every event that stations and the
 # adversary note.
-EVENTS = frozenset(
-    {
-        "tx", "transition", "discard", "blocked", "blacklisted", "negotiation",
-        "note", "retransmit", "client-disassociated", "deleted",
-        "mitm-substituted", "replay-burst",
-    }
-)
+_NOTED = frozenset({"tick", "event", "station"})
+RECORD_KEYS = {
+    "tx": frozenset({"tick", "event", "origin", "frame", "src", "dst", "size", "hex"}),
+    "transition": _NOTED | {"scope", "to", "reason", "session", "peer", "mode"},
+    "discard": _NOTED | {"reason", "detail", "src", "context"},
+    "blocked": _NOTED | {"src"},
+    "blacklisted": _NOTED | {"src"},
+    "negotiation": _NOTED | {"outcome"},
+    "note": _NOTED | {"detail"},
+    "retransmit": _NOTED | {"peer"},
+    "client-disassociated": _NOTED | {"src"},
+    "deleted": _NOTED | {"frame", "src"},
+    "mitm-substituted": _NOTED,
+    "replay-burst": _NOTED | {"frames"},
+}
+EVENTS = frozenset(RECORD_KEYS)
+# The `reason` of the records that carry one, by event: why a station
+# discarded a frame, and why a station or session left its course.
+REASONS = {
+    "discard": frozenset({
+        "malformed", "phase", "duplicate", "replay", "unexpected", "signature",
+        "bad-signer", "pinned-mismatch", "point",
+    }),
+    "transition": frozenset({
+        "timeout", "blacklisted", "disassociated", "fourway-failed",
+        "scripted-reset", "mic-mismatch", "group-not-offered",
+    }),
+}
 
 
 class Transcript:

@@ -1,15 +1,19 @@
 """Group registry, curve arithmetic, ECDH, and deterministic ECDSA."""
 
 import hashlib
+import itertools
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_ec import affine_add, affine_mul
+from soapsim import crypto
 from soapsim.crypto import (
     COMB_TEETH,
     DEFAULT_GROUP_ID,
+    KEY_MEMO_ENTRIES,
     PSK_OCTETS,
     REGISTRY,
     EcdsaKeyPair,
@@ -466,3 +470,163 @@ class TestEcdsa:
         sig = scalar_to_octets(group, r) + scalar_to_octets(group, s)
         numbers = key.public_key().public_numbers()
         assert ecdsa_verify(group, (numbers.x, numbers.y), b"cross check", sig)
+
+
+def comb_sum(group, pairs):
+    """The affine sum the comb loop computes over (base, scalar) pairs."""
+    tables = [(crypto._comb_table(group, base), k) for base, k in pairs]
+    x, y, z = crypto._comb_mul(group, tables)
+    return crypto._to_affine([(x, y, z)], group.field_p)[0] if z else None
+
+
+def oracle_sum(group, pairs):
+    total = None
+    for base, k in pairs:
+        total = affine_add(group.field_p, group.curve_a, total, oracle_mul(group, k, base))
+    return total
+
+
+def negate(group, point):
+    return (point[0], group.field_p - point[1])
+
+
+@pytest.fixture
+def key_memo(monkeypatch):
+    """An empty verify-key memo; yields it with the list of key tables built."""
+    memo = OrderedDict()
+    builds = []
+    build = crypto._comb_table
+
+    def counted(group, base):
+        if base != group.generator:
+            builds.append((group.group_id, base))
+        return build(group, base)
+
+    monkeypatch.setattr(crypto, "_key_memo", memo)
+    monkeypatch.setattr(crypto, "_comb_table", counted)
+    yield memo, builds
+
+
+def signed(group, seed, message=b"memo"):
+    key = ecdsa_generate(group, SeededRng(seed, group.name.encode()))
+    return key.public_point, ecdsa_sign(key, message)
+
+
+class TestKeyComb:
+    """u1*G + u2*Q in one comb loop over G's table and a table for Q."""
+
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_two_tables_match_oracle(self, gid):
+        group = registry_lookup(gid)
+        n = group.order_n
+        rng = SeededRng(b"two-table-comb", group.name.encode())
+        q = point_mul(group, rng.uniform_scalar(group))
+        g = group.generator
+        cases = [(rng.uniform_scalar(group), rng.uniform_scalar(group)) for _ in range(4)]
+        cases += [(0, n - 1), (0, 1), (1, 0), (n - 1, n - 1)]
+        cases += [(k, n - 1 - k) for k in edge_scalars(group)[:5]]
+        for u1, u2 in cases:
+            pairs = [(g, u1 % n), (q, u2 % n)]
+            assert comb_sum(group, pairs) == oracle_sum(group, pairs), (u1, u2)
+
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_running_sum_meets_a_table_entry(self, gid):
+        # The column sum R meets the second table's entry T = +-R, sending
+        # _jacobian_add_affine into its doubling (+) or identity (-) branch:
+        # from the identity in the last column (1*G + 1*(+-G)), and from a
+        # Jacobian R = 2G with z != 1 there (2*G + 1*(+-2G)).
+        group = registry_lookup(gid)
+        g = group.generator
+        two_g = point_mul(group, 2)
+        for base, k in ((g, 1), (two_g, 2)):
+            for q in (base, negate(group, base)):
+                pairs = [(g, k), (q, 1)]
+                expected = oracle_sum(group, pairs)
+                assert comb_sum(group, pairs) == expected
+                assert (expected is None) == (q != base)
+
+
+class TestKeyMemo:
+    """The verify-key memo: a table on a key's second verify, LRU-bounded."""
+
+    def test_verdicts_same_with_and_without_table(self, key_memo):
+        # criterion 7's 1000 single-bit perturbations on P-224, seed 7
+        memo, builds = key_memo
+        group = REGISTRY[26]
+        signer = ecdsa_generate(group, SeededRng(7, b"acceptance-07-ecdsa"))
+        cases = []
+        flips = 0
+        for index in itertools.count():
+            message = b"acceptance criterion seven #%d" % index
+            signature = ecdsa_sign(signer, message)
+            cases.append((message, signature))
+            for bit in range(len(signature) * 8):
+                if flips == 1000:
+                    break
+                mutated = bytearray(signature)
+                mutated[bit // 8] ^= 1 << (bit % 8)
+                cases.append((message, bytes(mutated)))
+                flips += 1
+            if flips == 1000:
+                break
+        public = signer.public_point
+        without = []
+        for message, signature in cases:
+            memo.clear()
+            without.append(ecdsa_verify(group, public, message, signature))
+        assert builds == []
+        ecdsa_verify(group, public, *cases[0])
+        with_table = [ecdsa_verify(group, public, m, sig) for m, sig in cases]
+        assert builds == [(26, public)]
+        assert with_table == without
+        assert sum(with_table) == index + 1  # the unmutated signatures alone
+
+    def test_three_verifies_build_one_table(self, key_memo):
+        # the first verify enters the key, the second builds its table
+        memo, builds = key_memo
+        for group in ALL_GROUPS:
+            public, signature = signed(group, b"three")
+            key = (group.group_id, public)
+            tables_built = []
+            for _ in range(3):
+                assert ecdsa_verify(group, public, b"memo", signature)
+                tables_built.append(builds.count(key))
+            assert tables_built == [0, 1, 1]
+            assert memo[key] is not None
+        assert len(builds) == len(ALL_GROUPS)
+
+    def test_key_past_the_bound_evicts_least_recent(self, key_memo):
+        memo, builds = key_memo
+        group = registry_lookup(26)
+        keys = [signed(group, b"evict-%d" % i) for i in range(KEY_MEMO_ENTRIES + 1)]
+        for public, signature in keys[:KEY_MEMO_ENTRIES]:
+            assert ecdsa_verify(group, public, b"memo", signature)
+        # verifying the oldest key again makes it the most recent
+        assert ecdsa_verify(group, keys[0][0], b"memo", keys[0][1])
+        assert ecdsa_verify(group, keys[-1][0], b"memo", keys[-1][1])
+        assert len(memo) == KEY_MEMO_ENTRIES
+        assert (26, keys[1][0]) not in memo
+        assert list(memo)[-2:] == [(26, keys[0][0]), (26, keys[-1][0])]
+        assert builds == [(26, keys[0][0])]
+
+    def test_rejected_inputs_never_enter_memo(self, key_memo):
+        memo, builds = key_memo
+        group = registry_lookup(26)
+        n = group.order_n
+        public, signature = signed(group, b"reject")
+        width = group.key_size_octets
+        r, s = signature[:width], signature[width:]
+        off_curve = (public[0], (public[1] + 1) % group.field_p)
+        zero, order = bytes(width), scalar_to_octets(group, n)
+        for point, sig in (
+            (off_curve, signature),
+            (public, zero + s),
+            (public, r + zero),
+            (public, order + s),
+            (public, r + order),
+            (public, signature[:-1]),
+        ):
+            for _ in range(2):
+                assert not ecdsa_verify(group, point, b"memo", sig)
+        assert memo == {}
+        assert builds == []

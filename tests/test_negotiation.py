@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from soapsim import negotiation
 from soapsim.crypto import (
     SeededRng,
     UnknownGroupError,
     ecdsa_generate,
     known_group_ids,
+    point_from_x_octets,
     registry_lookup,
 )
 from soapsim.frames import MalformedFrameError, SoapIe, encode_soap_ie, parse_soap_ie
@@ -135,3 +137,45 @@ class TestElements:
         parsed = parse_soap_ie(encode_soap_ie(ie))
         group, point = resolve_signer(parsed)
         assert (group.group_id, point) == (21, key.public_point)
+
+
+class TestSignerDecodeCache:
+    """resolve_signer decodes each (curve, x octets) once; a bad x never sticks."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """The x octets of every decode resolve_signer makes, from an empty cache."""
+        calls = []
+
+        def counted(group, data):
+            calls.append(bytes(data))
+            return point_from_x_octets(group, data)
+
+        negotiation._decode_signer.cache_clear()
+        monkeypatch.setattr(negotiation, "point_from_x_octets", counted)
+        yield calls
+        negotiation._decode_signer.cache_clear()
+
+    def test_repeated_resolve_decodes_once(self, decodes):
+        key = ecdsa_generate(registry_lookup(26), SeededRng(b"decode-once"))
+        ie = advertisement_ie(key, (26,))
+        for _ in range(3):
+            group, point = resolve_signer(parse_soap_ie(encode_soap_ie(ie)))
+            assert (group.group_id, point) == (26, key.public_point)
+        assert decodes == [ie.ecdsa_public_x]
+
+    def test_bad_x_raises_every_time_and_is_not_cached(self, decodes):
+        group = registry_lookup(26)
+        x = 1
+        while True:  # the least x with no curve point
+            try:
+                point_from_x_octets(group, x.to_bytes(group.key_size_octets, "big"))
+            except ValueError:
+                break
+            x += 1
+        ie = SoapIe((26,), x.to_bytes(group.key_size_octets, "big"))
+        for _ in range(3):
+            with pytest.raises(MalformedFrameError):
+                resolve_signer(ie)
+        assert decodes == [ie.ecdsa_public_x] * 3
+        assert negotiation._decode_signer.cache_info().currsize == 0

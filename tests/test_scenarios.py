@@ -30,6 +30,8 @@ from soapsim.simnet import (
     AP_STATES,
     CLIENT_STATES,
     EVENTS,
+    REASONS,
+    RECORD_KEYS,
     STATION_STATES,
     AdversaryConfig,
     Mitigations,
@@ -81,6 +83,14 @@ class TestSchemaAccepts:
     def test_load_script_json_text(self):
         script = load_script(json.dumps(minimal()))
         assert script.name == "t"
+
+    def test_schedule_action_defaults_to_reset(self):
+        data = minimal(schedule=[{"tick": 5, "station": "client1"}])
+        script = script_from_dict(data)
+        assert script.schedule == [ScheduleAction(5, "client1", "reset")]
+        assert script_to_dict(script)["schedule"] == data["schedule"]
+        spelled = minimal(schedule=[{"tick": 5, "station": "client1", "action": "reset"}])
+        assert script_from_dict(spelled) == script
 
 
 # One script per int field, each with a JSON boolean where the int belongs.
@@ -238,9 +248,10 @@ class TestSchemaRejects:
         )
 
     def test_schedule_missing_key(self):
+        # tick and station are required; action defaults to "reset"
         rejected(
-            minimal(schedule=[{"tick": 5, "station": "ap1"}]),
-            "schedule[0]: missing required key 'action'",
+            minimal(schedule=[{"tick": 5, "action": "reset"}]),
+            "schedule[0]: missing required key 'station'",
         )
 
     def test_schedule_unknown_station(self):
@@ -613,10 +624,52 @@ class TestClosedVocabularies:
             checks
         )
 
+    @pytest.mark.parametrize(
+        "check,fragment",
+        [
+            ({"check": "event-count", "event": "discard", "where": {"reason": "signatur"},
+              "at_most": 0},
+             "script.expectations[0].where: unknown reason 'signatur'"),
+            ({"check": "event-count", "station": "client1", "where": {"rason": "x"},
+              "equals": 0},
+             "script.expectations[0].where: unknown keys for any record: ['rason']"),
+            ({"check": "event-count", "event": "negotiation", "where": {"reason": "timeout"},
+              "equals": 0},
+             "script.expectations[0].where: unknown keys for a 'negotiation' record: "
+             "['reason']"),
+            ({"check": "event-count", "event": "transition", "where": {"reason": "signature"},
+              "equals": 0},
+             "script.expectations[0].where: unknown reason 'signature'"),
+            ({"check": "event-count", "where": {"reason": ["phase"]}, "equals": 0},
+             "script.expectations[0].where: unknown reason ['phase']"),
+            ({"check": "event-count", "where": ["reason"], "equals": 0},
+             "script.expectations[0].where: expected dict, got list"),
+        ],
+        ids=["discard-reason", "unknown-key", "key-of-other-event", "transition-reason",
+             "reason-not-a-string", "not-an-object"],
+    )
+    def test_unknown_where(self, check, fragment):
+        rejected(minimal(expectations=[check]), fragment)
+
+    def test_every_declared_where_loads(self):
+        checks = [{"check": "event-count", "event": e, "where": {k: 0}, "equals": 0}
+                  for e, keys in RECORD_KEYS.items() for k in keys - {"reason"}]
+        checks += [{"check": "event-count", "event": e, "where": {"reason": r}, "equals": 0}
+                   for e, reasons in REASONS.items() for r in reasons]
+        checks += [{"check": "event-count", "where": {"reason": "timeout", "src": "x"},
+                    "equals": 0}]
+        assert len(script_from_dict(minimal(expectations=checks)).expectations) == len(
+            checks
+        )
+
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtin_runs_stay_inside_the_sets(self, name):
         t = run_scenario(builtin(name), 1)
         assert {r["event"] for r in t.records} <= EVENTS
+        for r in t.records:
+            assert set(r) <= RECORD_KEYS[r["event"]], r
+            if "reason" in r:
+                assert r["reason"] in REASONS[r["event"]], r
         assert {r["frame"] for r in t.records if r["event"] == "tx"} <= FRAME_KINDS
         states = {r["to"] for r in t.records if r.get("scope") == "station"}
         states |= {s["state"] for k, s in t.summaries.items() if k != "adversary"}
@@ -660,6 +713,17 @@ def expectations(draw, aps, clients):
         st.sampled_from(["equals", "at_least", "at_most"]), TICKS, min_size=1
     )
     text = st.text("abc-", min_size=1, max_size=6)
+
+    def where_objects(event):
+        """Up to two keys of `event`'s records (of any record when None)."""
+        events = [event] if event is not None else sorted(EVENTS)
+        values = {key: text | TICKS for key in set().union(*(RECORD_KEYS[e] for e in events))}
+        reasons = set().union(*(REASONS.get(e, ()) for e in events))
+        if reasons:
+            values["reason"] = st.sampled_from(sorted(reasons))
+        return st.lists(st.sampled_from(sorted(values)), max_size=2, unique=True).flatmap(
+            lambda keys: st.fixed_dictionaries({key: values[key] for key in keys})
+        )
     examples = {
         "station-state": ids.flatmap(lambda station: st.fixed_dictionaries(
             {"station": st.just(station)},
@@ -685,9 +749,11 @@ def expectations(draw, aps, clients):
                 "event": st.sampled_from(sorted(EVENTS)),
                 "station": ids | st.just("adversary"),
                 "after_tick": TICKS,
-                "where": st.dictionaries(text, text | TICKS, max_size=2),
             },
-        ),
+        ).flatmap(lambda check: st.fixed_dictionaries(
+            {key: st.just(value) for key, value in check.items()},
+            optional={"where": where_objects(check.get("event"))},
+        )),
         "blocked-contains": st.fixed_dictionaries({"station": ids, "equals": text}),
         "fallback": st.fixed_dictionaries({"station": client_ids, "equals": st.booleans()}),
         "adversary-knows-psk": st.fixed_dictionaries({"equals": st.booleans()}),
