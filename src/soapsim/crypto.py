@@ -23,7 +23,8 @@ and Vanstone, *Guide to Elliptic Curve Cryptography*):
   which shares each column's doubling.  A key enters the memo only once
   the signature's range check and the key's on-curve check pass.
 - x-only decoding on P-224 (p = 1 mod 4) runs Tonelli-Shanks with its
-  per-curve constants computed once.
+  per-curve constants computed once.  Only signer keys travel x-only, so
+  the KEY_MEMO_ENTRIES most recent decodes are remembered as well.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ Point = tuple[int, int]
 COMB_TEETH = 8
 # wNAF window for k*P: 2^(WNAF_WIDTH - 2) precomputed odd multiples.
 WNAF_WIDTH = 4
-# Verify keys remembered, least recently verified out first; each may hold a
-# comb table (44 KiB on P-224, 64 KiB on P-521).
+# Signer keys remembered, least recently used out first: their x-only decodes,
+# and as verify keys their comb tables (44 KiB on P-224, 64 KiB on P-521).
 KEY_MEMO_ENTRIES = 16
 
 
@@ -488,6 +489,14 @@ def point_x_octets(group: EcGroup, point: Point) -> bytes:
 
 def point_from_x_octets(group: EcGroup, data: bytes) -> Point:
     """Recover the even-y point for an x-only encoding."""
+    return _decode_x(group, data)
+
+
+# The memo behind point_from_x_octets, which stays a plain function so a call
+# tracer still counts every decode asked for.  Data that does not decode
+# raises on every call: lru_cache keeps no exception.
+@functools.lru_cache(maxsize=KEY_MEMO_ENTRIES)
+def _decode_x(group: EcGroup, data: bytes) -> Point:
     if len(data) != group.key_size_octets:
         raise InvalidPointError(
             f"expected {group.key_size_octets} octets, got {len(data)}"
@@ -597,7 +606,10 @@ def ecdh_agree(own: EcdhKeyPair, peer_public: Point) -> SharedPsk:
 
 
 # (group id, verify key) -> the key's comb table, or None until its second
-# verify; ordered from least to most recently verified.
+# verify; ordered from least to most recently verified.  A table costs one to
+# two verifies to build, so a key verified once never pays for one, and a run
+# that cycles through more keys than the memo holds (the 30-client crowd
+# scenario) builds none instead of one per verify.
 _key_memo: OrderedDict = OrderedDict()
 
 

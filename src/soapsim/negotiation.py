@@ -4,11 +4,8 @@ WPA-PSK when they share none."""
 
 from __future__ import annotations
 
-import functools
-
 from .crypto import (
     EcdsaKeyPair,
-    EcGroup,
     Point,
     UnknownGroupError,
     group_for_key_size,
@@ -63,15 +60,7 @@ def resolve_signer(ie: SoapIe):
             f"no registered curve has {ie.key_size_octets}-octet coordinates"
         )
     try:
-        point = _decode_signer(group, ie.ecdsa_public_x)
+        point: Point = point_from_x_octets(group, ie.ecdsa_public_x)
     except ValueError as exc:
         raise MalformedFrameError(f"advertised key does not decode: {exc}") from None
     return group, point
-
-
-# A signer key is long-lived: an AP's rides in every beacon it sends, so its
-# x-only decode (a square root mod p) is made once.  A key that does not
-# decode raises again on every call; lru_cache keeps no exception.
-@functools.lru_cache(maxsize=256)
-def _decode_signer(group: EcGroup, x_octets: bytes) -> Point:
-    return point_from_x_octets(group, x_octets)

@@ -609,6 +609,17 @@ class TestKeyMemo:
         assert list(memo)[-2:] == [(26, keys[0][0]), (26, keys[-1][0])]
         assert builds == [(26, keys[0][0])]
 
+    def test_keys_cycling_past_the_bound_build_no_table(self, key_memo):
+        # each key is evicted before its second verify, so none pays a build
+        memo, builds = key_memo
+        group = registry_lookup(26)
+        keys = [signed(group, b"cycle-%d" % i) for i in range(KEY_MEMO_ENTRIES + 1)]
+        for _ in range(2):
+            for public, signature in keys:
+                assert ecdsa_verify(group, public, b"memo", signature)
+        assert len(memo) == KEY_MEMO_ENTRIES
+        assert builds == []
+
     def test_rejected_inputs_never_enter_memo(self, key_memo):
         memo, builds = key_memo
         group = registry_lookup(26)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from soapsim import negotiation
+from soapsim import crypto
 from soapsim.crypto import (
     SeededRng,
     UnknownGroupError,
@@ -144,17 +144,18 @@ class TestSignerDecodeCache:
 
     @pytest.fixture
     def decodes(self, monkeypatch):
-        """The x octets of every decode resolve_signer makes, from an empty cache."""
-        calls = []
+        """Every square root an x-only decode takes, from an empty decode memo."""
+        roots = []
+        root = crypto._mod_sqrt
 
-        def counted(group, data):
-            calls.append(bytes(data))
-            return point_from_x_octets(group, data)
+        def counted(group, a):
+            roots.append(a)
+            return root(group, a)
 
-        negotiation._decode_signer.cache_clear()
-        monkeypatch.setattr(negotiation, "point_from_x_octets", counted)
-        yield calls
-        negotiation._decode_signer.cache_clear()
+        crypto._decode_x.cache_clear()
+        monkeypatch.setattr(crypto, "_mod_sqrt", counted)
+        yield roots
+        crypto._decode_x.cache_clear()
 
     def test_repeated_resolve_decodes_once(self, decodes):
         key = ecdsa_generate(registry_lookup(26), SeededRng(b"decode-once"))
@@ -162,7 +163,7 @@ class TestSignerDecodeCache:
         for _ in range(3):
             group, point = resolve_signer(parse_soap_ie(encode_soap_ie(ie)))
             assert (group.group_id, point) == (26, key.public_point)
-        assert decodes == [ie.ecdsa_public_x]
+        assert len(decodes) == 1
 
     def test_bad_x_raises_every_time_and_is_not_cached(self, decodes):
         group = registry_lookup(26)
@@ -173,9 +174,11 @@ class TestSignerDecodeCache:
             except ValueError:
                 break
             x += 1
+        cached = crypto._decode_x.cache_info().currsize
+        decodes.clear()
         ie = SoapIe((26,), x.to_bytes(group.key_size_octets, "big"))
         for _ in range(3):
             with pytest.raises(MalformedFrameError):
                 resolve_signer(ie)
-        assert decodes == [ie.ecdsa_public_x] * 3
-        assert negotiation._decode_signer.cache_info().currsize == 0
+        assert len(decodes) == 3
+        assert crypto._decode_x.cache_info().currsize == cached
