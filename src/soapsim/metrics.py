@@ -268,12 +268,6 @@ class BenchReport:
     message_count_delta: int
     machine: dict
 
-    def row(self, operation: str) -> BenchRow:
-        for r in self.rows:
-            if r.operation == operation:
-                return r
-        raise KeyError(operation)
-
     def to_text(self) -> str:
         lines = [
             f"crypto benchmark: group {self.group_id} ({self.group_name})",

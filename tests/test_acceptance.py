@@ -302,7 +302,7 @@ def test_08_overhead_two_frames_and_bench_report():
         "ecdh-generate", "ecdh-agree", "ecdsa-sign", "ecdsa-verify", "ptk-derive",
     }
     assert named <= set(operations)
-    sampled = all(bench.row(op).samples >= 100 for op in named)
+    sampled = all(r.samples >= 100 for r in bench.rows if r.operation in named)
     # timings are reported, never asserted: the report only needs to exist
     assert "extra frames before the key handshake: 2" in bench.to_text()
     report(8, sampled, f"frame delta {delta}, 5 ops x >=100 samples")

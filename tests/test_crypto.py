@@ -2,10 +2,10 @@
 
 import hashlib
 import itertools
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle_ec import affine_add, affine_mul
@@ -641,3 +641,106 @@ class TestKeyMemo:
                 assert not ecdsa_verify(group, point, b"memo", sig)
         assert memo == {}
         assert builds == []
+
+
+P521 = REGISTRY[21]
+# P-521's folded formulas keep each coordinate within 2^64 of [0, 2^521).
+FOLD_LOW, FOLD_HIGH = -(2**64), 2**521 + 2**64
+fold_coordinates = st.one_of(
+    st.integers(min_value=FOLD_LOW + 1, max_value=FOLD_HIGH - 1),
+    st.sampled_from(
+        [0, 1, -1, P521.field_p - 1, P521.field_p, P521.field_p + 1, FOLD_LOW + 1, FOLD_HIGH - 1]
+    ),
+)
+
+
+class TestP521Fold:
+    """P-521's folded doubling and mixed addition against the generic formulas."""
+
+    def check(self, folded, expected):
+        p = P521.field_p
+        assert all(FOLD_LOW < c < FOLD_HIGH for c in folded), folded
+        assert tuple(c % p for c in folded) == expected
+
+    @settings(max_examples=300)
+    @given(fold_coordinates, fold_coordinates, fold_coordinates)
+    def test_double_agrees_mod_p(self, x, y, z):
+        p = P521.field_p
+        expected = crypto._jacobian_double(x % p, y % p, z % p, p)
+        self.check(crypto._m521_double(x, y, z, p), expected)
+
+    @settings(max_examples=300)
+    @given(*[fold_coordinates] * 5)
+    def test_mixed_add_agrees_mod_p(self, x1, y1, z1, x2, y2):
+        p = P521.field_p
+        expected = crypto._jacobian_add_affine(x1 % p, y1 % p, z1 % p, x2 % p, y2 % p, p)
+        self.check(crypto._m521_add_affine(x1, y1, z1, x2, y2, p), expected)
+
+    @given(*[fold_coordinates] * 2, st.sampled_from([0, P521.field_p]), *[fold_coordinates] * 2)
+    def test_mixed_add_onto_identity(self, x1, y1, z1, x2, y2):
+        p = P521.field_p
+        self.check(crypto._m521_add_affine(x1, y1, z1, x2, y2, p), (x2 % p, y2 % p, 1))
+
+    @settings(max_examples=100)
+    @given(*[fold_coordinates] * 3, st.sampled_from([1, -1]))
+    def test_mixed_add_of_itself_or_its_negation(self, x1, y1, z1, sign):
+        # (x2, y2) is the affine form of (x1, y1, z1) or of its negation, so h
+        # is 0: the sum doubles the point (+) or is the identity (-)
+        p = P521.field_p
+        assume(z1 % p and y1 % p)
+        zinv = pow(z1, -1, p)
+        x2, y2 = x1 * zinv**2 % p, sign * y1 * zinv**3 % p
+        if sign > 0:
+            expected = crypto._jacobian_double(x1 % p, y1 % p, z1 % p, p)
+        else:
+            expected = (0, 1, 0)
+        assert crypto._jacobian_add_affine(x1 % p, y1 % p, z1 % p, x2, y2, p) == expected
+        self.check(crypto._m521_add_affine(x1, y1, z1, x2, y2, p), expected)
+
+
+@pytest.fixture
+def formula_calls(monkeypatch, key_memo):
+    """Calls of each point formula, by name, with an empty verify-key memo."""
+    calls = Counter()
+    names = ("_jacobian_double", "_jacobian_add_affine", "_m521_double", "_m521_add_affine")
+    for name in names:
+
+        def counted(*args, _name=name, _formula=getattr(crypto, name)):
+            calls[_name] += 1
+            return _formula(*args)
+
+        monkeypatch.setattr(crypto, name, counted)
+    for group in ALL_GROUPS:
+        assert group._formulas  # cached, so the real pair is put back afterwards
+        monkeypatch.delitem(group.__dict__, "_formulas")
+    return calls
+
+
+class TestFormulaDispatch:
+    """The group's prime alone picks which point formulas a multiplication runs."""
+
+    def test_p521_runs_only_the_folded_formulas(self, formula_calls, key_memo):
+        _, builds = key_memo
+        group = P521
+        public, signature = signed(group, b"dispatch")
+        assert point_mul(group, 0xC0FFEE) == oracle_mul(group, 0xC0FFEE)
+        assert point_mul(group, 0xC0FFEE, public) == oracle_mul(group, 0xC0FFEE, public)
+        # first verify (comb + wNAF), second (builds the table), third (table)
+        for _ in range(3):
+            assert ecdsa_verify(group, public, b"memo", signature)
+        assert builds == [(21, public)]
+        crypto._comb_table(group, point_mul(group, 7))
+        assert formula_calls["_jacobian_double"] == 0
+        assert formula_calls["_jacobian_add_affine"] == 0
+        assert formula_calls["_m521_double"] > 0
+        assert formula_calls["_m521_add_affine"] > 0
+
+    @pytest.mark.parametrize("gid", [26, 19, 20])
+    def test_other_curves_run_only_the_generic_formulas(self, formula_calls, gid):
+        group = registry_lookup(gid)
+        point = point_mul(group, 0xC0FFEE)
+        assert point_mul(group, 0xBEEF, point) == oracle_mul(group, 0xBEEF, point)
+        assert formula_calls["_m521_double"] == 0
+        assert formula_calls["_m521_add_affine"] == 0
+        assert formula_calls["_jacobian_double"] > 0
+        assert formula_calls["_jacobian_add_affine"] > 0

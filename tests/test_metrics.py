@@ -144,8 +144,9 @@ class TestBenchReport:
             assert row.samples >= 100
             assert row.mean_seconds >= 0
             assert row.stdev_seconds >= 0
+        by_name = {row.operation: row for row in bench.rows}
         for name in names[:5]:
-            assert bench.row(name).mean_seconds > 0
+            assert by_name[name].mean_seconds > 0
 
     def test_pair_total_formula(self, bench):
         expected = 2 * sum(
@@ -154,15 +155,12 @@ class TestBenchReport:
             if r.operation.startswith(("ecdh", "ecdsa"))
             and r.operation != "agreement-pair-total"
         )
-        assert bench.row("agreement-pair-total").mean_seconds == expected
+        total = next(r for r in bench.rows if r.operation == "agreement-pair-total")
+        assert total.mean_seconds == expected
 
     def test_message_count_delta(self, bench):
         assert MESSAGE_COUNT_DELTA == 2
         assert bench.message_count_delta == 2
-
-    def test_row_lookup_unknown(self, bench):
-        with pytest.raises(KeyError):
-            bench.row("rsa-sign")
 
     def test_machine_fingerprint(self, bench):
         assert set(bench.machine) == {"platform", "python", "processor"}
