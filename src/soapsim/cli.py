@@ -21,7 +21,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .crypto import DEFAULT_GROUP_ID, SeededRng, known_group_ids, registry_lookup
+from .crypto import DEFAULT_GROUP_ID, SeededRng, known_group_ids
 from .frames import (
     encode_eapol_key_frame,
     encode_soap_ie,
@@ -106,7 +106,8 @@ def cmd_run(args) -> int:
 def cmd_frames(args) -> int:
     """Dump every frame of one exchange from fixed demo seeds; the AP offers
     the requested group plus the first others, --m groups in all."""
-    registry_lookup(args.group)
+    # raises on an unknown group or --m below 1 before anything is printed
+    report = size_report(args.group, args.m, args.strict)
     others = tuple(g for g in known_group_ids() if g != args.group)
     ids = ((args.group,) + others)[: args.m]
     rng = SeededRng(0, b"frames-demo")
@@ -135,7 +136,7 @@ def cmd_frames(args) -> int:
             )
         print(hexdump(wire))
         print()
-    print(size_report(args.group, args.m, args.strict).to_text())
+    print(report.to_text())
     return EXIT_OK
 
 

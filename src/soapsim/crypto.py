@@ -6,21 +6,22 @@ curves are negotiated under, deterministic ECDSA, and a seeded DRBG so
 every run of the simulator is reproducible byte for byte.
 
 Scalar multiplication works in Jacobian coordinates (Hankerson, Menezes
-and Vanstone, *Guide to Elliptic Curve Cryptography*):
+and Vanstone, *Guide to Elliptic Curve Cryptography*) in one interleaved
+loop (Alg. 3.51) over (table, digits) pairs.  The digit lists are
+right-aligned so the pairs share one doubling per position, and each
+nonzero digit adds its table's affine entry with one mixed addition.
 
-- k*G uses a fixed-base comb with COMB_TEETH teeth (Alg. 3.44): one
-  doubling and at most one mixed addition per column.  Its 255-point
-  affine table is built on a curve's first k*G and normalised with one
+- k*G is one pair: the generator's 255-point comb table (Alg. 3.44) with
+  COMB_TEETH teeth, built on a curve's first k*G and normalised with one
   batched inversion (Montgomery's trick), as are its teeth before it.
-- k*P for any other point uses width-WNAF_WIDTH NAF (Alg. 3.36) over the
-  affine odd multiples P, 3P, 5P and 7P.
-- ECDSA verification computes u1*G + u2*Q and inverts once.  A verify key
-  is long-lived (an AP's signer key rides in every beacon), so crypto
-  remembers the KEY_MEMO_ENTRIES keys verified most recently.  A key's
-  first verify adds u1*G (comb) and u2*Q (wNAF); its second builds the
-  key a comb table like G's, and from then on u1*G + u2*Q runs as one
-  comb loop over both tables (simultaneous multiplication, Alg. 3.48),
-  which shares each column's doubling.  A key enters the memo only once
+- k*P for any other point is one pair: width-WNAF_WIDTH NAF digits
+  (Alg. 3.36) into P's odd table, P, 3P, 5P, 7P and their negations.
+- ECDSA verification computes u1*G + u2*Q as two pairs and inverts once.
+  A verify key is long-lived (an AP's signer key rides in every beacon),
+  so crypto remembers the KEY_MEMO_ENTRIES keys verified most recently.
+  A key's first verify pairs G's comb with Q's odd table; its second
+  builds the key a comb table like G's, which later verifies pair with
+  G's, one doubling per comb column.  A key enters the memo only once
   the signature's range check and the key's on-curve check pass.
 - P-521's prime is Mersenne, 2^521 - 1, so its doubling and mixed
   addition fold each product at 2^521 with a mask, a shift and an add
@@ -344,33 +345,6 @@ def _m521_add_affine(x1, y1, z1, x2, y2, p):
     return x3, y3, _fold(z1 * h, p)
 
 
-def _jacobian_add(x1, y1, z1, x2, y2, z2, p):
-    # General addition of two Jacobian points.
-    if not z1:
-        return x2, y2, z2
-    if not z2:
-        return x1, y1, z1
-    z1z1 = z1 * z1 % p
-    z2z2 = z2 * z2 % p
-    u1 = x1 * z2z2 % p
-    u2 = x2 * z1z1 % p
-    s1 = y1 * z2 * z2z2 % p
-    s2 = y2 * z1 * z1z1 % p
-    h = (u2 - u1) % p
-    r = (s2 - s1) % p
-    if not h:
-        if not r:
-            return _jacobian_double(x1, y1, z1, p)
-        return 0, 1, 0
-    hh = h * h % p
-    hhh = h * hh % p
-    v = u1 * hh % p
-    x3 = (r * r - hhh - 2 * v) % p
-    y3 = (r * (v - x3) - s1 * hhh) % p
-    z3 = z1 * z2 * h % p
-    return x3, y3, z3
-
-
 def _to_affine(points, p) -> list[Point]:
     """Affine forms of Jacobian points, none the identity, with one inversion.
 
@@ -409,38 +383,39 @@ def _comb_table(group: EcGroup, base: Point) -> tuple[Point | None, ...]:
     return (None, *_to_affine(jacobian[1:], p))
 
 
-def _comb_mul(group: EcGroup, pairs):
-    """The sum of scalar*base over (table, scalar) pairs, in Jacobian form.
+def _odd_table(group: EcGroup, point: Point) -> list[Point | None]:
+    """Entry i is i*point for odd i in [-7, 7], counting i < 0 from the end.
 
-    Each table is a _comb_table of its base and each scalar lies in [0, n).
-    The pairs share one doubling per column.
+    P, 3P, 5P and 7P sit at 1, 3, 5 and 7, their negations (x, p - y) at
+    -1, -3, -5 and -7, so a wNAF digit indexes its multiple of either sign.
+    2P is made affine first, so each odd multiple is one mixed addition.
     """
     p = group.field_p
     double, add = group._formulas
+    x, y = point
+    tx, ty = _to_affine([double(x, y, 1, p)], p)[0]
+    odd = [(x, y, 1)]
+    for _ in range(1, 1 << (WNAF_WIDTH - 2)):
+        odd.append(add(*odd[-1], tx, ty, p))
+    table = [None] * (1 << WNAF_WIDTH)
+    for i, (x, y) in enumerate(_to_affine(odd, p)):
+        table[2 * i + 1], table[-2 * i - 1] = (x, y), (x, p - y)
+    return table
+
+
+def _comb_digits(group: EcGroup, scalar: int) -> list[int]:
+    """scalar's column indices into a _comb_table, top column first."""
     d = group._comb_spacing
     width = COMB_TEETH * d
-    tables = [table for table, _ in pairs]
-    # Row i of a comb is bits [i*d, (i+1)*d) of its scalar, top row first,
+    # Row i of a comb is bits [i*d, (i+1)*d) of the scalar, top row first,
     # so each column read top-down is the table index for that bit position.
-    columns = []
-    for _, scalar in pairs:
-        bits = format(scalar, f"0{width}b")
-        rows = (bits[i : i + d] for i in range(0, width, d))
-        columns.append([int("".join(column), 2) for column in zip(*rows)])
-    x, y, z = 0, 1, 0
-    for indices in zip(*columns):
-        x, y, z = double(x, y, z, p)
-        for table, index in zip(tables, indices):
-            if index:
-                tx, ty = table[index]
-                x, y, z = add(x, y, z, tx, ty, p)
-    return x % p, y % p, z % p
+    bits = format(scalar, f"0{width}b")
+    rows = (bits[i : i + d] for i in range(0, width, d))
+    return [int("".join(column), 2) for column in zip(*rows)]
 
 
-def _wnaf_mul(group: EcGroup, scalar: int, point: Point):
-    """scalar*point in Jacobian form, width-WNAF_WIDTH NAF over odd multiples."""
-    p = group.field_p
-    double, add = group._formulas
+def _wnaf_digits(scalar: int) -> list[int]:
+    """scalar's width-WNAF_WIDTH NAF digits into an _odd_table, top digit first."""
     window = 1 << WNAF_WIDTH
     digits = []
     while scalar:
@@ -452,35 +427,47 @@ def _wnaf_mul(group: EcGroup, scalar: int, point: Point):
             scalar -= digit
         digits.append(digit)
         scalar >>= 1
-    px, py = point
-    twice = double(px, py, 1, p)
-    odd = [(px, py, 1)]
-    for _ in range(1, 1 << (WNAF_WIDTH - 2)):
-        odd.append(_jacobian_add(*odd[-1], *twice, p))
-    odd = _to_affine(odd, p)  # odd[i] = (2i + 1) * point
+    digits.reverse()
+    return digits
+
+
+def _mul(group: EcGroup, pairs):
+    """The sum over (table, digits) pairs of what the digits spell, in Jacobian form.
+
+    Interleaving (HMV Alg. 3.51): the digit lists, each read top digit
+    first, are right-aligned so that all pairs share one doubling per
+    position, and each nonzero digit adds its table's entry for it.
+    """
+    p = group.field_p
+    double, add = group._formulas
+    length = max(len(digits) for _, digits in pairs)
+    # Filed by position first, so the doubling loop does no per-pair work.
+    adds = [[] for _ in range(length)]
+    for table, digits in pairs:
+        for i, digit in enumerate(digits, length - len(digits)):
+            if digit:
+                adds[i].append(table[digit])
     x, y, z = 0, 1, 0
-    for digit in reversed(digits):
+    for entries in adds:
         x, y, z = double(x, y, z, p)
-        if digit > 0:
-            tx, ty = odd[digit >> 1]
+        for tx, ty in entries:
             x, y, z = add(x, y, z, tx, ty, p)
-        elif digit < 0:
-            tx, ty = odd[-digit >> 1]
-            x, y, z = add(x, y, z, tx, p - ty, p)
     return x % p, y % p, z % p
 
 
 def point_mul(group: EcGroup, scalar: int, point: Point | None = None) -> Point | None:
     """Scalar multiple of point (base point when omitted).
 
-    Multiples of the generator use the fixed-base comb; any other point
-    uses wNAF.
+    Multiples of the generator read comb digits off the group's comb table;
+    any other point reads wNAF digits off its odd table.  Either way it is
+    one _mul call.
     """
     scalar %= group.order_n
     if point is None or point == group.generator:
-        jacobian = _comb_mul(group, [(group._comb, scalar)])
+        pair = (group._comb, _comb_digits(group, scalar))
     else:
-        jacobian = _wnaf_mul(group, scalar, point)
+        pair = (_odd_table(group, point), _wnaf_digits(scalar))
+    jacobian = _mul(group, [pair])
     if not jacobian[2]:
         return None
     return _to_affine([jacobian], group.field_p)[0]
@@ -534,7 +521,7 @@ def octets_to_point(group: EcGroup, data: bytes) -> Point:
     if len(data) != 2 * s:
         raise InvalidPointError(f"expected {2 * s} octets, got {len(data)}")
     point = (int.from_bytes(data[:s], "big"), int.from_bytes(data[s:], "big"))
-    if not is_on_curve(group, point) or point is None:
+    if not is_on_curve(group, point):
         raise InvalidPointError("coordinates are not a point on the curve")
     return point
 
@@ -786,14 +773,12 @@ def ecdsa_verify(
     w = pow(s, -1, n)
     u1 = e * w % n
     u2 = r * w % n
-    p = group.field_p
     table = _key_table(group, public_point)
     if table is None:
-        x, y, z = _jacobian_add(
-            *_comb_mul(group, [(group._comb, u1)]), *_wnaf_mul(group, u2, public_point), p
-        )
+        second = (_odd_table(group, public_point), _wnaf_digits(u2))
     else:
-        x, y, z = _comb_mul(group, [(group._comb, u1), (table, u2)])
+        second = (table, _comb_digits(group, u2))
+    x, y, z = _mul(group, [(group._comb, _comb_digits(group, u1)), second])
     if not z:
         return False
-    return _to_affine([(x, y, z)], p)[0][0] % n == r
+    return _to_affine([(x, y, z)], group.field_p)[0][0] % n == r

@@ -171,6 +171,13 @@ class TestFrames:
         # the size table accounts for the requested group with two id slots
         assert "advertisement element: 34 octets" in out
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_no_advertised_group_exits_two_before_output(self, capsys, m):
+        code, out, err = run_cli(capsys, "frames", "--m", m)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "at least one advertised group is required" in err
+
     def test_unknown_group_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "frames", "--group", "0")
         assert code == EXIT_USAGE

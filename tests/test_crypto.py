@@ -472,10 +472,21 @@ class TestEcdsa:
         assert ecdsa_verify(group, (numbers.x, numbers.y), b"cross check", sig)
 
 
-def comb_sum(group, pairs):
-    """The affine sum the comb loop computes over (base, scalar) pairs."""
-    tables = [(crypto._comb_table(group, base), k) for base, k in pairs]
-    x, y, z = crypto._comb_mul(group, tables)
+def comb(group, base, k):
+    """base's comb table with k's comb digits: one pair for the loop."""
+    return crypto._comb_table(group, base), crypto._comb_digits(group, k)
+
+
+def wnaf(group, base, k):
+    """base's odd table with k's wNAF digits: one pair for the loop."""
+    return crypto._odd_table(group, base), crypto._wnaf_digits(k)
+
+
+def loop_sum(group, pairs, recoders=(comb, comb)):
+    """The affine sum the multiplication loop computes over (base, scalar) pairs,
+    each pair turned into (table, digits) by its recoder."""
+    tables = [recode(group, base, k) for recode, (base, k) in zip(recoders, pairs)]
+    x, y, z = crypto._mul(group, tables)
     return crypto._to_affine([(x, y, z)], group.field_p)[0] if z else None
 
 
@@ -512,8 +523,13 @@ def signed(group, seed, message=b"memo"):
     return key.public_point, ecdsa_sign(key, message)
 
 
+# A scalar whose width-4 NAF holds every digit -7..7: one odd digit of each
+# sign every fourth position, the top one positive.
+ALL_WNAF_DIGITS = sum(d << (4 * i) for i, d in enumerate((-1, 1, -3, 3, -5, 5, -7, 7)))
+
+
 class TestKeyComb:
-    """u1*G + u2*Q in one comb loop over G's table and a table for Q."""
+    """u1*G + u2*Q in one loop over G's comb table and a comb or odd table for Q."""
 
     @pytest.mark.parametrize("gid", sorted(REGISTRY))
     def test_two_tables_match_oracle(self, gid):
@@ -527,11 +543,21 @@ class TestKeyComb:
         cases += [(k, n - 1 - k) for k in edge_scalars(group)[:5]]
         for u1, u2 in cases:
             pairs = [(g, u1 % n), (q, u2 % n)]
-            assert comb_sum(group, pairs) == oracle_sum(group, pairs), (u1, u2)
+            assert loop_sum(group, pairs) == oracle_sum(group, pairs), (u1, u2)
+        # A first verify's shape: wNAF digits for Q under G's comb digits.
+        # A short wNAF list sits under a full comb list, a short comb list
+        # under a full wNAF list, and the wNAF side takes every digit.
+        assert set(crypto._wnaf_digits(ALL_WNAF_DIGITS)) == set(range(-7, 8, 2)) | {0}
+        cases += [(n - 1, u2) for u2 in (1, 2, 3, 7, 9, n - 1)]
+        cases += [(u1, rng.uniform_scalar(group)) for u1 in (0, 1)]
+        cases += [(1, ALL_WNAF_DIGITS), (n - 1, n - ALL_WNAF_DIGITS)]
+        for u1, u2 in cases:
+            pairs = [(g, u1 % n), (q, u2 % n)]
+            assert loop_sum(group, pairs, (comb, wnaf)) == oracle_sum(group, pairs), (u1, u2)
 
     @pytest.mark.parametrize("gid", sorted(REGISTRY))
     def test_running_sum_meets_a_table_entry(self, gid):
-        # The column sum R meets the second table's entry T = +-R, sending
+        # The running sum R meets the second table's entry T = +-R, sending
         # _jacobian_add_affine into its doubling (+) or identity (-) branch:
         # from the identity in the last column (1*G + 1*(+-G)), and from a
         # Jacobian R = 2G with z != 1 there (2*G + 1*(+-2G)).
@@ -542,7 +568,8 @@ class TestKeyComb:
             for q in (base, negate(group, base)):
                 pairs = [(g, k), (q, 1)]
                 expected = oracle_sum(group, pairs)
-                assert comb_sum(group, pairs) == expected
+                for recoders in ((comb, comb), (comb, wnaf)):
+                    assert loop_sum(group, pairs, recoders) == expected
                 assert (expected is None) == (q != base)
 
 
@@ -744,3 +771,25 @@ class TestFormulaDispatch:
         assert formula_calls["_m521_add_affine"] == 0
         assert formula_calls["_jacobian_double"] > 0
         assert formula_calls["_jacobian_add_affine"] > 0
+
+
+class TestNoGenericFormulaOnP521:
+    """Every P-521 multiplication runs on the folded formulas alone."""
+
+    def test_wnaf_and_first_verify_call_no_jacobian_function(self, monkeypatch, key_memo):
+        calls = Counter()
+        for name, fn in list(vars(crypto).items()):
+            if name.startswith("_jacobian") and callable(fn):
+
+                def counted(*args, _name=name, _fn=fn):
+                    calls[_name] += 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(crypto, name, counted)
+        assert P521._formulas  # cached, so the real pair is put back afterwards
+        monkeypatch.delitem(P521.__dict__, "_formulas")
+        public, signature = signed(P521, b"generic-free")
+        assert point_mul(P521, 0xC0FFEE, public) == oracle_mul(P521, 0xC0FFEE, public)
+        assert ecdsa_verify(P521, public, b"memo", signature)
+        assert key_memo[1] == []  # a first verify: no key table yet
+        assert calls == {}
