@@ -240,19 +240,13 @@ def group_for_key_size(key_size_octets: int) -> EcGroup | None:
 
 
 def strongest_group_id(group_ids) -> int | None:
-    """Pick the largest-key group; break ties on the smaller id."""
-    best: EcGroup | None = None
-    for gid in group_ids:
-        group = REGISTRY.get(gid)
-        if group is None:
-            continue
-        if (
-            best is None
-            or group.key_size_octets > best.key_size_octets
-            or (group.key_size_octets == best.key_size_octets and gid < best.group_id)
-        ):
-            best = group
-    return None if best is None else best.group_id
+    """The registered group with the largest key, None when none is registered.
+    Key sizes are distinct across the registry, so there is never a tie."""
+    return max(
+        (gid for gid in group_ids if gid in REGISTRY),
+        key=lambda gid: REGISTRY[gid].key_size_octets,
+        default=None,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,12 @@
 key-agreement messages, EAPOL-Key frames, and simplified 802.11 management
 and data frames for the simulated network.
 
+This module is the one owner of every octet layout: the EAPOL header and the
+EAPOL-Key fixed body are each one `struct.Struct`, and the MAC-header
+addresses and frame kinds are read only here. What an agreement signature
+covers, in both the nonce-extended and the strict layout, is
+`handshake.signed_payload`.
+
 Every encoder returns exact octet strings and every parser either returns a
 dataclass or raises MalformedFrameError; callers decide whether a malformed
 frame is dropped silently or counted.
@@ -22,9 +28,14 @@ ELEMENT_ID_MGMT_SIGNATURE = 252
 ELEMENT_ID_SSID = 0
 
 MAC_HEADER_OCTETS = 24
+# Address 1 (receiver) and address 2 (transmitter) of the MAC header.
+_DST_MAC = slice(4, 10)
+_SRC_MAC = slice(10, 16)
 LLC_SNAP_HEADER = bytes.fromhex("AAAA03000000888E")
 BROADCAST_MAC = b"\xff" * 6
 
+# The EAPOL header: protocol version, packet type, body length.
+_EAPOL_HEADER = struct.Struct(">BBH")
 EAPOL_VERSION = 2
 EAPOL_TYPE_KEY = 3
 # The key-agreement messages use a reserved placeholder in both EAPOL header
@@ -41,9 +52,17 @@ KEY_INFO_INSTALL = 0x0040
 KEY_INFO_ACK = 0x0080
 KEY_INFO_MIC = 0x0100
 KEY_INFO_SECURE = 0x0200
-EAPOL_KEY_BODY_OCTETS = 95
 KEY_NONCE_OCTETS = 32
 KEY_MIC_OCTETS = 16
+# The EAPOL-Key fixed body in wire order, as (EapolKeyFrame field, struct
+# format); the key data length and then the key data follow it.
+_KEY_BODY_FIELDS = (
+    ("descriptor_type", "B"), ("key_info", "H"), ("key_length", "H"),
+    ("replay_counter", "Q"), ("key_nonce", f"{KEY_NONCE_OCTETS}s"), ("key_iv", "16s"),
+    ("key_rsc", "8s"), ("key_id", "8s"), ("key_mic", f"{KEY_MIC_OCTETS}s"),
+)
+_EAPOL_KEY_BODY = struct.Struct(">" + "".join(f for _, f in _KEY_BODY_FIELDS) + "H")
+EAPOL_KEY_BODY_OCTETS = _EAPOL_KEY_BODY.size
 
 
 class FrameError(ValueError):
@@ -149,12 +168,19 @@ def encode_soap_message(msg: SoapMessage) -> bytes:
         raise FrameError(f"session nonce must be {SESSION_NONCE_OCTETS} octets")
     body = msg.ecdh_public + msg.signature
     packet = (
-        struct.pack(">BBH", AGREEMENT_PROTOCOL_VERSION, AGREEMENT_PACKET_TYPE, len(body))
+        _EAPOL_HEADER.pack(AGREEMENT_PROTOCOL_VERSION, AGREEMENT_PACKET_TYPE, len(body))
         + body
     )
     if msg.session_nonce is not None:
         packet += msg.session_nonce
     return packet
+
+
+def _read_eapol_header(data: bytes) -> tuple[int, int, int, bytes]:
+    """(version, packet type, body length field, octets after the header)."""
+    if len(data) < _EAPOL_HEADER.size:
+        raise MalformedFrameError("packet shorter than the EAPOL header")
+    return (*_EAPOL_HEADER.unpack_from(data), bytes(data[_EAPOL_HEADER.size :]))
 
 
 def parse_soap_message(
@@ -169,19 +195,16 @@ def parse_soap_message(
     widths passes key_octets (and signature_octets when the peer signs on a
     different curve than the ECDH group) to fix the split exactly.
     """
-    if len(data) < 4:
-        raise MalformedFrameError("packet shorter than the EAPOL header")
-    version, packet_type, body_length = struct.unpack(">BBH", data[:4])
+    version, packet_type, body_length, rest = _read_eapol_header(data)
     if version != AGREEMENT_PROTOCOL_VERSION or packet_type != AGREEMENT_PACKET_TYPE:
         raise MalformedFrameError("not a key-agreement packet")
-    remaining = len(data) - 4
-    if remaining == body_length:
+    if len(rest) == body_length:
         nonce = None
-    elif remaining == body_length + SESSION_NONCE_OCTETS:
-        nonce = bytes(data[4 + body_length :])
+    elif len(rest) == body_length + SESSION_NONCE_OCTETS:
+        nonce = rest[body_length:]
     else:
         raise MalformedFrameError("body length field disagrees with data")
-    body = bytes(data[4 : 4 + body_length])
+    body = rest[:body_length]
     if key_octets is not None:
         split = 2 * key_octets
         expected = split + 2 * (
@@ -222,56 +245,27 @@ class EapolKeyFrame:
 
 
 def encode_eapol_key_frame(frame: EapolKeyFrame) -> bytes:
-    if len(frame.key_nonce) != KEY_NONCE_OCTETS:
-        raise FrameError(f"key nonce must be {KEY_NONCE_OCTETS} octets")
-    if len(frame.key_mic) != KEY_MIC_OCTETS:
-        raise FrameError(f"key mic must be {KEY_MIC_OCTETS} octets")
-    body = (
-        struct.pack(">BHH", frame.descriptor_type, frame.key_info, frame.key_length)
-        + frame.replay_counter.to_bytes(8, "big")
-        + frame.key_nonce
-        + frame.key_iv
-        + frame.key_rsc
-        + frame.key_id
-        + frame.key_mic
-        + struct.pack(">H", len(frame.key_data))
-        + frame.key_data
-    )
-    return struct.pack(">BBH", EAPOL_VERSION, EAPOL_TYPE_KEY, len(body)) + body
+    values = [getattr(frame, name) for name, _ in _KEY_BODY_FIELDS]
+    # A struct `s` field pads or truncates silently, so each width is checked.
+    for (name, fmt), value in zip(_KEY_BODY_FIELDS, values):
+        if fmt.endswith("s") and len(value) != int(fmt[:-1]):
+            raise FrameError(f"{name.replace('_', ' ')} must be {fmt[:-1]} octets")
+    body = _EAPOL_KEY_BODY.pack(*values, len(frame.key_data)) + frame.key_data
+    return _EAPOL_HEADER.pack(EAPOL_VERSION, EAPOL_TYPE_KEY, len(body)) + body
 
 
 def parse_eapol_key_frame(data: bytes) -> EapolKeyFrame:
-    if len(data) < 4:
-        raise MalformedFrameError("packet shorter than the EAPOL header")
-    version, packet_type, body_length = struct.unpack(">BBH", data[:4])
+    version, packet_type, body_length, body = _read_eapol_header(data)
     if packet_type != EAPOL_TYPE_KEY or version not in (1, EAPOL_VERSION):
         raise MalformedFrameError("not an EAPOL-Key packet")
-    body = data[4:]
     if len(body) != body_length or body_length < EAPOL_KEY_BODY_OCTETS:
         raise MalformedFrameError("body length field disagrees with data")
-    descriptor_type, key_info, key_length = struct.unpack(">BHH", body[:5])
-    replay_counter = int.from_bytes(body[5:13], "big")
-    key_nonce = bytes(body[13:45])
-    key_iv = bytes(body[45:61])
-    key_rsc = bytes(body[61:69])
-    key_id = bytes(body[69:77])
-    key_mic = bytes(body[77:93])
-    (key_data_length,) = struct.unpack(">H", body[93:95])
-    key_data = bytes(body[95:])
+    *values, key_data_length = _EAPOL_KEY_BODY.unpack_from(body)
+    key_data = body[EAPOL_KEY_BODY_OCTETS:]
     if len(key_data) != key_data_length:
         raise MalformedFrameError("key data length field disagrees with data")
-    return EapolKeyFrame(
-        key_info=key_info,
-        replay_counter=replay_counter,
-        key_nonce=key_nonce,
-        key_length=key_length,
-        key_iv=key_iv,
-        key_rsc=key_rsc,
-        key_id=key_id,
-        key_mic=key_mic,
-        key_data=key_data,
-        descriptor_type=descriptor_type,
-    )
+    fields = {name: value for (name, _), value in zip(_KEY_BODY_FIELDS, values)}
+    return EapolKeyFrame(**fields, key_data=key_data)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +308,16 @@ def _mac_header(frame_control: bytes, dst: bytes, src: bytes, bssid: bytes) -> b
     return frame_control + b"\x00\x00" + dst + src + bssid + b"\x00\x00"
 
 
+def wire_src_mac(wire: bytes) -> bytes:
+    """The transmitter address of a frame's MAC header, read without a parse."""
+    return bytes(wire[_SRC_MAC])
+
+
+def wire_dst_mac(wire: bytes) -> bytes:
+    """The receiver address of a frame's MAC header, read without a parse."""
+    return bytes(wire[_DST_MAC])
+
+
 def encode_management_frame(frame: ManagementFrame) -> bytes:
     frame_control = bytes([(frame.subtype << 4) & 0xF0, 0x00])
     out = _mac_header(frame_control, frame.dst_mac, frame.src_mac, frame.src_mac)
@@ -351,8 +355,6 @@ def parse_management_frame(data: bytes) -> ManagementFrame:
         subtype = FrameSubtype(data[0] >> 4)
     except ValueError:
         raise MalformedFrameError(f"unsupported management subtype {data[0] >> 4}") from None
-    dst = bytes(data[4:10])
-    src = bytes(data[10:16])
     body = data[MAC_HEADER_OCTETS:]
     fixed = _FIXED_BODY[subtype]
     if len(body) < len(fixed):
@@ -364,7 +366,9 @@ def parse_management_frame(data: bytes) -> ManagementFrame:
             signature = payload
         else:
             elements.append((eid, payload))
-    return ManagementFrame(subtype, src, dst, tuple(elements), signature)
+    return ManagementFrame(
+        subtype, wire_src_mac(data), wire_dst_mac(data), tuple(elements), signature
+    )
 
 
 def management_signing_input(frame: ManagementFrame) -> bytes:
@@ -423,8 +427,8 @@ def parse_data_frame(data: bytes) -> DataFrame:
     if llc != LLC_SNAP_HEADER:
         raise MalformedFrameError("payload is not EAPOL over LLC/SNAP")
     return DataFrame(
-        src_mac=bytes(data[10:16]),
-        dst_mac=bytes(data[4:10]),
+        src_mac=wire_src_mac(data),
+        dst_mac=wire_dst_mac(data),
         payload=bytes(data[MAC_HEADER_OCTETS + len(LLC_SNAP_HEADER) :]),
         from_ds=bool(data[1] & 0x02),
     )
@@ -436,6 +440,8 @@ def parse_data_frame(data: bytes) -> DataFrame:
 
 # The kinds of frame SOAP puts on the air, as `frame_kind` reads them.
 FRAME_KINDS = frozenset({"beacon", "assoc-request", "disassoc", "agreement", "eapol-key"})
+# The kinds carried over EAPOL in a data frame; the rest are management frames.
+EAPOL_KINDS = frozenset({"agreement", "eapol-key"})
 
 _MANAGEMENT_KINDS = {
     FrameSubtype.BEACON: "beacon",
@@ -467,8 +473,6 @@ def frame_kind(wire: bytes) -> str | None:
 
 def frame_wire_size(obj) -> int:
     """Full transmitted size in octets, MAC and LLC/SNAP headers included."""
-    if isinstance(obj, SoapIe):
-        return obj.wire_size
     if isinstance(obj, SoapMessage):
         return MAC_HEADER_OCTETS + len(LLC_SNAP_HEADER) + len(encode_soap_message(obj))
     if isinstance(obj, EapolKeyFrame):
@@ -477,8 +481,6 @@ def frame_wire_size(obj) -> int:
         )
     if isinstance(obj, ManagementFrame):
         return len(encode_management_frame(obj))
-    if isinstance(obj, DataFrame):
-        return len(encode_data_frame(obj))
     raise TypeError(f"no wire size for {type(obj).__name__}")
 
 

@@ -11,6 +11,8 @@ payload covers a role tag, both MAC addresses, the negotiated group and an
 8-octet session nonce along with the ephemeral public key. strict_frames
 mode drops the nonce trailer and signs the raw public key only, matching
 the minimal message layout at the cost of the cross-session replay check.
+A strict session's nonce is None, as on the wire, and ``signed_payload`` is
+the one place that rule is written; the message layouts live in ``frames``.
 """
 
 from __future__ import annotations
@@ -85,9 +87,13 @@ def signed_payload(
     sender_mac: bytes,
     receiver_mac: bytes,
     group_id: int,
-    session_nonce: bytes,
+    session_nonce: bytes | None,
     ecdh_public: bytes,
 ) -> bytes:
+    """The octets an agreement signature covers; with no session nonce
+    (strict frames) the ephemeral public key alone."""
+    if session_nonce is None:
+        return ecdh_public
     return tag + sender_mac + receiver_mac + bytes([group_id]) + session_nonce + ecdh_public
 
 
@@ -116,27 +122,21 @@ class _SessionCore:
         self._ephemeral = None
 
     def _verify_peer(self, tag: bytes, sender: bytes, receiver: bytes,
-                     nonce: bytes, msg: SoapMessage) -> bool:
+                     nonce: bytes | None, msg: SoapMessage) -> bool:
         assert self.group is not None and self.peer_signer_group is not None
-        if self.strict_frames:
-            payload = msg.ecdh_public
-        else:
-            payload = signed_payload(
-                tag, sender, receiver, self.group.group_id, nonce, msg.ecdh_public
-            )
+        payload = signed_payload(
+            tag, sender, receiver, self.group.group_id, nonce, msg.ecdh_public
+        )
         return ecdsa_verify(
             self.peer_signer_group, self.peer_signer_point, payload, msg.signature
         )
 
-    def _sign_own(self, tag: bytes, receiver: bytes, nonce: bytes,
+    def _sign_own(self, tag: bytes, receiver: bytes, nonce: bytes | None,
                   ecdh_public: bytes) -> bytes:
         assert self.group is not None
-        if self.strict_frames:
-            payload = ecdh_public
-        else:
-            payload = signed_payload(
-                tag, self.identity.mac, receiver, self.group.group_id, nonce, ecdh_public
-            )
+        payload = signed_payload(
+            tag, self.identity.mac, receiver, self.group.group_id, nonce, ecdh_public
+        )
         return ecdsa_sign(self.identity.ecdsa, payload)
 
 
@@ -190,7 +190,7 @@ class ClientSession(_SessionCore):
         if src_mac != self.peer_mac:
             return None, "phase"
         if self.strict_frames:
-            nonce = b""
+            nonce = None
         else:
             if msg.session_nonce is None or len(msg.session_nonce) != SESSION_NONCE_OCTETS:
                 return None, "malformed"
@@ -203,19 +203,16 @@ class ClientSession(_SessionCore):
             peer_public = octets_to_point(self.group, msg.ecdh_public)
         except ValueError:
             return None, "point"
-        if not self.strict_frames:
+        if nonce is not None:
             self.seen_nonces.add(nonce)
-            self.session_nonce = nonce
+        self.session_nonce = nonce
         self._ephemeral = ecdh_generate(self.group, self.rng)
         own_public = point_to_octets(self.group, self._ephemeral.public_point)
         self.psk = ecdh_agree(self._ephemeral, peer_public)
         signature = self._sign_own(TAG_MESSAGE2, self.peer_mac, nonce, own_public)
         self._drop_ephemeral()
         self.phase = Phase.PSK_AGREED
-        reply = SoapMessage(
-            own_public, signature, None if self.strict_frames else nonce
-        )
-        return reply, "agreed"
+        return SoapMessage(own_public, signature, nonce), "agreed"
 
 
 class ApSession(_SessionCore):
@@ -257,11 +254,13 @@ class ApSession(_SessionCore):
             self.abort("group-not-offered")
             return None
         self.group = registry_lookup(self.claimed_group_id)
-        nonce = b"" if self.strict_frames else self.rng.randbytes(SESSION_NONCE_OCTETS)
-        self.session_nonce = nonce or None
+        if not self.strict_frames:
+            self.session_nonce = self.rng.randbytes(SESSION_NONCE_OCTETS)
         self._ephemeral = ecdh_generate(self.group, self.rng)
         own_public = point_to_octets(self.group, self._ephemeral.public_point)
-        signature = self._sign_own(TAG_MESSAGE1, self.peer_mac, nonce, own_public)
+        signature = self._sign_own(
+            TAG_MESSAGE1, self.peer_mac, self.session_nonce, own_public
+        )
         self.phase = Phase.AWAIT_MSG2
         self._message1 = SoapMessage(own_public, signature, self.session_nonce)
         return self._message1
@@ -275,14 +274,13 @@ class ApSession(_SessionCore):
             return "duplicate"
         if self.phase is not Phase.AWAIT_MSG2 or src_mac != self.peer_mac:
             return "phase"
-        nonce = b""
-        if not self.strict_frames:
-            if msg.session_nonce != self.session_nonce:
-                # A replayed or cross-session message carries the wrong echo;
-                # the signature check would fail regardless.
-                return "replay"
-            nonce = msg.session_nonce
-        if not self._verify_peer(TAG_MESSAGE2, src_mac, self.identity.mac, nonce, msg):
+        if not self.strict_frames and msg.session_nonce != self.session_nonce:
+            # A replayed or cross-session message carries the wrong echo;
+            # the signature check would fail regardless.
+            return "replay"
+        if not self._verify_peer(
+            TAG_MESSAGE2, src_mac, self.identity.mac, self.session_nonce, msg
+        ):
             return "signature"
         try:
             peer_public = octets_to_point(self.group, msg.ecdh_public)

@@ -56,6 +56,7 @@ from .crypto import (
 from .fourway import Authenticator, Supplicant
 from .frames import (
     BROADCAST_MAC,
+    EAPOL_KINDS,
     ELEMENT_ID_SSID,
     DataFrame,
     FrameSubtype,
@@ -75,6 +76,8 @@ from .frames import (
     parse_soap_message,
     soap_ie_element,
     soap_ie_from_frame,
+    wire_dst_mac,
+    wire_src_mac,
 )
 from .handshake import (
     TAG_MESSAGE1,
@@ -102,7 +105,7 @@ def parse_mac(text: str) -> bytes:
 
 
 def format_mac(mac: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in mac)
+    return mac.hex(":")
 
 
 @dataclass
@@ -164,10 +167,6 @@ class ScenarioScript:
     strict_frames: bool = False
 
 
-# The frame kinds carried over EAPOL in a data frame; the rest are management frames.
-EAPOL_KINDS = frozenset({"agreement", "eapol-key"})
-
-
 @dataclass
 class Transmission:
     """One frame on the air. Its kind is read from the octets, and its parse
@@ -193,11 +192,11 @@ class Transmission:
 
     @property
     def src_mac(self) -> bytes:
-        return bytes(self.wire[10:16])
+        return wire_src_mac(self.wire)
 
     @property
     def dst_mac(self) -> bytes:
-        return bytes(self.wire[4:10])
+        return wire_dst_mac(self.wire)
 
 
 # The keys of every transcript record, by its event: what `Transcript.tx` and
@@ -605,8 +604,8 @@ class ClientStation(Station):
                 tick, "note", self.cfg.station_id, detail="no legacy psk configured"
             )
             return []
-        if not self.cfg.soap_aware or self.cfg.force_legacy:
-            self.fallback_recorded = self.fallback_recorded or self.cfg.force_legacy
+        if self.cfg.force_legacy:
+            self.fallback_recorded = True
         self.ap_mac = frame.src_mac
         self.mode = "legacy"
         self.await_since = tick
@@ -1066,12 +1065,9 @@ class Adversary:
         ephemeral = ecdh_generate(group, self.rng.child(f"mitm{self._substitutions}"))
         fake_public = point_to_octets(group, ephemeral.public_point)
         nonce = original.session_nonce
-        if nonce is None:
-            payload = fake_public
-        else:
-            payload = signed_payload(
-                TAG_MESSAGE1, t.src_mac, t.dst_mac, group_id, nonce, fake_public
-            )
+        payload = signed_payload(
+            TAG_MESSAGE1, t.src_mac, t.dst_mac, group_id, nonce, fake_public
+        )
         fake = SoapMessage(fake_public, ecdsa_sign(self._signer, payload), nonce)
         wire = encode_data_frame(
             DataFrame(t.src_mac, t.dst_mac, encode_soap_message(fake), from_ds=True)

@@ -199,15 +199,64 @@ class TestEapolKeyCodec:
         key_info=st.integers(min_value=0, max_value=0xFFFF),
         counter=st.integers(min_value=0, max_value=2**64 - 1),
         nonce=st.binary(min_size=32, max_size=32),
+        key_length=st.integers(min_value=0, max_value=0xFFFF),
+        iv=st.binary(min_size=16, max_size=16),
+        rsc=st.binary(min_size=8, max_size=8),
+        key_id=st.binary(min_size=8, max_size=8),
         mic=st.binary(min_size=16, max_size=16),
         key_data=st.binary(max_size=80),
+        descriptor_type=st.integers(min_value=0, max_value=0xFF),
     )
-    def test_round_trip(self, key_info, counter, nonce, mic, key_data):
+    def test_round_trip(
+        self, key_info, counter, nonce, key_length, iv, rsc, key_id, mic, key_data,
+        descriptor_type,
+    ):
         frame = EapolKeyFrame(
             key_info=key_info, replay_counter=counter, key_nonce=nonce,
-            key_mic=mic, key_data=key_data,
+            key_length=key_length, key_iv=iv, key_rsc=rsc, key_id=key_id,
+            key_mic=mic, key_data=key_data, descriptor_type=descriptor_type,
         )
         assert parse_eapol_key_frame(encode_eapol_key_frame(frame)) == frame
+
+    def test_known_answer(self):
+        # Every field distinct and nonzero, so a layout that moves or swaps
+        # two fields of one width fails here though it round-trips.
+        frame = EapolKeyFrame(
+            key_info=0x010A, replay_counter=0x0102030405060708,
+            key_nonce=bytes(range(0x40, 0x60)), key_length=0x0020,
+            key_iv=bytes(range(0x10, 0x20)), key_rsc=bytes(range(0x21, 0x29)),
+            key_id=bytes(range(0x31, 0x39)), key_mic=bytes(range(0x70, 0x80)),
+            key_data=b"\xdd\xee", descriptor_type=0xFE,
+        )
+        wire = bytes.fromhex(
+            "02" "03" "0061"  # EAPOL version 2, type Key, body length 97
+            "fe" "010a" "0020"  # descriptor type, key info, key length
+            "0102030405060708"  # replay counter
+            "404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f"
+            "101112131415161718191a1b1c1d1e1f"  # key IV
+            "2122232425262728"  # key RSC
+            "3132333435363738"  # key id
+            "707172737475767778797a7b7c7d7e7f"  # key MIC
+            "0002" "ddee"  # key data length, key data
+        )
+        assert encode_eapol_key_frame(frame) == wire
+        assert parse_eapol_key_frame(wire) == frame
+
+    @pytest.mark.parametrize(
+        "field, octets, message",
+        [
+            ("key_nonce", 31, "key nonce must be 32 octets"),
+            ("key_iv", 15, "key iv must be 16 octets"),
+            ("key_rsc", 9, "key rsc must be 8 octets"),
+            ("key_id", 7, "key id must be 8 octets"),
+            ("key_mic", 17, "key mic must be 16 octets"),
+        ],
+    )
+    def test_wrong_width_field_rejected(self, field, octets, message):
+        frame = EapolKeyFrame(key_info=KEY_INFO_M1, replay_counter=0, key_nonce=bytes(32))
+        setattr(frame, field, bytes(octets))
+        with pytest.raises(FrameError, match=message):
+            encode_eapol_key_frame(frame)
 
     def test_body_length_validated(self):
         wire = encode_eapol_key_frame(

@@ -338,6 +338,9 @@ class TestSignedPayload:
         payload = signed_payload(b"\x01", AP_MAC, CLIENT_MAC, 26, b"\x07" * 8, b"\xaa" * 4)
         assert payload == b"\x01" + AP_MAC + CLIENT_MAC + b"\x1a" + b"\x07" * 8 + b"\xaa" * 4
 
+    def test_strict_payload_is_the_key_alone(self):
+        assert signed_payload(b"\x01", AP_MAC, CLIENT_MAC, 26, None, b"\xaa" * 4) == b"\xaa" * 4
+
     @given(tag=st.sampled_from([b"\x01", b"\x02"]), gid=st.sampled_from([19, 20, 21, 26]))
     def test_payload_injective_in_tag_and_group(self, tag, gid):
         base = signed_payload(b"\x01", AP_MAC, CLIENT_MAC, 26, bytes(8), b"\xbb" * 8)

@@ -3,6 +3,7 @@ transcripts."""
 
 import json
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -429,6 +430,23 @@ class TestHijack:
         assert t.secrets["ap1"]["psks"] == []
         assert events(t, "mitm-substituted")
         assert eavesdropper_view(t)["adversary_knows_legit_psk"] is False
+
+    def test_mitm_substitution_under_strict_frames(self):
+        # Strict Message 1 carries no nonce, so the adversary signs its key alone.
+        script = replace(
+            adversary_script(["mitm-substitute"], max_ticks=1500), strict_frames=True
+        )
+        t = run_checked(script, 0)
+        assert not [r for r in events(t, "transition", "client1") if r["to"] == "established"]
+        assert events(t, "mitm-substituted")
+        discards = events(t, "discard", "client1")
+        assert discards and {(r["reason"], r["context"]) for r in discards} == {
+            ("signature", "agreement-msg1")
+        }
+        substitutes = [r for r in tx_frames(t, "agreement") if r["origin"] == "adversary"]
+        assert substitutes and {r["size"] for r in substitutes} == {148}
+        assert t.secrets["client1"]["psks"] == []
+        assert t.secrets["ap1"]["psks"] == []
 
 
 class TestLeakDetector:
