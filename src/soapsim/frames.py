@@ -63,6 +63,8 @@ _KEY_BODY_FIELDS = (
 )
 _EAPOL_KEY_BODY = struct.Struct(">" + "".join(f for _, f in _KEY_BODY_FIELDS) + "H")
 EAPOL_KEY_BODY_OCTETS = _EAPOL_KEY_BODY.size
+# The most key data whose body length still fits the EAPOL header's field.
+_MAX_KEY_DATA_OCTETS = 0xFFFF - EAPOL_KEY_BODY_OCTETS
 
 
 class FrameError(ValueError):
@@ -246,10 +248,18 @@ class EapolKeyFrame:
 
 def encode_eapol_key_frame(frame: EapolKeyFrame) -> bytes:
     values = [getattr(frame, name) for name, _ in _KEY_BODY_FIELDS]
-    # A struct `s` field pads or truncates silently, so each width is checked.
+    # A struct `s` field pads or truncates silently, and an integer outside
+    # its field raises struct.error, so each field is checked before packing.
     for (name, fmt), value in zip(_KEY_BODY_FIELDS, values):
-        if fmt.endswith("s") and len(value) != int(fmt[:-1]):
-            raise FrameError(f"{name.replace('_', ' ')} must be {fmt[:-1]} octets")
+        octets = struct.calcsize(fmt)
+        label = name.replace("_", " ")
+        if fmt.endswith("s"):
+            if len(value) != octets:
+                raise FrameError(f"{label} must be {octets} octets")
+        elif not 0 <= value < 1 << 8 * octets:
+            raise FrameError(f"{label} {value} is outside [0, {1 << 8 * octets})")
+    if len(frame.key_data) > _MAX_KEY_DATA_OCTETS:
+        raise FrameError(f"key data must be at most {_MAX_KEY_DATA_OCTETS} octets")
     body = _EAPOL_KEY_BODY.pack(*values, len(frame.key_data)) + frame.key_data
     return _EAPOL_HEADER.pack(EAPOL_VERSION, EAPOL_TYPE_KEY, len(body)) + body
 

@@ -9,11 +9,12 @@ rogue AP is an `ApStation` that hears frames after the stations.
 Each transmission's work is done once. Its kind is read from its octets, and
 it is parsed once, by its first reader (the adversary, or the first receiver
 that admits its sender); every later reader gets the same frozen record (or
-the same parse error). The stations of one simulation, the
-rogue AP included, share one verify memo: a byte-identical signed management
-frame is verified once per run and signer, whatever the number of receivers.
-Everything a failed check does to a receiver (its discard, its failure count,
-its blacklist) stays per receiver.
+the same parse error). An AP sends one transmission per beacon content, so a
+beacon is parsed once however often it is sent. The stations of one
+simulation, the rogue AP included, share one verify memo: a byte-identical
+signed management frame is verified once per run and signer, whatever the
+number of receivers. Everything a failed check does to a receiver (its
+discard, its failure count, its blacklist) stays per receiver.
 
 Time advances by next-event jumps. While a frame is in flight the clock steps
 one tick at a time; when nothing is in flight it jumps straight to the
@@ -21,11 +22,18 @@ earliest tick at which something can act: a beacon, an AP retry deadline, a
 client await timeout, an adversary action, a scheduled action, or the end of
 the run. Every timer is a deadline that one method computes; ``on_tick``
 acts when the tick has reached it, and ``_deadlines`` reports it to the
-clock, so the two cannot disagree. A skipped tick is one at which every ``on_tick`` would have
-emitted nothing, recorded nothing, changed no state and drawn no randomness,
-so skipping it changes no output. An AP encodes (and, under the signing
-mitigation, signs) its beacon once and rebuilds it only when the content
-changes; RFC 6979 signatures are deterministic, so the octets are the same.
+clock, so the two cannot disagree. The clock keeps each station's due tick,
+the earliest of its deadlines, and recomputes it after the station ticks,
+handles a frame or is reset, the only calls that move its deadlines. At a
+stepped tick only the stations whose due tick has come run ``on_tick``.
+Likewise a frame is handed only to the addressees that can act on it: an
+unsigned, well-formed beacon from a sender that is not blocked goes only to
+scanning clients (see ``Station._ignores``). A skipped tick, or a skipped
+``on_tick`` or ``on_frame`` call, is one that would have emitted nothing,
+recorded nothing, changed no state and drawn no randomness, so skipping it
+changes no output. An AP encodes (and, under the signing mitigation, signs)
+its beacon once and rebuilds it only when the content changes; RFC 6979
+signatures are deterministic, so the octets are the same.
 
 Determinism contract: all randomness flows from one run seed through
 namespaced SeededRng children, station identity keys flow from a separate
@@ -190,11 +198,11 @@ class Transmission:
         except MalformedFrameError as exc:
             return exc
 
-    @property
+    @cached_property
     def src_mac(self) -> bytes:
         return wire_src_mac(self.wire)
 
-    @property
+    @cached_property
     def dst_mac(self) -> bytes:
         return wire_dst_mac(self.wire)
 
@@ -443,6 +451,20 @@ class Station:
             return False
         self.transcript.note(tick, "blocked", self.cfg.station_id, src=format_mac(src))
         return True
+
+    def _ignores(self, t: Transmission) -> bool:
+        """Whether ``on_frame(t)`` would return [] and record nothing, known
+        without running it: `t` is a well-formed beacon from a sender that is
+        not blocked, management frames are not signed (so there is no verify
+        and no failure count to keep), and this station is not a scanning
+        client, the only station a beacon can change."""
+        return (
+            t.kind == "beacon"
+            and self.state != "scanning"
+            and not self.mitigations.sign_management_frames
+            and not isinstance(t.frame, MalformedFrameError)
+            and t.src_mac not in self.blocked
+        )
 
     def on_frame(self, tick: int, t: Transmission) -> list[Transmission]:
         """Handle `t`, addressed to this station or broadcast and delivered
@@ -746,8 +768,8 @@ class ApStation(Station):
             if self.cfg.advertise_bogus_key
             else None
         )
-        # The beacon's wire octets and the leaked PSK they carry, if any.
-        self._beacon_wire: bytes | None = None
+        # The beacon on the air and the leaked PSK it carries, if any.
+        self._beacon_tx: Transmission | None = None
         self._beacon_leak: bytes | None = None
 
     # -- timers ------------------------------------------------------------
@@ -769,8 +791,10 @@ class ApStation(Station):
         return tick + (offset - tick) % self.cfg.beacon_period
 
     def _beacon(self) -> Transmission:
+        """The beacon to send: one Transmission per content, so its parse is
+        shared by every beacon that carries it."""
         leak = self.psk_history[-1] if self.cfg.debug_leak_psk and self.psk_history else None
-        if self._beacon_wire is None or leak != self._beacon_leak:
+        if self._beacon_tx is None or leak != self._beacon_leak:
             elements = [(ELEMENT_ID_SSID, self.cfg.ssid.encode())]
             if self.cfg.soap_aware:
                 advertised_key = self.decoy_ecdsa or self.identity.ecdsa
@@ -786,9 +810,9 @@ class ApStation(Station):
             frame = ManagementFrame(
                 FrameSubtype.BEACON, self.mac, BROADCAST_MAC, tuple(elements)
             )
-            self._beacon_wire = self._out_mgmt(frame).wire
+            self._beacon_tx = self._out_mgmt(frame)
             self._beacon_leak = leak
-        return Transmission(self.cfg.station_id, self._beacon_wire)
+        return self._beacon_tx
 
     def on_tick(self, tick: int) -> list[Transmission]:
         out = [self._beacon()] if self._beacon_due(tick) == tick else []
@@ -1185,6 +1209,12 @@ class Simulation:
         if self.adversary is not None and self.adversary.rogue is not None:
             self.receivers.append(self.adversary.rogue)
 
+        # Each station's due tick, in script order: the earliest tick at which
+        # its on_tick can act (max_ticks when it has no timer running).
+        self._due = dict.fromkeys(self.stations, 0)
+        for station in self.stations:
+            self._refresh(station, 0)
+
         self._schedule: dict[int, list[ScheduleAction]] = {}
         for action in script.schedule:
             self._schedule.setdefault(action.tick, []).append(action)
@@ -1204,29 +1234,44 @@ class Simulation:
         self.transcript.tx(tick, t)
         in_flight.append(t)
 
+    def _refresh(self, station: Station, tick: int) -> None:
+        """Recompute the due tick of `station` from `tick` on, after it acted.
+        The rogue AP has none: its timers are the adversary's."""
+        if station in self._due:
+            due = min(station._deadlines(tick), default=self.script.max_ticks)
+            self._due[station] = due
+
+    def _ticking(self, tick: int) -> list[Station]:
+        """The stations whose on_tick runs at `tick`, in script order: those
+        whose due tick it has reached."""
+        return [station for station, due in self._due.items() if due <= tick]
+
+    def _receives(self, station: Station, t: Transmission) -> bool:
+        """Whether `t` is handed to `station`, one of its addressees."""
+        return not station._ignores(t)
+
     def _deliver(self, tick: int, t: Transmission, in_flight: list) -> None:
-        """Hand `t` to every station it is addressed to, in receiver order.
-        The first receiver that admits the sender, if none read it before,
-        has it parsed; the rest share that parse."""
+        """Hand `t` to every station it is addressed to and can act on, in
+        receiver order. Its parse is made once, by its first reader, and
+        shared by the rest."""
         src, dst = t.src_mac, t.dst_mac
         for station in self.receivers:
             if station.mac == src or dst not in (station.mac, BROADCAST_MAC):
                 continue
-            if station._blocks(tick, src):
+            if not self._receives(station, t) or station._blocks(tick, src):
                 continue
             for reply in station.on_frame(tick, t):
                 self._transmit(tick, reply, in_flight)
+            self._refresh(station, tick)
 
     def _next_due(self, tick: int) -> int:
         """The earliest tick >= `tick` at which anything acts, or max_ticks."""
-        due = [self.script.max_ticks]
+        due = [self.script.max_ticks, *self._due.values()]
         i = bisect_left(self._schedule_ticks, tick)
         if i < len(self._schedule_ticks):
             due.append(self._schedule_ticks[i])
         if self.adversary is not None:
             due.extend(self.adversary._deadlines(tick))
-        for station in self.stations:
-            due.extend(station._deadlines(tick))
         # a deadline already passed means on_tick acts at `tick` itself
         return max(tick, min(due))
 
@@ -1249,12 +1294,15 @@ class Simulation:
             if self.adversary is not None:
                 for t in self.adversary.on_tick(tick):
                     self._transmit(tick, t, in_flight)
-            for station in self.stations:
+            for station in self._ticking(tick):
                 for t in station.on_tick(tick):
                     self._transmit(tick, t, in_flight)
+                self._refresh(station, tick + 1)
             for action in self._schedule.get(tick, ()):
-                for t in self.by_id[action.station].reset(tick):
+                station = self.by_id[action.station]
+                for t in station.reset(tick):
                     self._transmit(tick, t, in_flight)
+                self._refresh(station, tick + 1)
             tick = tick + 1 if in_flight else self._next_due(tick + 1)
         for station in self.stations:
             self.transcript.summaries[station.cfg.station_id] = station.summary(

@@ -258,6 +258,35 @@ class TestEapolKeyCodec:
         with pytest.raises(FrameError, match=message):
             encode_eapol_key_frame(frame)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("key_info", 0x10000, "key info 65536 is outside"),
+            ("key_length", -1, "key length -1 is outside"),
+            ("descriptor_type", 256, "descriptor type 256 is outside"),
+            ("replay_counter", 2**64, f"replay counter {2**64} is outside"),
+            ("key_data", bytes(65536), "key data must be at most 65440 octets"),
+        ],
+        ids=["key_info", "key_length", "descriptor_type", "replay_counter", "key_data"],
+    )
+    def test_out_of_range_field_rejected(self, field, value, message):
+        frame = EapolKeyFrame(key_info=KEY_INFO_M1, replay_counter=0, key_nonce=bytes(32))
+        setattr(frame, field, value)
+        with pytest.raises(FrameError, match=message):
+            encode_eapol_key_frame(frame)
+
+    def test_longest_key_data_round_trips(self):
+        frame = EapolKeyFrame(
+            key_info=KEY_INFO_M1, replay_counter=2**64 - 1, key_nonce=bytes(32),
+            key_data=bytes(65440),
+        )
+        wire = encode_eapol_key_frame(frame)
+        assert len(wire) == 4 + 0xFFFF
+        assert parse_eapol_key_frame(wire) == frame
+        frame.key_data += b"\x00"
+        with pytest.raises(FrameError, match="key data must be at most 65440 octets"):
+            encode_eapol_key_frame(frame)
+
     def test_body_length_validated(self):
         wire = encode_eapol_key_frame(
             EapolKeyFrame(key_info=KEY_INFO_M1, replay_counter=0, key_nonce=bytes(32))
