@@ -605,7 +605,10 @@ class SeededRng:
 
 
 @dataclass
-class EcdhKeyPair:
+class KeyPair:
+    """A private scalar and its public point: an ECDH ephemeral or an ECDSA
+    signing key."""
+
     group: EcGroup
     private_scalar: int
     public_point: Point
@@ -620,14 +623,14 @@ class SharedPsk(bytes):
         return super().__new__(cls, data)
 
 
-def ecdh_generate(group: EcGroup, rng: SeededRng) -> EcdhKeyPair:
+def ecdh_generate(group: EcGroup, rng: SeededRng) -> KeyPair:
     d = rng.uniform_scalar(group)
     public = point_mul(group, d)
     assert public is not None
-    return EcdhKeyPair(group, d, public)
+    return KeyPair(group, d, public)
 
 
-def ecdh_agree(own: EcdhKeyPair, peer_public: Point) -> SharedPsk:
+def ecdh_agree(own: KeyPair, peer_public: Point) -> SharedPsk:
     group = own.group
     if not is_on_curve(group, peer_public) or peer_public is None:
         raise InvalidPointError("peer public value is not on the curve")
@@ -665,14 +668,7 @@ def _key_table(group: EcGroup, point: Point) -> tuple[Point | None, ...] | None:
     return table
 
 
-@dataclass
-class EcdsaKeyPair:
-    group: EcGroup
-    private_scalar: int
-    public_point: Point
-
-
-def ecdsa_generate(group: EcGroup, rng: SeededRng) -> EcdsaKeyPair:
+def ecdsa_generate(group: EcGroup, rng: SeededRng) -> KeyPair:
     """Generate a signing key whose public point has even y.
 
     The advertisement carries only the x coordinate, so the key is
@@ -685,7 +681,7 @@ def ecdsa_generate(group: EcGroup, rng: SeededRng) -> EcdsaKeyPair:
     if public[1] % 2:
         d = group.order_n - d
         public = (public[0], group.field_p - public[1])
-    return EcdsaKeyPair(group, d, public)
+    return KeyPair(group, d, public)
 
 
 def _bits2int(data: bytes, n: int) -> int:
@@ -724,7 +720,7 @@ def _deterministic_nonce(group: EcGroup, private_scalar: int, digest: bytes) -> 
         v = hmac.new(k, v, _DIGEST).digest()
 
 
-def ecdsa_sign(key: EcdsaKeyPair, message: bytes) -> bytes:
+def ecdsa_sign(key: KeyPair, message: bytes) -> bytes:
     """Sign SHA-256(message); returns r || s, each key_size_octets wide.
 
     Nonces are derived deterministically from the key and digest, so a

@@ -85,10 +85,6 @@ def _mic_ok(kck: bytes, frame: EapolKeyFrame) -> bool:
     return hmac.compare_digest(frame.key_mic, compute_mic(kck, frame))
 
 
-def _matches(frame: EapolKeyFrame, key_info: int) -> bool:
-    return frame.key_info == key_info
-
-
 class FourwayState(Enum):
     IDLE = "idle"
     AWAIT_M2 = "await-m2"
@@ -143,7 +139,7 @@ class Authenticator:
         """Returns (reply frame or None, event)."""
         if frame.replay_counter != self.replay_counter:
             return None, "replay"
-        if self.state is FourwayState.AWAIT_M2 and _matches(frame, KEY_INFO_M2):
+        if self.state is FourwayState.AWAIT_M2 and frame.key_info == KEY_INFO_M2:
             self.keys = derive_ptk(
                 self.pmk, self.ap_mac, self.client_mac, self.anonce, frame.key_nonce
             )
@@ -158,7 +154,7 @@ class Authenticator:
                 key_data=KEY_DATA_M3,
             )
             return self._send(m3), "m2-verified"
-        if self.state is FourwayState.AWAIT_M4 and _matches(frame, KEY_INFO_M4):
+        if self.state is FourwayState.AWAIT_M4 and frame.key_info == KEY_INFO_M4:
             if not _mic_ok(self.keys.kck, frame):
                 return self._fail("mic-mismatch")
             self.state = FourwayState.ESTABLISHED
@@ -189,7 +185,7 @@ class Supplicant:
         """Returns (reply frame or None, event)."""
         if frame.replay_counter <= self.last_rx_counter:
             return None, "replay"
-        if _matches(frame, KEY_INFO_M1) and self.state in (
+        if frame.key_info == KEY_INFO_M1 and self.state in (
             FourwayState.IDLE,
             FourwayState.SENT_M2,
         ):
@@ -206,7 +202,7 @@ class Supplicant:
                 key_nonce=self.snonce,
             )
             return _attach_mic(self.keys.kck, m2), "m1-accepted"
-        if _matches(frame, KEY_INFO_M3) and self.state is FourwayState.SENT_M2:
+        if frame.key_info == KEY_INFO_M3 and self.state is FourwayState.SENT_M2:
             if not _mic_ok(self.keys.kck, frame):
                 return self._fail("mic-mismatch")
             self.last_rx_counter = frame.replay_counter

@@ -22,9 +22,8 @@ from enum import Enum
 
 from . import negotiation
 from .crypto import (
-    EcdhKeyPair,
-    EcdsaKeyPair,
     EcGroup,
+    KeyPair,
     Point,
     SeededRng,
     SharedPsk,
@@ -70,7 +69,7 @@ class StationIdentity:
     mac: bytes
     role: Role
     group_ids: tuple[int, ...]
-    ecdsa: EcdsaKeyPair
+    ecdsa: KeyPair
 
 
 def make_identity(mac: bytes, role: Role, group_ids, rng: SeededRng) -> StationIdentity:
@@ -109,7 +108,7 @@ class _SessionCore:
     peer_signer_group: EcGroup | None = None
     peer_signer_point: Point | None = None
     psk: SharedPsk | None = None
-    _ephemeral: EcdhKeyPair | None = field(default=None, repr=False)
+    _ephemeral: KeyPair | None = field(default=None, repr=False)
 
     def abort(self, reason: str) -> None:
         self.phase = Phase.ABORTED

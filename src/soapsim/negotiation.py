@@ -5,7 +5,7 @@ WPA-PSK when they share none."""
 from __future__ import annotations
 
 from .crypto import (
-    EcdsaKeyPair,
+    KeyPair,
     Point,
     UnknownGroupError,
     group_for_key_size,
@@ -27,7 +27,7 @@ def select_group(ap_group_ids, client_group_ids) -> int | None:
     return strongest_group_id(set(ap_group_ids) & set(client_group_ids))
 
 
-def advertisement_ie(signing_key: EcdsaKeyPair, group_ids) -> SoapIe:
+def advertisement_ie(signing_key: KeyPair, group_ids) -> SoapIe:
     """AP-side element: the full supported group list plus the AP's key."""
     ids = sorted(set(group_ids))
     if not ids:
@@ -39,7 +39,7 @@ def advertisement_ie(signing_key: EcdsaKeyPair, group_ids) -> SoapIe:
     )
 
 
-def response_ie(signing_key: EcdsaKeyPair, selected_group_id: int) -> SoapIe:
+def response_ie(signing_key: KeyPair, selected_group_id: int) -> SoapIe:
     """Client-side element: exactly the one group the client chose."""
     registry_lookup(selected_group_id)
     return SoapIe(

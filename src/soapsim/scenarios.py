@@ -305,7 +305,14 @@ def script_from_dict(data: dict) -> ScenarioScript:
             _require(roles[s.pin_ap] == "ap", where, f"{s.pin_ap!r} is not an AP")
 
     if "adversary" in got:
-        got["adversary"] = _adversary_from_dict(got["adversary"], "script.adversary", roles)
+        adversary = got["adversary"] = _adversary_from_dict(
+            got["adversary"], "script.adversary", roles
+        )
+        _require(
+            parse_mac(adversary.mac) not in macs,
+            "script.adversary.mac",
+            "repeats the mac of a station",
+        )
     if "mitigations" in got:
         got["mitigations"] = Mitigations(
             **_record(Mitigations, got["mitigations"], "script.mitigations")

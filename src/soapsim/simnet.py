@@ -4,7 +4,8 @@ a clock that delivers every transmitted frame one tick later.
 `Station` holds what both ends share: admission, blacklisting, frame output
 and one ``on_frame`` that dispatches each delivered frame. Its subclasses are
 `ClientStation` and `ApStation`; an AP keeps an `ApPeer` per client, and a
-rogue AP is an `ApStation` that hears frames after the stations.
+rogue AP is an `ApStation` that hears frames after the stations. The actors
+are what has timers: the stations, the rogue AP and the adversary.
 
 Each transmission's work is done once. Its kind is read from its octets, and
 it is parsed once, by its first reader (the adversary, or the first receiver
@@ -22,10 +23,10 @@ earliest tick at which something can act: a beacon, an AP retry deadline, a
 client await timeout, an adversary action, a scheduled action, or the end of
 the run. Every timer is a deadline that one method computes; ``on_tick``
 acts when the tick has reached it, and ``_deadlines`` reports it to the
-clock, so the two cannot disagree. The clock keeps each station's due tick,
-the earliest of its deadlines, and recomputes it after the station ticks,
+clock, so the two cannot disagree. The clock keeps each actor's due tick,
+the earliest of its deadlines, and recomputes it after the actor ticks,
 handles a frame or is reset, the only calls that move its deadlines. At a
-stepped tick only the stations whose due tick has come run ``on_tick``.
+stepped tick only the actors whose due tick has come run ``on_tick``.
 Likewise a frame is handed only to the addressees that can act on it: an
 unsigned, well-formed beacon from a sender that is not blocked goes only to
 scanning clients (see ``Station._ignores``). A skipped tick, or a skipped
@@ -37,9 +38,9 @@ signatures are deterministic, so the octets are the same.
 
 Determinism contract: all randomness flows from one run seed through
 namespaced SeededRng children, station identity keys flow from a separate
-identity seed, entities are processed in a fixed order each tick (adversary
-first, then stations in script order), and in-flight frames are delivered
-in transmission order. Two runs with the same script and seeds produce
+identity seed, actors tick in a fixed order each tick (the rogue AP, the
+adversary, then stations in script order), and in-flight frames are
+delivered in transmission order. Two runs with the same script and seeds produce
 byte-identical transcripts.
 """
 
@@ -982,8 +983,8 @@ class Adversary:
     """Channel-level attacker. Capabilities compose: passive capture, frame
     replay, rogue advertisement (with a consistent or a bogus key), in-path
     substitution of agreement messages, data-frame deletion, and spoofed
-    disassociation. The rogue AP, when there is one, receives frames like any
-    station."""
+    disassociation. The rogue AP, when there is one, receives frames and ticks
+    like any station."""
 
     def __init__(
         self,
@@ -1036,27 +1037,13 @@ class Adversary:
             )
             self._signer = identity.ecdsa
 
-    def observe(self, tick: int, t: Transmission) -> None:
-        if t.origin == "adversary":
-            return
-        if self.caps & {"eavesdrop", "replay"}:
-            if self.cfg.replay_at is None or tick < self.cfg.replay_at:
-                self.captured.append(t.wire)
-        if "mitm-substitute" in self.caps and t.kind == "assoc-request":
-            frame = t.frame
-            if isinstance(frame, MalformedFrameError):
-                return
-            try:
-                ie = soap_ie_from_frame(frame)
-            except MalformedFrameError:
-                return
-            if ie is not None:
-                self.flow_groups[frame.src_mac] = ie.group_ids[0]
-
-    def filter(self, tick: int, t: Transmission) -> list[Transmission]:
-        """Applied to every legitimate frame in flight; returns replacements."""
+    def intercept(self, tick: int, t: Transmission) -> list[Transmission]:
+        """What reaches the stations of `t`, a frame in flight: `t` itself, a
+        substitute (recorded as sent), or nothing. A legitimate frame is first
+        captured and its flow's group noted."""
         if t.origin == "adversary":
             return [t]
+        self._observe(tick, t)
         if "delete-intercept" in self.caps and t.kind in EAPOL_KINDS:
             self.transcript.note(
                 tick, "deleted", "adversary", frame=t.kind, src=format_mac(t.src_mac)
@@ -1071,8 +1058,24 @@ class Adversary:
             substitute = self._substitute_message1(t)
             if substitute is not None:
                 self.transcript.note(tick, "mitm-substituted", "adversary")
+                self.transcript.tx(tick, substitute)
                 return [substitute]
         return [t]
+
+    def _observe(self, tick: int, t: Transmission) -> None:
+        if self.caps & {"eavesdrop", "replay"}:
+            if self.cfg.replay_at is None or tick < self.cfg.replay_at:
+                self.captured.append(t.wire)
+        if "mitm-substitute" in self.caps and t.kind == "assoc-request":
+            frame = t.frame
+            if isinstance(frame, MalformedFrameError):
+                return
+            try:
+                ie = soap_ie_from_frame(frame)
+            except MalformedFrameError:
+                return
+            if ie is not None:
+                self.flow_groups[frame.src_mac] = ie.group_ids[0]
 
     def _substitute_message1(self, t: Transmission) -> Transmission | None:
         if isinstance(t.frame, MalformedFrameError):
@@ -1115,16 +1118,12 @@ class Adversary:
 
     def _deadlines(self, tick: int):
         """The timers on_tick acts on from `tick` on, as for a station."""
-        if self.rogue is not None:
-            yield from self.rogue._deadlines(tick)
         for deadline in (self._replay_deadline(), self._disassoc_deadline()):
             if deadline is not None:
                 yield deadline
 
     def on_tick(self, tick: int) -> list[Transmission]:
         out: list[Transmission] = []
-        if self.rogue is not None:
-            out.extend(self.rogue.on_tick(tick))
         replay_at = self._replay_deadline()
         if replay_at is not None and tick >= replay_at:
             self.replayed = True
@@ -1140,6 +1139,15 @@ class Adversary:
             )
             out.append(Transmission("adversary", encode_management_frame(forged)))
         return out
+
+    def summary(self, mac_names: dict) -> dict:
+        summary = {"captured_frames": len(self.captured), "capabilities": sorted(self.caps)}
+        if self.rogue is not None:
+            summary["rogue"] = self.rogue.summary(mac_names)
+        return summary
+
+    def secrets(self) -> dict:
+        return self.rogue.secrets() if self.rogue is not None else {"psks": [], "kcks": []}
 
 
 # ---------------------------------------------------------------------------
@@ -1205,15 +1213,16 @@ class Simulation:
             )
 
         # Every frame goes to the stations in script order, then the rogue AP.
-        self.receivers = list(self.stations)
-        if self.adversary is not None and self.adversary.rogue is not None:
-            self.receivers.append(self.adversary.rogue)
+        rogue = [self.adversary.rogue] if self.adversary and self.adversary.rogue else []
+        self.receivers = self.stations + rogue
 
-        # Each station's due tick, in script order: the earliest tick at which
-        # its on_tick can act (max_ticks when it has no timer running).
-        self._due = dict.fromkeys(self.stations, 0)
-        for station in self.stations:
-            self._refresh(station, 0)
+        # Each actor's due tick: the earliest tick at which its on_tick can act
+        # (max_ticks when it has no timer running). Actors tick in this order:
+        # the rogue AP, the adversary, then the stations in script order.
+        adversary = [self.adversary] if self.adversary else []
+        self._due = dict.fromkeys(rogue + adversary + self.stations, 0)
+        for actor in self._due:
+            self._refresh(actor, 0)
 
         self._schedule: dict[int, list[ScheduleAction]] = {}
         for action in script.schedule:
@@ -1234,17 +1243,14 @@ class Simulation:
         self.transcript.tx(tick, t)
         in_flight.append(t)
 
-    def _refresh(self, station: Station, tick: int) -> None:
-        """Recompute the due tick of `station` from `tick` on, after it acted.
-        The rogue AP has none: its timers are the adversary's."""
-        if station in self._due:
-            due = min(station._deadlines(tick), default=self.script.max_ticks)
-            self._due[station] = due
+    def _refresh(self, actor: Station | Adversary, tick: int) -> None:
+        """Recompute the due tick of `actor` from `tick` on, after it acted."""
+        self._due[actor] = min(actor._deadlines(tick), default=self.script.max_ticks)
 
-    def _ticking(self, tick: int) -> list[Station]:
-        """The stations whose on_tick runs at `tick`, in script order: those
-        whose due tick it has reached."""
-        return [station for station, due in self._due.items() if due <= tick]
+    def _ticking(self, tick: int) -> list[Station | Adversary]:
+        """The actors whose on_tick runs at `tick`, in tick order: those whose
+        due tick it has reached."""
+        return [actor for actor, due in self._due.items() if due <= tick]
 
     def _receives(self, station: Station, t: Transmission) -> bool:
         """Whether `t` is handed to `station`, one of its addressees."""
@@ -1270,8 +1276,6 @@ class Simulation:
         i = bisect_left(self._schedule_ticks, tick)
         if i < len(self._schedule_ticks):
             due.append(self._schedule_ticks[i])
-        if self.adversary is not None:
-            due.extend(self.adversary._deadlines(tick))
         # a deadline already passed means on_tick acts at `tick` itself
         return max(tick, min(due))
 
@@ -1281,45 +1285,23 @@ class Simulation:
         while tick < self.script.max_ticks:
             deliveries, in_flight = in_flight, []
             for t in deliveries:
-                if self.adversary is not None:
-                    self.adversary.observe(tick, t)
-                    passed = self.adversary.filter(tick, t)
-                    for sub in passed:
-                        if sub is not t:
-                            self.transcript.tx(tick, sub)
-                else:
-                    passed = [t]
+                passed = self.adversary.intercept(tick, t) if self.adversary else [t]
                 for item in passed:
                     self._deliver(tick, item, in_flight)
-            if self.adversary is not None:
-                for t in self.adversary.on_tick(tick):
+            for actor in self._ticking(tick):
+                for t in actor.on_tick(tick):
                     self._transmit(tick, t, in_flight)
-            for station in self._ticking(tick):
-                for t in station.on_tick(tick):
-                    self._transmit(tick, t, in_flight)
-                self._refresh(station, tick + 1)
+                self._refresh(actor, tick + 1)
             for action in self._schedule.get(tick, ()):
                 station = self.by_id[action.station]
                 for t in station.reset(tick):
                     self._transmit(tick, t, in_flight)
                 self._refresh(station, tick + 1)
             tick = tick + 1 if in_flight else self._next_due(tick + 1)
-        for station in self.stations:
-            self.transcript.summaries[station.cfg.station_id] = station.summary(
-                self.mac_names
-            )
-            self.transcript.secrets[station.cfg.station_id] = station.secrets()
-        if self.adversary is not None:
-            adv = {
-                "captured_frames": len(self.adversary.captured),
-                "capabilities": sorted(self.adversary.caps),
-            }
-            if self.adversary.rogue is not None:
-                adv["rogue"] = self.adversary.rogue.summary(self.mac_names)
-                self.transcript.secrets["adversary"] = self.adversary.rogue.secrets()
-            else:
-                self.transcript.secrets["adversary"] = {"psks": [], "kcks": []}
-            self.transcript.summaries["adversary"] = adv
+        adversary = {"adversary": self.adversary} if self.adversary else {}
+        for name, reporter in {**self.by_id, **adversary}.items():
+            self.transcript.summaries[name] = reporter.summary(self.mac_names)
+            self.transcript.secrets[name] = reporter.secrets()
         return self.transcript
 
 

@@ -16,8 +16,8 @@ from soapsim.crypto import (
     KEY_MEMO_ENTRIES,
     PSK_OCTETS,
     REGISTRY,
-    EcdsaKeyPair,
     InvalidPointError,
+    KeyPair,
     SeededRng,
     SharedPsk,
     UnknownGroupError,
@@ -351,7 +351,7 @@ class TestEcdsa:
     def test_published_deterministic_vectors(self, gid, priv, expected):
         group = registry_lookup(gid)
         public = point_mul(group, priv)
-        key = EcdsaKeyPair(group, priv, public)
+        key = KeyPair(group, priv, public)
         assert ecdsa_sign(key, b"sample").hex() == expected
 
     def test_sign_verify_round_trip_all_groups(self):

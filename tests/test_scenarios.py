@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from soapsim.crypto import REGISTRY
@@ -38,6 +38,7 @@ from soapsim.simnet import (
     ScenarioScript,
     ScheduleAction,
     StationConfig,
+    parse_mac,
     run_scenario,
 )
 
@@ -375,6 +376,23 @@ class TestSchemaRejects:
         rejected(
             minimal(adversary={"capabilities": ["masquerade"], "mac": mac}),
             "script.adversary.mac: bad mac",
+        )
+
+    @pytest.mark.parametrize(
+        "station_mac,adversary",
+        [
+            ("02:00:00:00:00:0a", {"mac": "02:00:00:00:00:0a"}),
+            ("02:00:00:00:00:0a", {"mac": "02:00:00:00:00:0A"}),
+            (AdversaryConfig.mac, {}),  # the default
+        ],
+    )
+    def test_adversary_mac_must_not_repeat_a_station(self, station_mac, adversary):
+        rejected(
+            minimal(
+                stations=[dict(AP), dict(CLIENT, mac=station_mac)],
+                adversary={"capabilities": ["masquerade"], **adversary},
+            ),
+            "script.adversary.mac: repeats the mac of a station",
         )
 
     @pytest.mark.parametrize("groups", [[99], [26, 99], [0]])
@@ -795,6 +813,8 @@ def valid_scripts(draw):
         target_ap=st.none() | st.sampled_from(aps),
         target_client=st.none() | st.sampled_from(clients),
     ))
+    if adversary is not None:
+        assume(parse_mac(adversary.mac) not in {parse_mac(s.mac) for s in stations})
     return ScenarioScript(
         name=draw(st.text(max_size=8)),
         stations=stations,

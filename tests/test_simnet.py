@@ -462,14 +462,15 @@ class TestLeakDetector:
 
 
 class FixedStepSimulation(Simulation):
-    """Reference clock: steps every tick, ticks every station at it and hands
-    every frame to every addressee, as a fixed-step loop would."""
+    """Reference clock: steps every tick, ticks every actor (the rogue AP, the
+    adversary and every station) at it and hands every frame to every
+    addressee, as a fixed-step loop would."""
 
     def _next_due(self, tick):
         return tick
 
     def _ticking(self, tick):
-        return self.stations
+        return list(self._due)
 
     def _receives(self, station, t):
         return True
@@ -920,29 +921,61 @@ def against_fixed_step(script, calls):
 
 
 class TestDueTicksAndDelivery:
-    """A station ticks only when a deadline of its own is due, and an unsigned
-    beacon reaches only the stations that can act on it."""
+    """An actor (a station, the rogue AP or the adversary) ticks only when a
+    deadline of its own is due, and an unsigned beacon reaches only the
+    stations that can act on it."""
 
-    def test_on_tick_only_when_a_deadline_is_reached(self, monkeypatch):
+    def record_ticks(self, monkeypatch):
+        """(tick, actor, whether one of its deadlines is reached) of every
+        on_tick call; the actor is a station id, `rogue` or `adversary`."""
         calls = []
 
         def recording(real):
             def on_tick(self, tick):
                 reached = min(self._deadlines(tick), default=tick + 1) <= tick
-                calls.append((tick, self.cfg.station_id, reached))
+                if isinstance(self, simnet.Adversary):
+                    actor = "adversary"
+                else:
+                    actor = self.cfg.station_id.replace("adversary", "rogue")
+                calls.append((tick, actor, reached))
                 return real(self, tick)
 
             return on_tick
 
-        for kind in (simnet.ClientStation, ApStation):
+        for kind in (simnet.ClientStation, ApStation, simnet.Adversary):
             monkeypatch.setattr(kind, "on_tick", recording(kind.on_tick))
-        stepped, reference = against_fixed_step(campus(), calls)
+        return calls
+
+    def test_on_tick_only_when_a_deadline_is_reached(self, monkeypatch):
+        stepped, reference = against_fixed_step(campus(), self.record_ticks(monkeypatch))
         assert len(reference) == 3000 * 8
         due = [(tick, station) for tick, station, reached in reference if reached]
         assert [(tick, station) for tick, station, _ in stepped] == due
         assert all(reached for *_, reached in stepped)
         # 30 beacons from each AP; no client waits long enough to time out
         assert len(stepped) == 4 * 30
+
+    def test_adversary_and_rogue_tick_only_when_due(self, monkeypatch):
+        attack = adversary_script(
+            ["masquerade", "replay", "disassoc-inject"],
+            stations=pair(ap_kw={"beacon_offset": 50}),
+            ssid="publicnet", beacon_period=25, replay_at=700, disassoc_at=800,
+            max_ticks=1000,
+        )
+        stepped, reference = against_fixed_step(attack, self.record_ticks(monkeypatch))
+        # the reference ticks the rogue AP, the adversary and both stations
+        # at every tick, in that order
+        assert len(reference) == 1000 * 4
+        order = [actor for _, actor, _ in reference[:4]]
+        assert order == ["rogue", "adversary", "ap1", "client1"]
+        due = [(tick, actor) for tick, actor, reached in reference if reached]
+        assert [(tick, actor) for tick, actor, _ in stepped] == due
+        assert all(reached for *_, reached in stepped)
+        assert [tick for tick, actor, _ in stepped if actor == "adversary"] == [700, 800]
+        # the rogue AP's beacons; the client keys with it and it never resends
+        assert [tick for tick, actor, _ in stepped if actor == "rogue"] == list(
+            range(0, 1000, 25)
+        )
 
     def record_frames(self, monkeypatch):
         """(tick, receiver, frame kind, receiver state) of every on_frame call."""
