@@ -32,6 +32,10 @@ nonzero digit adds its table's affine entry with one mixed addition.
 - x-only decoding on P-224 (p = 1 mod 4) runs Tonelli-Shanks with its
   per-curve constants computed once.  Only signer keys travel x-only, so
   the KEY_MEMO_ENTRIES most recent decodes are remembered as well.
+- Signatures (RFC 6979) and verdicts depend on public inputs alone, so the
+  process remembers the MEMO_ENTRIES most recent of each, keyed by every
+  input (a signer by its public point).  ECDH and point_mul always compute:
+  no memo holds an ephemeral value or a private scalar.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ WNAF_WIDTH = 4
 # Signer keys remembered, least recently used out first: their x-only decodes,
 # and as verify keys their comb tables (44 KiB on P-224, 64 KiB on P-521).
 KEY_MEMO_ENTRIES = 16
+# Verdicts and signatures remembered, a few hundred octets each.
+MEMO_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -604,7 +610,7 @@ class SeededRng:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class KeyPair:
     """A private scalar and its public point: an ECDH ephemeral or an ECDSA
     signing key."""
@@ -645,27 +651,34 @@ def ecdh_agree(own: KeyPair, peer_public: Point) -> SharedPsk:
 # ---------------------------------------------------------------------------
 
 
+def _recall(memo: OrderedDict, key, make, entries: int = MEMO_ENTRIES):
+    """memo[key], made by make() on a miss; past `entries` the least recently
+    used entry is dropped.  A make() that raises stores nothing."""
+    if key in memo:
+        memo.move_to_end(key)
+        return memo[key]
+    value = memo[key] = make()
+    if len(memo) > entries:
+        memo.popitem(last=False)
+    return value
+
+
 # (group id, verify key) -> the key's comb table, or None until its second
 # verify; ordered from least to most recently verified.  A table costs one to
 # two verifies to build, so a key verified once never pays for one, and a run
 # that cycles through more keys than the memo holds (the 30-client crowd
 # scenario) builds none instead of one per verify.
 _key_memo: OrderedDict = OrderedDict()
+_verdict_memo: OrderedDict = OrderedDict()  # (group id, key, message, signature)
+_signature_memo: OrderedDict = OrderedDict()  # (group id, public point, message)
 
 
 def _key_table(group: EcGroup, point: Point) -> tuple[Point | None, ...] | None:
     """The comb table of a verify key seen before, or None on its first verify."""
     key = (group.group_id, point)
-    if key not in _key_memo:
-        _key_memo[key] = None
-        if len(_key_memo) > KEY_MEMO_ENTRIES:
-            _key_memo.popitem(last=False)
-        return None
-    _key_memo.move_to_end(key)
-    table = _key_memo[key]
-    if table is None:
-        table = _key_memo[key] = _comb_table(group, point)
-    return table
+    if key in _key_memo and _key_memo[key] is None:
+        _key_memo[key] = _comb_table(group, point)
+    return _recall(_key_memo, key, lambda: None, KEY_MEMO_ENTRIES)
 
 
 def ecdsa_generate(group: EcGroup, rng: SeededRng) -> KeyPair:
@@ -727,6 +740,11 @@ def ecdsa_sign(key: KeyPair, message: bytes) -> bytes:
     given (key, message) pair always yields the same signature and runs
     never depend on platform entropy.
     """
+    memo_key = (key.group.group_id, key.public_point, bytes(message))
+    return _recall(_signature_memo, memo_key, lambda: _sign(key, message))
+
+
+def _sign(key: KeyPair, message: bytes) -> bytes:
     group = key.group
     n = group.order_n
     digest = _DIGEST(message).digest()
@@ -749,6 +767,11 @@ def ecdsa_sign(key: KeyPair, message: bytes) -> bytes:
 def ecdsa_verify(
     group: EcGroup, public_point: Point, message: bytes, signature: bytes
 ) -> bool:
+    key = (group.group_id, public_point, bytes(message), bytes(signature))
+    return _recall(_verdict_memo, key, lambda: _verify(group, *key[1:]))
+
+
+def _verify(group: EcGroup, public_point: Point, message: bytes, signature: bytes) -> bool:
     width = group.key_size_octets
     if len(signature) != 2 * width:
         return False

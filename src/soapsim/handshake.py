@@ -58,7 +58,7 @@ class Phase(Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(frozen=True)
 class StationIdentity:
     """Long-lived station identity: MAC, supported groups, signing key.
 

@@ -11,11 +11,11 @@ Each transmission's work is done once. Its kind is read from its octets, and
 it is parsed once, by its first reader (the adversary, or the first receiver
 that admits its sender); every later reader gets the same frozen record (or
 the same parse error). An AP sends one transmission per beacon content, so a
-beacon is parsed once however often it is sent. The stations of one
-simulation, the rogue AP included, share one verify memo: a byte-identical
-signed management frame is verified once per run and signer, whatever the
-number of receivers. Everything a failed check does to a receiver (its
-discard, its failure count, its blacklist) stays per receiver.
+beacon is parsed once however often it is sent. Verdicts and signatures
+(``crypto``) and scripted identities (``_identities``) are remembered per
+process, so a signed beacon heard by many clients is verified once while it
+is recent. Everything a failed check does to a receiver (its discard, its
+failure count, its blacklist) stays per receiver.
 
 Time advances by next-event jumps. While a frame is in flight the clock steps
 one tick at a time; when nothing is in flight it jumps straight to the
@@ -49,12 +49,14 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import negotiation
 from .crypto import (
     SeededRng,
+    _recall,
     ecdh_generate,
     ecdsa_generate,
     ecdsa_sign,
@@ -94,6 +96,7 @@ from .handshake import (
     ClientSession,
     Phase,
     Role,
+    StationIdentity,
     make_identity,
     signed_payload,
 )
@@ -303,10 +306,7 @@ class Station:
     management-frame signature check), signature-failure blacklisting, frame
     output, and one dispatch path for delivered frames. A subclass handles
     what the dispatch hands it in `_on_mgmt`, `_on_agreement` and
-    `_on_eapol_key`.
-
-    ``verify_memo`` is the simulation's: (group id, signer point, frame
-    octets) -> whether the frame's signature verifies under that signer."""
+    `_on_eapol_key`."""
 
     from_ds = False  # the DS bit of the data frames this station sends
 
@@ -318,7 +318,6 @@ class Station:
         mitigations: Mitigations,
         transcript: Transcript,
         strict_frames: bool,
-        verify_memo: dict,
     ):
         self.cfg = cfg
         self.identity = identity
@@ -326,7 +325,6 @@ class Station:
         self.mitigations = mitigations
         self.transcript = transcript
         self.strict_frames = strict_frames
-        self.verify_memo = verify_memo
         self.mac = identity.mac
         self.session_counter = 0
         self.psk_history: list[bytes] = []
@@ -406,25 +404,18 @@ class Station:
     def _on_blacklisted(self, tick: int, mac: bytes) -> None:
         """Called once, when `mac` joins the blocked list."""
 
-    def _signed_by(self, group, point, wire: bytes, frame: ManagementFrame) -> bool:
-        """Whether `frame`, parsed from `wire`, carries a valid signature by
-        `point`. The verify runs once per simulation for each input."""
-        key = (group.group_id, point, wire)
-        ok = self.verify_memo.get(key)
-        if ok is None:
-            ok = self.verify_memo[key] = ecdsa_verify(
-                group, point, management_signing_input(frame), frame.signature
-            )
-        return ok
+    def _signed_by(self, group, point, frame: ManagementFrame) -> bool:
+        """Whether `frame` carries a valid signature by `point`."""
+        return ecdsa_verify(group, point, management_signing_input(frame), frame.signature)
 
-    def _mgmt_signature_ok(self, tick: int, wire: bytes, frame: ManagementFrame) -> bool:
+    def _mgmt_signature_ok(self, tick: int, frame: ManagementFrame) -> bool:
         """Admission check for management frames under the signing mitigation."""
         if not self.mitigations.sign_management_frames:
             return True
         known = self.known_keys.get(frame.src_mac)
         if known is not None:
             group, point = known
-            if frame.signature is None or not self._signed_by(group, point, wire, frame):
+            if frame.signature is None or not self._signed_by(group, point, frame):
                 self._sig_failure(tick, frame.src_mac, "mgmt")
                 return False
             self.fail_counts[frame.src_mac] = 0
@@ -438,7 +429,7 @@ class Station:
                     group, point = negotiation.resolve_signer(ie)
                 except ValueError:
                     return False
-                if not self._signed_by(group, point, wire, frame):
+                if not self._signed_by(group, point, frame):
                     self._sig_failure(tick, frame.src_mac, "mgmt")
                     return False
         return True
@@ -480,7 +471,7 @@ class Station:
             if t.kind == "agreement":
                 return self._on_agreement(tick, frame)
             return self._on_eapol_key(tick, frame)
-        if not self._mgmt_signature_ok(tick, t.wire, frame):
+        if not self._mgmt_signature_ok(tick, frame):
             return []
         return self._on_mgmt(tick, frame)
 
@@ -994,7 +985,6 @@ class Adversary:
         strict_frames: bool,
         target_ap_mac: bytes | None,
         target_client_mac: bytes | None,
-        verify_memo: dict,
     ):
         self.cfg = cfg
         self.caps = set(cfg.capabilities)
@@ -1033,7 +1023,6 @@ class Adversary:
                 Mitigations(),
                 transcript,
                 strict_frames,
-                verify_memo,
             )
             self._signer = identity.ecdsa
 
@@ -1162,20 +1151,10 @@ class Simulation:
         self.script = script
         self.seed = seed
         self.transcript = Transcript(script.name, seed)
-        # Shared by every station and the rogue AP, and by no other simulation.
-        self.verify_memo: dict = {}
-        identity_rng = SeededRng(script.identity_seed, b"identities")
         run_rng = SeededRng(seed, b"run")
-
-        identities = {}
-        for cfg in script.stations:
-            role = Role.CLIENT if cfg.role == "client" else Role.AP
-            identities[cfg.station_id] = make_identity(
-                parse_mac(cfg.mac),
-                role,
-                cfg.groups,
-                identity_rng.child(f"id:{cfg.station_id}"),
-            )
+        identities = {
+            cfg.station_id: _identity(script.identity_seed, cfg) for cfg in script.stations
+        }
         self.stations: list[Station] = []
         self.by_id: dict[str, Station] = {}
         for cfg in script.stations:
@@ -1187,7 +1166,6 @@ class Simulation:
                 script.mitigations,
                 self.transcript,
                 script.strict_frames,
-                self.verify_memo,
             )
             if cfg.pin_ap is not None:
                 pinned = identities[cfg.pin_ap].ecdsa
@@ -1209,12 +1187,15 @@ class Simulation:
                 script.strict_frames,
                 self._target(cfg.target_ap, ApStation),
                 self._target(cfg.target_client, ClientStation),
-                self.verify_memo,
             )
 
-        # Every frame goes to the stations in script order, then the rogue AP.
+        # Every frame goes to the stations in script order, then the rogue AP;
+        # a unicast frame to its MAC's receivers (the rogue may share a MAC).
         rogue = [self.adversary.rogue] if self.adversary and self.adversary.rogue else []
         self.receivers = self.stations + rogue
+        self._by_mac: dict[bytes, list[Station]] = {}
+        for station in self.receivers:
+            self._by_mac.setdefault(station.mac, []).append(station)
 
         # Each actor's due tick: the earliest tick at which its on_tick can act
         # (max_ticks when it has no timer running). Actors tick in this order:
@@ -1261,8 +1242,9 @@ class Simulation:
         receiver order. Its parse is made once, by its first reader, and
         shared by the rest."""
         src, dst = t.src_mac, t.dst_mac
-        for station in self.receivers:
-            if station.mac == src or dst not in (station.mac, BROADCAST_MAC):
+        addressees = self.receivers if dst == BROADCAST_MAC else self._by_mac.get(dst, ())
+        for station in addressees:
+            if station.mac == src:
                 continue
             if not self._receives(station, t) or station._blocks(tick, src):
                 continue
@@ -1303,6 +1285,20 @@ class Simulation:
             self.transcript.summaries[name] = reporter.summary(self.mac_names)
             self.transcript.secrets[name] = reporter.secrets()
         return self.transcript
+
+
+# Scripted identities, long-lived and frozen, so every simulation may share them.
+_identities: OrderedDict = OrderedDict()
+
+
+def _identity(identity_seed: int, cfg: StationConfig) -> StationIdentity:
+    """A scripted station's identity, derived once per process."""
+    key = (identity_seed, cfg.station_id, cfg.mac, cfg.role, tuple(cfg.groups))
+    role = Role.CLIENT if cfg.role == "client" else Role.AP
+    rng = SeededRng(identity_seed, b"identities")
+    return _recall(_identities, key, lambda: make_identity(
+        parse_mac(cfg.mac), role, cfg.groups, rng.child(f"id:{cfg.station_id}")
+    ))
 
 
 def run_scenario(script: ScenarioScript, seed: int) -> Transcript:

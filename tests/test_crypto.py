@@ -2,7 +2,7 @@
 
 import hashlib
 import itertools
-from collections import Counter, OrderedDict
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -502,9 +502,9 @@ def negate(group, point):
 
 
 @pytest.fixture
-def key_memo(monkeypatch):
-    """An empty verify-key memo; yields it with the list of key tables built."""
-    memo = OrderedDict()
+def key_memo(monkeypatch, fresh_memos):
+    """An empty verify-key memo, among empty process memos; yields it with
+    the list of key tables built."""
     builds = []
     build = crypto._comb_table
 
@@ -513,14 +513,42 @@ def key_memo(monkeypatch):
             builds.append((group.group_id, base))
         return build(group, base)
 
-    monkeypatch.setattr(crypto, "_key_memo", memo)
     monkeypatch.setattr(crypto, "_comb_table", counted)
-    yield memo, builds
+    yield crypto._key_memo, builds
 
 
 def signed(group, seed, message=b"memo"):
     key = ecdsa_generate(group, SeededRng(seed, group.name.encode()))
     return key.public_point, ecdsa_sign(key, message)
+
+
+def signed_many(group, seed, count):
+    """signed()'s key, with `count` (message, signature) pairs of distinct
+    messages: a repeated input would be a verdict-memo hit."""
+    key = ecdsa_generate(group, SeededRng(seed, group.name.encode()))
+    messages = [b"memo %d" % i for i in range(count)]
+    return key.public_point, [(m, ecdsa_sign(key, m)) for m in messages]
+
+
+def criterion7_cases():
+    """Criterion 7's signer on P-224 (seed 7), and its cases: signatures of
+    successive messages and 1000 single-bit perturbations of them."""
+    signer = ecdsa_generate(REGISTRY[26], SeededRng(7, b"acceptance-07-ecdsa"))
+    cases = []
+    flips = 0
+    for index in itertools.count():
+        message = b"acceptance criterion seven #%d" % index
+        signature = ecdsa_sign(signer, message)
+        cases.append((message, signature))
+        for bit in range(len(signature) * 8):
+            if flips == 1000:
+                break
+            mutated = bytearray(signature)
+            mutated[bit // 8] ^= 1 << (bit % 8)
+            cases.append((message, bytes(mutated)))
+            flips += 1
+        if flips == 1000:
+            return signer, cases, index
 
 
 # A scalar whose width-4 NAF holds every digit -7..7: one odd digit of each
@@ -580,22 +608,7 @@ class TestKeyMemo:
         # criterion 7's 1000 single-bit perturbations on P-224, seed 7
         memo, builds = key_memo
         group = REGISTRY[26]
-        signer = ecdsa_generate(group, SeededRng(7, b"acceptance-07-ecdsa"))
-        cases = []
-        flips = 0
-        for index in itertools.count():
-            message = b"acceptance criterion seven #%d" % index
-            signature = ecdsa_sign(signer, message)
-            cases.append((message, signature))
-            for bit in range(len(signature) * 8):
-                if flips == 1000:
-                    break
-                mutated = bytearray(signature)
-                mutated[bit // 8] ^= 1 << (bit % 8)
-                cases.append((message, bytes(mutated)))
-                flips += 1
-            if flips == 1000:
-                break
+        signer, cases, index = criterion7_cases()
         public = signer.public_point
         without = []
         for message, signature in cases:
@@ -612,11 +625,11 @@ class TestKeyMemo:
         # the first verify enters the key, the second builds its table
         memo, builds = key_memo
         for group in ALL_GROUPS:
-            public, signature = signed(group, b"three")
+            public, inputs = signed_many(group, b"three", 3)
             key = (group.group_id, public)
             tables_built = []
-            for _ in range(3):
-                assert ecdsa_verify(group, public, b"memo", signature)
+            for message, signature in inputs:
+                assert ecdsa_verify(group, public, message, signature)
                 tables_built.append(builds.count(key))
             assert tables_built == [0, 1, 1]
             assert memo[key] is not None
@@ -625,12 +638,12 @@ class TestKeyMemo:
     def test_key_past_the_bound_evicts_least_recent(self, key_memo):
         memo, builds = key_memo
         group = registry_lookup(26)
-        keys = [signed(group, b"evict-%d" % i) for i in range(KEY_MEMO_ENTRIES + 1)]
-        for public, signature in keys[:KEY_MEMO_ENTRIES]:
-            assert ecdsa_verify(group, public, b"memo", signature)
+        keys = [signed_many(group, b"evict-%d" % i, 2) for i in range(KEY_MEMO_ENTRIES + 1)]
+        for public, inputs in keys[:KEY_MEMO_ENTRIES]:
+            assert ecdsa_verify(group, public, *inputs[0])
         # verifying the oldest key again makes it the most recent
-        assert ecdsa_verify(group, keys[0][0], b"memo", keys[0][1])
-        assert ecdsa_verify(group, keys[-1][0], b"memo", keys[-1][1])
+        assert ecdsa_verify(group, keys[0][0], *keys[0][1][1])
+        assert ecdsa_verify(group, keys[-1][0], *keys[-1][1][0])
         assert len(memo) == KEY_MEMO_ENTRIES
         assert (26, keys[1][0]) not in memo
         assert list(memo)[-2:] == [(26, keys[0][0]), (26, keys[-1][0])]
@@ -640,10 +653,10 @@ class TestKeyMemo:
         # each key is evicted before its second verify, so none pays a build
         memo, builds = key_memo
         group = registry_lookup(26)
-        keys = [signed(group, b"cycle-%d" % i) for i in range(KEY_MEMO_ENTRIES + 1)]
-        for _ in range(2):
-            for public, signature in keys:
-                assert ecdsa_verify(group, public, b"memo", signature)
+        keys = [signed_many(group, b"cycle-%d" % i, 2) for i in range(KEY_MEMO_ENTRIES + 1)]
+        for i in range(2):
+            for public, inputs in keys:
+                assert ecdsa_verify(group, public, *inputs[i])
         assert len(memo) == KEY_MEMO_ENTRIES
         assert builds == []
 
@@ -668,6 +681,49 @@ class TestKeyMemo:
                 assert not ecdsa_verify(group, point, b"memo", sig)
         assert memo == {}
         assert builds == []
+
+
+class TestProcessMemos:
+    """Verdicts and signatures are remembered once per process, keyed by
+    every input, curve included."""
+
+    def test_criterion7_verdicts_same_cold_and_warm(self, fresh_memos, real_verifies):
+        signer, cases, index = criterion7_cases()
+        group, public = REGISTRY[26], signer.public_point
+        cold = []
+        for message, signature in cases:
+            fresh_memos()
+            cold.append(ecdsa_verify(group, public, message, signature))
+        real_verifies.clear()
+        warm = [
+            (ecdsa_verify(group, public, m, sig), ecdsa_verify(group, public, m, sig))
+            for m, sig in cases
+        ]
+        # every input once for real, then once from the memo
+        assert len(real_verifies) == len(cases)
+        assert [first for first, _ in warm] == [again for _, again in warm] == cold
+        assert sum(cold) == index + 1
+
+    def test_another_curve_is_a_miss(self, fresh_memos, real_verifies):
+        public, signature = signed(REGISTRY[26], b"curve")
+        for _ in range(2):
+            assert ecdsa_verify(REGISTRY[26], public, b"memo", signature)
+        for gid in (19, 20, 21):
+            assert not ecdsa_verify(REGISTRY[gid], public, b"memo", signature)
+        assert [key[0] for key, _ in real_verifies] == [26, 19, 20, 21]
+
+    def test_a_repeated_sign_is_remembered(self, fresh_memos, monkeypatch):
+        signs = []
+        sign = crypto._sign
+        monkeypatch.setattr(crypto, "_sign", lambda key, m: signs.append(m) or sign(key, m))
+        key = ecdsa_generate(REGISTRY[26], SeededRng(b"sign-once"))
+        first = ecdsa_sign(key, b"payload")
+        assert ecdsa_sign(key, b"payload") == first
+        assert ecdsa_sign(key, b"other") != first
+        assert signs == [b"payload", b"other"]
+        assert list(crypto._signature_memo) == [
+            (26, key.public_point, b"payload"), (26, key.public_point, b"other")
+        ]
 
 
 P521 = REGISTRY[21]
@@ -749,12 +805,12 @@ class TestFormulaDispatch:
     def test_p521_runs_only_the_folded_formulas(self, formula_calls, key_memo):
         _, builds = key_memo
         group = P521
-        public, signature = signed(group, b"dispatch")
+        public, inputs = signed_many(group, b"dispatch", 3)
         assert point_mul(group, 0xC0FFEE) == oracle_mul(group, 0xC0FFEE)
         assert point_mul(group, 0xC0FFEE, public) == oracle_mul(group, 0xC0FFEE, public)
         # first verify (comb + wNAF), second (builds the table), third (table)
-        for _ in range(3):
-            assert ecdsa_verify(group, public, b"memo", signature)
+        for message, signature in inputs:
+            assert ecdsa_verify(group, public, message, signature)
         assert builds == [(21, public)]
         crypto._comb_table(group, point_mul(group, 7))
         assert formula_calls["_jacobian_double"] == 0

@@ -5,6 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
+from soapsim import crypto
 from soapsim.crypto import REGISTRY, UnknownGroupError
 from soapsim.metrics import (
     MESSAGE_COUNT_DELTA,
@@ -181,3 +182,20 @@ class TestBenchReport:
     def test_unknown_group(self):
         with pytest.raises(UnknownGroupError):
             bench_crypto(99)
+
+    def test_sign_and_verify_rows_time_real_work(self, monkeypatch, real_verifies):
+        signs = []
+        sign = crypto._sign
+        monkeypatch.setattr(crypto, "_sign", lambda key, m: signs.append(m) or sign(key, m))
+        for _ in range(2):  # cold, then with crypto's memos warm from the first call
+            real_verifies.clear()
+            signs.clear()
+            report = bench_crypto(26, iterations=100)
+            rows = {row.operation: row.samples for row in report.rows}
+            # every verify of the row misses the verdict memo and verifies
+            assert rows["ecdsa-verify"] == len(real_verifies) == 100
+            assert len({key for key, _ in real_verifies}) == 100
+            assert all(ok for _, ok in real_verifies)
+            # 100 signatures for the verify row, then 100 timed signs
+            assert rows["ecdsa-sign"] == 100
+            assert len(signs) == 200 and len(set(signs)) == 100

@@ -1,6 +1,7 @@
 """Radio simulation under a next-event clock: stations, adversaries, and
 transcripts."""
 
+import dataclasses
 import json
 from collections import Counter
 from dataclasses import replace
@@ -10,13 +11,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soapsim import simnet
+from soapsim import crypto, handshake, simnet
 from soapsim.frames import (
+    BROADCAST_MAC,
+    FrameSubtype,
     MalformedFrameError,
+    ManagementFrame,
+    encode_management_frame,
     frame_kind,
     management_signing_input,
     parse_management_frame,
 )
+from soapsim.scenarios import BUILTIN_NAMES, builtin, run_attack_suite
 from soapsim.simnet import (
     AdversaryConfig,
     ApStation,
@@ -762,9 +768,10 @@ def without_repeated_beacons(records):
 
 class TestParseAndVerifyOnce:
     """Each transmission is parsed once, however often it is delivered, and
-    each distinct signed management frame is verified once per simulation."""
+    each distinct signed management frame is verified once: later checks of
+    it are hits in crypto's verdict memo."""
 
-    def test_one_verify_per_distinct_input(self, monkeypatch):
+    def test_one_verify_per_distinct_input(self, monkeypatch, fresh_memos, real_verifies):
         calls = record_calls(monkeypatch, "ecdsa_verify")
         sim = Simulation(crowd(clients=6), 0)
         t = sim.run()
@@ -772,11 +779,12 @@ class TestParseAndVerifyOnce:
         assert all(s["state"] == "established" for s in t.summaries.values()
                    if s["role"] == "client")
         distinct = {(group.group_id, *rest) for group, *rest in calls}
-        assert len(calls) == len(distinct) == len(sim.verify_memo)
+        real = [(key, ok) for key, ok in real_verifies if key in distinct]
+        assert len(real) == len(distinct) == len({key for key, _ in real})
         # every client checks every beacon, but the beacon octets never change
         assert beacons == 5
-        assert len(calls) < beacons * 6
-        assert all(sim.verify_memo.values())
+        assert len(real) < beacons * 6 < len(calls)
+        assert all(ok for _, ok in real)
 
     def test_one_parse_per_delivered_transmission(self, monkeypatch):
         parsed = record_calls(monkeypatch, "parse_management_frame", "parse_data_frame")
@@ -813,16 +821,8 @@ class TestParseAndVerifyOnce:
         # one beacon content, beaconed every 100 ticks
         assert len(distinct) == len(delivered) - (script.max_ticks // 100 - 1)
 
-    def test_memo_does_not_outlive_its_simulation(self, monkeypatch):
+    def test_rogue_ap_shares_the_memo(self, monkeypatch, fresh_memos, real_verifies):
         calls = record_calls(monkeypatch, "ecdsa_verify")
-        script = crowd(clients=3)
-        first = run_scenario(script, 4).to_json()
-        per_run = len(calls)
-        assert run_scenario(script, 4).to_json() == first
-        assert per_run > 0
-        assert len(calls) == 2 * per_run
-
-    def test_rogue_ap_shares_the_memo(self):
         sim = Simulation(
             adversary_script(
                 ["masquerade"], ssid="publicnet",
@@ -830,9 +830,14 @@ class TestParseAndVerifyOnce:
             ),
             0,
         )
-        assert sim.adversary.rogue.verify_memo is sim.verify_memo
-        assert all(s.verify_memo is sim.verify_memo for s in sim.stations)
-        assert Simulation(sim.script, 0).verify_memo is not sim.verify_memo
+        sim.run()
+        # no station, rogue AP or simulation keeps a memo of its own
+        actors = [sim, sim.adversary, sim.adversary.rogue, *sim.stations]
+        assert not any(hasattr(actor, "verify_memo") for actor in actors)
+        distinct = {(group.group_id, *rest) for group, *rest in calls}
+        real = [key for key, _ in real_verifies if key in distinct]
+        assert sorted(real, key=repr) == sorted(distinct, key=repr)
+        assert len(real) < len(calls)
 
     def test_malformed_broadcast_discarded_by_every_receiver(self, monkeypatch):
         good = ApStation._beacon
@@ -854,7 +859,9 @@ class TestParseAndVerifyOnce:
         assert {r["detail"] for r in discards} == {str(err.value)}
         assert len(parsed) == 2
 
-    def test_tampered_signature_rejected_by_every_receiver(self, monkeypatch):
+    def test_tampered_signature_rejected_by_every_receiver(
+        self, monkeypatch, fresh_memos, real_verifies
+    ):
         good = ApStation._beacon
         sent = []
 
@@ -867,19 +874,20 @@ class TestParseAndVerifyOnce:
             return simnet.Transmission(t.origin, t.wire[:-1] + bytes([t.wire[-1] ^ 1]))
 
         monkeypatch.setattr(ApStation, "_beacon", tampering)
-        calls = record_calls(monkeypatch, "ecdsa_verify")
+        calls = real_verifies
         sim = Simulation(crowd(clients=3, max_ticks=450, blacklist_threshold=3), 0)
         t = sim.run()
         beacons = tx_frames(t, "beacon")
         assert len(beacons) == 5
         assert len({r["hex"] for r in beacons[1:]}) == 1
         ap = sim.by_id["ap1"]
-        tampered = bytes.fromhex(beacons[1]["hex"])
-        assert sim.verify_memo[(26, ap.identity.ecdsa.public_point, tampered)] is False
+        tampered = parse_management_frame(bytes.fromhex(beacons[1]["hex"]))
+        key = (26, ap.identity.ecdsa.public_point)
+        message = management_signing_input(tampered)
+        assert (key + (message, tampered.signature), False) in calls
         # one verify of the good beacon and one of the tampered one, which
         # signs the same elements, however many receptions
-        message = management_signing_input(parse_management_frame(tampered))
-        assert len([a for a in calls if a[2] == message]) == 2
+        assert len([a for a, _ in calls if a[2] == message]) == 2
         for i in (1, 2, 3):
             client = sim.by_id[f"client{i}"]
             mine = events(t, "discard", f"client{i}")
@@ -889,6 +897,75 @@ class TestParseAndVerifyOnce:
             assert client.fail_counts[ap.mac] == 3
             assert client.blocked == {ap.mac}
             assert ticks_of(t, "blocked", station=f"client{i}") == [401]
+
+
+def memo_leaves(value):
+    """Every int and octet string held in `value`, through tuples, lists,
+    mappings (keys too) and dataclasses."""
+    if isinstance(value, (bytes, int)):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from memo_leaves(item)
+    elif isinstance(value, dict):
+        for item in value.items():
+            yield from memo_leaves(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from memo_leaves(getattr(value, f.name))
+
+
+class TestProcessMemos:
+    """Verdicts, signatures and scripted identities are remembered once per
+    process; what a run writes does not depend on what they hold."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_transcripts_same_with_memos_cold_and_warm(self, name, fresh_memos):
+        cold = {}
+        for seed in (1, 12, 77):
+            fresh_memos()
+            cold[seed] = run_scenario(builtin(name), seed).to_json()
+        # warm: each run finds what the runs before it left in the memos
+        for seed in (77, 12, 1, 1):
+            assert run_scenario(builtin(name), seed).to_json() == cold[seed]
+
+    def test_no_ephemeral_secret_in_any_memo(self, monkeypatch, fresh_memos):
+        scalars, psks = set(), set()
+        generate, agree = crypto.ecdh_generate, crypto.ecdh_agree
+
+        def generating(group, rng):
+            pair = generate(group, rng)
+            scalars.add(pair.private_scalar)
+            return pair
+
+        def agreeing(own, peer):
+            psk = agree(own, peer)
+            psks.add(bytes(psk))
+            return psk
+
+        for module in (crypto, handshake, simnet):
+            for name, fn in (("ecdh_generate", generating), ("ecdh_agree", agreeing)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fn)
+        assert run_attack_suite(1).passed
+        memos = [crypto._key_memo, crypto._verdict_memo, crypto._signature_memo,
+                 simnet._identities]
+        assert all(memos)
+        assert scalars and psks
+        leaves = list(memo_leaves(memos))
+        assert not scalars.intersection(v for v in leaves if isinstance(v, int))
+        octets = [v for v in leaves if isinstance(v, bytes)]
+        assert not any(psk in v for psk in psks for v in octets)
+
+    def test_identities_are_frozen_and_shared(self, fresh_memos):
+        first = Simulation(builtin("benign"), 1)
+        again = Simulation(builtin("benign"), 2)
+        for a, b in zip(first.stations, again.stations):
+            assert a.identity is b.identity
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                a.identity.mac = bytes(6)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                a.identity.ecdsa.private_scalar = 1
 
 
 def campus(signed=False):
@@ -988,6 +1065,25 @@ class TestDueTicksAndDelivery:
 
         monkeypatch.setattr(simnet.Station, "on_frame", recording)
         return calls
+
+    def test_unicast_reaches_every_receiver_of_its_mac(self, monkeypatch):
+        # a rogue AP that shares ap1's MAC hears what is sent to ap1, after it
+        sim = Simulation(adversary_script(["masquerade"], ssid="publicnet", mac=AP_MAC), 0)
+        heard = []
+        monkeypatch.setattr(
+            simnet.Station, "on_frame", lambda self, tick, t: heard.append(self) or []
+        )
+        client, ap1, rogue = sim.by_id["client1"], sim.by_id["ap1"], sim.adversary.rogue
+        for dst, receivers in (
+            (AP_MAC, [ap1, rogue]),
+            ("02:00:00:00:00:77", []),
+            (format_mac(BROADCAST_MAC), [ap1, rogue]),
+        ):
+            heard.clear()
+            frame = ManagementFrame(FrameSubtype.DISASSOC, client.mac, parse_mac(dst))
+            t = simnet.Transmission("client1", encode_management_frame(frame))
+            sim._deliver(5, t, [])
+            assert heard == receivers
 
     def test_unsigned_beacons_reach_only_scanning_clients(self, monkeypatch):
         stepped, reference = against_fixed_step(campus(), self.record_frames(monkeypatch))
