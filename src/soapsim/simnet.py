@@ -10,12 +10,15 @@ are what has timers: the stations, the rogue AP and the adversary.
 Each transmission's work is done once. Its kind is read from its octets, and
 it is parsed once, by its first reader (the adversary, or the first receiver
 that admits its sender); every later reader gets the same frozen record (or
-the same parse error). An AP sends one transmission per beacon content, so a
-beacon is parsed once however often it is sent. Verdicts and signatures
-(``crypto``) and scripted identities (``_identities``) are remembered per
-process, so a signed beacon heard by many clients is verified once while it
-is recent. Everything a failed check does to a receiver (its discard, its
-failure count, its blacklist) stays per receiver.
+the same parse error). Its signing input and the fields of its ``tx`` record
+are likewise made once. An AP sends one transmission per beacon content, so a
+beacon is parsed, and its hex written, once however often it is sent, and
+the leak scan (`eavesdropper_view`) searches each distinct frame once.
+Verdicts and signatures (``crypto``) and scripted identities
+(``_identities``) are remembered per process, so a signed beacon heard by
+many clients is verified once while it is recent. Everything a failed check
+does to a receiver (its discard, its failure count, its blacklist) stays per
+receiver.
 
 Time advances by next-event jumps. While a frame is in flight the clock steps
 one tick at a time; when nothing is in flight it jumps straight to the
@@ -29,12 +32,14 @@ handles a frame or is reset, the only calls that move its deadlines. At a
 stepped tick only the actors whose due tick has come run ``on_tick``.
 Likewise a frame is handed only to the addressees that can act on it: an
 unsigned, well-formed beacon from a sender that is not blocked goes only to
-scanning clients (see ``Station._ignores``). A skipped tick, or a skipped
-``on_tick`` or ``on_frame`` call, is one that would have emitted nothing,
-recorded nothing, changed no state and drawn no randomness, so skipping it
-changes no output. An AP encodes (and, under the signing mitigation, signs)
-its beacon once and rebuilds it only when the content changes; RFC 6979
-signatures are deterministic, so the octets are the same.
+scanning clients (see ``Station._ignores``). The clock keeps those clients,
+and the stations that block a sender, as the listeners, updated when a
+station acts, so such a beacon costs no scan of the stations. A skipped
+tick, or a skipped ``on_tick`` or ``on_frame`` call, is one that would have
+emitted nothing, recorded nothing, changed no state and drawn no randomness,
+so skipping it changes no output. An AP encodes (and, under the signing
+mitigation, signs) its beacon once and rebuilds it only when the content
+changes; RFC 6979 signatures are deterministic, so the octets are the same.
 
 Determinism contract: all randomness flows from one run seed through
 namespaced SeededRng children, station identity keys flow from a separate
@@ -49,7 +54,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -181,8 +186,9 @@ class ScenarioScript:
 
 @dataclass
 class Transmission:
-    """One frame on the air. Its kind is read from the octets, and its parse
-    is made on first use and shared by every reader of the transmission."""
+    """One frame on the air. Its kind is read from the octets; its parse, its
+    signing input and its `tx` record fields are made on first use and shared
+    by every reader and every resend of the transmission."""
 
     origin: str  # station id or "adversary"
     wire: bytes
@@ -203,12 +209,29 @@ class Transmission:
             return exc
 
     @cached_property
+    def signing_input(self) -> bytes:
+        """The octets a signature on the management frame covers."""
+        return management_signing_input(self.frame)
+
+    @cached_property
     def src_mac(self) -> bytes:
         return wire_src_mac(self.wire)
 
     @cached_property
     def dst_mac(self) -> bytes:
         return wire_dst_mac(self.wire)
+
+    @cached_property
+    def record(self) -> dict:
+        """The fields of a `tx` record that the transmission alone decides."""
+        return {
+            "origin": self.origin,
+            "frame": self.kind,
+            "src": format_mac(self.src_mac),
+            "dst": format_mac(self.dst_mac),
+            "size": len(self.wire),
+            "hex": self.wire.hex(),
+        }
 
 
 # The keys of every transcript record, by its event: what `Transcript.tx` and
@@ -255,18 +278,7 @@ class Transcript:
         self.secrets: dict = {}
 
     def tx(self, tick: int, t: Transmission) -> None:
-        self.records.append(
-            {
-                "tick": tick,
-                "event": "tx",
-                "origin": t.origin,
-                "frame": t.kind,
-                "src": format_mac(t.src_mac),
-                "dst": format_mac(t.dst_mac),
-                "size": len(t.wire),
-                "hex": t.wire.hex(),
-            }
-        )
+        self.records.append({"tick": tick, "event": "tx", **t.record})
 
     def note(self, tick: int, event: str, station: str, **detail) -> None:
         record = {"tick": tick, "event": event, "station": station}
@@ -404,18 +416,19 @@ class Station:
     def _on_blacklisted(self, tick: int, mac: bytes) -> None:
         """Called once, when `mac` joins the blocked list."""
 
-    def _signed_by(self, group, point, frame: ManagementFrame) -> bool:
-        """Whether `frame` carries a valid signature by `point`."""
-        return ecdsa_verify(group, point, management_signing_input(frame), frame.signature)
+    def _signed_by(self, group, point, t: Transmission) -> bool:
+        """Whether the management frame `t` carries a valid signature by `point`."""
+        return ecdsa_verify(group, point, t.signing_input, t.frame.signature)
 
-    def _mgmt_signature_ok(self, tick: int, frame: ManagementFrame) -> bool:
+    def _mgmt_signature_ok(self, tick: int, t: Transmission) -> bool:
         """Admission check for management frames under the signing mitigation."""
         if not self.mitigations.sign_management_frames:
             return True
+        frame = t.frame
         known = self.known_keys.get(frame.src_mac)
         if known is not None:
             group, point = known
-            if frame.signature is None or not self._signed_by(group, point, frame):
+            if frame.signature is None or not self._signed_by(group, point, t):
                 self._sig_failure(tick, frame.src_mac, "mgmt")
                 return False
             self.fail_counts[frame.src_mac] = 0
@@ -429,7 +442,7 @@ class Station:
                     group, point = negotiation.resolve_signer(ie)
                 except ValueError:
                     return False
-                if not self._signed_by(group, point, frame):
+                if not self._signed_by(group, point, t):
                     self._sig_failure(tick, frame.src_mac, "mgmt")
                     return False
         return True
@@ -471,7 +484,7 @@ class Station:
             if t.kind == "agreement":
                 return self._on_agreement(tick, frame)
             return self._on_eapol_key(tick, frame)
-        if not self._mgmt_signature_ok(tick, frame):
+        if not self._mgmt_signature_ok(tick, t):
             return []
         return self._on_mgmt(tick, frame)
 
@@ -1196,6 +1209,11 @@ class Simulation:
         self._by_mac: dict[bytes, list[Station]] = {}
         for station in self.receivers:
             self._by_mac.setdefault(station.mac, []).append(station)
+        # The listeners, by receiver position: the receivers an unsigned beacon
+        # can reach, which are the scanning clients and the stations that
+        # block a sender (and note its beacons). Kept by `_refresh`.
+        self._position = {station: i for i, station in enumerate(self.receivers)}
+        self._listeners: dict[int, Station] = {}
 
         # Each actor's due tick: the earliest tick at which its on_tick can act
         # (max_ticks when it has no timer running). Actors tick in this order:
@@ -1225,28 +1243,47 @@ class Simulation:
         in_flight.append(t)
 
     def _refresh(self, actor: Station | Adversary, tick: int) -> None:
-        """Recompute the due tick of `actor` from `tick` on, after it acted."""
+        """Recompute the due tick of `actor` from `tick` on, and whether it is a
+        listener, after it acted: only acting changes a station's state or
+        its blocked list."""
         self._due[actor] = min(actor._deadlines(tick), default=self.script.max_ticks)
+        i = self._position.get(actor)
+        if i is None:
+            return
+        if actor.state == "scanning" or actor.blocked:
+            self._listeners[i] = actor
+        else:
+            self._listeners.pop(i, None)
 
     def _ticking(self, tick: int) -> list[Station | Adversary]:
         """The actors whose on_tick runs at `tick`, in tick order: those whose
         due tick it has reached."""
         return [actor for actor, due in self._due.items() if due <= tick]
 
-    def _receives(self, station: Station, t: Transmission) -> bool:
-        """Whether `t` is handed to `station`, one of its addressees."""
-        return not station._ignores(t)
+    def _addressees(self, t: Transmission) -> list[Station]:
+        """The stations `t` is handed to, in receiver order: the receivers of
+        its destination MAC, or of a broadcast, that do not ignore it. Every
+        station but a listener ignores an unsigned, well-formed beacon, so
+        only the listeners are asked."""
+        dst = t.dst_mac
+        if dst != BROADCAST_MAC:
+            stations = self._by_mac.get(dst, ())
+        elif (
+            t.kind == "beacon"
+            and not self.script.mitigations.sign_management_frames
+            and not isinstance(t.frame, MalformedFrameError)
+        ):
+            stations = [self._listeners[i] for i in sorted(self._listeners)]
+        else:
+            stations = self.receivers
+        return [station for station in stations if not station._ignores(t)]
 
     def _deliver(self, tick: int, t: Transmission, in_flight: list) -> None:
-        """Hand `t` to every station it is addressed to and can act on, in
-        receiver order. Its parse is made once, by its first reader, and
-        shared by the rest."""
-        src, dst = t.src_mac, t.dst_mac
-        addressees = self.receivers if dst == BROADCAST_MAC else self._by_mac.get(dst, ())
-        for station in addressees:
-            if station.mac == src:
-                continue
-            if not self._receives(station, t) or station._blocks(tick, src):
+        """Hand `t` to its addressees but its sender. Its parse is made once,
+        by its first reader, and shared by the rest."""
+        src = t.src_mac
+        for station in self._addressees(t):
+            if station.mac == src or station._blocks(tick, src):
                 continue
             for reply in station.on_frame(tick, t):
                 self._transmit(tick, reply, in_flight)
@@ -1309,12 +1346,12 @@ def eavesdropper_view(transcript: Transcript) -> dict:
     """What a passive observer of the whole run learned about the secrets.
 
     Scans every transmitted frame for the raw octets of each station's PSKs
-    and KCKs. The count must be zero for any run without the deliberate
-    debug leak; the adversary only knows a legitimate station's PSK if it
-    was itself an endpoint of that session."""
-    frames = [
-        bytes.fromhex(r["hex"]) for r in transcript.records if r["event"] == "tx"
-    ]
+    and KCKs, counting a hit once per time the frame went on air; each
+    distinct frame is decoded and searched once. The count must be zero for
+    any run without the deliberate debug leak; the adversary only knows a
+    legitimate station's PSK if it was itself an endpoint of that session."""
+    on_air = Counter(r["hex"] for r in transcript.records if r["event"] == "tx")
+    frames = {bytes.fromhex(wire): sent for wire, sent in on_air.items()}
     legit_psks: set[bytes] = set()
     legit_kcks: set[bytes] = set()
     for station_id, entry in transcript.secrets.items():
@@ -1322,15 +1359,15 @@ def eavesdropper_view(transcript: Transcript) -> dict:
             continue
         legit_psks.update(bytes.fromhex(p) for p in entry["psks"])
         legit_kcks.update(bytes.fromhex(k) for k in entry["kcks"])
-    psk_hits = sum(1 for f in frames for p in legit_psks if p in f)
-    kck_hits = sum(1 for f in frames for k in legit_kcks if k in f)
+    psk_hits = sum(sent for f, sent in frames.items() for p in legit_psks if p in f)
+    kck_hits = sum(sent for f, sent in frames.items() for k in legit_kcks if k in f)
     adversary_psks = {
         bytes.fromhex(p)
         for p in transcript.secrets.get("adversary", {}).get("psks", ())
     }
     knows = bool(adversary_psks & legit_psks) or psk_hits > 0
     return {
-        "frames_observed": len(frames),
+        "frames_observed": on_air.total(),
         "legit_psk_count": len(legit_psks),
         "psk_octets_on_wire": psk_hits,
         "kck_octets_on_wire": kck_hits,

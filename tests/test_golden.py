@@ -15,7 +15,7 @@ import pytest
 
 from soapsim.cli import main
 from soapsim.scenarios import BUILTIN_NAMES, builtin, run_attack_suite
-from soapsim.simnet import run_scenario
+from soapsim.simnet import ScenarioScript, ScheduleAction, StationConfig, run_scenario
 
 TRANSCRIPT_SHA256 = {
     "benign": {
@@ -120,6 +120,10 @@ TRANSCRIPT_SHA256 = {
     },
 }
 
+# A campus of 4 APs on distinct SSIDs and 40 clients over 30000 ticks with two
+# scripted resets, run at seed 7: mostly beacons resent to Established clients.
+CAMPUS_SHA256 = "28b0a7e6e99a35e36e56fd5af6dd6f8be0705b49bacce4ac144d5b6c9e164895"
+
 SUITE_SHA256 = {
     1: "916a4a5a7a70028a9c477081d270508e0e6336c98ee246d087b5214c5648a158",
     12: "65f4110c3c9f4335d730dff80b001ba26a54e54f9d60a76232bcfd83767b6086",
@@ -153,6 +157,26 @@ def test_every_builtin_is_pinned():
 def test_transcript_digest(name, seed):
     transcript = run_scenario(builtin(name), seed)
     assert sha256(transcript.to_json()) == TRANSCRIPT_SHA256[name][seed]
+
+
+def campus_script() -> ScenarioScript:
+    stations = [
+        StationConfig(
+            f"ap{k}", "ap", f"02:00:00:00:00:{k + 1:02x}", ssid=f"campus-{k}",
+            beacon_offset=(37 * k + 11) % 100,
+        )
+        for k in range(4)
+    ] + [
+        StationConfig(f"client{i}", "client", f"02:00:00:00:01:{i:02x}", ssid=f"campus-{i % 4}")
+        for i in range(40)
+    ]
+    resets = [ScheduleAction(9000, "client7"), ScheduleAction(16500, "client23")]
+    return ScenarioScript("campus-golden", stations, schedule=resets, max_ticks=30000)
+
+
+def test_campus_digest():
+    transcript = run_scenario(campus_script(), 7)
+    assert sha256(transcript.to_json()) == CAMPUS_SHA256
 
 
 @pytest.mark.parametrize("seed", sorted(SUITE_SHA256))

@@ -463,14 +463,22 @@ class TestLeakDetector:
         t = run_scenario(script(ap_kw={"debug_leak_psk": True}, max_ticks=700), 0)
         assert t.summaries["client1"]["state"] == "established"
         view = eavesdropper_view(t)
-        assert view["psk_octets_on_wire"] >= 1
+        # the leaking beacon is one transmission sent six times, and every
+        # time it went on air counts
+        psk = bytes.fromhex(t.secrets["ap1"]["psks"][0])
+        leaking = [r for r in tx_frames(t) if psk in bytes.fromhex(r["hex"])]
+        assert len(leaking) == 6
+        assert {r["hex"] for r in leaking} == {leaking[0]["hex"]}
+        assert view["psk_octets_on_wire"] == len(leaking)
+        assert view["frames_observed"] == len(tx_frames(t))
         assert view["adversary_knows_legit_psk"] is True
 
 
 class FixedStepSimulation(Simulation):
     """Reference clock: steps every tick, ticks every actor (the rogue AP, the
     adversary and every station) at it and hands every frame to every
-    addressee, as a fixed-step loop would."""
+    addressee, found by a scan of every receiver, as a fixed-step loop
+    would."""
 
     def _next_due(self, tick):
         return tick
@@ -478,8 +486,8 @@ class FixedStepSimulation(Simulation):
     def _ticking(self, tick):
         return list(self._due)
 
-    def _receives(self, station, t):
-        return True
+    def _addressees(self, t):
+        return [s for s in self.receivers if t.dst_mac in (BROADCAST_MAC, s.mac)]
 
 
 def run_checked(script, seed=0):
@@ -1103,3 +1111,72 @@ class TestDueTicksAndDelivery:
         t = run_scenario(campus(signed=True), 0)
         delivered = [r for r in tx_frames(t, "beacon") if r["tick"] + 1 < 3000]
         assert len([call for call in stepped if call[2] == "beacon"]) == 7 * len(delivered)
+
+
+class TestIdleBeacons:
+    """A beacon resent to stations it cannot change costs its record only: it
+    is offered to the listeners (the scanning clients and the stations that
+    block a sender), and every resend shares one set of record fields. A
+    station that is not scanning still gets the beacons it must record."""
+
+    def test_idle_beacon_asks_only_scanning_clients(self, monkeypatch):
+        asked = []
+        ignores = simnet.Station._ignores
+
+        def recording(self, t):
+            if t.kind == "beacon":
+                asked.append(self.state)
+            return ignores(self, t)
+
+        monkeypatch.setattr(simnet.Station, "_ignores", recording)
+        t = run_scenario(campus(), 0)
+        assert len(tx_frames(t, "beacon")) == 4 * 30
+        assert asked and set(asked) == {"scanning"}
+
+    def test_resends_share_one_record(self):
+        t = run_scenario(campus(), 0)
+        beacons = [r for r in tx_frames(t, "beacon") if r["origin"] == "ap0"]
+        assert len(beacons) == 30
+        assert all(r["hex"] is beacons[0]["hex"] for r in beacons)
+        assert [r["tick"] for r in beacons] == list(range(17, 3000, 100))
+        assert list(beacons[0]) == [
+            "tick", "event", "origin", "frame", "src", "dst", "size", "hex"
+        ]
+
+    def test_blocked_sender_still_noted(self):
+        # the client blacklists the rogue, keys with ap1 and, Established,
+        # still notes every rogue beacon as blocked
+        t = run_checked(adversary_script(
+            ["inject"], stations=pair(ap_kw={"beacon_offset": 50}), max_ticks=3000,
+            mitigations=Mitigations(blacklist_threshold=3), ssid="publicnet",
+            beacon_period=25, advertise_bogus_key=True,
+        ))
+        established = ticks_of(t, "transition", station="client1", to="established")
+        assert established and t.summaries["client1"]["state"] == "established"
+        rogue_beacons = [
+            r["tick"] + 1 for r in tx_frames(t, "beacon")
+            if r["origin"] == "adversary" and r["tick"] >= established[0]
+        ]
+        assert len(rogue_beacons) == 109
+        assert set(rogue_beacons) <= set(ticks_of(t, "blocked", station="client1"))
+
+    def test_malformed_beacon_reaches_every_station(self):
+        # no script sends a malformed beacon: hand one, after the run, to
+        # stations that are all past scanning
+        discards = []
+        for kind in (Simulation, FixedStepSimulation):
+            sim = kind(campus(), 0)
+            t = sim.run()
+            assert {s["state"] for s in t.summaries.values()} == {"ready", "established"}
+            beacon = sim.by_id["ap0"]._beacon()
+            malformed = simnet.Transmission("ap0", beacon.wire[:-1])
+            assert malformed.kind == "beacon"
+            assert isinstance(malformed.frame, MalformedFrameError)
+            first = len(t.records)
+            sim._deliver(3000, malformed, [])
+            discards.append(t.records[first:])
+        assert discards[0] == discards[1]
+        assert [(r["station"], r["reason"]) for r in discards[0]] == [
+            (station, "malformed")
+            for station in ("ap1", "ap2", "ap3", "client0", "client1", "client2", "client3")
+        ]
