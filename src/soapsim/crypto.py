@@ -31,11 +31,13 @@ nonzero digit adds its table's affine entry with one mixed addition.
   replace, so they keep plain %.
 - x-only decoding on P-224 (p = 1 mod 4) runs Tonelli-Shanks with its
   per-curve constants computed once.  Only signer keys travel x-only, so
-  the KEY_MEMO_ENTRIES most recent decodes are remembered as well.
+  the KEY_MEMO_ENTRIES most recent decodes are remembered as well, keyed by
+  (group id, x octets); an x that does not decode is never remembered.
 - Signatures (RFC 6979) and verdicts depend on public inputs alone, so the
   process remembers the MEMO_ENTRIES most recent of each, keyed by every
   input (a signer by its public point).  ECDH and point_mul always compute:
-  no memo holds an ephemeral value or a private scalar.
+  no memo holds an ephemeral value or a private scalar.  Every process memo
+  is an OrderedDict kept by _recall, least recently used out first.
 """
 
 from __future__ import annotations
@@ -531,14 +533,12 @@ def point_x_octets(group: EcGroup, point: Point) -> bytes:
 
 
 def point_from_x_octets(group: EcGroup, data: bytes) -> Point:
-    """Recover the even-y point for an x-only encoding."""
-    return _decode_x(group, data)
+    """Recover the even-y point for an x-only encoding.  Data that does not
+    decode raises on every call and is never remembered."""
+    key = (group.group_id, data)
+    return _recall(_decode_memo, key, lambda: _decode_x(group, data), KEY_MEMO_ENTRIES)
 
 
-# The memo behind point_from_x_octets, which stays a plain function so a call
-# tracer still counts every decode asked for.  Data that does not decode
-# raises on every call: lru_cache keeps no exception.
-@functools.lru_cache(maxsize=KEY_MEMO_ENTRIES)
 def _decode_x(group: EcGroup, data: bytes) -> Point:
     if len(data) != group.key_size_octets:
         raise InvalidPointError(
@@ -669,6 +669,7 @@ def _recall(memo: OrderedDict, key, make, entries: int = MEMO_ENTRIES):
 # that cycles through more keys than the memo holds (the 30-client crowd
 # scenario) builds none instead of one per verify.
 _key_memo: OrderedDict = OrderedDict()
+_decode_memo: OrderedDict = OrderedDict()  # (group id, x octets) -> signer key
 _verdict_memo: OrderedDict = OrderedDict()  # (group id, key, message, signature)
 _signature_memo: OrderedDict = OrderedDict()  # (group id, public point, message)
 

@@ -244,9 +244,13 @@ def _adversary_from_dict(d, where: str, roles: dict) -> AdversaryConfig:
     ]
     _require(not unknown, f"{where}.capabilities", f"unknown: {unknown}")
     _check_radio(got, where)
-    for key in ("target_ap", "target_client"):
+    for key, role, named in (
+        ("target_ap", "ap", "an AP"), ("target_client", "client", "a client")
+    ):
         ref = got.get(key)
-        _require(ref is None or ref in roles, f"{where}.{key}", f"unknown station {ref!r}")
+        if ref is not None:
+            _require(ref in roles, f"{where}.{key}", f"unknown station {ref!r}")
+            _require(roles[ref] == role, f"{where}.{key}", f"{ref!r} is not {named}")
     return AdversaryConfig(**got)
 
 

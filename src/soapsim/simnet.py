@@ -30,16 +30,17 @@ clock, so the two cannot disagree. The clock keeps each actor's due tick,
 the earliest of its deadlines, and recomputes it after the actor ticks,
 handles a frame or is reset, the only calls that move its deadlines. At a
 stepped tick only the actors whose due tick has come run ``on_tick``.
-Likewise a frame is handed only to the addressees that can act on it: an
-unsigned, well-formed beacon from a sender that is not blocked goes only to
-scanning clients (see ``Station._ignores``). The clock keeps those clients,
-and the stations that block a sender, as the listeners, updated when a
-station acts, so such a beacon costs no scan of the stations. A skipped
-tick, or a skipped ``on_tick`` or ``on_frame`` call, is one that would have
-emitted nothing, recorded nothing, changed no state and drawn no randomness,
-so skipping it changes no output. An AP encodes (and, under the signing
-mitigation, signs) its beacon once and rebuilds it only when the content
-changes; RFC 6979 signatures are deterministic, so the octets are the same.
+Likewise a frame is handed only to the addressees that can act on it, and
+``Simulation._addressees`` alone chooses them: an unsigned, well-formed
+beacon goes only to the listeners, the scanning clients and the stations
+that block a sender (and note its beacons). The clock updates the listeners
+when a station acts, so such a beacon costs no scan of the stations. A
+skipped tick, or a skipped ``on_tick`` or ``on_frame`` call, is one that
+would have emitted nothing, recorded nothing, changed no state and drawn no
+randomness, so skipping it changes no output. An AP encodes (and, under the
+signing mitigation, signs) its beacon once and rebuilds it only when the
+content changes; RFC 6979 signatures are deterministic, so the octets are
+the same.
 
 Determinism contract: all randomness flows from one run seed through
 namespaced SeededRng children, station identity keys flow from a separate
@@ -456,20 +457,6 @@ class Station:
             return False
         self.transcript.note(tick, "blocked", self.cfg.station_id, src=format_mac(src))
         return True
-
-    def _ignores(self, t: Transmission) -> bool:
-        """Whether ``on_frame(t)`` would return [] and record nothing, known
-        without running it: `t` is a well-formed beacon from a sender that is
-        not blocked, management frames are not signed (so there is no verify
-        and no failure count to keep), and this station is not a scanning
-        client, the only station a beacon can change."""
-        return (
-            t.kind == "beacon"
-            and self.state != "scanning"
-            and not self.mitigations.sign_management_frames
-            and not isinstance(t.frame, MalformedFrameError)
-            and t.src_mac not in self.blocked
-        )
 
     def on_frame(self, tick: int, t: Transmission) -> list[Transmission]:
         """Handle `t`, addressed to this station or broadcast and delivered
@@ -1262,21 +1249,19 @@ class Simulation:
 
     def _addressees(self, t: Transmission) -> list[Station]:
         """The stations `t` is handed to, in receiver order: the receivers of
-        its destination MAC, or of a broadcast, that do not ignore it. Every
-        station but a listener ignores an unsigned, well-formed beacon, so
-        only the listeners are asked."""
+        its destination MAC; for an unsigned, well-formed broadcast beacon,
+        the listeners, as no other station can act on it or record it; else
+        every receiver. The listeners are copied, as delivery changes them."""
         dst = t.dst_mac
         if dst != BROADCAST_MAC:
-            stations = self._by_mac.get(dst, ())
-        elif (
+            return self._by_mac.get(dst, [])
+        if (
             t.kind == "beacon"
             and not self.script.mitigations.sign_management_frames
             and not isinstance(t.frame, MalformedFrameError)
         ):
-            stations = [self._listeners[i] for i in sorted(self._listeners)]
-        else:
-            stations = self.receivers
-        return [station for station in stations if not station._ignores(t)]
+            return [self._listeners[i] for i in sorted(self._listeners)]
+        return self.receivers
 
     def _deliver(self, tick: int, t: Transmission, in_flight: list) -> None:
         """Hand `t` to its addressees but its sender. Its parse is made once,

@@ -17,10 +17,11 @@ settings.load_profile("soapsim")
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-# The process-wide memos: crypto's verify keys, verdicts and signatures, and
-# simnet's scripted identities.
+# The process-wide memos: crypto's verify keys, signer-key decodes, verdicts
+# and signatures, and simnet's scripted identities.
 MEMOS = (
     (crypto, "_key_memo"),
+    (crypto, "_decode_memo"),
     (crypto, "_verdict_memo"),
     (crypto, "_signature_memo"),
     (simnet, "_identities"),
@@ -30,8 +31,8 @@ MEMOS = (
 @pytest.fixture
 def fresh_memos(monkeypatch):
     """Empty process-wide memos for one test, the process's own put back
-    afterwards. Yields a function that empties them again, and crypto's
-    signer-key decodes, so that the next call is cold."""
+    afterwards. Yields a function that empties them again, so that the next
+    call is cold."""
     memos = [OrderedDict() for _ in MEMOS]
     for (module, name), memo in zip(MEMOS, memos):
         monkeypatch.setattr(module, name, memo)
@@ -39,7 +40,6 @@ def fresh_memos(monkeypatch):
     def clear():
         for memo in memos:
             memo.clear()
-        crypto._decode_x.cache_clear()
 
     clear()
     yield clear

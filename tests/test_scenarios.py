@@ -242,6 +242,16 @@ class TestSchemaRejects:
             "target_ap: unknown station 'ghost'",
         )
 
+    @pytest.mark.parametrize(
+        "key,target,role",
+        [("target_ap", "client1", "an AP"), ("target_client", "ap1", "a client")],
+    )
+    def test_adversary_target_of_the_wrong_role(self, key, target, role):
+        rejected(
+            minimal(adversary={"capabilities": ["disassoc-inject"], key: target}),
+            f"script.adversary.{key}: {target!r} is not {role}",
+        )
+
     def test_blacklist_threshold_below_one(self):
         rejected(
             minimal(mitigations={"blacklist_threshold": 0}),

@@ -412,6 +412,17 @@ class TestHijack:
         )
         assert t.summaries["client1"]["state"] == "halted"
 
+    def test_forged_disassoc_reaches_the_named_client(self):
+        second = StationConfig("client2", "client", "02:00:00:00:00:03", ssid="publicnet")
+        t = run_checked(adversary_script(
+            ["disassoc-inject"], stations=pair() + [second], target_client="client2",
+            disassoc_at=600, max_ticks=900,
+        ))
+        forged = [r for r in tx_frames(t, "disassoc") if r["origin"] == "adversary"]
+        assert [(r["src"], r["dst"]) for r in forged] == [(AP_MAC, second.mac)]
+        assert t.summaries["client2"]["state"] == "halted"
+        assert t.summaries["client1"]["state"] == "established"
+
     def test_signed_management_frames_block_forgery(self):
         t = run_scenario(
             adversary_script(
@@ -956,8 +967,8 @@ class TestProcessMemos:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, fn)
         assert run_attack_suite(1).passed
-        memos = [crypto._key_memo, crypto._verdict_memo, crypto._signature_memo,
-                 simnet._identities]
+        memos = [crypto._key_memo, crypto._decode_memo, crypto._verdict_memo,
+                 crypto._signature_memo, simnet._identities]
         assert all(memos)
         assert scalars and psks
         leaves = list(memo_leaves(memos))
@@ -1115,23 +1126,9 @@ class TestDueTicksAndDelivery:
 
 class TestIdleBeacons:
     """A beacon resent to stations it cannot change costs its record only: it
-    is offered to the listeners (the scanning clients and the stations that
+    is handed to the listeners (the scanning clients and the stations that
     block a sender), and every resend shares one set of record fields. A
     station that is not scanning still gets the beacons it must record."""
-
-    def test_idle_beacon_asks_only_scanning_clients(self, monkeypatch):
-        asked = []
-        ignores = simnet.Station._ignores
-
-        def recording(self, t):
-            if t.kind == "beacon":
-                asked.append(self.state)
-            return ignores(self, t)
-
-        monkeypatch.setattr(simnet.Station, "_ignores", recording)
-        t = run_scenario(campus(), 0)
-        assert len(tx_frames(t, "beacon")) == 4 * 30
-        assert asked and set(asked) == {"scanning"}
 
     def test_resends_share_one_record(self):
         t = run_scenario(campus(), 0)
@@ -1143,14 +1140,17 @@ class TestIdleBeacons:
             "tick", "event", "origin", "frame", "src", "dst", "size", "hex"
         ]
 
-    def test_blocked_sender_still_noted(self):
-        # the client blacklists the rogue, keys with ap1 and, Established,
-        # still notes every rogue beacon as blocked
-        t = run_checked(adversary_script(
+    def blacklist_script(self):
+        """The client blacklists the rogue, then keys with ap1."""
+        return adversary_script(
             ["inject"], stations=pair(ap_kw={"beacon_offset": 50}), max_ticks=3000,
             mitigations=Mitigations(blacklist_threshold=3), ssid="publicnet",
             beacon_period=25, advertise_bogus_key=True,
-        ))
+        )
+
+    def test_blocked_sender_still_noted(self):
+        # Established, the client still notes every rogue beacon as blocked
+        t = run_checked(self.blacklist_script())
         established = ticks_of(t, "transition", station="client1", to="established")
         assert established and t.summaries["client1"]["state"] == "established"
         rogue_beacons = [
@@ -1159,6 +1159,34 @@ class TestIdleBeacons:
         ]
         assert len(rogue_beacons) == 109
         assert set(rogue_beacons) <= set(ticks_of(t, "blocked", station="client1"))
+
+    def test_listener_handed_beacons_it_cannot_act_on(self, monkeypatch):
+        # blocking the rogue makes the client a listener, so it is handed
+        # ap1's unsigned beacons too: Established, it answers and records
+        # nothing for them
+        handed = []
+        on_frame = simnet.Station.on_frame
+
+        def recording(self, tick, t):
+            records = len(self.transcript.records)
+            replies = on_frame(self, tick, t)
+            if (self.cfg.station_id, t.origin, t.kind) == ("client1", "ap1", "beacon"):
+                handed.append((tick, self.state, replies, self.transcript.records[records:]))
+            return replies
+
+        monkeypatch.setattr(simnet.Station, "on_frame", recording)
+        stepped, reference = against_fixed_step(self.blacklist_script(), handed)
+        t = run_scenario(self.blacklist_script(), 0)
+        established = ticks_of(t, "transition", station="client1", to="established")[0]
+        ap_beacons = [
+            r["tick"] + 1 for r in tx_frames(t, "beacon")
+            if r["origin"] == "ap1" and r["tick"] >= established and r["tick"] + 1 < 3000
+        ]
+        assert len(ap_beacons) == 27
+        late = [call for call in stepped if call[0] > established]
+        assert [tick for tick, *_ in late] == ap_beacons
+        assert all(call[1:] == ("established", [], []) for call in late)
+        assert late == [call for call in reference if call[0] > established]
 
     def test_malformed_beacon_reaches_every_station(self):
         # no script sends a malformed beacon: hand one, after the run, to
