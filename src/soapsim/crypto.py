@@ -11,16 +11,22 @@ loop (Alg. 3.51) over (table, digits) pairs.  The digit lists are
 right-aligned so the pairs share one doubling per position, and each
 nonzero digit adds its table's affine entry with one mixed addition.
 
-- k*G is one pair: the generator's 255-point comb table (Alg. 3.44) with
-  COMB_TEETH teeth, built on a curve's first k*G and normalised with one
-  batched inversion (Montgomery's trick), as are its teeth before it.
+- k*G is COMB_BLOCKS pairs: the generator's comb (Alg. 3.44, COMB_TEETH
+  teeth d bits apart) cut into blocks of e = ceil(d / COMB_BLOCKS)
+  columns (Lim and Lee, CRYPTO '94), so k*G doubles e times, not d.
+  Block b's 255-point table sums the teeth 2^(i*d + b*e)*G, and G's
+  tables are built on a curve's first k*G.  A comb table is built in
+  affine coordinates: its teeth come from one doubling chain made affine
+  with one batched inversion (Montgomery's trick), and each tooth is added
+  to every entry built so far with one batched inversion across blocks.
 - k*P for any other point is one pair: width-WNAF_WIDTH NAF digits
   (Alg. 3.36) into P's odd table, P, 3P, 5P, 7P and their negations.
-- ECDSA verification computes u1*G + u2*Q as two pairs and inverts once.
+- ECDSA verification computes u1*G + u2*Q in one loop, G's pairs beside
+  Q's, and inverts once.
   A verify key is long-lived (an AP's signer key rides in every beacon),
   so crypto remembers the KEY_MEMO_ENTRIES keys verified most recently.
   A key's first verify pairs G's comb with Q's odd table; its second
-  builds the key a comb table like G's, which later verifies pair with
+  builds the key a one-block comb table, which later verifies pair with
   G's, one doubling per comb column.  A key enters the memo only once
   the signature's range check and the key's on-curve check pass.
 - P-521's prime is Mersenne, 2^521 - 1, so its doubling and mixed
@@ -64,9 +70,13 @@ class InvalidPointError(ValueError):
 
 
 Point = tuple[int, int]
+# A base's comb: one table per block of columns, entry 0 of each unused.
+Comb = tuple[tuple[Point | None, ...], ...]
 
-# Comb teeth for k*G: the table holds 2^COMB_TEETH - 1 points per curve.
+# Comb teeth: a comb table holds 2^COMB_TEETH - 1 points.
 COMB_TEETH = 8
+# The generator's comb is cut into this many blocks of columns, one table each.
+COMB_BLOCKS = 4
 # wNAF window for k*P: 2^(WNAF_WIDTH - 2) precomputed odd multiples.
 WNAF_WIDTH = 4
 # Signer keys remembered, least recently used out first: their x-only decodes,
@@ -107,8 +117,8 @@ class EcGroup:
         return -(-self.order_n.bit_length() // COMB_TEETH)
 
     @functools.cached_property
-    def _comb(self) -> tuple[Point | None, ...]:
-        return _comb_table(self, self.generator)
+    def _comb(self) -> Comb:
+        return _comb_table(self, self.generator, COMB_BLOCKS)
 
     @functools.cached_property
     def _formulas(self):
@@ -347,42 +357,72 @@ def _m521_add_affine(x1, y1, z1, x2, y2, p):
     return x3, y3, _fold(z1 * h, p)
 
 
-def _to_affine(points, p) -> list[Point]:
-    """Affine forms of Jacobian points, none the identity, with one inversion.
+def _inverses(values, p) -> list[int]:
+    """The inverse mod p of each of values, none 0 mod p, with one inversion.
 
-    Montgomery's trick: invert the product of every z, then peel each
+    Montgomery's trick: invert the product of every value, then peel each
     inverse off it with two multiplications.
     """
     prefix = []
     acc = 1
-    for _, _, z in points:
+    for v in values:
         prefix.append(acc)
-        acc = acc * z % p
+        acc = acc * v % p
     inv = pow(acc, -1, p)
-    affine = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        x, y, z = points[i]
-        zinv = inv * prefix[i] % p
-        inv = inv * z % p
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * values[i] % p
+    return out
+
+
+def _to_affine(points, p) -> list[Point]:
+    """Affine forms of Jacobian points, none the identity, with one inversion."""
+    affine = []
+    for (x, y, z), zinv in zip(points, _inverses([z for _, _, z in points], p)):
         zinv2 = zinv * zinv % p
-        affine[i] = (x * zinv2 % p, y * zinv2 * zinv % p)
+        affine.append((x * zinv2 % p, y * zinv2 * zinv % p))
     return affine
 
 
-def _comb_table(group: EcGroup, base: Point) -> tuple[Point | None, ...]:
-    """Entry j is the sum of 2^(i*d)*base over the set bits i of j (entry 0 unused)."""
+def _comb_table(group: EcGroup, base: Point, blocks: int = 1) -> Comb:
+    """base's comb, one table per block of e = ceil(d / blocks) columns.
+
+    Entry j of block b is the sum of 2^(i*d + b*e)*base over the set bits i
+    of j (entry 0 unused).  The teeth come from one doubling chain.  Each
+    entry is affine: entry j + 2^i is entry j plus tooth i, by the affine
+    addition law, whose slopes for tooth i in every block share one batched
+    inversion.  base has prime order n, and entry j plus tooth i is below
+    twice the top tooth's multiplier, 2^(7d + (blocks - 1)e + 1) < n, so no
+    entry is +-tooth i and no slope divides by 0.
+    """
     p = group.field_p
-    double, add = group._formulas
-    teeth = [(*base, 1)]
-    for _ in range(COMB_TEETH - 1):
-        x, y, z = teeth[-1]
-        for _ in range(group._comb_spacing):
+    double = group._formulas[0]
+    d = group._comb_spacing
+    e = -(-d // blocks)
+    chain = []
+    x, y, z = *base, 1
+    done = 0
+    # (blocks - 1) * e < d, so the shifts rise and one chain meets them all
+    for shift in (i * d + b * e for i in range(COMB_TEETH) for b in range(blocks)):
+        for _ in range(shift - done):
             x, y, z = double(x, y, z, p)
-        teeth.append((x, y, z))
-    jacobian = [(0, 1, 0)]
-    for tx, ty in _to_affine(teeth, p):
-        jacobian += [add(*entry, tx, ty, p) for entry in jacobian]
-    return (None, *_to_affine(jacobian[1:], p))
+        done = shift
+        chain.append((x, y, z))
+    teeth = _to_affine(chain, p)  # tooth i of block b at i * blocks + b
+    tables = [[None, tooth] for tooth in teeth[:blocks]]
+    for i in range(1, COMB_TEETH):
+        row = teeth[i * blocks : (i + 1) * blocks]
+        slopes = iter(_inverses(
+            [tx - x for (tx, _), table in zip(row, tables) for x, _ in table[1:]], p
+        ))
+        for (tx, ty), table in zip(row, tables):
+            table.append((tx, ty))
+            for x, y in table[1 : 1 << i]:
+                m = (ty - y) * next(slopes) % p
+                x3 = (m * m - x - tx) % p
+                table.append((x3, (m * (x - x3) - y) % p))
+    return tuple(map(tuple, tables))
 
 
 def _odd_table(group: EcGroup, point: Point) -> list[Point | None]:
@@ -406,7 +446,7 @@ def _odd_table(group: EcGroup, point: Point) -> list[Point | None]:
 
 
 def _comb_digits(group: EcGroup, scalar: int) -> list[int]:
-    """scalar's column indices into a _comb_table, top column first."""
+    """scalar's column indices into a one-block _comb_table, top column first."""
     d = group._comb_spacing
     width = COMB_TEETH * d
     # Row i of a comb is bits [i*d, (i+1)*d) of the scalar, top row first,
@@ -414,6 +454,17 @@ def _comb_digits(group: EcGroup, scalar: int) -> list[int]:
     bits = format(scalar, f"0{width}b")
     rows = (bits[i : i + d] for i in range(0, width, d))
     return [int("".join(column), 2) for column in zip(*rows)]
+
+
+def _comb_pairs(group: EcGroup, tables: Comb, scalar: int) -> list:
+    """(table, digits) pairs that spell scalar*base over base's comb tables:
+    the _comb_digits cut into runs of e columns, the lowest run first."""
+    d = group._comb_spacing
+    e = -(-d // len(tables))
+    digits = _comb_digits(group, scalar)
+    return [
+        (table, digits[max(d - (b + 1) * e, 0) : d - b * e]) for b, table in enumerate(tables)
+    ]
 
 
 def _wnaf_digits(scalar: int) -> list[int]:
@@ -460,16 +511,16 @@ def _mul(group: EcGroup, pairs):
 def point_mul(group: EcGroup, scalar: int, point: Point | None = None) -> Point | None:
     """Scalar multiple of point (base point when omitted).
 
-    Multiples of the generator read comb digits off the group's comb table;
+    Multiples of the generator read comb digits off the group's comb tables;
     any other point reads wNAF digits off its odd table.  Either way it is
     one _mul call.
     """
     scalar %= group.order_n
     if point is None or point == group.generator:
-        pair = (group._comb, _comb_digits(group, scalar))
+        pairs = _comb_pairs(group, group._comb, scalar)
     else:
-        pair = (_odd_table(group, point), _wnaf_digits(scalar))
-    jacobian = _mul(group, [pair])
+        pairs = [(_odd_table(group, point), _wnaf_digits(scalar))]
+    jacobian = _mul(group, pairs)
     if not jacobian[2]:
         return None
     return _to_affine([jacobian], group.field_p)[0]
@@ -663,7 +714,7 @@ def _recall(memo: OrderedDict, key, make, entries: int = MEMO_ENTRIES):
     return value
 
 
-# (group id, verify key) -> the key's comb table, or None until its second
+# (group id, verify key) -> the key's comb tables, or None until its second
 # verify; ordered from least to most recently verified.  A table costs one to
 # two verifies to build, so a key verified once never pays for one, and a run
 # that cycles through more keys than the memo holds (the 30-client crowd
@@ -674,8 +725,8 @@ _verdict_memo: OrderedDict = OrderedDict()  # (group id, key, message, signature
 _signature_memo: OrderedDict = OrderedDict()  # (group id, public point, message)
 
 
-def _key_table(group: EcGroup, point: Point) -> tuple[Point | None, ...] | None:
-    """The comb table of a verify key seen before, or None on its first verify."""
+def _key_table(group: EcGroup, point: Point) -> Comb | None:
+    """The comb tables of a verify key seen before, or None on its first verify."""
     key = (group.group_id, point)
     if key in _key_memo and _key_memo[key] is None:
         _key_memo[key] = _comb_table(group, point)
@@ -787,12 +838,12 @@ def _verify(group: EcGroup, public_point: Point, message: bytes, signature: byte
     w = pow(s, -1, n)
     u1 = e * w % n
     u2 = r * w % n
-    table = _key_table(group, public_point)
-    if table is None:
-        second = (_odd_table(group, public_point), _wnaf_digits(u2))
+    tables = _key_table(group, public_point)
+    if tables is None:
+        second = [(_odd_table(group, public_point), _wnaf_digits(u2))]
     else:
-        second = (table, _comb_digits(group, u2))
-    x, y, z = _mul(group, [(group._comb, _comb_digits(group, u1)), second])
+        second = _comb_pairs(group, tables, u2)
+    x, y, z = _mul(group, _comb_pairs(group, group._comb, u1) + second)
     if not z:
         return False
     return _to_affine([(x, y, z)], group.field_p)[0][0] % n == r

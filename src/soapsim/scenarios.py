@@ -40,6 +40,21 @@ KNOWN_CAPABILITIES = frozenset(
     }
 )
 
+# The capabilities under which simnet.Adversary reads each optional adversary
+# field (the rogue AP's fields under masquerade and inject); `capabilities`
+# and `mac` are read under all of them.
+ADVERSARY_FIELD_READERS = {
+    "replay_at": frozenset({"eavesdrop", "replay"}),
+    "disassoc_at": frozenset({"disassoc-inject"}),
+    **dict.fromkeys(
+        ("target_ap", "target_client"), frozenset({"disassoc-inject", "mitm-substitute"})
+    ),
+    **dict.fromkeys(
+        ("ssid", "groups", "beacon_period", "beacon_offset", "advertise_bogus_key"),
+        frozenset({"masquerade", "inject"}),
+    ),
+}
+
 MAX_SSID_OCTETS = 32  # the 802.11 limit
 # A busy run costs time and transcript in proportion to its ticks; the
 # builtins need at most 3000.
@@ -251,6 +266,13 @@ def _adversary_from_dict(d, where: str, roles: dict) -> AdversaryConfig:
         if ref is not None:
             _require(ref in roles, f"{where}.{key}", f"unknown station {ref!r}")
             _require(roles[ref] == role, f"{where}.{key}", f"{ref!r} is not {named}")
+    capabilities = set(got.get("capabilities", ()))
+    for key, readers in ADVERSARY_FIELD_READERS.items():
+        _require(
+            key not in got or capabilities & readers,
+            f"{where}.{key}",
+            f"read only under {', '.join(sorted(readers))}; none is listed",
+        )
     return AdversaryConfig(**got)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracle_ec import affine_add, affine_mul
 from soapsim import crypto
 from soapsim.crypto import (
+    COMB_BLOCKS,
     COMB_TEETH,
     DEFAULT_GROUP_ID,
     KEY_MEMO_ENTRIES,
@@ -111,24 +112,42 @@ class TestRegistry:
         cryptography = pytest.importorskip("cryptography")
         from cryptography.hazmat.primitives.asymmetric import ec
 
-        curves = {26: ec.SECP224R1(), 19: ec.SECP256R1(), 20: ec.SECP384R1(), 21: ec.SECP521R1()}
-        for gid, curve in curves.items():
+        for gid, curve in OPENSSL_CURVES.items():
             group = registry_lookup(gid)
-            key = ec.generate_private_key(curve)
+            key = ec.generate_private_key(getattr(ec, curve)())
             numbers = key.public_key().public_numbers()
             assert is_on_curve(group, (numbers.x, numbers.y))
 
 
+def block_columns(group):
+    """d, the bits between comb teeth, and e, the columns in each block of k*G."""
+    d = group._comb_spacing
+    return d, -(-d // COMB_BLOCKS)
+
+
 def edge_scalars(group):
     n = group.order_n
-    d = group._comb_spacing
+    d, e = block_columns(group)
     return (
         [1, 2, 3, n - 2, n - 1]
         + [n, n + 1, 2 * n + 3]  # reduced mod n
         # just below and at each comb column boundary 2^(i*d)
         + [v for i in range(1, COMB_TEETH) for v in ((1 << (i * d)) - 1, 1 << (i * d))]
         + [(1 << n.bit_length()) - 1]  # all ones
+        # just below and at each block's lowest column, and every block's teeth
+        + [v for b in range(1, COMB_BLOCKS) for v in ((1 << (b * e)) - 1, 1 << (b * e))]
+        + [1 << (i * d + b * e) for i in range(COMB_TEETH) for b in range(COMB_BLOCKS)]
     )
+
+
+def block_mask(group, b):
+    """The bits of block b's columns in every row of the comb."""
+    d, e = block_columns(group)
+    columns = range(b * e, min((b + 1) * e, d))
+    return sum(1 << (i * d + c) for i in range(COMB_TEETH) for c in columns)
+
+
+OPENSSL_CURVES = {26: "SECP224R1", 19: "SECP256R1", 20: "SECP384R1", 21: "SECP521R1"}
 
 
 class TestPointArithmetic:
@@ -151,6 +170,54 @@ class TestPointArithmetic:
             assert point_mul(group, k) == expected, k
             assert point_mul(group, k, group.generator) == expected, k
             assert point_mul(group, k, point) == oracle_mul(group, k, point), k
+
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_block_scalars_match_oracle(self, gid):
+        # a scalar with one block's columns all zero, and one with only them set
+        group = registry_lookup(gid)
+        rng = SeededRng(b"block-oracle", group.name.encode())
+        for b in range(COMB_BLOCKS):
+            mask = block_mask(group, b)
+            k = rng.uniform_scalar(group)
+            for scalar in (k & ~mask, k & mask, mask % group.order_n):
+                assert point_mul(group, scalar) == oracle_mul(group, scalar), (b, scalar)
+            digits = crypto._comb_pairs(group, group._comb, k & ~mask)[b][1]
+            assert not any(digits)
+
+    def test_block_lengths(self):
+        # (d, e) per curve; P-521's 66 columns leave its top block 15
+        for gid, (d, e) in {26: (28, 7), 19: (32, 8), 20: (48, 12), 21: (66, 17)}.items():
+            group = registry_lookup(gid)
+            assert block_columns(group) == (d, e)
+            pairs = crypto._comb_pairs(group, group._comb, group.order_n - 1)
+            assert [len(digits) for _, digits in pairs] == [e, e, e, d - 3 * e]
+
+    def test_p521_short_top_block_matches_oracle(self):
+        group = registry_lookup(21)
+        d, e = block_columns(group)
+        top = block_mask(group, COMB_BLOCKS - 1) & ((1 << 520) - 1)  # below n
+        rng = SeededRng(b"short-top-block")
+        # the block's lowest column alone, its highest alone, all of it, and random
+        lowest = sum(1 << (i * d + 3 * e) for i in range(COMB_TEETH)) & top
+        highest = sum(1 << (i * d + d - 1) for i in range(COMB_TEETH)) & top
+        for k in (lowest, highest, top, rng.uniform_scalar(group) & top, 1 << (d - 1)):
+            assert point_mul(group, k) == oracle_mul(group, k), k
+
+    def test_base_multiples_match_openssl(self):
+        pytest.importorskip("cryptography")
+        from cryptography.hazmat.primitives.asymmetric import ec
+
+        for gid, curve in OPENSSL_CURVES.items():
+            group = registry_lookup(gid)
+            n = group.order_n
+            rng = SeededRng(b"openssl-base", group.name.encode())
+            scalars = [rng.uniform_scalar(group) for _ in range(8)]
+            scalars += [block_mask(group, b) % n for b in range(COMB_BLOCKS)]
+            scalars += [k % n for k in edge_scalars(group) if k % n]
+            for k in scalars:
+                public = ec.derive_private_key(k, getattr(ec, curve)()).public_key()
+                numbers = public.public_numbers()
+                assert point_mul(group, k) == (numbers.x, numbers.y), k
 
     def test_doubling_off_identity(self):
         group = registry_lookup(26)
@@ -473,19 +540,24 @@ class TestEcdsa:
 
 
 def comb(group, base, k):
-    """base's comb table with k's comb digits: one pair for the loop."""
-    return crypto._comb_table(group, base), crypto._comb_digits(group, k)
+    """base's one-block comb table with k's comb digits: one pair for the loop."""
+    return crypto._comb_pairs(group, crypto._comb_table(group, base), k)
+
+
+def blocked(group, base, k):
+    """base's comb in COMB_BLOCKS tables with k's digits cut to match, as k*G runs."""
+    return crypto._comb_pairs(group, crypto._comb_table(group, base, COMB_BLOCKS), k)
 
 
 def wnaf(group, base, k):
     """base's odd table with k's wNAF digits: one pair for the loop."""
-    return crypto._odd_table(group, base), crypto._wnaf_digits(k)
+    return [(crypto._odd_table(group, base), crypto._wnaf_digits(k))]
 
 
 def loop_sum(group, pairs, recoders=(comb, comb)):
     """The affine sum the multiplication loop computes over (base, scalar) pairs,
-    each pair turned into (table, digits) by its recoder."""
-    tables = [recode(group, base, k) for recode, (base, k) in zip(recoders, pairs)]
+    each pair turned into (table, digits) pairs by its recoder."""
+    tables = [t for recode, (base, k) in zip(recoders, pairs) for t in recode(group, base, k)]
     x, y, z = crypto._mul(group, tables)
     return crypto._to_affine([(x, y, z)], group.field_p)[0] if z else None
 
@@ -508,10 +580,10 @@ def key_memo(monkeypatch, fresh_memos):
     builds = []
     build = crypto._comb_table
 
-    def counted(group, base):
+    def counted(group, base, *blocks):
         if base != group.generator:
             builds.append((group.group_id, base))
-        return build(group, base)
+        return build(group, base, *blocks)
 
     monkeypatch.setattr(crypto, "_comb_table", counted)
     yield crypto._key_memo, builds
@@ -632,7 +704,7 @@ class TestKeyMemo:
                 assert ecdsa_verify(group, public, message, signature)
                 tables_built.append(builds.count(key))
             assert tables_built == [0, 1, 1]
-            assert memo[key] is not None
+            assert len(memo[key]) == 1  # a verify key's comb is one block
         assert len(builds) == len(ALL_GROUPS)
 
     def test_key_past_the_bound_evicts_least_recent(self, key_memo):
@@ -827,6 +899,59 @@ class TestFormulaDispatch:
         assert formula_calls["_m521_add_affine"] == 0
         assert formula_calls["_jacobian_double"] > 0
         assert formula_calls["_jacobian_add_affine"] > 0
+
+
+class TestCombTable:
+    """Comb tables, built in affine coordinates: every entry against the
+    oracle, and the doublings and inversions a k*G and a build make."""
+
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_every_entry_is_the_oracle_sum_of_its_teeth(self, gid):
+        # G's COMB_BLOCKS tables, and the one-block tables of two verify keys
+        group = registry_lookup(gid)
+        p, a, d = group.field_p, group.curve_a, group._comb_spacing
+        keys = [signed(group, seed)[0] for seed in (b"table-1", b"table-2")]
+        combs = [(group.generator, COMB_BLOCKS, group._comb)]
+        combs += [(q, 1, crypto._comb_table(group, q)) for q in keys]
+        for base, blocks, tables in combs:
+            e = -(-d // blocks)
+            assert len(tables) == blocks
+            for b, table in enumerate(tables):
+                teeth = [oracle_mul(group, 1 << (i * d + b * e), base) for i in range(COMB_TEETH)]
+                expected = [None]
+                for j in range(1, 1 << COMB_TEETH):
+                    top = j.bit_length() - 1
+                    expected.append(affine_add(p, a, expected[j - (1 << top)], teeth[top]))
+                assert list(table) == expected, (base, b)
+
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_a_base_multiple_doubles_once_per_block_column(self, formula_calls, gid):
+        group = registry_lookup(gid)
+        assert group._comb  # built before counting
+        _, e = block_columns(group)
+        double = "_m521_double" if gid == 21 else "_jacobian_double"
+        for k in (1, group.order_n - 1, SeededRng(b"doublings").uniform_scalar(group)):
+            formula_calls.clear()
+            assert point_mul(group, k) == oracle_mul(group, k)
+            assert formula_calls[double] == e
+
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_a_build_makes_one_inversion_per_tooth(self, monkeypatch, gid):
+        # one for the teeth, and one for each tooth after the first, shared
+        # by every block
+        inversions = []
+
+        def counted(base, exponent, modulus=None):
+            if exponent == -1:
+                inversions.append(base)
+            return pow(base, exponent, modulus)
+
+        monkeypatch.setattr(crypto, "pow", counted, raising=False)
+        group = registry_lookup(gid)
+        for blocks in (1, COMB_BLOCKS):
+            inversions.clear()
+            crypto._comb_table(group, group.generator, blocks)
+            assert len(inversions) == COMB_TEETH
 
 
 class TestNoGenericFormulaOnP521:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from soapsim.crypto import REGISTRY
 from soapsim.scenarios import (
+    ADVERSARY_FIELD_READERS,
     BUILTIN_NAMES,
     CheckResult,
     KNOWN_CAPABILITIES,
@@ -46,6 +47,20 @@ AP = {"station_id": "ap1", "role": "ap", "mac": "02:00:00:00:00:01"}
 CLIENT = {"station_id": "client1", "role": "client", "mac": "02:00:00:00:00:02"}
 
 
+# A value, other than the default, for each optional adversary field.
+ADVERSARY_FIELDS = {
+    "ssid": "rogue",
+    "groups": [19],
+    "beacon_period": 30,
+    "beacon_offset": 3,
+    "advertise_bogus_key": True,
+    "replay_at": 5,
+    "disassoc_at": 5,
+    "target_ap": "ap1",
+    "target_client": "client1",
+}
+
+
 def minimal(**extra):
     data = {"name": "t", "stations": [dict(AP), dict(CLIENT)]}
     data.update(extra)
@@ -60,6 +75,13 @@ def rejected(data, fragment):
 
 class TestSchemaAccepts:
     """Well-formed scripts parse into runnable scenario objects."""
+
+    @pytest.mark.parametrize("key", sorted(ADVERSARY_FIELDS))
+    def test_adversary_field_under_each_capability_that_reads_it(self, key):
+        for capability in ADVERSARY_FIELD_READERS[key]:
+            data = minimal(adversary={"capabilities": [capability], key: ADVERSARY_FIELDS[key]})
+            script = script_from_dict(data)
+            assert script_to_dict(script)["adversary"] == data["adversary"]
 
     def test_minimal_script(self):
         script = script_from_dict(minimal())
@@ -238,7 +260,7 @@ class TestSchemaRejects:
 
     def test_adversary_unknown_target(self):
         rejected(
-            minimal(adversary={"capabilities": ["eavesdrop"], "target_ap": "ghost"}),
+            minimal(adversary={"capabilities": ["disassoc-inject"], "target_ap": "ghost"}),
             "target_ap: unknown station 'ghost'",
         )
 
@@ -250,6 +272,45 @@ class TestSchemaRejects:
         rejected(
             minimal(adversary={"capabilities": ["disassoc-inject"], key: target}),
             f"script.adversary.{key}: {target!r} is not {role}",
+        )
+
+    @pytest.mark.parametrize(
+        "capabilities,key",
+        [
+            (["eavesdrop"], "disassoc_at"),
+            (["eavesdrop"], "target_ap"),
+            (["eavesdrop", "replay"], "target_client"),
+            (["disassoc-inject"], "replay_at"),
+            (["mitm-substitute"], "disassoc_at"),
+            (["masquerade"], "target_ap"),
+            (["delete-intercept"], "groups"),
+            (["replay"], "ssid"),
+            (["disassoc-inject", "mitm-substitute"], "beacon_period"),
+            ([], "beacon_offset"),
+            (["eavesdrop"], "advertise_bogus_key"),
+        ],
+    )
+    def test_adversary_field_no_capability_reads(self, capabilities, key):
+        rejected(
+            minimal(adversary={"capabilities": capabilities, key: ADVERSARY_FIELDS[key]}),
+            f"script.adversary.{key}: read only under",
+        )
+
+    def test_unread_disassociation_is_named(self):
+        adversary = {
+            "capabilities": ["eavesdrop"],
+            "target_ap": "ap1",
+            "target_client": "client1",
+            "disassoc_at": 5,
+        }
+        rejected(
+            minimal(adversary=adversary),
+            "script.adversary.disassoc_at: read only under disassoc-inject; none is listed",
+        )
+        del adversary["disassoc_at"]
+        rejected(
+            minimal(adversary=adversary),
+            "script.adversary.target_ap: read only under disassoc-inject, mitm-substitute",
         )
 
     def test_blacklist_threshold_below_one(self):
@@ -801,6 +862,30 @@ def expectations(draw, aps, clients):
 
 
 @st.composite
+def adversary_configs(draw, aps, clients):
+    """An adversary that sets only fields its capabilities read."""
+    capabilities = draw(st.lists(st.sampled_from(sorted(KNOWN_CAPABILITIES)), unique=True))
+    optional = {
+        "ssid": st.none() | SSIDS,
+        "groups": GROUPS,
+        "beacon_period": st.integers(1, 500),
+        "beacon_offset": st.integers(0, 500),
+        "advertise_bogus_key": st.booleans(),
+        "replay_at": st.none() | TICKS,
+        "disassoc_at": st.none() | TICKS,
+        "target_ap": st.none() | st.sampled_from(aps),
+        "target_client": st.none() | st.sampled_from(clients),
+    }
+    assert set(optional) == set(ADVERSARY_FIELD_READERS)
+    read = {
+        key: draw(values)
+        for key, values in optional.items()
+        if ADVERSARY_FIELD_READERS[key] & set(capabilities)
+    }
+    return AdversaryConfig(capabilities=tuple(capabilities), mac=draw(MACS), **read)
+
+
+@st.composite
 def valid_scripts(draw):
     aps = [f"ap{i}" for i in range(draw(st.integers(1, 2)))]
     clients = [f"client{i}" for i in range(draw(st.integers(1, 2)))]
@@ -808,21 +893,7 @@ def valid_scripts(draw):
         draw(station_configs(sid, "ap" if sid in aps else "client", i, aps))
         for i, sid in enumerate(aps + clients)
     ]
-    adversary = draw(st.none() | st.builds(
-        AdversaryConfig,
-        capabilities=st.lists(st.sampled_from(sorted(KNOWN_CAPABILITIES)),
-                              unique=True).map(tuple),
-        mac=MACS,
-        ssid=st.none() | SSIDS,
-        groups=GROUPS,
-        beacon_period=st.integers(1, 500),
-        beacon_offset=st.integers(0, 500),
-        advertise_bogus_key=st.booleans(),
-        replay_at=st.none() | TICKS,
-        disassoc_at=st.none() | TICKS,
-        target_ap=st.none() | st.sampled_from(aps),
-        target_client=st.none() | st.sampled_from(clients),
-    ))
+    adversary = draw(st.none() | adversary_configs(aps, clients))
     if adversary is not None:
         assume(parse_mac(adversary.mac) not in {parse_mac(s.mac) for s in stations})
     return ScenarioScript(

@@ -22,7 +22,7 @@ from soapsim.frames import (
     management_signing_input,
     parse_management_frame,
 )
-from soapsim.scenarios import BUILTIN_NAMES, builtin, run_attack_suite
+from soapsim.scenarios import ADVERSARY_FIELD_READERS, BUILTIN_NAMES, builtin, run_attack_suite
 from soapsim.simnet import (
     AdversaryConfig,
     ApStation,
@@ -569,13 +569,21 @@ def random_scripts(draw):
     )
     adversary = None
     if caps:
+        # only the fields the capabilities read, as a loaded script has
+        fields = {
+            "beacon_period": st.integers(min_value=20, max_value=150),
+            "beacon_offset": st.integers(min_value=0, max_value=200),
+            "replay_at": tick,
+            "disassoc_at": tick,
+        }
         adversary = AdversaryConfig(
             capabilities=tuple(sorted(caps)),
-            beacon_period=draw(st.integers(min_value=20, max_value=150)),
-            beacon_offset=draw(st.integers(min_value=0, max_value=200)),
-            replay_at=draw(tick),
-            disassoc_at=draw(tick),
             advertise_bogus_key="inject" in caps,
+            **{
+                key: draw(values)
+                for key, values in fields.items()
+                if caps & ADVERSARY_FIELD_READERS[key]
+            },
         )
     client_ids = st.sampled_from([f"client{i}" for i in range(1, clients + 1)])
     resets = [
