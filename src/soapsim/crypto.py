@@ -35,9 +35,9 @@ nonzero digit adds its table's affine entry with one mixed addition.
   P-521 multiplication about 1.7x faster.  The other primes are 2^k - c
   with c far from small, where a fold costs more than the one % it would
   replace, so they keep plain %.
-- x-only decoding on P-224 (p = 1 mod 4) runs Tonelli-Shanks with its
-  per-curve constants computed once.  Only signer keys travel x-only, so
-  the KEY_MEMO_ENTRIES most recent decodes are remembered as well, keyed by
+- x-only decoding runs Tonelli-Shanks on every curve, with its per-curve
+  constants computed once.  Only signer keys travel x-only, so the
+  KEY_MEMO_ENTRIES most recent decodes are remembered as well, keyed by
   (group id, x octets); an x that does not decode is never remembered.
 - Signatures (RFC 6979) and verdicts depend on public inputs alone, so the
   process remembers the MEMO_ENTRIES most recent of each, keyed by every
@@ -532,11 +532,9 @@ def _mod_sqrt(group: EcGroup, a: int) -> int | None:
     a %= p
     if a == 0:
         return 0
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return r if r * r % p == a else None
-    # Tonelli-Shanks for p = 1 mod 4 (P-224).  For a non-residue, t = a^q
-    # has order exactly 2^s, so the search for i below runs into m.
+    # Tonelli-Shanks; for p = 3 mod 4 (s = 1) it is r = a^((p + 1) / 4).  For
+    # a non-residue, t = a^q has order exactly 2^s, so the search for i below
+    # runs into m.
     q, s, zq = group._tonelli_shanks
     m, c, t, r = s, zq, pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -740,13 +738,11 @@ def ecdsa_generate(group: EcGroup, rng: SeededRng) -> KeyPair:
     canonicalised at generation time: if d*G has odd y, d is replaced by
     n - d, which negates the point without changing x.
     """
-    d = rng.uniform_scalar(group)
-    public = point_mul(group, d)
-    assert public is not None
-    if public[1] % 2:
-        d = group.order_n - d
-        public = (public[0], group.field_p - public[1])
-    return KeyPair(group, d, public)
+    key = ecdh_generate(group, rng)
+    x, y = key.public_point
+    if y % 2:
+        key = KeyPair(group, group.order_n - key.private_scalar, (x, group.field_p - y))
+    return key
 
 
 def _bits2int(data: bytes, n: int) -> int:

@@ -94,20 +94,32 @@ class FourwayState(Enum):
     FAILED = "failed"
 
 
-class Authenticator:
-    """AP side: sends Messages 1 and 3, verifies Messages 2 and 4."""
+class _End:
+    """What both ends of the 4-Way Handshake hold: the PMK, the two MACs, a
+    nonce stream, and the state, keys and failure reason so far."""
+
+    state = FourwayState.IDLE
+    fail_reason: str | None = None
+    keys: PairwiseKeys | None = None
 
     def __init__(self, pmk: bytes, ap_mac: bytes, client_mac: bytes, rng: SeededRng):
         self.pmk = pmk
         self.ap_mac = bytes(ap_mac)
         self.client_mac = bytes(client_mac)
         self.rng = rng
-        self.state = FourwayState.IDLE
-        self.fail_reason: str | None = None
-        self.anonce: bytes | None = None
-        self.keys: PairwiseKeys | None = None
-        self.replay_counter = 0
-        self._last_frame: EapolKeyFrame | None = None
+
+    def _fail(self, reason: str):
+        self.state = FourwayState.FAILED
+        self.fail_reason = reason
+        return None, reason
+
+
+class Authenticator(_End):
+    """AP side: sends Messages 1 and 3, verifies Messages 2 and 4."""
+
+    anonce: bytes | None = None
+    replay_counter = 0
+    _last_frame: EapolKeyFrame | None = None
 
     def _send(self, frame: EapolKeyFrame) -> EapolKeyFrame:
         self.replay_counter += 1
@@ -129,11 +141,6 @@ class Authenticator:
         if self.state not in (FourwayState.AWAIT_M2, FourwayState.AWAIT_M4):
             return None
         return self._send(self._last_frame)
-
-    def _fail(self, reason: str):
-        self.state = FourwayState.FAILED
-        self.fail_reason = reason
-        return None, reason
 
     def on_frame(self, frame: EapolKeyFrame):
         """Returns (reply frame or None, event)."""
@@ -162,24 +169,11 @@ class Authenticator:
         return None, "unexpected"
 
 
-class Supplicant:
+class Supplicant(_End):
     """Client side: answers Message 1 with 2 and Message 3 with 4."""
 
-    def __init__(self, pmk: bytes, ap_mac: bytes, client_mac: bytes, rng: SeededRng):
-        self.pmk = pmk
-        self.ap_mac = bytes(ap_mac)
-        self.client_mac = bytes(client_mac)
-        self.rng = rng
-        self.state = FourwayState.IDLE
-        self.fail_reason: str | None = None
-        self.snonce: bytes | None = None
-        self.keys: PairwiseKeys | None = None
-        self.last_rx_counter = 0
-
-    def _fail(self, reason: str):
-        self.state = FourwayState.FAILED
-        self.fail_reason = reason
-        return None, reason
+    snonce: bytes | None = None
+    last_rx_counter = 0
 
     def on_frame(self, frame: EapolKeyFrame):
         """Returns (reply frame or None, event)."""

@@ -9,7 +9,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple
 
 from .crypto import REGISTRY
-from .frames import FRAME_KINDS
+from .frames import BROADCAST_MAC, FRAME_KINDS
 from .simnet import (
     AP_STATES,
     CLIENT_STATES,
@@ -83,8 +83,9 @@ _ROLE_STATES = {"client": CLIENT_STATES, "ap": AP_STATES}
 
 @dataclass(frozen=True)
 class _Station:
-    """JSON type of an expectation key that names a script station, of
-    ``role`` when it is set, or one of the ``extra`` names."""
+    """JSON type of a key that names a script station, of ``role`` when it
+    is set, or one of the ``extra`` names: every station reference in a
+    script is checked through it."""
 
     role: str | None = None
     extra: tuple = ()
@@ -214,9 +215,10 @@ def _check_radio(got: dict, where: str) -> None:
     """The fields a station and the adversary share: MAC, SSID and groups."""
     if "mac" in got:
         try:
-            parse_mac(got["mac"])
+            mac = parse_mac(got["mac"])
         except ValueError as exc:
             raise ScenarioError(f"{where}.mac: {exc}") from None
+        _require(mac != BROADCAST_MAC, f"{where}.mac", "is the broadcast address")
     if "ssid" in got:
         try:
             octets = len(got["ssid"].encode())
@@ -259,13 +261,10 @@ def _adversary_from_dict(d, where: str, roles: dict) -> AdversaryConfig:
     ]
     _require(not unknown, f"{where}.capabilities", f"unknown: {unknown}")
     _check_radio(got, where)
-    for key, role, named in (
-        ("target_ap", "ap", "an AP"), ("target_client", "client", "a client")
-    ):
-        ref = got.get(key)
-        if ref is not None:
-            _require(ref in roles, f"{where}.{key}", f"unknown station {ref!r}")
-            _require(roles[ref] == role, f"{where}.{key}", f"{ref!r} is not {named}")
+    for key, role in (("target_ap", "ap"), ("target_client", "client")):
+        if got.get(key) is not None:
+            problem = _Station(role).problem(got[key], {}, roles)
+            _require(problem is None, f"{where}.{key}", problem)
     capabilities = set(got.get("capabilities", ()))
     for key, readers in ADVERSARY_FIELD_READERS.items():
         _require(
@@ -278,11 +277,10 @@ def _adversary_from_dict(d, where: str, roles: dict) -> AdversaryConfig:
 
 def _schedule_from_dict(d, where: str, roles: dict) -> ScheduleAction:
     got = _record(ScheduleAction, d, where)
-    _require(got["station"] in roles, f"{where}.station", "unknown station")
     action = got.get("action", "reset")
     _require(action == "reset", f"{where}.action", "only 'reset' is defined")
-    station = got["station"]
-    _require(roles[station] == "client", f"{where}.station", f"{station!r} is not a client")
+    problem = _Station("client").problem(got["station"], {}, roles)
+    _require(problem is None, f"{where}.station", problem)
     return ScheduleAction(**got)
 
 
@@ -327,8 +325,8 @@ def script_from_dict(data: dict) -> ScenarioScript:
         if s.pin_ap is not None:
             where = f"script.stations[{i}].pin_ap"
             _require(s.role == "client", where, "only a client may pin an AP")
-            _require(s.pin_ap in roles, where, f"unknown station {s.pin_ap!r}")
-            _require(roles[s.pin_ap] == "ap", where, f"{s.pin_ap!r} is not an AP")
+            problem = _Station("ap").problem(s.pin_ap, {}, roles)
+            _require(problem is None, where, problem)
 
     if "adversary" in got:
         adversary = got["adversary"] = _adversary_from_dict(

@@ -459,15 +459,14 @@ class Station:
         return True
 
     def on_frame(self, tick: int, t: Transmission) -> list[Transmission]:
-        """Handle `t`, addressed to this station or broadcast and delivered
-        from an admitted sender."""
+        """Handle `t`, delivered from an admitted sender. The simulation's
+        addressees decide who receives a frame: a unicast frame reaches only
+        the receivers of its destination MAC."""
         frame = t.frame
         if isinstance(frame, MalformedFrameError):
             self._discard(tick, "malformed", detail=str(frame))
             return []
         if t.kind in EAPOL_KINDS:
-            if frame.dst_mac != self.mac:
-                return []
             if t.kind == "agreement":
                 return self._on_agreement(tick, frame)
             return self._on_eapol_key(tick, frame)
@@ -726,14 +725,12 @@ class ApPeer:
         """The tick at which the AP retransmits to, or gives up on, the peer."""
         return None if self.done else self.last_tx + RETRY_TIMEOUT_TICKS
 
-    def retransmission(self) -> bytes | None:
-        """The EAPOL packet to resend: message 1 until message 2 has arrived,
-        then the last 4-Way frame; None when there is none."""
+    def retransmission(self) -> bytes:
+        """The EAPOL packet to resend to a peer that is not done: message 1
+        until message 2 has arrived, then the last 4-Way frame."""
         if self.auth is None:
-            msg = self.soap.retransmit_message1()
-            return None if msg is None else encode_soap_message(msg)
-        key_frame = self.auth.retransmit()
-        return None if key_frame is None else encode_eapol_key_frame(key_frame)
+            return encode_soap_message(self.soap.retransmit_message1())
+        return encode_eapol_key_frame(self.auth.retransmit())
 
     def summary(self) -> dict:
         return {
@@ -821,16 +818,12 @@ class ApStation(Station):
                     peer=format_mac(mac), reason="timeout",
                 )
                 continue
-            resend = peer.retransmission()
-            if resend is None:
-                peer.done = True
-                continue
             peer.attempts += 1
             peer.last_tx = tick
             self.transcript.note(
                 tick, "retransmit", self.cfg.station_id, peer=format_mac(mac)
             )
-            out.append(self._out_eapol(mac, resend))
+            out.append(self._out_eapol(mac, peer.retransmission()))
         return out
 
     # -- received frames ---------------------------------------------------
@@ -909,7 +902,7 @@ class ApStation(Station):
     def _on_agreement(self, tick, frame: DataFrame) -> list[Transmission]:
         mac = frame.src_mac
         peer = self.peers.get(mac)
-        if peer is None or peer.soap is None or peer.soap.group is None:
+        if peer is None or peer.soap is None:
             self._discard(tick, "phase")
             return []
         msg = self._parse_agreement(tick, peer.soap, frame.payload)
@@ -1215,9 +1208,7 @@ class Simulation:
             self._schedule.setdefault(action.tick, []).append(action)
         self._schedule_ticks = sorted(self._schedule)
 
-        self.mac_names = {s.mac: s.cfg.station_id for s in self.stations}
-        if self.adversary is not None:
-            self.mac_names[self.adversary.mac] = "adversary"
+        self.mac_names = {s.mac: s.cfg.station_id for s in self.receivers}
 
     def _target(self, station_id: str | None, kind: type) -> bytes | None:
         """The MAC of the named station, else of the first station of `kind`."""

@@ -226,6 +226,21 @@ class TestSchemaRejects:
         dup = dict(CLIENT, mac=AP["mac"])
         rejected({"name": "t", "stations": [dict(AP), dup]}, "duplicate mac")
 
+    @pytest.mark.parametrize("mac", ["ff:ff:ff:ff:ff:ff", "FF:FF:FF:FF:FF:FF"])
+    def test_station_broadcast_mac(self, mac):
+        # a unicast frame to it would reach every receiver
+        rejected(
+            {"name": "t", "stations": [dict(AP), dict(CLIENT, mac=mac)]},
+            "script.stations[1].mac: is the broadcast address",
+        )
+
+    @pytest.mark.parametrize("mac", ["ff:ff:ff:ff:ff:ff", "FF:FF:FF:FF:FF:FF"])
+    def test_adversary_broadcast_mac(self, mac):
+        rejected(
+            minimal(adversary={"capabilities": ["masquerade"], "mac": mac}),
+            "script.adversary.mac: is the broadcast address",
+        )
+
     def test_pin_ap_unknown_station(self):
         rejected(
             {"name": "t", "stations": [dict(AP), dict(CLIENT, pin_ap="ghost")]},
@@ -329,7 +344,7 @@ class TestSchemaRejects:
     def test_schedule_unknown_station(self):
         rejected(
             minimal(schedule=[{"tick": 5, "station": "ghost", "action": "reset"}]),
-            "schedule[0].station",
+            "script.schedule[0].station: unknown station 'ghost'",
         )
 
     def test_schedule_unknown_action(self):

@@ -234,6 +234,26 @@ class TestLegacyModes:
         assert t.summaries["client1"]["mode"] == "legacy"
         assert t.summaries["client1"]["fallback"] is True
 
+    def test_psk_mismatch_fails_at_the_ap(self):
+        # the AP finds M2's MIC wrong, fails the session and resends nothing;
+        # the client times out waiting for M3 and latches again
+        t = run_checked(
+            script(
+                max_ticks=1000,
+                ap_kw={"soap_aware": False, "legacy_psk": "11" * 32},
+                client_kw={"soap_aware": False, "legacy_psk": "22" * 32},
+            ),
+            seed=1,
+        )
+        failed = ticks_of(
+            t, "transition", station="ap1", scope="session", to="failed", reason="mic-mismatch"
+        )
+        assert failed == [4, 504]
+        assert ticks_of(t, "retransmit") == []
+        assert ticks_of(t, "transition", station="client1", reason="timeout") == [452, 952]
+        assert ticks_of(t, "transition", station="client1", to="fourway") == [1, 501]
+        assert t.summaries["ap1"]["sessions"]["client1"]["fourway"] == "failed"
+
     def test_legacy_beacons_still_carry_element(self):
         # the aware AP advertises; the unaware client just skips element 251
         t = run_scenario(
@@ -646,6 +666,22 @@ class TestNextEventClock:
         assert ticks_of(t, "transition", station="ap1", to="aborted") == [402]
         for tick in (102, 202, 302, 402, 602):
             assert_idle_before(t, tick)
+
+    @pytest.mark.parametrize(
+        "disassoc_at,resends,fourway", [(3, 104, "await-m2"), (5, 106, "await-m4")]
+    )
+    def test_fourway_retransmit_deadline(self, disassoc_at, resends, fourway):
+        # the forged disassociation halts the client before 4-Way M1 (tick 3)
+        # or M3 (tick 5) reaches it; the AP resends that frame, then gives up
+        hijack = builtin("hijack-disassoc-unmitigated")
+        t = run_checked(
+            replace(hijack, adversary=replace(hijack.adversary, disassoc_at=disassoc_at)),
+            seed=1,
+        )
+        assert ticks_of(t, "retransmit", station="ap1") == [resends, resends + 100, resends + 200]
+        assert ticks_of(t, "transition", station="ap1", to="aborted") == [resends + 300]
+        assert t.summaries["ap1"]["sessions"]["client1"]["fourway"] == fourway
+        assert t.summaries["client1"]["state"] == "halted"
 
     def test_client_await_timeout(self):
         # the client latched at tick 1 and never hears msg1
