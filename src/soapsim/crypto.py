@@ -29,16 +29,14 @@ nonzero digit adds its table's affine entry with one mixed addition.
   builds the key a one-block comb table, which later verifies pair with
   G's, one doubling per comb column.  A key enters the memo only once
   the signature's range check and the key's on-curve check pass.
-- P-521's prime is Mersenne, 2^521 - 1, so its doubling and mixed
-  addition fold each product at 2^521 with a mask, a shift and an add
-  instead of dividing by p (Solinas; HMV section 2.2.6), which makes a
-  P-521 multiplication about 1.7x faster.  The other primes are 2^k - c
-  with c far from small, where a fold costs more than the one % it would
-  replace, so they keep plain %.
-- x-only decoding runs Tonelli-Shanks on every curve, with its per-curve
-  constants computed once.  Only signer keys travel x-only, so the
-  KEY_MEMO_ENTRIES most recent decodes are remembered as well, keyed by
-  (group id, x octets); an x that does not decode is never remembered.
+- P-384's and P-521's primes are 2^k - c with c small (2^128 + 2^96 -
+  2^32 + 1, and 1), so their doubling and mixed addition fold each product
+  at 2^k onto c instead of dividing by p (Solinas; HMV section 2.2.6).
+  P-224's and P-256's c are too wide for a fold to beat one %.
+- x-only decoding runs Tonelli-Shanks on every curve from one pow, its
+  per-curve constants computed once.  Only signer keys travel x-only, so
+  the KEY_MEMO_ENTRIES most recent decodes are remembered as well, keyed
+  by (group id, x octets); an x that does not decode is never remembered.
 - Signatures (RFC 6979) and verdicts depend on public inputs alone, so the
   process remembers the MEMO_ENTRIES most recent of each, keyed by every
   input (a signer by its public point).  ECDH and point_mul always compute:
@@ -122,9 +120,11 @@ class EcGroup:
 
     @functools.cached_property
     def _formulas(self):
-        """(doubling, mixed addition) for this curve's prime."""
-        if self.field_p == (1 << 521) - 1:
-            return _m521_double, _m521_add_affine
+        """(doubling, mixed addition): folded for a prime of 384 bits or more.
+        Folding a product costs 173 ns against 233 ns for % on P-384, but 134
+        against 116 ns on P-224 and 204 against 134 ns on P-256."""
+        if self.field_p.bit_length() >= 384:
+            return _folded_formulas(self.field_p)
         return _jacobian_double, _jacobian_add_affine
 
     @functools.cached_property
@@ -317,44 +317,51 @@ def _jacobian_add_affine(x1, y1, z1, x2, y2, p):
     return x3, y3, z3
 
 
-# P-521's doubling and mixed addition: the formulas above with p = 2^521 - 1,
-# where 2^521 = 1 mod p, so a product is folded rather than divided.  Each
-# output coordinate lies within 2^64 of [0, 2^521), and so may any input;
-# zero tests, and h and r, still reduce with %.
-def _fold(t, p):
-    """t mod p up to a small multiple of p: two folds of 2^521 onto 1."""
-    t = (t & p) + (t >> 521)
-    return (t & p) + (t >> 521)
+def _folded_formulas(p):
+    """The doubling and mixed addition above for a k-bit prime p, each product
+    folded at 2^k onto c = 2^k mod p rather than divided.  Coordinates out lie
+    within 2^262 (P-384) or 2^64 (P-521) of [0, 2^k), and so may those in;
+    zero tests, and h and r, still reduce with %."""
+    k = p.bit_length()
+    mask, c = (1 << k) - 1, (1 << k) % p
+    if c == 1:
+        def fold(t):
+            t = (t & mask) + (t >> k)
+            return (t & mask) + (t >> k)
+    else:
+        def fold(t):
+            t = (t & mask) + (t >> k) * c
+            return (t & mask) + (t >> k) * c
 
+    def double(x, y, z, p):
+        if not y % p:
+            return 0, 1, 0
+        yy = fold(y * y)
+        s = fold(4 * x * yy)
+        zz = fold(z * z)
+        m = fold(3 * (x - zz) * (x + zz))
+        x3 = fold(m * m - 2 * s)
+        y3 = fold(m * (s - x3) - 8 * yy * yy)
+        return x3, y3, fold(2 * y * z)
 
-def _m521_double(x, y, z, p):
-    if not y % p:
-        return 0, 1, 0
-    yy = _fold(y * y, p)
-    s = _fold(4 * x * yy, p)
-    zz = _fold(z * z, p)
-    m = _fold(3 * (x - zz) * (x + zz), p)
-    x3 = _fold(m * m - 2 * s, p)
-    y3 = _fold(m * (s - x3) - 8 * yy * yy, p)
-    return x3, y3, _fold(2 * y * z, p)
+    def add_affine(x1, y1, z1, x2, y2, p):
+        if not z1 % p:
+            return x2, y2, 1
+        z1z1 = fold(z1 * z1)
+        h = (fold(x2 * z1z1) - x1) % p
+        r = (fold(y2 * z1 * z1z1) - y1) % p
+        if not h:
+            if not r:
+                return double(x1, y1, z1, p)
+            return 0, 1, 0
+        hh = fold(h * h)
+        hhh = fold(h * hh)
+        v = fold(x1 * hh)
+        x3 = fold(r * r - hhh - 2 * v)
+        y3 = fold(r * (v - x3) - y1 * hhh)
+        return x3, y3, fold(z1 * h)
 
-
-def _m521_add_affine(x1, y1, z1, x2, y2, p):
-    if not z1 % p:
-        return x2, y2, 1
-    z1z1 = _fold(z1 * z1, p)
-    h = (_fold(x2 * z1z1, p) - x1) % p
-    r = (_fold(y2 * z1 * z1z1, p) - y1) % p
-    if not h:
-        if not r:
-            return _m521_double(x1, y1, z1, p)
-        return 0, 1, 0
-    hh = _fold(h * h, p)
-    hhh = _fold(h * hh, p)
-    v = _fold(x1 * hh, p)
-    x3 = _fold(r * r - hhh - 2 * v, p)
-    y3 = _fold(r * (v - x3) - y1 * hhh, p)
-    return x3, y3, _fold(z1 * h, p)
+    return double, add_affine
 
 
 def _inverses(values, p) -> list[int]:
@@ -532,11 +539,13 @@ def _mod_sqrt(group: EcGroup, a: int) -> int | None:
     a %= p
     if a == 0:
         return 0
-    # Tonelli-Shanks; for p = 3 mod 4 (s = 1) it is r = a^((p + 1) / 4).  For
-    # a non-residue, t = a^q has order exactly 2^s, so the search for i below
-    # runs into m.
+    # Tonelli-Shanks from x = a^((q - 1) / 2): r = a*x = a^((q + 1) / 2) and
+    # t = r*x = a^q.  For a non-residue, t has order exactly 2^s, so the search
+    # for i below runs into m.
     q, s, zq = group._tonelli_shanks
-    m, c, t, r = s, zq, pow(a, q, p), pow(a, (q + 1) // 2, p)
+    x = pow(a, (q - 1) // 2, p)
+    m, c, r = s, zq, a * x % p
+    t = r * x % p
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
@@ -619,7 +628,7 @@ class SeededRng:
 
     def __init__(self, seed: int | bytes, label: bytes = b""):
         if isinstance(seed, int):
-            seed = seed.to_bytes(16, "big", signed=False) if seed >= 0 else repr(seed).encode()
+            seed = seed.to_bytes(16, "big") if 0 <= seed < 1 << 128 else repr(seed).encode()
         self._state = _DIGEST(b"soapsim.rng\x00" + seed + b"\x00" + label).digest()
         self._counter = 0
         self._pool = b""

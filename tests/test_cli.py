@@ -142,6 +142,36 @@ class TestSeedResolution:
         assert "SOAP_SIM_SEED" in err
 
 
+class TestWideSeeds:
+    """A seed of 2^128 or more runs like any other, at every entry point."""
+
+    def test_run_seed_flag(self, capsys, tmp_path):
+        out_path = tmp_path / "t.json"
+        code, out, _ = run_cli(
+            capsys, "run", "--builtin", "benign", "--seed", str(2**128),
+            "--transcript", str(out_path),
+        )
+        assert code == EXIT_OK
+        assert "result: pass" in out
+        assert json.loads(out_path.read_text())["seed"] == 2**128
+
+    def test_attack_suite_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("SOAP_SIM_SEED", "0x1000000000000000000000000000000000")
+        code, out, _ = run_cli(capsys, "attack-suite")
+        assert code == EXIT_OK
+        assert f"attack suite (seed {2**132})" in out
+        assert "overall: pass" in out
+
+    def test_scenario_identity_seed(self, capsys, tmp_path):
+        data = script_to_dict(builtin("benign"))
+        data["identity_seed"] = 2**128
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "run", str(path))
+        assert code == EXIT_OK
+        assert "result: pass" in out
+
+
 class TestFrames:
     """Worked wire-format walkthrough."""
 

@@ -288,7 +288,7 @@ class TestEncodings:
             assert point_from_x_octets(group, point_x_octets(group, point))[0] == point[0]
 
     def test_x_without_curve_point_rejected(self):
-        # every curve: P-224 takes Tonelli-Shanks, the others the p = 3 mod 4 root
+        # every curve: Tonelli-Shanks finds a non-residue has no root
         for group in ALL_GROUPS:
             p = group.field_p
             rng = SeededRng(b"bad-x", group.name.encode())
@@ -301,6 +301,23 @@ class TestEncodings:
                     break
             else:
                 pytest.fail(f"never sampled a non-residue x on {group.name}")
+
+
+class TestModSqrt:
+    """Tonelli-Shanks on every curve: a root of each residue, None for each
+    non-residue, as Euler's criterion decides."""
+
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    @settings(max_examples=60)
+    @given(st.integers(min_value=0, max_value=2**530) | st.integers(min_value=0, max_value=64))
+    def test_a_root_of_each_residue_and_none_otherwise(self, gid, a):
+        group = registry_lookup(gid)
+        p = group.field_p
+        root = crypto._mod_sqrt(group, a)
+        if pow(a, (p - 1) // 2, p) == p - 1:
+            assert root is None
+        else:
+            assert 0 <= root < p and root * root % p == a % p
 
 
 class TestSeededRng:
@@ -328,6 +345,22 @@ class TestSeededRng:
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=128))
     def test_randbytes_length(self, seed, n):
         assert len(SeededRng(seed).randbytes(n)) == n
+
+    @given(st.integers(min_value=-(2**200), max_value=2**200))
+    def test_every_int_seed_is_a_stream(self, seed):
+        # a seed below 2^128 keys the stream by its 16 octets, which pinned
+        # transcripts depend on; a negative one, or one of 2^128 or more, by
+        # its decimal text
+        if 0 <= seed < 2**128:
+            raw = seed.to_bytes(16, "big")
+        else:
+            raw = str(seed).encode()
+        assert SeededRng(seed, b"x").randbytes(40) == SeededRng(raw, b"x").randbytes(40)
+
+    def test_seeds_around_2_128_are_distinct_streams(self):
+        seeds = [2**128 - 1, 2**128, 2**128 + 1, 2**200, -(2**128)]
+        streams = {SeededRng(seed).randbytes(16) for seed in seeds}
+        assert len(streams) == len(seeds)
 
 
 class TestEcdh:
@@ -798,73 +831,93 @@ class TestProcessMemos:
         ]
 
 
-P521 = REGISTRY[21]
-# P-521's folded formulas keep each coordinate within 2^64 of [0, 2^521).
-FOLD_LOW, FOLD_HIGH = -(2**64), 2**521 + 2**64
-fold_coordinates = st.one_of(
-    st.integers(min_value=FOLD_LOW + 1, max_value=FOLD_HIGH - 1),
-    st.sampled_from(
-        [0, 1, -1, P521.field_p - 1, P521.field_p, P521.field_p + 1, FOLD_LOW + 1, FOLD_HIGH - 1]
-    ),
-)
+P384, P521 = REGISTRY[20], REGISTRY[21]
+FOLDED = (20, 21)  # the curves whose primes run the folded formulas
 
 
-class TestP521Fold:
-    """P-521's folded doubling and mixed addition against the generic formulas."""
+def fold_checks(group, bound):
+    """Tests of group's folded doubling and mixed addition against the
+    generic formulas, its coordinates within bound of [0, 2^k) in and out,
+    k the bit length of the prime: reduced, negative and at least p."""
+    p = group.field_p
+    low, high = -bound, 2 ** p.bit_length() + bound
+    coordinate = st.one_of(
+        st.integers(min_value=0, max_value=p - 1),
+        st.integers(min_value=low + 1, max_value=-1),
+        st.integers(min_value=p, max_value=high - 1),
+        st.sampled_from([0, 1, -1, p - 1, p, p + 1, low + 1, high - 1]),
+    )
+    folded_double, folded_add_affine = crypto._folded_formulas(p)
 
-    def check(self, folded, expected):
-        p = P521.field_p
-        assert all(FOLD_LOW < c < FOLD_HIGH for c in folded), folded
+    def check(folded, expected):
+        assert all(low < c < high for c in folded), folded
         assert tuple(c % p for c in folded) == expected
 
-    @settings(max_examples=300)
-    @given(fold_coordinates, fold_coordinates, fold_coordinates)
-    def test_double_agrees_mod_p(self, x, y, z):
-        p = P521.field_p
-        expected = crypto._jacobian_double(x % p, y % p, z % p, p)
-        self.check(crypto._m521_double(x, y, z, p), expected)
+    class FoldChecks:
+        @settings(max_examples=300)
+        @given(coordinate, coordinate, coordinate)
+        def test_double_agrees_mod_p(self, x, y, z):
+            expected = crypto._jacobian_double(x % p, y % p, z % p, p)
+            check(folded_double(x, y, z, p), expected)
 
-    @settings(max_examples=300)
-    @given(*[fold_coordinates] * 5)
-    def test_mixed_add_agrees_mod_p(self, x1, y1, z1, x2, y2):
-        p = P521.field_p
-        expected = crypto._jacobian_add_affine(x1 % p, y1 % p, z1 % p, x2 % p, y2 % p, p)
-        self.check(crypto._m521_add_affine(x1, y1, z1, x2, y2, p), expected)
+        @settings(max_examples=300)
+        @given(*[coordinate] * 5)
+        def test_mixed_add_agrees_mod_p(self, x1, y1, z1, x2, y2):
+            expected = crypto._jacobian_add_affine(x1 % p, y1 % p, z1 % p, x2 % p, y2 % p, p)
+            check(folded_add_affine(x1, y1, z1, x2, y2, p), expected)
 
-    @given(*[fold_coordinates] * 2, st.sampled_from([0, P521.field_p]), *[fold_coordinates] * 2)
-    def test_mixed_add_onto_identity(self, x1, y1, z1, x2, y2):
-        p = P521.field_p
-        self.check(crypto._m521_add_affine(x1, y1, z1, x2, y2, p), (x2 % p, y2 % p, 1))
+        @given(*[coordinate] * 2, st.sampled_from([0, p]), *[coordinate] * 2)
+        def test_mixed_add_onto_identity(self, x1, y1, z1, x2, y2):
+            check(folded_add_affine(x1, y1, z1, x2, y2, p), (x2 % p, y2 % p, 1))
 
-    @settings(max_examples=100)
-    @given(*[fold_coordinates] * 3, st.sampled_from([1, -1]))
-    def test_mixed_add_of_itself_or_its_negation(self, x1, y1, z1, sign):
-        # (x2, y2) is the affine form of (x1, y1, z1) or of its negation, so h
-        # is 0: the sum doubles the point (+) or is the identity (-)
-        p = P521.field_p
-        assume(z1 % p and y1 % p)
-        zinv = pow(z1, -1, p)
-        x2, y2 = x1 * zinv**2 % p, sign * y1 * zinv**3 % p
-        if sign > 0:
-            expected = crypto._jacobian_double(x1 % p, y1 % p, z1 % p, p)
-        else:
-            expected = (0, 1, 0)
-        assert crypto._jacobian_add_affine(x1 % p, y1 % p, z1 % p, x2, y2, p) == expected
-        self.check(crypto._m521_add_affine(x1, y1, z1, x2, y2, p), expected)
+        @settings(max_examples=100)
+        @given(*[coordinate] * 3, st.sampled_from([1, -1]))
+        def test_mixed_add_of_itself_or_its_negation(self, x1, y1, z1, sign):
+            # (x2, y2) is the affine form of (x1, y1, z1) or of its negation, so
+            # h is 0: the sum doubles the point (+) or is the identity (-)
+            assume(z1 % p and y1 % p)
+            zinv = pow(z1, -1, p)
+            x2, y2 = x1 * zinv**2 % p, sign * y1 * zinv**3 % p
+            if sign > 0:
+                expected = crypto._jacobian_double(x1 % p, y1 % p, z1 % p, p)
+            else:
+                expected = (0, 1, 0)
+            assert crypto._jacobian_add_affine(x1 % p, y1 % p, z1 % p, x2, y2, p) == expected
+            check(folded_add_affine(x1, y1, z1, x2, y2, p), expected)
+
+    return FoldChecks
+
+
+class TestP384Fold(fold_checks(P384, 2**262)):
+    """P-384 folds at 2^384 onto 2^128 + 2^96 - 2^32 + 1: coordinates stay
+    within 2^262 of [0, 2^384)."""
+
+
+class TestP521Fold(fold_checks(P521, 2**64)):
+    """P-521 folds at 2^521 onto 1: coordinates stay within 2^64 of
+    [0, 2^521)."""
 
 
 @pytest.fixture
 def formula_calls(monkeypatch, key_memo):
-    """Calls of each point formula, by name, with an empty verify-key memo."""
+    """Calls of each point formula, with an empty verify-key memo: the generic
+    pair by module name, the folded pair as folded_double and
+    folded_add_affine."""
     calls = Counter()
-    names = ("_jacobian_double", "_jacobian_add_affine", "_m521_double", "_m521_add_affine")
-    for name in names:
 
-        def counted(*args, _name=name, _formula=getattr(crypto, name)):
-            calls[_name] += 1
-            return _formula(*args)
+    def counted(name, formula):
+        def count(*args):
+            calls[name] += 1
+            return formula(*args)
 
-        monkeypatch.setattr(crypto, name, counted)
+        return count
+
+    for name in ("_jacobian_double", "_jacobian_add_affine"):
+        monkeypatch.setattr(crypto, name, counted(name, getattr(crypto, name)))
+    folded = crypto._folded_formulas
+    monkeypatch.setattr(crypto, "_folded_formulas", lambda p: tuple(
+        counted(f"folded_{formula.__name__}", formula) for formula in folded(p)
+    ))
     for group in ALL_GROUPS:
         assert group._formulas  # cached, so the real pair is put back afterwards
         monkeypatch.delitem(group.__dict__, "_formulas")
@@ -874,29 +927,30 @@ def formula_calls(monkeypatch, key_memo):
 class TestFormulaDispatch:
     """The group's prime alone picks which point formulas a multiplication runs."""
 
-    def test_p521_runs_only_the_folded_formulas(self, formula_calls, key_memo):
+    @pytest.mark.parametrize("gid", FOLDED)
+    def test_folded_primes_run_only_the_folded_formulas(self, formula_calls, key_memo, gid):
         _, builds = key_memo
-        group = P521
+        group = registry_lookup(gid)
         public, inputs = signed_many(group, b"dispatch", 3)
         assert point_mul(group, 0xC0FFEE) == oracle_mul(group, 0xC0FFEE)
         assert point_mul(group, 0xC0FFEE, public) == oracle_mul(group, 0xC0FFEE, public)
         # first verify (comb + wNAF), second (builds the table), third (table)
         for message, signature in inputs:
             assert ecdsa_verify(group, public, message, signature)
-        assert builds == [(21, public)]
+        assert builds == [(gid, public)]
         crypto._comb_table(group, point_mul(group, 7))
         assert formula_calls["_jacobian_double"] == 0
         assert formula_calls["_jacobian_add_affine"] == 0
-        assert formula_calls["_m521_double"] > 0
-        assert formula_calls["_m521_add_affine"] > 0
+        assert formula_calls["folded_double"] > 0
+        assert formula_calls["folded_add_affine"] > 0
 
-    @pytest.mark.parametrize("gid", [26, 19, 20])
+    @pytest.mark.parametrize("gid", [26, 19])
     def test_other_curves_run_only_the_generic_formulas(self, formula_calls, gid):
         group = registry_lookup(gid)
         point = point_mul(group, 0xC0FFEE)
         assert point_mul(group, 0xBEEF, point) == oracle_mul(group, 0xBEEF, point)
-        assert formula_calls["_m521_double"] == 0
-        assert formula_calls["_m521_add_affine"] == 0
+        assert formula_calls["folded_double"] == 0
+        assert formula_calls["folded_add_affine"] == 0
         assert formula_calls["_jacobian_double"] > 0
         assert formula_calls["_jacobian_add_affine"] > 0
 
@@ -929,7 +983,7 @@ class TestCombTable:
         group = registry_lookup(gid)
         assert group._comb  # built before counting
         _, e = block_columns(group)
-        double = "_m521_double" if gid == 21 else "_jacobian_double"
+        double = "folded_double" if gid in FOLDED else "_jacobian_double"
         for k in (1, group.order_n - 1, SeededRng(b"doublings").uniform_scalar(group)):
             formula_calls.clear()
             assert point_mul(group, k) == oracle_mul(group, k)
