@@ -628,7 +628,9 @@ class SeededRng:
 
     def __init__(self, seed: int | bytes, label: bytes = b""):
         if isinstance(seed, int):
-            seed = seed.to_bytes(16, "big") if 0 <= seed < 1 << 128 else repr(seed).encode()
+            # [0, 2^128) keeps its 16 octets; any other int is its decimal text,
+            # padded to 17 octets or more, so no two ints share a key
+            seed = seed.to_bytes(16, "big") if 0 <= seed < 1 << 128 else b"%017d" % seed
         self._state = _DIGEST(b"soapsim.rng\x00" + seed + b"\x00" + label).digest()
         self._counter = 0
         self._pool = b""

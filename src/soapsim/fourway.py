@@ -196,9 +196,16 @@ class Supplicant(_End):
                 key_nonce=self.snonce,
             )
             return _attach_mic(self.keys.kck, m2), "m1-accepted"
-        if frame.key_info == KEY_INFO_M3 and self.state is FourwayState.SENT_M2:
+        if frame.key_info == KEY_INFO_M3 and self.state in (
+            FourwayState.SENT_M2,
+            FourwayState.ESTABLISHED,
+        ):
+            # Once Established, a resent Message 3 (its Message 4 was lost)
+            # gets a fresh Message 4 under the installed keys: nothing is
+            # derived or installed again (IEEE 802.11-2016 12.7.6.4; KRACK).
+            resent = self.state is FourwayState.ESTABLISHED
             if not _mic_ok(self.keys.kck, frame):
-                return self._fail("mic-mismatch")
+                return (None, "unexpected") if resent else self._fail("mic-mismatch")
             self.last_rx_counter = frame.replay_counter
             self.state = FourwayState.ESTABLISHED
             m4 = EapolKeyFrame(
@@ -206,7 +213,7 @@ class Supplicant(_End):
                 replay_counter=frame.replay_counter,
                 key_nonce=bytes(KEY_NONCE_OCTETS),
             )
-            return _attach_mic(self.keys.kck, m4), "established"
+            return _attach_mic(self.keys.kck, m4), "m4-resent" if resent else "established"
         return None, "unexpected"
 
 

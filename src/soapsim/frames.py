@@ -99,11 +99,6 @@ class SoapIe:
     def key_size_octets(self) -> int:
         return len(self.ecdsa_public_x)
 
-    @property
-    def wire_size(self) -> int:
-        # id + length + group count + group ids + key size + key
-        return 2 + 2 + self.group_count + self.key_size_octets
-
 
 def encode_soap_ie(ie: SoapIe) -> bytes:
     m = ie.group_count

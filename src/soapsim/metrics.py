@@ -31,6 +31,7 @@ from .frames import (
     ManagementFrame,
     SoapIe,
     SoapMessage,
+    encode_soap_ie,
     frame_wire_size,
     soap_ie_element,
 )
@@ -163,8 +164,7 @@ def size_report(group_id: int, group_count: int = 1, strict: bool = True) -> Siz
     s = group.key_size_octets
 
     ie = SoapIe(_advertised_ids(group, group_count), bytes(s))
-    ie_octets = len(soap_ie_element(ie)[1]) + 2
-    assert ie_octets == ie.wire_size
+    ie_octets = len(encode_soap_ie(ie))
 
     nonce = None if strict else bytes(8)
     message = SoapMessage(bytes(2 * s), bytes(2 * s), nonce)

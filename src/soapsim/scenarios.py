@@ -11,9 +11,12 @@ from typing import Callable, NamedTuple
 from .crypto import REGISTRY
 from .frames import BROADCAST_MAC, FRAME_KINDS
 from .simnet import (
+    ADVERSARY_FIELD_READERS,
+    ADVERSARY_ID,
     AP_STATES,
     CLIENT_STATES,
     EVENTS,
+    KNOWN_CAPABILITIES,
     REASONS,
     RECORD_KEYS,
     STATION_STATES,
@@ -28,39 +31,10 @@ from .simnet import (
     run_scenario,
 )
 
-KNOWN_CAPABILITIES = frozenset(
-    {
-        "eavesdrop",
-        "replay",
-        "inject",
-        "masquerade",
-        "mitm-substitute",
-        "delete-intercept",
-        "disassoc-inject",
-    }
-)
-
-# The capabilities under which simnet.Adversary reads each optional adversary
-# field (the rogue AP's fields under masquerade and inject); `capabilities`
-# and `mac` are read under all of them.
-ADVERSARY_FIELD_READERS = {
-    "replay_at": frozenset({"eavesdrop", "replay"}),
-    "disassoc_at": frozenset({"disassoc-inject"}),
-    **dict.fromkeys(
-        ("target_ap", "target_client"), frozenset({"disassoc-inject", "mitm-substitute"})
-    ),
-    **dict.fromkeys(
-        ("ssid", "groups", "beacon_period", "beacon_offset", "advertise_bogus_key"),
-        frozenset({"masquerade", "inject"}),
-    ),
-}
-
 MAX_SSID_OCTETS = 32  # the 802.11 limit
 # A busy run costs time and transcript in proportion to its ticks; the
 # builtins need at most 3000.
 MAX_TICKS = 10**7
-# The transcript keeps the adversary's summary and secrets under this id.
-RESERVED_STATION_ID = "adversary"
 
 
 class ScenarioError(ValueError):
@@ -315,9 +289,9 @@ def script_from_dict(data: dict) -> ScenarioScript:
     roles = {s.station_id: s.role for s in stations}
     _require(len(roles) == len(stations), "script.stations", "duplicate station_id")
     _require(
-        RESERVED_STATION_ID not in roles,
+        ADVERSARY_ID not in roles,
         "script.stations",
-        f"station_id {RESERVED_STATION_ID!r} is reserved for the adversary",
+        f"station_id {ADVERSARY_ID!r} is reserved for the adversary",
     )
     macs = {parse_mac(s.mac) for s in stations}
     _require(len(macs) == len(stations), "script.stations", "duplicate mac")
@@ -535,7 +509,7 @@ _CHECKS = {
         _counted(lambda check, t: _count_records({**check, "event": "tx"}, t)),
         {"frame": _Word("frame kind", FRAME_KINDS)},
         # the adversary transmits frames too, so origin may name it
-        {"origin": _Station(extra=(RESERVED_STATION_ID,)), "after_tick": int},
+        {"origin": _Station(extra=(ADVERSARY_ID,)), "after_tick": int},
         _BOUNDS,
     ),
     "event-count": _Check(
@@ -543,7 +517,7 @@ _CHECKS = {
         {},
         # station filters records, so it may name the adversary too
         {"event": _Word("event", EVENTS),
-         "station": _Station(extra=(RESERVED_STATION_ID,)), "after_tick": int,
+         "station": _Station(extra=(ADVERSARY_ID,)), "after_tick": int,
          "where": _Where()},
         _BOUNDS,
     ),

@@ -5,7 +5,10 @@ a clock that delivers every transmitted frame one tick later.
 and one ``on_frame`` that dispatches each delivered frame. Its subclasses are
 `ClientStation` and `ApStation`; an AP keeps an `ApPeer` per client, and a
 rogue AP is an `ApStation` that hears frames after the stations. The actors
-are what has timers: the stations, the rogue AP and the adversary.
+are what has timers: the stations, the rogue AP and the adversary. Beside
+`Adversary` stand its id, its capabilities and the config fields each one
+reads; the scenario loader checks against them, and the rogue AP is built
+from them.
 
 Each transmission's work is done once. Its kind is read from its octets, and
 it is parsed once, by its first reader (the adversary, or the first receiver
@@ -61,6 +64,7 @@ from functools import cached_property
 
 from . import negotiation
 from .crypto import (
+    DEFAULT_GROUP_ID,
     SeededRng,
     _recall,
     ecdh_generate,
@@ -138,7 +142,7 @@ class StationConfig:
     role: str  # "client" | "ap"
     mac: str
     ssid: str = "simnet"
-    groups: tuple = (26,)
+    groups: tuple = (DEFAULT_GROUP_ID,)
     soap_aware: bool = True
     legacy_psk: str | None = None  # hex, 32 octets
     force_legacy: bool = False
@@ -154,8 +158,8 @@ class StationConfig:
 class AdversaryConfig:
     capabilities: tuple = ()
     mac: str = "02:00:00:00:00:ee"
-    ssid: str | None = None  # masquerade / inject target network
-    groups: tuple = (26,)
+    ssid: str = "simnet"
+    groups: tuple = (DEFAULT_GROUP_ID,)
     beacon_period: int = 25
     beacon_offset: int = 0
     advertise_bogus_key: bool = False
@@ -191,7 +195,7 @@ class Transmission:
     signing input and its `tx` record fields are made on first use and shared
     by every reader and every resend of the transmission."""
 
-    origin: str  # station id or "adversary"
+    origin: str  # station id or ADVERSARY_ID
     wire: bytes
 
     @cached_property
@@ -962,6 +966,28 @@ class ApStation(Station):
 # Adversary
 # ---------------------------------------------------------------------------
 
+# The adversary's origin, station and summary key in the transcript, and its
+# rogue AP's station id; no script station may take it.
+ADVERSARY_ID = "adversary"
+KNOWN_CAPABILITIES = frozenset({
+    "eavesdrop", "replay", "inject", "masquerade", "mitm-substitute",
+    "delete-intercept", "disassoc-inject",
+})
+# The capabilities that raise a rogue AP, and the AdversaryConfig fields it
+# takes as its StationConfig fields; the rest are a station's defaults.
+ROGUE_CAPABILITIES = frozenset({"masquerade", "inject"})
+ROGUE_FIELDS = ("ssid", "groups", "beacon_period", "beacon_offset", "advertise_bogus_key")
+# The capabilities under which Adversary reads each optional AdversaryConfig
+# field; `capabilities` and `mac` are read under all of them.
+ADVERSARY_FIELD_READERS = {
+    "replay_at": frozenset({"eavesdrop", "replay"}),
+    "disassoc_at": frozenset({"disassoc-inject"}),
+    **dict.fromkeys(
+        ("target_ap", "target_client"), frozenset({"disassoc-inject", "mitm-substitute"})
+    ),
+    **dict.fromkeys(ROGUE_FIELDS, ROGUE_CAPABILITIES),
+}
+
 
 class Adversary:
     """Channel-level attacker. Capabilities compose: passive capture, frame
@@ -995,16 +1021,9 @@ class Adversary:
         # the group of the first flow substituted.
         self._signer = None
         self.rogue: ApStation | None = None
-        if self.caps & {"masquerade", "inject"}:
+        if self.caps & ROGUE_CAPABILITIES:
             rogue_cfg = StationConfig(
-                station_id="adversary",
-                role="ap",
-                mac=cfg.mac,
-                ssid=cfg.ssid or "simnet",
-                groups=tuple(cfg.groups),
-                beacon_period=cfg.beacon_period,
-                beacon_offset=cfg.beacon_offset,
-                advertise_bogus_key=cfg.advertise_bogus_key,
+                ADVERSARY_ID, "ap", cfg.mac, **{f: getattr(cfg, f) for f in ROGUE_FIELDS}
             )
             identity = make_identity(
                 self.mac, Role.AP, rogue_cfg.groups, rng.child("rogue-id")
@@ -1023,12 +1042,12 @@ class Adversary:
         """What reaches the stations of `t`, a frame in flight: `t` itself, a
         substitute (recorded as sent), or nothing. A legitimate frame is first
         captured and its flow's group noted."""
-        if t.origin == "adversary":
+        if t.origin == ADVERSARY_ID:
             return [t]
         self._observe(tick, t)
         if "delete-intercept" in self.caps and t.kind in EAPOL_KINDS:
             self.transcript.note(
-                tick, "deleted", "adversary", frame=t.kind, src=format_mac(t.src_mac)
+                tick, "deleted", ADVERSARY_ID, frame=t.kind, src=format_mac(t.src_mac)
             )
             return []
         if (
@@ -1039,7 +1058,7 @@ class Adversary:
         ):
             substitute = self._substitute_message1(t)
             if substitute is not None:
-                self.transcript.note(tick, "mitm-substituted", "adversary")
+                self.transcript.note(tick, "mitm-substituted", ADVERSARY_ID)
                 self.transcript.tx(tick, substitute)
                 return [substitute]
         return [t]
@@ -1066,7 +1085,7 @@ class Adversary:
             original = parse_soap_message(t.frame.payload)
         except MalformedFrameError:
             return None
-        group_id = self.flow_groups.get(t.dst_mac, 26)
+        group_id = self.flow_groups.get(t.dst_mac, DEFAULT_GROUP_ID)
         group = registry_lookup(group_id)
         if self._signer is None:
             self._signer = ecdsa_generate(group, self.rng.child("mitm-signer"))
@@ -1081,7 +1100,7 @@ class Adversary:
         wire = encode_data_frame(
             DataFrame(t.src_mac, t.dst_mac, encode_soap_message(fake), from_ds=True)
         )
-        return Transmission("adversary", wire)
+        return Transmission(ADVERSARY_ID, wire)
 
     def _replay_deadline(self) -> int | None:
         if "replay" in self.caps and not self.replayed:
@@ -1110,16 +1129,16 @@ class Adversary:
         if replay_at is not None and tick >= replay_at:
             self.replayed = True
             self.transcript.note(
-                tick, "replay-burst", "adversary", frames=len(self.captured)
+                tick, "replay-burst", ADVERSARY_ID, frames=len(self.captured)
             )
-            out.extend(Transmission("adversary", wire) for wire in self.captured)
+            out.extend(Transmission(ADVERSARY_ID, wire) for wire in self.captured)
         disassoc_at = self._disassoc_deadline()
         if disassoc_at is not None and tick >= disassoc_at:
             self.disassoc_sent = True
             forged = ManagementFrame(
                 FrameSubtype.DISASSOC, self.target_ap_mac, self.target_client_mac
             )
-            out.append(Transmission("adversary", encode_management_frame(forged)))
+            out.append(Transmission(ADVERSARY_ID, encode_management_frame(forged)))
         return out
 
     def summary(self, mac_names: dict) -> dict:
@@ -1175,7 +1194,7 @@ class Simulation:
             cfg = script.adversary
             self.adversary = Adversary(
                 cfg,
-                run_rng.child("adversary"),
+                run_rng.child(ADVERSARY_ID),
                 self.transcript,
                 script.strict_frames,
                 self._target(cfg.target_ap, ApStation),
@@ -1293,7 +1312,7 @@ class Simulation:
                     self._transmit(tick, t, in_flight)
                 self._refresh(station, tick + 1)
             tick = tick + 1 if in_flight else self._next_due(tick + 1)
-        adversary = {"adversary": self.adversary} if self.adversary else {}
+        adversary = {ADVERSARY_ID: self.adversary} if self.adversary else {}
         for name, reporter in {**self.by_id, **adversary}.items():
             self.transcript.summaries[name] = reporter.summary(self.mac_names)
             self.transcript.secrets[name] = reporter.secrets()
@@ -1331,7 +1350,7 @@ def eavesdropper_view(transcript: Transcript) -> dict:
     legit_psks: set[bytes] = set()
     legit_kcks: set[bytes] = set()
     for station_id, entry in transcript.secrets.items():
-        if station_id == "adversary":
+        if station_id == ADVERSARY_ID:
             continue
         legit_psks.update(bytes.fromhex(p) for p in entry["psks"])
         legit_kcks.update(bytes.fromhex(k) for k in entry["kcks"])
@@ -1339,7 +1358,7 @@ def eavesdropper_view(transcript: Transcript) -> dict:
     kck_hits = sum(sent for f, sent in frames.items() for k in legit_kcks if k in f)
     adversary_psks = {
         bytes.fromhex(p)
-        for p in transcript.secrets.get("adversary", {}).get("psks", ())
+        for p in transcript.secrets.get(ADVERSARY_ID, {}).get("psks", ())
     }
     knows = bool(adversary_psks & legit_psks) or psk_hits > 0
     return {

@@ -5,7 +5,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle_ec import affine_add, affine_mul
@@ -348,14 +348,28 @@ class TestSeededRng:
 
     @given(st.integers(min_value=-(2**200), max_value=2**200))
     def test_every_int_seed_is_a_stream(self, seed):
-        # a seed below 2^128 keys the stream by its 16 octets, which pinned
+        # a seed in [0, 2^128) keys the stream by its 16 octets, which pinned
         # transcripts depend on; a negative one, or one of 2^128 or more, by
-        # its decimal text
+        # its decimal text zero-padded to at least 17 octets, never 16
         if 0 <= seed < 2**128:
             raw = seed.to_bytes(16, "big")
         else:
-            raw = str(seed).encode()
+            raw = b"%017d" % seed
+            assert len(raw) >= 17 and int(raw) == seed
         assert SeededRng(seed, b"x").randbytes(40) == SeededRng(raw, b"x").randbytes(40)
+
+    def test_negative_seed_and_its_text_as_octets_are_distinct_streams(self):
+        text = b"-123456789012345"
+        assert len(text) == 16
+        negative = SeededRng(-123456789012345).randbytes(32)
+        assert negative != SeededRng(int.from_bytes(text, "big")).randbytes(32)
+
+    @given(st.integers(), st.integers())
+    @example(-123456789012345, int.from_bytes(b"-123456789012345", "big"))
+    @example(-(2**128), 2**128)
+    def test_distinct_int_seeds_are_distinct_streams(self, a, b):
+        assume(a != b)
+        assert SeededRng(a).randbytes(16) != SeededRng(b).randbytes(16)
 
     def test_seeds_around_2_128_are_distinct_streams(self):
         seeds = [2**128 - 1, 2**128, 2**128 + 1, 2**200, -(2**128)]

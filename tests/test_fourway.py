@@ -4,9 +4,12 @@ The frozen hex constants below come from a straight-line reference
 implementation kept in scripts/ptk_oracle.py; rerun it to regenerate them.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soapsim import fourway
 from soapsim.crypto import SeededRng
 from soapsim.frames import EapolKeyFrame
 from soapsim.fourway import (
@@ -168,8 +171,6 @@ class TestPmkMismatch:
         m1 = auth.start()
         m2, _ = supp.on_frame(m1)
         m3, _ = auth.on_frame(m2)
-        from dataclasses import replace
-
         tampered = replace(m3, key_data=b"\x01" + bytes(63))
         reply, event = supp.on_frame(tampered)
         assert reply is None
@@ -229,6 +230,53 @@ class TestReplayHandling:
         auth, supp = make_pair()
         run_fourway(auth, supp)
         assert auth.retransmit() is None
+
+
+class TestLostMessage4:
+    """An Established supplicant answers a resent Message 3 with a fresh
+    Message 4 under the keys it installed (IEEE 802.11-2016 12.7.6.4), so one
+    lost Message 4 costs one resend, and no key is installed twice."""
+
+    def established_after_lost_m4(self):
+        auth, supp = make_pair()
+        m2, _ = supp.on_frame(auth.start())
+        m3, _ = auth.on_frame(m2)
+        lost, event = supp.on_frame(m3)
+        assert event == "established"
+        return auth, supp, m3, lost
+
+    def test_resent_m3_gets_a_fresh_m4_under_the_installed_keys(self, monkeypatch):
+        auth, supp, _, lost = self.established_after_lost_m4()
+        keys = supp.keys
+        derived = []
+        monkeypatch.setattr(
+            fourway, "derive_ptk", lambda *args: derived.append(args) or derive_ptk(*args)
+        )
+        resent = auth.retransmit()
+        m4, event = supp.on_frame(resent)
+        assert event == "m4-resent"
+        assert m4.key_info == KEY_INFO_M4
+        assert m4.replay_counter == resent.replay_counter > lost.replay_counter
+        assert m4.key_mic == compute_mic(keys.kck, m4)
+        assert supp.keys is keys and not derived
+        assert supp.state is FourwayState.ESTABLISHED
+        assert auth.on_frame(m4) == (None, "established")
+
+    def test_stale_m3_is_not_answered(self):
+        auth, supp, m3, _ = self.established_after_lost_m4()
+        resent = auth.retransmit()
+        supp.on_frame(resent)
+        for stale in (m3, resent):
+            assert supp.on_frame(stale) == (None, "replay")
+        assert supp.state is FourwayState.ESTABLISHED
+
+    def test_forged_m3_leaves_the_supplicant_established(self):
+        auth, supp, _, _ = self.established_after_lost_m4()
+        keys = supp.keys
+        forged = replace(auth.retransmit(), key_mic=bytes(16))
+        assert supp.on_frame(forged) == (None, "unexpected")
+        assert supp.state is FourwayState.ESTABLISHED
+        assert supp.keys is keys
 
 
 class TestStateSafety:

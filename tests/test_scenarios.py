@@ -881,7 +881,7 @@ def adversary_configs(draw, aps, clients):
     """An adversary that sets only fields its capabilities read."""
     capabilities = draw(st.lists(st.sampled_from(sorted(KNOWN_CAPABILITIES)), unique=True))
     optional = {
-        "ssid": st.none() | SSIDS,
+        "ssid": SSIDS,
         "groups": GROUPS,
         "beacon_period": st.integers(1, 500),
         "beacon_offset": st.integers(0, 500),

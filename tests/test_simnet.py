@@ -2,6 +2,7 @@
 transcripts."""
 
 import dataclasses
+import itertools
 import json
 from collections import Counter
 from dataclasses import replace
@@ -22,8 +23,16 @@ from soapsim.frames import (
     management_signing_input,
     parse_management_frame,
 )
-from soapsim.scenarios import ADVERSARY_FIELD_READERS, BUILTIN_NAMES, builtin, run_attack_suite
+from soapsim.scenarios import (
+    BUILTIN_NAMES,
+    builtin,
+    evaluate_expectations,
+    load_script,
+    run_attack_suite,
+    script_to_dict,
+)
 from soapsim.simnet import (
+    ADVERSARY_FIELD_READERS,
     AdversaryConfig,
     ApStation,
     Mitigations,
@@ -423,6 +432,46 @@ class TestMasquerade:
         assert eavesdropper_view(t)["adversary_knows_legit_psk"] is False
 
 
+# A value for each optional adversary field that differs from its default.
+UNREAD_VALUES = {
+    "replay_at": 5,
+    "disassoc_at": 5,
+    "target_ap": "ap1",
+    "target_client": "client1",
+    "ssid": "elsewhere",
+    "groups": (19, 20),
+    "beacon_period": 7,
+    "beacon_offset": 3,
+    "advertise_bogus_key": True,
+}
+ADVERSARY_BUILTINS = [name for name in BUILTIN_NAMES if builtin(name).adversary is not None]
+
+
+class TestAdversaryFields:
+    """The field-reader table is what the simulator reads: setting a field
+    that none of the listed capabilities reads changes no transcript, and the
+    rogue AP takes its fields as given."""
+
+    @pytest.mark.parametrize("name", ADVERSARY_BUILTINS)
+    def test_unread_fields_leave_the_transcript_unchanged(self, name):
+        # built directly, as the loader rejects these fields
+        script = builtin(name)
+        caps = set(script.adversary.capabilities)
+        unread = {k: v for k, v in UNREAD_VALUES.items() if not caps & ADVERSARY_FIELD_READERS[k]}
+        assert set(UNREAD_VALUES) == set(ADVERSARY_FIELD_READERS) and unread
+        noisy = replace(script, adversary=replace(script.adversary, **unread))
+        assert run_scenario(noisy, 1).to_json() == run_scenario(script, 1).to_json()
+
+    def test_empty_ssid_masquerade_keys_with_the_rogue(self):
+        data = script_to_dict(builtin("masquerade-unmitigated"))
+        for record in (*data["stations"], data["adversary"]):
+            record["ssid"] = ""
+        script = load_script(json.dumps(data))
+        t = run_scenario(script, 1)
+        assert t.summaries["client1"]["peer"] == "adversary"
+        assert all(result.ok for result in evaluate_expectations(script, t))
+
+
 class TestHijack:
     """Forged teardown and in-flight message substitution."""
 
@@ -503,6 +552,58 @@ class TestLeakDetector:
         assert view["psk_octets_on_wire"] == len(leaking)
         assert view["frames_observed"] == len(tx_frames(t))
         assert view["adversary_knows_legit_psk"] is True
+
+
+class DroppingSimulation(Simulation):
+    """Loses the chosen non-beacon transmissions, numbered from 0 in the order
+    they are first handed out, as a lossy link would."""
+
+    def __init__(self, script, seed, drops):
+        super().__init__(script, seed)
+        self.drops = drops
+        self.sent = 0
+
+    def _addressees(self, t):
+        if t.kind != "beacon":
+            self.sent += 1
+            if self.sent - 1 in self.drops:
+                return []
+        return super()._addressees(t)
+
+
+class TestLostFrames:
+    """A lost frame never splits a pair: once one end is Established, the
+    other gets there too, under the same KCK, and no KCK is installed twice."""
+
+    def test_no_drop_schedule_splits_the_pair(self):
+        benign = replace(builtin("benign"), max_ticks=3000)
+        schedules = [
+            set(drops) for k in (1, 2) for drops in itertools.combinations(range(10), k)
+        ]
+        assert len(schedules) == 55
+        for drops in schedules:
+            t = DroppingSimulation(benign, 1, drops).run()
+            client = t.summaries["client1"]["state"] == "established"
+            ap = t.summaries["ap1"]["sessions"].get("client1", {}).get("established")
+            assert client == bool(ap), drops
+            for end, sessions in (("client1", "soap"), ("ap1", "session")):
+                kcks = t.secrets[end]["kcks"]
+                assert len(set(kcks)) == len(kcks) <= len(t.secrets[end]["psks"]), drops
+                established = ticks_of(t, "transition", station=end, to="established")
+                assert len(established) == len(kcks), (drops, end)
+            if client:
+                assert t.secrets["client1"]["kcks"][-1] == t.secrets["ap1"]["kcks"][-1]
+
+    def test_lost_m4_costs_one_resend(self):
+        # frame 6 is Message 4, sent at tick 7: ap1 resends Message 3 at 106
+        # and the client, still Established, answers it under the installed keys
+        benign = replace(builtin("benign"), max_ticks=3000)
+        t = DroppingSimulation(benign, 1, {6}).run()
+        sent = [(r["tick"], r["frame"]) for r in tx_frames(t) if r["frame"] != "beacon"]
+        assert sent[6:] == [(7, "eapol-key"), (106, "eapol-key"), (107, "eapol-key")]
+        assert ticks_of(t, "retransmit", station="ap1") == [106]
+        assert ticks_of(t, "transition", station="client1", to="established") == [7]
+        assert t.summaries["ap1"]["sessions"]["client1"]["established"]
 
 
 class FixedStepSimulation(Simulation):
