@@ -45,6 +45,11 @@ signing mitigation, signs) its beacon once and rebuilds it only when the
 content changes; RFC 6979 signatures are deterministic, so the octets are
 the same.
 
+Record keys are declared once, in `RECORD_KEYS` and `REASONS`, and enforced
+at write time: every record but a ``tx`` is written by `Transcript.note`,
+which raises ValueError for an undeclared event, key or reason, and a
+station's records name it through its one ``_note``.
+
 Determinism contract: all randomness flows from one run seed through
 namespaced SeededRng children, station identity keys flow from a separate
 identity seed, actors tick in a fixed order each tick (the rogue AP, the
@@ -239,9 +244,9 @@ class Transmission:
         }
 
 
-# The keys of every transcript record, by its event: what `Transcript.tx` and
-# `Transcript.transition` write, and every event that stations and the
-# adversary note.
+# The keys of every transcript record, by its event: what `Transcript.tx`
+# writes, and every event that stations and the adversary note.
+# `Transcript.note` refuses a record outside them.
 _NOTED = frozenset({"tick", "event", "station"})
 RECORD_KEYS = {
     "tx": frozenset({"tick", "event", "origin", "frame", "src", "dst", "size", "hex"}),
@@ -286,12 +291,17 @@ class Transcript:
         self.records.append({"tick": tick, "event": "tx", **t.record})
 
     def note(self, tick: int, event: str, station: str, **detail) -> None:
-        record = {"tick": tick, "event": event, "station": station}
-        record.update(detail)
+        """Append a record of `event`, whose keys must lie in RECORD_KEYS and
+        whose reason, if any, in REASONS; else raise ValueError."""
+        record = {"tick": tick, "event": event, "station": station, **detail}
+        if event not in RECORD_KEYS:
+            raise ValueError(f"undeclared event {event!r}")
+        undeclared = sorted(record.keys() - RECORD_KEYS[event])
+        if undeclared:
+            raise ValueError(f"undeclared keys for a {event!r} record: {undeclared}")
+        if "reason" in record and record["reason"] not in REASONS[event]:
+            raise ValueError(f"undeclared reason {record['reason']!r} for {event!r}")
         self.records.append(record)
-
-    def transition(self, tick: int, station: str, scope: str, new: str, **detail):
-        self.note(tick, "transition", station, scope=scope, to=new, **detail)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -352,10 +362,14 @@ class Station:
 
     # -- common helpers ----------------------------------------------------
 
+    def _note(self, tick: int, event: str, **detail) -> None:
+        self.transcript.note(tick, event, self.cfg.station_id, **detail)
+
     def _discard(self, tick: int, reason: str, **detail) -> None:
-        self.transcript.note(
-            tick, "discard", self.cfg.station_id, reason=reason, **detail
-        )
+        self._note(tick, "discard", reason=reason, **detail)
+
+    def _transition(self, tick: int, scope: str, to: str, **detail) -> None:
+        self._note(tick, "transition", scope=scope, to=to, **detail)
 
     def _parse(self, tick: int, parser, data: bytes, **kw):
         """`parser(data, **kw)`, or None once a malformed frame is discarded."""
@@ -413,9 +427,7 @@ class Station:
         self.fail_counts[mac] = count
         if count >= threshold and mac not in self.blocked:
             self.blocked.add(mac)
-            self.transcript.note(
-                tick, "blacklisted", self.cfg.station_id, src=format_mac(mac)
-            )
+            self._note(tick, "blacklisted", src=format_mac(mac))
             self._on_blacklisted(tick, mac)
 
     def _on_blacklisted(self, tick: int, mac: bytes) -> None:
@@ -459,7 +471,7 @@ class Station:
         goes no further."""
         if src not in self.blocked:
             return False
-        self.transcript.note(tick, "blocked", self.cfg.station_id, src=format_mac(src))
+        self._note(tick, "blocked", src=format_mac(src))
         return True
 
     def on_frame(self, tick: int, t: Transmission) -> list[Transmission]:
@@ -512,12 +524,13 @@ class ClientStation(Station):
         self.await_since: int | None = None
         self.fallback_recorded = False
         self.mode: str | None = None  # "soap" | "legacy" once latched
+        # The Message 2 sent, by the (source MAC, payload) of the Message 1 it
+        # answered: at most one entry, kept until the client restarts.
+        self.answered: dict[tuple, Transmission] = {}
 
     def _enter(self, tick: int, state: str, **detail) -> None:
         self.state = state
-        self.transcript.transition(
-            tick, self.cfg.station_id, "station", state, **detail
-        )
+        self._transition(tick, "station", state, **detail)
 
     def _restart(self, tick: int, reason: str) -> None:
         if self.session is not None and self.session.phase is not Phase.ABORTED:
@@ -527,6 +540,7 @@ class ClientStation(Station):
         self.ap_mac = None
         self.await_since = None
         self.mode = None
+        self.answered.clear()
         self._enter(tick, "scanning", reason=reason)
 
     def _on_blacklisted(self, tick: int, mac: bytes) -> None:
@@ -593,9 +607,7 @@ class ClientStation(Station):
         response, event = session.on_advertisement(ie, frame.src_mac)
         if event == "fallback":
             self.fallback_recorded = True
-            self.transcript.note(
-                tick, "negotiation", self.cfg.station_id, outcome="wpa-psk-fallback"
-            )
+            self._note(tick, "negotiation", outcome="wpa-psk-fallback")
             return self._latch_legacy(tick, frame)
         if event != "respond":
             self._discard(tick, event, src=format_mac(frame.src_mac))
@@ -604,10 +616,7 @@ class ClientStation(Station):
         self.ap_mac = frame.src_mac
         self.mode = "soap"
         self.await_since = tick
-        self.transcript.note(
-            tick, "negotiation", self.cfg.station_id,
-            outcome=f"group-{session.group.group_id}",
-        )
+        self._note(tick, "negotiation", outcome=f"group-{session.group.group_id}")
         self.known_keys[frame.src_mac] = (
             session.peer_signer_group, session.peer_signer_point
         )
@@ -617,9 +626,7 @@ class ClientStation(Station):
 
     def _latch_legacy(self, tick, frame) -> list[Transmission]:
         if self.cfg.legacy_psk is None:
-            self.transcript.note(
-                tick, "note", self.cfg.station_id, detail="no legacy psk configured"
-            )
+            self._note(tick, "note", detail="no legacy psk configured")
             return []
         if self.cfg.force_legacy:
             self.fallback_recorded = True
@@ -630,6 +637,9 @@ class ClientStation(Station):
         return [self._assoc_request(frame.src_mac)]
 
     def _on_agreement(self, tick, frame: DataFrame) -> list[Transmission]:
+        sent = self.answered.get((frame.src_mac, frame.payload))
+        if sent is not None and self.state == "fourway":
+            return [sent]  # a resent Message 1: its Message 2 was lost
         if self.session is None or self.state != "soap":
             self._discard(tick, "phase", src=format_mac(frame.src_mac))
             return []
@@ -641,16 +651,15 @@ class ClientStation(Station):
             return []
         psk = self.session.psk
         self.psk_history.append(bytes(psk))
-        self.transcript.transition(
-            tick, self.cfg.station_id, "soap", "psk-agreed",
-            session=self.session_counter,
-        )
+        self._transition(tick, "soap", "psk-agreed", session=self.session_counter)
         self.supplicant = Supplicant(
             psk, frame.src_mac, self.mac, self.rng.child(f"supp{self.session_counter}")
         )
         self.await_since = tick
         self._enter(tick, "fourway")
-        return [self._out_eapol(frame.src_mac, encode_soap_message(reply))]
+        sent = self._out_eapol(frame.src_mac, encode_soap_message(reply))
+        self.answered[frame.src_mac, frame.payload] = sent
+        return [sent]
 
     def _on_eapol_key(self, tick, frame: DataFrame) -> list[Transmission]:
         if (
@@ -679,9 +688,7 @@ class ClientStation(Station):
             self.await_since = None
             self._enter(tick, "established")
         elif event == "mic-mismatch":
-            self.transcript.transition(
-                tick, self.cfg.station_id, "fourway", "failed", reason="mic-mismatch"
-            )
+            self._transition(tick, "fourway", "failed", reason="mic-mismatch")
             self._restart(tick, "fourway-failed")
         elif event in ("replay", "unexpected"):
             self._discard(tick, event)
@@ -817,16 +824,13 @@ class ApStation(Station):
                 peer.done = True
                 if peer.soap is not None and peer.soap.phase is Phase.AWAIT_MSG2:
                     peer.soap.abort("timeout")
-                self.transcript.transition(
-                    tick, self.cfg.station_id, "session", "aborted",
-                    peer=format_mac(mac), reason="timeout",
+                self._transition(
+                    tick, "session", "aborted", peer=format_mac(mac), reason="timeout"
                 )
                 continue
             peer.attempts += 1
             peer.last_tx = tick
-            self.transcript.note(
-                tick, "retransmit", self.cfg.station_id, peer=format_mac(mac)
-            )
+            self._note(tick, "retransmit", peer=format_mac(mac))
             out.append(self._out_eapol(mac, peer.retransmission()))
         return out
 
@@ -836,10 +840,7 @@ class ApStation(Station):
         mac = frame.src_mac
         if frame.subtype is FrameSubtype.DISASSOC:
             if self.peers.pop(mac, None) is not None:
-                self.transcript.note(
-                    tick, "client-disassociated", self.cfg.station_id,
-                    src=format_mac(mac),
-                )
+                self._note(tick, "client-disassociated", src=format_mac(mac))
             return []
         if frame.subtype is not FrameSubtype.ASSOC_REQUEST or not self._ssid_matches(
             frame
@@ -856,16 +857,11 @@ class ApStation(Station):
         if ie is not None:
             return self._start_soap(tick, mac, ie)
         if self.cfg.legacy_psk is None:
-            self.transcript.note(
-                tick, "note", self.cfg.station_id, detail="no legacy psk configured"
-            )
+            self._note(tick, "note", detail="no legacy psk configured")
             return []
         self.session_counter += 1
         self.peers[mac] = peer = ApPeer(last_tx=tick)
-        self.transcript.transition(
-            tick, self.cfg.station_id, "session", "fourway",
-            peer=format_mac(mac), mode="legacy",
-        )
+        self._transition(tick, "session", "fourway", peer=format_mac(mac), mode="legacy")
         return [self._start_fourway(tick, mac, peer, bytes.fromhex(self.cfg.legacy_psk))]
 
     def _start_soap(self, tick: int, mac: bytes, ie) -> list[Transmission]:
@@ -882,16 +878,13 @@ class ApStation(Station):
             return []
         msg = session.build_message1()
         if msg is None:
-            self.transcript.transition(
-                tick, self.cfg.station_id, "session", "aborted",
-                peer=format_mac(mac), reason=session.abort_reason,
+            self._transition(
+                tick, "session", "aborted", peer=format_mac(mac), reason=session.abort_reason
             )
             return []
         self.known_keys[mac] = (session.peer_signer_group, session.peer_signer_point)
         self.peers[mac] = ApPeer(last_tx=tick, soap=session)
-        self.transcript.transition(
-            tick, self.cfg.station_id, "session", "await-msg2", peer=format_mac(mac)
-        )
+        self._transition(tick, "session", "await-msg2", peer=format_mac(mac))
         return [self._out_eapol(mac, encode_soap_message(msg))]
 
     def _start_fourway(self, tick: int, mac: bytes, peer: ApPeer, psk) -> Transmission:
@@ -917,9 +910,7 @@ class ApStation(Station):
             return []
         psk = peer.soap.psk
         self.psk_history.append(bytes(psk))
-        self.transcript.transition(
-            tick, self.cfg.station_id, "soap", "psk-agreed", peer=format_mac(mac)
-        )
+        self._transition(tick, "soap", "psk-agreed", peer=format_mac(mac))
         return [self._start_fourway(tick, mac, peer, psk)]
 
     def _on_eapol_key(self, tick, frame: DataFrame) -> list[Transmission]:
@@ -940,15 +931,11 @@ class ApStation(Station):
         if event == "established":
             peer.established = peer.done = True
             self.kck_history.append(peer.auth.keys.kck)
-            self.transcript.transition(
-                tick, self.cfg.station_id, "session", "established",
-                peer=format_mac(mac),
-            )
+            self._transition(tick, "session", "established", peer=format_mac(mac))
         elif event == "mic-mismatch":
             peer.done = True
-            self.transcript.transition(
-                tick, self.cfg.station_id, "session", "failed",
-                peer=format_mac(mac), reason="mic-mismatch",
+            self._transition(
+                tick, "session", "failed", peer=format_mac(mac), reason="mic-mismatch"
             )
         elif event in ("replay", "unexpected"):
             self._discard(tick, event)

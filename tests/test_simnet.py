@@ -4,6 +4,7 @@ transcripts."""
 import dataclasses
 import itertools
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -18,10 +19,14 @@ from soapsim.frames import (
     FrameSubtype,
     MalformedFrameError,
     ManagementFrame,
+    encode_data_frame,
     encode_management_frame,
+    encode_soap_message,
     frame_kind,
     management_signing_input,
+    parse_data_frame,
     parse_management_frame,
+    parse_soap_message,
 )
 from soapsim.scenarios import (
     BUILTIN_NAMES,
@@ -33,6 +38,8 @@ from soapsim.scenarios import (
 )
 from soapsim.simnet import (
     ADVERSARY_FIELD_READERS,
+    REASONS,
+    RECORD_KEYS,
     AdversaryConfig,
     ApStation,
     Mitigations,
@@ -40,6 +47,8 @@ from soapsim.simnet import (
     ScheduleAction,
     Simulation,
     StationConfig,
+    Transcript,
+    Transmission,
     eavesdropper_view,
     format_mac,
     parse_mac,
@@ -604,6 +613,104 @@ class TestLostFrames:
         assert ticks_of(t, "retransmit", station="ap1") == [106]
         assert ticks_of(t, "transition", station="client1", to="established") == [7]
         assert t.summaries["ap1"]["sessions"]["client1"]["established"]
+
+    def test_lost_m2_costs_one_resend(self):
+        # frame 2 is agreement Message 2, sent at tick 3: ap1 resends Message 1
+        # at 102 and the client, in fourway, resends the same Message 2 at 103,
+        # with no second ECDH session
+        benign = replace(builtin("benign"), max_ticks=3000)
+        t = DroppingSimulation(benign, 1, {2}).run()
+        sent = [(r["tick"], r["frame"], r["origin"]) for r in tx_frames(t, "agreement")]
+        assert sent == [
+            (2, "agreement", "ap1"), (3, "agreement", "client1"),
+            (102, "agreement", "ap1"), (103, "agreement", "client1"),
+        ]
+        message2 = [r["hex"] for r in tx_frames(t, "agreement") if r["origin"] == "client1"]
+        assert message2[0] == message2[1]
+        assert ticks_of(t, "retransmit", station="ap1") == [102]
+        assert ticks_of(t, "transition", station="client1", to="established") == [107]
+        assert ticks_of(t, "transition", station="ap1", to="established") == [108]
+        assert ticks_of(t, "negotiation") == [1]
+        assert events(t, "discard") == []
+        assert len(t.secrets["client1"]["psks"]) == len(t.secrets["ap1"]["psks"]) == 1
+        assert t.secrets["client1"]["kcks"] == t.secrets["ap1"]["kcks"]
+
+    @staticmethod
+    def waiting_in_fourway():
+        """benign with Message 2 lost, stopped at tick 50: the transcript and
+        client1, which waits in fourway for a resent Message 1."""
+        sim = DroppingSimulation(replace(builtin("benign"), max_ticks=50), 1, {2})
+        t = sim.run()
+        client = sim.by_id["client1"]
+        assert client.state == "fourway"
+        return t, client
+
+    @pytest.mark.parametrize("field", ["ecdh_public", "signature"])
+    def test_altered_message1_in_fourway_is_discarded(self, field):
+        t, client = self.waiting_in_fourway()
+        message1 = next(r for r in tx_frames(t, "agreement") if r["origin"] == "ap1")
+        resent = Transmission("ap1", bytes.fromhex(message1["hex"]))
+        [again] = client.on_frame(50, resent)
+        assert again.wire.hex() == tx_frames(t, "agreement")[1]["hex"]
+        frame = parse_data_frame(resent.wire)
+        msg = parse_soap_message(
+            frame.payload,
+            key_octets=client.session.group.key_size_octets,
+            signature_octets=client.session.peer_signer_group.key_size_octets,
+        )
+        value = getattr(msg, field)
+        altered = replace(msg, **{field: bytes([value[0] ^ 1]) + value[1:]})
+        assert msg.session_nonce is not None
+        wire = encode_data_frame(replace(frame, payload=encode_soap_message(altered)))
+        records = len(t.records)
+        assert client.on_frame(50, Transmission("ap1", wire)) == []
+        assert t.records[records:] == [{
+            "tick": 50, "event": "discard", "station": "client1", "reason": "phase",
+            "src": AP_MAC,
+        }]
+
+    def test_restart_forgets_the_answered_message1(self):
+        _, client = self.waiting_in_fourway()
+        assert len(client.answered) == 1
+        client.reset(50)
+        assert client.answered == {}
+
+
+class TestTranscriptWriter:
+    """`Transcript.note` writes only the declared records: every event but
+    `tx`, with its declared keys and reasons."""
+
+    @pytest.mark.parametrize(
+        "event, detail, message",
+        [
+            ("bogus", {}, "undeclared event 'bogus'"),
+            ("blocked", {"src": "x", "reason": "phase"},
+             "undeclared keys for a 'blocked' record: ['reason']"),
+            ("tx", {}, "undeclared keys for a 'tx' record: ['station']"),
+            ("discard", {"reason": "bogus"}, "undeclared reason 'bogus' for 'discard'"),
+            ("transition", {"scope": "station", "to": "scanning", "reason": "phase"},
+             "undeclared reason 'phase' for 'transition'"),
+        ],
+        ids=["event", "key", "tx", "discard-reason", "transition-reason"],
+    )
+    def test_undeclared_record_raises(self, event, detail, message):
+        t = Transcript("t", 0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            t.note(0, event, "client1", **detail)
+        assert t.records == []
+
+    def test_every_declared_record_is_written(self):
+        t = Transcript("t", 0)
+        for event, keys in RECORD_KEYS.items():
+            if event == "tx":
+                continue
+            detail = dict.fromkeys(keys - {"tick", "event", "station"}, 1)
+            for reason in sorted(REASONS.get(event, ())):
+                t.note(0, event, "client1", **{**detail, "reason": reason})
+            detail.pop("reason", None)
+            t.note(0, event, "client1", **detail)
+        assert {r["event"] for r in t.records} == set(RECORD_KEYS) - {"tx"}
+        assert len(t.records) == len(RECORD_KEYS) - 1 + sum(map(len, REASONS.values()))
 
 
 class FixedStepSimulation(Simulation):
