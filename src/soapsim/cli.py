@@ -137,6 +137,10 @@ def cmd_frames(args) -> int:
         print(hexdump(wire))
         print()
     print(report.to_text())
+    signer = ap_id.ecdsa.group
+    if signer.group_id != args.group:
+        print(f"\nnote: the dumped AP signs on group {signer.group_id} ({signer.name}),"
+              " the strongest it advertises, not on the table's group")
     return EXIT_OK
 
 

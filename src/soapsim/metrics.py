@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 from .crypto import (
-    EcGroup,
     SeededRng,
     ecdh_agree,
     ecdh_generate,
@@ -151,11 +150,6 @@ def _baseline_elements(
     return out
 
 
-def _advertised_ids(group: EcGroup, m: int) -> tuple[int, ...]:
-    # Size accounting only needs m one-octet ids; repeat when m exceeds 1.
-    return (group.group_id,) * m
-
-
 def size_report(group_id: int, group_count: int = 1, strict: bool = True) -> SizeReport:
     """Measure every frame kind the protocol touches, by encoding it."""
     group = registry_lookup(group_id)
@@ -163,7 +157,8 @@ def size_report(group_id: int, group_count: int = 1, strict: bool = True) -> Siz
         raise ValueError("at least one advertised group is required")
     s = group.key_size_octets
 
-    ie = SoapIe(_advertised_ids(group, group_count), bytes(s))
+    # size accounting only needs m one-octet ids, so the group's id repeats
+    ie = SoapIe((group.group_id,) * group_count, bytes(s))
     ie_octets = len(encode_soap_ie(ie))
 
     nonce = None if strict else bytes(8)

@@ -23,18 +23,18 @@ many clients is verified once while it is recent. Everything a failed check
 does to a receiver (its discard, its failure count, its blacklist) stays per
 receiver.
 
-Time advances by next-event jumps. While a frame is in flight the clock steps
-one tick at a time; when nothing is in flight it jumps straight to the
-earliest tick at which something can act: a beacon, an AP retry deadline, a
-client await timeout, an adversary action, a scheduled action, or the end of
-the run. Every timer is a deadline that one method computes; ``on_tick``
-acts when the tick has reached it, and ``_deadlines`` reports it to the
-clock, so the two cannot disagree. The clock keeps each actor's due tick,
-the earliest of its deadlines, and recomputes it after the actor ticks,
-handles a frame or is reset, the only calls that move its deadlines. At a
-stepped tick only the actors whose due tick has come run ``on_tick``.
-Likewise a frame is handed only to the addressees that can act on it, and
-``Simulation._addressees`` alone chooses them: an unsigned, well-formed
+Time advances by next-event jumps. While a frame in flight has an addressee,
+or there is an adversary to meet it, the clock steps one tick at a time;
+otherwise it jumps straight to the earliest tick at which something can act:
+a beacon, an AP retry deadline, a client await timeout, an adversary action,
+a scheduled action, or the end of the run. Each actor's ``_next_deadline``
+is the first tick at which its ``on_tick`` acts, built from the helpers
+``on_tick`` reads, so the two cannot disagree. The clock keeps it as the
+actor's due tick and recomputes it after the actor ticks, handles a frame or
+is reset, the only calls that move its deadlines. At a stepped tick only the
+actors whose due tick has come run ``on_tick``. Likewise a frame is handed
+only to the addressees that can act on it, and ``Simulation._addressees``
+alone chooses them, for delivery and for the clock: an unsigned, well-formed
 beacon goes only to the listeners, the scanning clients and the stations
 that block a sender (and note its beacons). The clock updates the listeners
 when a station acts, so such a beacon costs no scan of the stations. A
@@ -549,21 +549,14 @@ class ClientStation(Station):
 
     # -- timers ------------------------------------------------------------
 
-    def _await_deadline(self) -> int | None:
-        """The tick at which a client waiting on its AP gives up."""
+    def _next_deadline(self, tick: int) -> int | None:
+        """The first tick at which on_tick acts: a waiting client gives up."""
         if self.state in ("soap", "fourway") and self.await_since is not None:
             return self.await_since + CLIENT_AWAIT_TIMEOUT_TICKS + 1
         return None
 
-    def _deadlines(self, tick: int):
-        """The timers on_tick acts on from `tick` on: it acts at the first tick
-        that reaches any of them."""
-        deadline = self._await_deadline()
-        if deadline is not None:
-            yield deadline
-
     def on_tick(self, tick: int) -> list[Transmission]:
-        deadline = self._await_deadline()
+        deadline = self._next_deadline(tick)
         if deadline is not None and tick >= deadline:
             self._restart(tick, "timeout")
         return []
@@ -774,14 +767,15 @@ class ApStation(Station):
 
     # -- timers ------------------------------------------------------------
 
-    def _deadlines(self, tick: int):
-        """The timers on_tick acts on from `tick` on: it acts at the first tick
-        that reaches any of them."""
-        yield self._beacon_due(tick)
+    def _next_deadline(self, tick: int) -> int:
+        """The first tick from `tick` on at which on_tick acts: the next beacon
+        or a peer's retry deadline, whichever comes first."""
+        due = self._beacon_due(tick)
         for peer in self.peers.values():
             deadline = peer.retry_deadline()
-            if deadline is not None:
-                yield deadline
+            if deadline is not None and deadline < due:
+                due = deadline
+        return due
 
     def _beacon_due(self, tick: int) -> int:
         """The first beacon tick at or after `tick`."""
@@ -1104,11 +1098,10 @@ class Adversary:
             return self.cfg.disassoc_at
         return None
 
-    def _deadlines(self, tick: int):
-        """The timers on_tick acts on from `tick` on, as for a station."""
-        for deadline in (self._replay_deadline(), self._disassoc_deadline()):
-            if deadline is not None:
-                yield deadline
+    def _next_deadline(self, tick: int) -> int | None:
+        """The first tick at which on_tick acts, as for a station."""
+        deadlines = (self._replay_deadline(), self._disassoc_deadline())
+        return min((d for d in deadlines if d is not None), default=None)
 
     def on_tick(self, tick: int) -> list[Transmission]:
         out: list[Transmission] = []
@@ -1230,7 +1223,8 @@ class Simulation:
         """Recompute the due tick of `actor` from `tick` on, and whether it is a
         listener, after it acted: only acting changes a station's state or
         its blocked list."""
-        self._due[actor] = min(actor._deadlines(tick), default=self.script.max_ticks)
+        deadline = actor._next_deadline(tick)
+        self._due[actor] = self.script.max_ticks if deadline is None else deadline
         i = self._position.get(actor)
         if i is None:
             return
@@ -1298,7 +1292,13 @@ class Simulation:
                 for t in station.reset(tick):
                     self._transmit(tick, t, in_flight)
                 self._refresh(station, tick + 1)
-            tick = tick + 1 if in_flight else self._next_due(tick + 1)
+            # frames no adversary meets and no one is handed change nothing: the
+            # clock jumps as if none were in flight, dropping them past tick + 1
+            busy = self.adversary or any(map(self._addressees, in_flight))
+            due = tick + 1 if in_flight and busy else self._next_due(tick + 1)
+            if due > tick + 1:
+                in_flight = []
+            tick = due
         adversary = {ADVERSARY_ID: self.adversary} if self.adversary else {}
         for name, reporter in {**self.by_id, **adversary}.items():
             self.transcript.summaries[name] = reporter.summary(self.mac_names)

@@ -62,6 +62,13 @@ class TestRun:
         assert "[FAIL]" in out
         assert "result: FAIL" in out
 
+    def test_no_expectations_passes(self, capsys, tmp_path):
+        script = builtin("benign")
+        script.expectations.clear()
+        code, out, _ = run_cli(capsys, "run", write_script(tmp_path, script))
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == ["no expectations scripted", "result: pass"]
+
     def test_invalid_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -200,6 +207,14 @@ class TestFrames:
         assert "advertisement element (38 octets)" in out
         # the size table accounts for the requested group with two id slots
         assert "advertisement element: 34 octets" in out
+
+    @pytest.mark.parametrize("argv", [("--group", "26", "--m", "2"), ("--group", "26")])
+    def test_note_names_the_signer_curve(self, capsys, argv):
+        # only an AP that signs on another group than the table's gets a note
+        _, out, _ = run_cli(capsys, "frames", *argv)
+        note = "note: the dumped AP signs on group 19 (P-256)"
+        assert (note in out.splitlines()[-1]) == ("--m" in argv)
+        assert ("note:" in out) == ("--m" in argv)
 
     @pytest.mark.parametrize("m", ["0", "-1"])
     def test_no_advertised_group_exits_two_before_output(self, capsys, m):

@@ -166,6 +166,16 @@ class TestPmkMismatch:
         assert auth.state is FourwayState.FAILED
         assert FourwayState.ESTABLISHED not in (auth.state, supp.state)
 
+    def test_tampered_m4_fails_authenticator(self):
+        auth, supp = make_pair()
+        m2, _ = supp.on_frame(auth.start())
+        m3, _ = auth.on_frame(m2)
+        m4, _ = supp.on_frame(m3)
+        reply, event = auth.on_frame(replace(m4, key_nonce=b"\x01" + m4.key_nonce[1:]))
+        assert (reply, event) == (None, "mic-mismatch")
+        assert auth.state is FourwayState.FAILED
+        assert auth.fail_reason == "mic-mismatch"
+
     def test_tampered_m3_fails_supplicant(self):
         auth, supp = make_pair()
         m1 = auth.start()

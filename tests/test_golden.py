@@ -135,7 +135,7 @@ FRAMES_SHA256 = {
     ("--group", "21"): "9a930877484c172b28896b69ef530d3fc34679da43bc72c83cae14e985caca6f",
     ("--group", "26"): "6d18daad8ab159141bbd16bbd43a1a46c2dcf812beb53a6798acb4c52672eacf",
     ("--group", "26", "--m", "2"): (
-        "c22bcecac39e74d20e9627ce8a181b39d128e215eb11f58dd2089b1a225894b0"
+        "fa57f07ab4806023cd88998e5cb6a61701fab5282eb3309f1d20b6a01d0e80d6"
     ),
     ("--group", "26", "--strict"): (
         "c4090252bf33d1520c9cfe91e03421307eaf9d08feead7b444be71d21073af0a"

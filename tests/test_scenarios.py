@@ -1008,6 +1008,10 @@ class TestEvaluateCheck:
         assert evaluate_check({**check, "at_most": 1}, benign_transcript).ok
         miss = evaluate_check({**check, "equals": 9}, benign_transcript)
         assert not miss.ok and "count 1 != 9" in miss.detail
+        low = evaluate_check({**check, "at_least": 2}, benign_transcript)
+        assert not low.ok and low.detail == "count 1 < 2"
+        high = evaluate_check({**check, "at_most": 0}, benign_transcript)
+        assert not high.ok and high.detail == "count 1 > 0"
 
     def test_psk_distinct_and_match(self, benign_transcript):
         assert evaluate_check(
@@ -1113,6 +1117,15 @@ class TestEvaluateCheck:
     def test_missing_key_fails_closed(self, benign_transcript):
         r = evaluate_check({"check": "station-state"}, benign_transcript)
         assert not r.ok and "missing key" in r.detail
+
+    def test_station_missing_from_transcript_fails_closed(self, benign_transcript):
+        # only the loader checks station names; a check built in code can
+        # name a station the run did not have
+        r = evaluate_check(
+            {"check": "station-state", "station": "ghost", "equals": "established"},
+            benign_transcript,
+        )
+        assert not r.ok and r.detail == "missing key 'ghost' in check or transcript"
 
     @pytest.mark.parametrize(
         "check",

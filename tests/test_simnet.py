@@ -572,12 +572,12 @@ class DroppingSimulation(Simulation):
         self.drops = drops
         self.sent = 0
 
-    def _addressees(self, t):
+    def _deliver(self, tick, t, in_flight):
         if t.kind != "beacon":
             self.sent += 1
             if self.sent - 1 in self.drops:
-                return []
-        return super()._addressees(t)
+                return
+        super()._deliver(tick, t, in_flight)
 
 
 class TestLostFrames:
@@ -851,6 +851,17 @@ def signed_beacons_after_latch():
     )
 
 
+def beacon_beside_reply():
+    """ap2 beacons at tick 1, as the client's association request to ap1 goes
+    out: one frame in flight is handed to a station, the other to none."""
+    stations = [
+        StationConfig("ap1", "ap", AP_MAC, beacon_offset=0),
+        StationConfig("ap2", "ap", "02:00:00:00:00:03", beacon_offset=1),
+        StationConfig("client1", "client", CLIENT_MAC),
+    ]
+    return ScenarioScript("beacon-beside-reply", stations, max_ticks=300)
+
+
 class TestNextEventClock:
     """The clock jumps over idle ticks and lands on every deadline."""
 
@@ -942,10 +953,12 @@ class TestNextEventClock:
 
     # About one random script in seven stalls a client long enough, or
     # signs beacons a linked client still checks, for a skipped tick or a
-    # skipped delivery to show; the two examples pin one of each.
+    # skipped delivery to show; the examples pin one of each, and a tick
+    # whose frames in flight are handed to some stations and to none.
     @settings(max_examples=150)
     @example(case=(stalled_link(), 0))
     @example(case=(signed_beacons_after_latch(), 0))
+    @example(case=(beacon_beside_reply(), 0))
     @given(case=random_scripts())
     def test_random_scripts_match_fixed_step(self, case):
         run_checked(*case)
@@ -1280,7 +1293,8 @@ class TestDueTicksAndDelivery:
 
         def recording(real):
             def on_tick(self, tick):
-                reached = min(self._deadlines(tick), default=tick + 1) <= tick
+                deadline = self._next_deadline(tick)
+                reached = deadline is not None and deadline <= tick
                 if isinstance(self, simnet.Adversary):
                     actor = "adversary"
                 else:
@@ -1391,6 +1405,25 @@ class TestIdleBeacons:
         assert list(beacons[0]) == [
             "tick", "event", "origin", "frame", "src", "dst", "size", "hex"
         ]
+
+    def test_idle_beacon_steps_one_tick(self, monkeypatch):
+        # no station is handed an AP-only script's beacons, so the clock
+        # steps each beacon's tick and skips the tick that would deliver it
+        aps = [
+            StationConfig("ap1", "ap", AP_MAC, beacon_offset=17),
+            StationConfig("ap2", "ap", "02:00:00:00:00:03", beacon_period=40,
+                          beacon_offset=5),
+        ]
+        stepped = []
+        ticking = Simulation._ticking
+        monkeypatch.setattr(
+            Simulation, "_ticking",
+            lambda self, tick: stepped.append(tick) or ticking(self, tick),
+        )
+        t = run_checked(ScenarioScript("aps-only", aps, max_ticks=1000))
+        beacons = [r["tick"] for r in tx_frames(t, "beacon")]
+        assert len(beacons) == 10 + 25
+        assert stepped == sorted(beacons)
 
     def blacklist_script(self):
         """The client blacklists the rogue, then keys with ap1."""
