@@ -13,6 +13,8 @@ mode drops the nonce trailer and signs the raw public key only, matching
 the minimal message layout at the cost of the cross-session replay check.
 A strict session's nonce is None, as on the wire, and ``signed_payload`` is
 the one place that rule is written; the message layouts live in ``frames``.
+A peer's signing key is one (curve, point) pair, ``peer_signer``, resolved
+from its element; a client's pinned AP key is such a pair, compared whole.
 """
 
 from __future__ import annotations
@@ -105,8 +107,7 @@ class _SessionCore:
     abort_reason: str | None = None
     group: EcGroup | None = None
     peer_mac: bytes | None = None
-    peer_signer_group: EcGroup | None = None
-    peer_signer_point: Point | None = None
+    peer_signer: tuple[EcGroup, Point] | None = None
     psk: SharedPsk | None = None
     _ephemeral: KeyPair | None = field(default=None, repr=False)
 
@@ -122,13 +123,11 @@ class _SessionCore:
 
     def _verify_peer(self, tag: bytes, sender: bytes, receiver: bytes,
                      nonce: bytes | None, msg: SoapMessage) -> bool:
-        assert self.group is not None and self.peer_signer_group is not None
+        assert self.group is not None and self.peer_signer is not None
         payload = signed_payload(
             tag, sender, receiver, self.group.group_id, nonce, msg.ecdh_public
         )
-        return ecdsa_verify(
-            self.peer_signer_group, self.peer_signer_point, payload, msg.signature
-        )
+        return ecdsa_verify(*self.peer_signer, payload, msg.signature)
 
     def _sign_own(self, tag: bytes, receiver: bytes, nonce: bytes | None,
                   ecdh_public: bytes) -> bytes:
@@ -148,7 +147,7 @@ class ClientSession(_SessionCore):
         rng: SeededRng,
         *,
         strict_frames: bool = False,
-        pinned_ap_key: tuple[int, Point] | None = None,
+        pinned_ap_key: tuple[EcGroup, Point] | None = None,
         seen_nonces: set | None = None,
     ):
         super().__init__(identity, rng, strict_frames)
@@ -161,22 +160,19 @@ class ClientSession(_SessionCore):
         if self.phase is not Phase.IDLE:
             return None, "phase"
         try:
-            signer_group, signer_point = negotiation.resolve_signer(ie)
+            signer = negotiation.resolve_signer(ie)
         except ValueError:
             return None, "bad-signer"
-        if self.pinned_ap_key is not None:
-            pinned_gid, pinned_point = self.pinned_ap_key
-            if signer_group.group_id != pinned_gid or signer_point != pinned_point:
-                return None, "pinned-mismatch"
+        if self.pinned_ap_key is not None and signer != self.pinned_ap_key:
+            return None, "pinned-mismatch"
         group_id = negotiation.select_group(ie.group_ids, self.identity.group_ids)
         if group_id is None:
             return None, "fallback"
         self.group = registry_lookup(group_id)
         self.peer_mac = bytes(ap_mac)
-        self.peer_signer_group = signer_group
-        self.peer_signer_point = signer_point
+        self.peer_signer = signer
         self.phase = Phase.ADVERTISEMENT_SEEN
-        return negotiation.response_ie(self.identity.ecdsa, self.group.group_id), "respond"
+        return negotiation.advertisement_ie(self.identity.ecdsa, (group_id,)), "respond"
 
     def mark_associated(self) -> None:
         if self.phase is Phase.ADVERTISEMENT_SEEN:
@@ -229,7 +225,6 @@ class ApSession(_SessionCore):
         self.peer_mac = bytes(client_mac)
         self.session_nonce: bytes | None = None
         self.claimed_group_id: int | None = None
-        self._message1: SoapMessage | None = None
 
     def on_response_element(self, ie: SoapIe) -> str:
         if self.phase is not Phase.IDLE:
@@ -237,12 +232,10 @@ class ApSession(_SessionCore):
         if ie.group_count != 1:
             return "malformed"
         try:
-            signer_group, signer_point = negotiation.resolve_signer(ie)
+            self.peer_signer = negotiation.resolve_signer(ie)
         except ValueError:
             return "bad-signer"
         self.claimed_group_id = ie.group_ids[0]
-        self.peer_signer_group = signer_group
-        self.peer_signer_point = signer_point
         return "ok"
 
     def build_message1(self) -> SoapMessage | None:
@@ -261,12 +254,7 @@ class ApSession(_SessionCore):
             TAG_MESSAGE1, self.peer_mac, self.session_nonce, own_public
         )
         self.phase = Phase.AWAIT_MSG2
-        self._message1 = SoapMessage(own_public, signature, self.session_nonce)
-        return self._message1
-
-    def retransmit_message1(self) -> SoapMessage | None:
-        """Message 1 as first sent, while Message 2 is awaited."""
-        return self._message1 if self.phase is Phase.AWAIT_MSG2 else None
+        return SoapMessage(own_public, signature, self.session_nonce)
 
     def on_message2(self, msg: SoapMessage, src_mac: bytes) -> str:
         if self.phase is Phase.PSK_AGREED:

@@ -57,22 +57,19 @@ _EID_EXT_RATES = 50
 
 _BASELINE_SSID = b"publicnet"
 
-# (element id, payload octets) for the baseline beacon body
+# (element id, payload) for the baseline beacon body
 _BASELINE_BEACON_ELEMENTS = (
-    (ELEMENT_ID_SSID, len(_BASELINE_SSID)),
-    (_EID_RATES, 8),
-    (_EID_DS_PARAMS, 1),
-    (_EID_TIM, 4),
-    (_EID_COUNTRY, 6),
-    (_EID_ERP, 1),
-    (_EID_EXT_RATES, 4),
-    (_EID_RSN, 20),
+    (ELEMENT_ID_SSID, _BASELINE_SSID),
+    (_EID_RATES, bytes(8)),
+    (_EID_DS_PARAMS, bytes(1)),
+    (_EID_TIM, bytes(4)),
+    (_EID_COUNTRY, bytes(6)),
+    (_EID_ERP, bytes(1)),
+    (_EID_EXT_RATES, bytes(4)),
+    (_EID_RSN, bytes(20)),
 )
 
-_BASELINE_ASSOC_ELEMENTS = (
-    (ELEMENT_ID_SSID, len(_BASELINE_SSID)),
-    (_EID_RATES, 8),
-)
+_BASELINE_ASSOC_ELEMENTS = _BASELINE_BEACON_ELEMENTS[:2]  # the SSID and rates
 
 _MAC_A = b"\x02\x00\x00\x00\x00\x01"
 _MAC_B = b"\x02\x00\x00\x00\x00\x02"
@@ -140,16 +137,6 @@ class SizeReport:
         return "\n".join(lines)
 
 
-def _baseline_elements(
-    composition: tuple[tuple[int, int], ...],
-) -> list[tuple[int, bytes]]:
-    out = []
-    for eid, size in composition:
-        payload = _BASELINE_SSID if eid == ELEMENT_ID_SSID else bytes(size)
-        out.append((eid, payload))
-    return out
-
-
 def size_report(group_id: int, group_count: int = 1, strict: bool = True) -> SizeReport:
     """Measure every frame kind the protocol touches, by encoding it."""
     group = registry_lookup(group_id)
@@ -165,32 +152,28 @@ def size_report(group_id: int, group_count: int = 1, strict: bool = True) -> Siz
     message = SoapMessage(bytes(2 * s), bytes(2 * s), nonce)
     message_octets = frame_wire_size(message)
 
-    response_ie = SoapIe((group.group_id,), bytes(s))
+    assoc_ie = SoapIe((group.group_id,), bytes(s))
 
     def mgmt(subtype, elements, with_ie):
-        els = list(elements)
         if with_ie is not None:
-            els.append(soap_ie_element(with_ie))
-        return frame_wire_size(ManagementFrame(subtype, _MAC_A, _MAC_B, els))
-
-    beacon_elements = _baseline_elements(_BASELINE_BEACON_ELEMENTS)
-    assoc_elements = _baseline_elements(_BASELINE_ASSOC_ELEMENTS)
+            elements += (soap_ie_element(with_ie),)
+        return frame_wire_size(ManagementFrame(subtype, _MAC_A, _MAC_B, elements))
 
     rows = [
         SizeRow(
             "beacon",
-            mgmt(FrameSubtype.BEACON, beacon_elements, None),
-            mgmt(FrameSubtype.BEACON, beacon_elements, ie),
+            mgmt(FrameSubtype.BEACON, _BASELINE_BEACON_ELEMENTS, None),
+            mgmt(FrameSubtype.BEACON, _BASELINE_BEACON_ELEMENTS, ie),
         ),
         SizeRow(
             "probe-response",
-            mgmt(FrameSubtype.PROBE_RESPONSE, beacon_elements, None),
-            mgmt(FrameSubtype.PROBE_RESPONSE, beacon_elements, ie),
+            mgmt(FrameSubtype.PROBE_RESPONSE, _BASELINE_BEACON_ELEMENTS, None),
+            mgmt(FrameSubtype.PROBE_RESPONSE, _BASELINE_BEACON_ELEMENTS, ie),
         ),
         SizeRow(
             "association-request",
-            mgmt(FrameSubtype.ASSOC_REQUEST, assoc_elements, None),
-            mgmt(FrameSubtype.ASSOC_REQUEST, assoc_elements, response_ie),
+            mgmt(FrameSubtype.ASSOC_REQUEST, _BASELINE_ASSOC_ELEMENTS, None),
+            mgmt(FrameSubtype.ASSOC_REQUEST, _BASELINE_ASSOC_ELEMENTS, assoc_ie),
         ),
     ]
 

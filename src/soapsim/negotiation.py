@@ -1,6 +1,7 @@
-"""Group negotiation: advertisement and response elements, and the rule that
-picks the strongest curve both stations support or falls back to legacy
-WPA-PSK when they share none."""
+"""Group negotiation: one builder of the element that carries a station's
+signing key and its groups (an AP's full group list, or the one group a
+client chose), and the rule that picks the strongest curve both stations
+support or falls back to legacy WPA-PSK when they share none."""
 
 from __future__ import annotations
 
@@ -28,7 +29,8 @@ def select_group(ap_group_ids, client_group_ids) -> int | None:
 
 
 def advertisement_ie(signing_key: KeyPair, group_ids) -> SoapIe:
-    """AP-side element: the full supported group list plus the AP's key."""
+    """The element for `group_ids` plus the signing key: an AP advertises
+    every group it supports, a client answers with the one it chose."""
     ids = sorted(set(group_ids))
     if not ids:
         raise ValueError("at least one group must be advertised")
@@ -36,15 +38,6 @@ def advertisement_ie(signing_key: KeyPair, group_ids) -> SoapIe:
         registry_lookup(gid)  # raises UnknownGroupError on bad config
     return SoapIe(
         tuple(ids), point_x_octets(signing_key.group, signing_key.public_point)
-    )
-
-
-def response_ie(signing_key: KeyPair, selected_group_id: int) -> SoapIe:
-    """Client-side element: exactly the one group the client chose."""
-    registry_lookup(selected_group_id)
-    return SoapIe(
-        (selected_group_id,),
-        point_x_octets(signing_key.group, signing_key.public_point),
     )
 
 

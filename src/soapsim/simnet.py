@@ -14,9 +14,11 @@ Each transmission's work is done once. Its kind is read from its octets, and
 it is parsed once, by its first reader (the adversary, or the first receiver
 that admits its sender); every later reader gets the same frozen record (or
 the same parse error). Its signing input and the fields of its ``tx`` record
-are likewise made once. An AP sends one transmission per beacon content, so a
-beacon is parsed, and its hex written, once however often it is sent, and
-the leak scan (`eavesdropper_view`) searches each distinct frame once.
+are likewise made once. A station resends an unchanged frame as the
+transmission that first carried it (an AP its beacon, one per content, and an
+unanswered agreement Message 1; a client its Message 2), so such a frame is
+parsed, and its hex written, once however often it is sent, and the leak scan
+(`eavesdropper_view`) searches each distinct frame once.
 Verdicts and signatures (``crypto``) and scripted identities
 (``_identities``) are remembered per process, so a signed beacon heard by
 many clients is verified once while it is recent. Everything a failed check
@@ -385,7 +387,7 @@ class Station:
             parse_soap_message,
             payload,
             key_octets=session.group.key_size_octets,
-            signature_octets=session.peer_signer_group.key_size_octets,
+            signature_octets=session.peer_signer[0].key_size_octets,
         )
 
     def _agreed(self, tick: int, src: bytes, event: str, context: str) -> bool:
@@ -433,9 +435,9 @@ class Station:
     def _on_blacklisted(self, tick: int, mac: bytes) -> None:
         """Called once, when `mac` joins the blocked list."""
 
-    def _signed_by(self, group, point, t: Transmission) -> bool:
-        """Whether the management frame `t` carries a valid signature by `point`."""
-        return ecdsa_verify(group, point, t.signing_input, t.frame.signature)
+    def _signed_by(self, signer: tuple, t: Transmission) -> bool:
+        """Whether the management frame `t` carries a valid signature by `signer`."""
+        return ecdsa_verify(*signer, t.signing_input, t.frame.signature)
 
     def _mgmt_signature_ok(self, tick: int, t: Transmission) -> bool:
         """Admission check for management frames under the signing mitigation."""
@@ -444,8 +446,7 @@ class Station:
         frame = t.frame
         known = self.known_keys.get(frame.src_mac)
         if known is not None:
-            group, point = known
-            if frame.signature is None or not self._signed_by(group, point, t):
+            if frame.signature is None or not self._signed_by(known, t):
                 self._sig_failure(tick, frame.src_mac, "mgmt")
                 return False
             self.fail_counts[frame.src_mac] = 0
@@ -456,10 +457,10 @@ class Station:
             ie = soap_ie_from_frame(frame)
             if ie is not None:
                 try:
-                    group, point = negotiation.resolve_signer(ie)
+                    signer = negotiation.resolve_signer(ie)
                 except ValueError:
                     return False
-                if not self._signed_by(group, point, t):
+                if not self._signed_by(signer, t):
                     self._sig_failure(tick, frame.src_mac, "mgmt")
                     return False
         return True
@@ -517,7 +518,7 @@ class ClientStation(Station):
         super().__init__(*args)
         self.state = "scanning"
         self.seen_nonces: set = set()
-        self.pinned_ap_key = None  # filled by the simulation when pin_ap is set
+        self.pinned_ap_key = None  # (group, point), set by the simulation for pin_ap
         self.session: ClientSession | None = None
         self.supplicant: Supplicant | None = None
         self.ap_mac: bytes | None = None
@@ -610,9 +611,7 @@ class ClientStation(Station):
         self.mode = "soap"
         self.await_since = tick
         self._note(tick, "negotiation", outcome=f"group-{session.group.group_id}")
-        self.known_keys[frame.src_mac] = (
-            session.peer_signer_group, session.peer_signer_point
-        )
+        self.known_keys[frame.src_mac] = session.peer_signer
         session.mark_associated()
         self._enter(tick, "soap")
         return [self._assoc_request(frame.src_mac, soap_ie_element(response))]
@@ -715,11 +714,12 @@ class ClientStation(Station):
 @dataclass
 class ApPeer:
     """An AP's record of one client: the agreement session (None for a legacy
-    client), then the 4-Way authenticator, and the retransmission timer of
-    whichever of the two is running."""
+    client) and the Message 1 it sent, then the 4-Way authenticator, and the
+    retransmission timer of whichever of the two is running."""
 
     last_tx: int
     soap: ApSession | None = None
+    message1: Transmission | None = None
     auth: Authenticator | None = None
     attempts: int = 0
     established: bool = False
@@ -728,13 +728,6 @@ class ApPeer:
     def retry_deadline(self) -> int | None:
         """The tick at which the AP retransmits to, or gives up on, the peer."""
         return None if self.done else self.last_tx + RETRY_TIMEOUT_TICKS
-
-    def retransmission(self) -> bytes:
-        """The EAPOL packet to resend to a peer that is not done: message 1
-        until message 2 has arrived, then the last 4-Way frame."""
-        if self.auth is None:
-            return encode_soap_message(self.soap.retransmit_message1())
-        return encode_eapol_key_frame(self.auth.retransmit())
 
     def summary(self) -> dict:
         return {
@@ -825,7 +818,10 @@ class ApStation(Station):
             peer.attempts += 1
             peer.last_tx = tick
             self._note(tick, "retransmit", peer=format_mac(mac))
-            out.append(self._out_eapol(mac, peer.retransmission()))
+            if peer.auth is None:  # Message 1, as the transmission first sent
+                out.append(peer.message1)
+            else:  # a 4-Way resend takes a new replay counter
+                out.append(self._out_key(mac, peer.auth.retransmit()))
         return out
 
     # -- received frames ---------------------------------------------------
@@ -876,10 +872,11 @@ class ApStation(Station):
                 tick, "session", "aborted", peer=format_mac(mac), reason=session.abort_reason
             )
             return []
-        self.known_keys[mac] = (session.peer_signer_group, session.peer_signer_point)
-        self.peers[mac] = ApPeer(last_tx=tick, soap=session)
+        self.known_keys[mac] = session.peer_signer
+        message1 = self._out_eapol(mac, encode_soap_message(msg))
+        self.peers[mac] = ApPeer(last_tx=tick, soap=session, message1=message1)
         self._transition(tick, "session", "await-msg2", peer=format_mac(mac))
-        return [self._out_eapol(mac, encode_soap_message(msg))]
+        return [message1]
 
     def _start_fourway(self, tick: int, mac: bytes, peer: ApPeer, psk) -> Transmission:
         """Start the 4-Way Handshake with `mac` over `psk`, as authenticator."""
@@ -1160,11 +1157,9 @@ class Simulation:
                 script.strict_frames,
             )
             if cfg.pin_ap is not None:
-                pinned = identities[cfg.pin_ap].ecdsa
-                station.pinned_ap_key = (pinned.group.group_id, pinned.public_point)
-                station.known_keys[identities[cfg.pin_ap].mac] = (
-                    pinned.group,
-                    pinned.public_point,
+                pinned = identities[cfg.pin_ap]
+                station.pinned_ap_key = station.known_keys[pinned.mac] = (
+                    pinned.ecdsa.group, pinned.ecdsa.public_point
                 )
             self.stations.append(station)
             self.by_id[cfg.station_id] = station

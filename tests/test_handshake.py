@@ -119,7 +119,7 @@ class TestNegotiationEdges:
 
     def test_pinned_key_match_proceeds(self):
         ap_id, _, ap, client = make_pair()
-        pin = (ap_id.ecdsa.group.group_id, ap_id.ecdsa.public_point)
+        pin = (ap_id.ecdsa.group, ap_id.ecdsa.public_point)
         _, _, _, pinned_client = make_pair(pinned_ap_key=pin)
         adv = advertisement_ie(ap_id.ecdsa, (26,))
         _, event = pinned_client.on_advertisement(adv, ap_id.mac)
@@ -128,7 +128,7 @@ class TestNegotiationEdges:
     def test_pinned_key_mismatch_discards(self):
         ap_id, _, _, _ = make_pair()
         rogue_id = make_identity(ROGUE_MAC, Role.AP, (26,), SeededRng(b"rogue"))
-        pin = (ap_id.ecdsa.group.group_id, ap_id.ecdsa.public_point)
+        pin = (ap_id.ecdsa.group, ap_id.ecdsa.public_point)
         _, _, _, client = make_pair(pinned_ap_key=pin)
         adv = advertisement_ie(rogue_id.ecdsa, (26,))
         response, event = client.on_advertisement(adv, ROGUE_MAC)
@@ -270,21 +270,6 @@ class TestMessage2Handling:
         assert ap.build_message1() is None
         assert ap.phase is Phase.ABORTED
         assert ap.abort_reason == "group-not-offered"
-
-    def test_retransmission_is_byte_identical(self):
-        ap_id, cl_id, ap, client = make_pair()
-        adv = advertisement_ie(ap_id.ecdsa, (26,))
-        response, _ = client.on_advertisement(adv, ap_id.mac)
-        client.mark_associated()
-        ap.on_response_element(response)
-        first = encode_soap_message(ap.build_message1())
-        again = encode_soap_message(ap.retransmit_message1())
-        assert first == again
-
-    def test_retransmission_only_while_waiting(self):
-        ap_id, ap, client, msg1, msg2 = self.agreed_pair()
-        ap.on_message2(msg2, CLIENT_MAC)
-        assert ap.retransmit_message1() is None
 
 
 class TestMitmSubstitution:

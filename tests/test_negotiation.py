@@ -19,7 +19,6 @@ from soapsim.frames import MalformedFrameError, SoapIe, encode_soap_ie, parse_so
 from soapsim.negotiation import (
     advertisement_ie,
     resolve_signer,
-    response_ie,
     select_group,
 )
 
@@ -98,7 +97,7 @@ class TestElements:
             advertisement_ie(self.signer(), ())
 
     def test_response_single_group(self):
-        ie = response_ie(self.signer(), 26)
+        ie = advertisement_ie(self.signer(), (26,))
         assert ie.group_ids == (26,)
 
     def test_resolver_recovers_signer(self):

@@ -340,6 +340,33 @@ class TestEavesdropAndReplay:
         late_discards = [r for r in events(t, "discard") if r["tick"] > 1000]
         assert len(late_discards) >= 3
 
+    def test_replay_burst_into_a_fresh_fourway(self):
+        # client1 rescans at 300 and is in its second 4-Way when the burst
+        # lands: the replayed session-1 Message 3 reaches its Supplicant in
+        # sent-m2, which fails and rescans, and ap1 discards stale EAPOL-Key
+        # frames for a peer it no longer runs a 4-Way with
+        benign = replace(
+            builtin("benign"), max_ticks=1500,
+            schedule=[ScheduleAction(300, "client1")],
+            adversary=AdversaryConfig(capabilities=("replay",), replay_at=305),
+        )
+        t = run_checked(benign, 1)
+        assert ticks_of(t, "replay-burst") == [305]
+        client = [
+            (r["tick"], r["scope"], r["to"], r.get("reason"))
+            for r in events(t, "transition", "client1") if r["tick"] == 306
+        ]
+        assert client[:2] == [
+            (306, "fourway", "failed", "mic-mismatch"),
+            (306, "station", "scanning", "fourway-failed"),
+        ]
+        assert ticks_of(t, "discard", station="ap1", reason="phase") == [306, 306]
+        assert ticks_of(t, "transition", station="client1", to="established") == [7, 807]
+        assert ticks_of(t, "transition", station="ap1", to="established") == [8, 808]
+        for end in ("client1", "ap1"):
+            assert len(t.secrets[end]["kcks"]) == 2
+        assert t.secrets["client1"]["kcks"][-1] == t.secrets["ap1"]["kcks"][-1]
+
     def test_delete_intercept_is_dos_only(self):
         t = run_scenario(
             adversary_script(["delete-intercept"], max_ticks=1200), 0
@@ -544,6 +571,26 @@ class TestHijack:
         assert t.secrets["client1"]["psks"] == []
         assert t.secrets["ap1"]["psks"] == []
 
+    def test_mitm_against_an_ap_on_a_wider_curve(self):
+        # ap1 signs on P-256 and the flow runs on P-224; the adversary signs
+        # its substitute on the flow's curve, so the substitute's signature is
+        # too short for ap1's key and client1's parse refuses it
+        mitm = builtin("hijack-mitm")
+        mitm = replace(mitm, stations=[
+            replace(cfg, groups=(26, 19)) if cfg.station_id == "ap1" else cfg
+            for cfg in mitm.stations
+        ])
+        t = run_checked(mitm, 1)
+        discards = events(t, "discard", "client1")
+        assert {(r["reason"], r["detail"]) for r in discards} == {
+            ("malformed", "body of 112 octets does not fit the negotiated widths")
+        }
+        assert [r["tick"] for r in discards] == ticks_of(t, "mitm-substituted")
+        assert [r["tick"] for r in discards][:4] == [3, 103, 203, 303]
+        assert ticks_of(t, "transition", station="client1", to="established") == []
+        assert t.secrets["client1"]["psks"] == []
+        assert eavesdropper_view(t)["adversary_knows_legit_psk"] is False
+
 
 class TestLeakDetector:
     """The wire scan actually fires when a secret is broadcast."""
@@ -625,6 +672,8 @@ class TestLostFrames:
             (2, "agreement", "ap1"), (3, "agreement", "client1"),
             (102, "agreement", "ap1"), (103, "agreement", "client1"),
         ]
+        message1 = [r["hex"] for r in tx_frames(t, "agreement") if r["origin"] == "ap1"]
+        assert message1[0] == message1[1]
         message2 = [r["hex"] for r in tx_frames(t, "agreement") if r["origin"] == "client1"]
         assert message2[0] == message2[1]
         assert ticks_of(t, "retransmit", station="ap1") == [102]
@@ -656,7 +705,7 @@ class TestLostFrames:
         msg = parse_soap_message(
             frame.payload,
             key_octets=client.session.group.key_size_octets,
-            signature_octets=client.session.peer_signer_group.key_size_octets,
+            signature_octets=client.session.peer_signer[0].key_size_octets,
         )
         value = getattr(msg, field)
         altered = replace(msg, **{field: bytes([value[0] ^ 1]) + value[1:]})
@@ -1036,13 +1085,14 @@ def record_calls(monkeypatch, *names):
     return calls
 
 
-def without_repeated_beacons(records):
-    """The tx `records` less each beacon whose octets an earlier one carried:
-    an AP sends one transmission per beacon content."""
+def without_resends(records):
+    """The tx `records` less each resend: a station sends each beacon content
+    and each agreement message as one transmission, however often it goes on
+    air, and a resend repeats its octets. Each adversary frame is new."""
     seen = set()
     kept = []
     for r in records:
-        if r["frame"] == "beacon":
+        if r["frame"] in ("beacon", "agreement") and r["origin"] != "adversary":
             if r["hex"] in seen:
                 continue
             seen.add(r["hex"])
@@ -1077,7 +1127,7 @@ class TestParseAndVerifyOnce:
         # a frame sent at tick n is delivered at n + 1, inside the run or not,
         # and frames are delivered in the order they were sent
         delivered = [r for r in tx_frames(t) if r["tick"] + 1 < script.max_ticks]
-        distinct = without_repeated_beacons(delivered)
+        distinct = without_resends(delivered)
         assert [args[0].hex() for args in parsed] == [r["hex"] for r in distinct]
         # the signed beacon never changes, so every beacon shares the first
         # one's parse; each of the five clients receives every beacon
@@ -1098,12 +1148,16 @@ class TestParseAndVerifyOnce:
             r for r in tx_frames(t)
             if r["tick"] + 1 < script.max_ticks or r["origin"] == "adversary"
         ]
-        distinct = without_repeated_beacons(delivered)
+        distinct = without_resends(delivered)
         assert Counter(args[0].hex() for args in parsed) == Counter(
             r["hex"] for r in distinct
         )
-        # one beacon content, beaconed every 100 ticks
-        assert len(distinct) == len(delivered) - (script.max_ticks // 100 - 1)
+        # one beacon content, beaconed every 100 ticks, and each Message 1
+        # resent on ap1's timer as the transmission first sent
+        resends = ticks_of(t, "retransmit", station="ap1")
+        assert resends == [102, 202, 302, 602, 702, 802, 1102, 1202, 1302]
+        beacon_repeats = script.max_ticks // 100 - 1
+        assert len(distinct) == len(delivered) - beacon_repeats - len(resends)
 
     def test_rogue_ap_shares_the_memo(self, monkeypatch, fresh_memos, real_verifies):
         calls = record_calls(monkeypatch, "ecdsa_verify")
