@@ -1,11 +1,21 @@
 """Scenario scripts: a JSON schema with strict validation, an expectation
 evaluator over run transcripts, a library of built-in scenarios, and the
-attack suite that walks the whole threat table."""
+attack suite that walks the whole threat table.
+
+The suite's rows are independent runs, so they run on a pool of worker
+processes, one per CPU the process may run on, forked on the first suite
+and kept for the life of the process. Rows are assembled in plan order, so
+the report is identical to a serial run's. The pool pays for itself in a
+process that runs the suite more than once, where its workers' keys, comb
+tables and memos are already warm; a single run costs about what a serial
+one did."""
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from .crypto import REGISTRY
@@ -995,24 +1005,85 @@ def _key_strength_checks() -> list[CheckResult]:
     ]
 
 
+def _suite_row_checks(scenario_name: str | None, seed: int) -> list[CheckResult]:
+    """The checks of one suite row: what a pool worker runs."""
+    if scenario_name is None:
+        return _key_strength_checks()
+    script = builtin(scenario_name)
+    return evaluate_expectations(script, run_scenario(script, seed))
+
+
+def _exit_with_caller() -> None:
+    """Pool initializer: end the worker once the process that forked it is
+    gone, even one that was killed and never shut the pool down."""
+    import threading
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
+
+    sentinel = parent_process().sentinel
+
+    def exit_once_orphaned():
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=exit_once_orphaned, daemon=True).start()
+
+
+# The suite's worker pool, made by the first suite. Its workers are forked
+# then, before the pool starts its own threads, and keep what they
+# inherited: a test that patches soapsim must not run the suite, or the
+# patch outlives it in the workers. Forking is safe only while the caller
+# runs no threads of its own, which Python 3.12 checks and warns of.
+_pool = None
+
+
+def _suite_pool():
+    """The suite's ProcessPoolExecutor. The pool's modules are imported when
+    it is made, so that importing soapsim costs no more than it did."""
+    global _pool
+    if _pool is None:
+        import atexit
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+        else:
+            cpus = os.cpu_count() or 1
+        rows = sum(len(variants) for _, variants in SUITE_PLAN)
+        _pool = ProcessPoolExecutor(
+            min(cpus, rows),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with_caller,
+        )
+        atexit.register(_close_pool)
+    return _pool
+
+
+def _close_pool() -> None:
+    """Shut the pool down and drop it, so a later suite forks a new one."""
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
+
+
 def run_attack_suite(seed: int) -> SuiteReport:
-    rows = []
-    for row_name, variants in SUITE_PLAN:
-        for label, scenario_name, verdict in variants:
-            if scenario_name is None:
-                checks = _key_strength_checks()
-            else:
-                script = builtin(scenario_name)
-                transcript = run_scenario(script, seed)
-                checks = evaluate_expectations(script, transcript)
-            rows.append(
-                SuiteRowResult(
-                    row=row_name,
-                    variant=label,
-                    scenario=scenario_name,
-                    verdict=verdict,
-                    ok=all(c.ok for c in checks),
-                    checks=checks,
-                )
-            )
-    return SuiteReport(seed, rows)
+    from concurrent.futures.process import BrokenProcessPool
+
+    plan = [
+        (row_name, label, scenario_name, verdict)
+        for row_name, variants in SUITE_PLAN
+        for label, scenario_name, verdict in variants
+    ]
+    try:
+        checks = list(
+            _suite_pool().map(_suite_row_checks, [p[2] for p in plan], repeat(seed))
+        )
+    except BrokenProcessPool:
+        _close_pool()
+        raise
+    return SuiteReport(seed, [
+        SuiteRowResult(row, label, name, verdict, all(c.ok for c in row_checks), row_checks)
+        for (row, label, name, verdict), row_checks in zip(plan, checks)
+    ])

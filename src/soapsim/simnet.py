@@ -72,12 +72,15 @@ from functools import cached_property
 from . import negotiation
 from .crypto import (
     DEFAULT_GROUP_ID,
+    EcGroup,
+    KeyPair,
     SeededRng,
     _recall,
     ecdh_generate,
     ecdsa_generate,
     ecdsa_sign,
     ecdsa_verify,
+    group_for_key_size,
     point_to_octets,
     registry_lookup,
 )
@@ -90,6 +93,7 @@ from .frames import (
     FrameSubtype,
     MalformedFrameError,
     ManagementFrame,
+    SoapIe,
     SoapMessage,
     encode_data_frame,
     encode_eapol_key_frame,
@@ -204,6 +208,9 @@ class Transmission:
 
     origin: str  # station id or ADVERSARY_ID
     wire: bytes
+    # The SOAP element of a management frame, None when it carries none. The
+    # parse in `frame` sets it, so it is read only once `frame` has parsed.
+    soap_ie: SoapIe | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def kind(self) -> str | None:
@@ -212,11 +219,15 @@ class Transmission:
 
     @cached_property
     def frame(self):
-        """The frame the octets carry, or the MalformedFrameError its parse raised."""
+        """The frame the octets carry, or the MalformedFrameError its parse
+        raised. A management frame's SOAP element is parsed with it, so a bad
+        element makes the whole frame malformed."""
         try:
             if self.kind in EAPOL_KINDS:
                 return parse_data_frame(self.wire)
-            return parse_management_frame(self.wire)
+            frame = parse_management_frame(self.wire)
+            self.soap_ie = soap_ie_from_frame(frame)
+            return frame
         except MalformedFrameError as exc:
             return exc
 
@@ -454,10 +465,9 @@ class Station:
         if frame.signature is not None:
             # No provisioned key: check self-consistency against the key the
             # frame itself advertises, when it advertises one.
-            ie = soap_ie_from_frame(frame)
-            if ie is not None:
+            if t.soap_ie is not None:
                 try:
-                    signer = negotiation.resolve_signer(ie)
+                    signer = negotiation.resolve_signer(t.soap_ie)
                 except ValueError:
                     return False
                 if not self._signed_by(signer, t):
@@ -489,7 +499,7 @@ class Station:
             return self._on_eapol_key(tick, frame)
         if not self._mgmt_signature_ok(tick, t):
             return []
-        return self._on_mgmt(tick, frame)
+        return self._on_mgmt(tick, frame, t.soap_ie)
 
     # -- summaries ---------------------------------------------------------
 
@@ -564,7 +574,9 @@ class ClientStation(Station):
 
     # -- received frames ---------------------------------------------------
 
-    def _on_mgmt(self, tick: int, frame: ManagementFrame) -> list[Transmission]:
+    def _on_mgmt(
+        self, tick: int, frame: ManagementFrame, ie: SoapIe | None
+    ) -> list[Transmission]:
         if frame.subtype is FrameSubtype.DISASSOC:
             if self.ap_mac == frame.src_mac and self.state in ("fourway", "established"):
                 self.session = None
@@ -577,8 +589,7 @@ class ClientStation(Station):
             or not self._ssid_matches(frame)
         ):
             return []
-        ie = soap_ie_from_frame(frame) if self.cfg.soap_aware else None
-        if ie is not None and not self.cfg.force_legacy:
+        if self.cfg.soap_aware and ie is not None and not self.cfg.force_legacy:
             return self._latch_soap(tick, frame, ie)
         return self._latch_legacy(tick, frame)
 
@@ -826,7 +837,9 @@ class ApStation(Station):
 
     # -- received frames ---------------------------------------------------
 
-    def _on_mgmt(self, tick: int, frame: ManagementFrame) -> list[Transmission]:
+    def _on_mgmt(
+        self, tick: int, frame: ManagementFrame, ie: SoapIe | None
+    ) -> list[Transmission]:
         mac = frame.src_mac
         if frame.subtype is FrameSubtype.DISASSOC:
             if self.peers.pop(mac, None) is not None:
@@ -843,8 +856,7 @@ class ApStation(Station):
                 src=format_mac(mac),
             )
             return []
-        ie = soap_ie_from_frame(frame) if self.cfg.soap_aware else None
-        if ie is not None:
+        if self.cfg.soap_aware and ie is not None:
             return self._start_soap(tick, mac, ie)
         if self.cfg.legacy_psk is None:
             self._note(tick, "note", detail="no legacy psk configured")
@@ -994,10 +1006,13 @@ class Adversary:
         self.replayed = False
         self.disassoc_sent = False
         self.flow_groups: dict[bytes, int] = {}
+        # The curve of the key each AP advertises in its beacons: the key a
+        # client latches, and so the curve a substitute must be signed on.
+        self.signer_groups: dict[bytes, EcGroup] = {}
         self._substitutions = 0
-        # Without a rogue AP the substitution signer is made on first use, on
-        # the group of the first flow substituted.
-        self._signer = None
+        # The substitution signers by curve; but for the rogue AP's, each is
+        # made on first use.
+        self._signers: dict[EcGroup, KeyPair] = {}
         self.rogue: ApStation | None = None
         if self.caps & ROGUE_CAPABILITIES:
             rogue_cfg = StationConfig(
@@ -1014,7 +1029,7 @@ class Adversary:
                 transcript,
                 strict_frames,
             )
-            self._signer = identity.ecdsa
+            self._signers[identity.ecdsa.group] = identity.ecdsa
 
     def intercept(self, tick: int, t: Transmission) -> list[Transmission]:
         """What reaches the stations of `t`, a frame in flight: `t` itself, a
@@ -1045,16 +1060,18 @@ class Adversary:
         if self.caps & {"eavesdrop", "replay"}:
             if self.cfg.replay_at is None or tick < self.cfg.replay_at:
                 self.captured.append(t.wire)
-        if "mitm-substitute" in self.caps and t.kind == "assoc-request":
-            frame = t.frame
-            if isinstance(frame, MalformedFrameError):
-                return
-            try:
-                ie = soap_ie_from_frame(frame)
-            except MalformedFrameError:
-                return
-            if ie is not None:
-                self.flow_groups[frame.src_mac] = ie.group_ids[0]
+        if (
+            "mitm-substitute" in self.caps
+            and t.kind in ("assoc-request", "beacon")
+            and not isinstance(t.frame, MalformedFrameError)
+            and t.soap_ie is not None
+        ):
+            if t.kind == "beacon":
+                signer_group = group_for_key_size(t.soap_ie.key_size_octets)
+                if signer_group is not None:
+                    self.signer_groups[t.src_mac] = signer_group
+            else:
+                self.flow_groups[t.src_mac] = t.soap_ie.group_ids[0]
 
     def _substitute_message1(self, t: Transmission) -> Transmission | None:
         if isinstance(t.frame, MalformedFrameError):
@@ -1065,8 +1082,12 @@ class Adversary:
             return None
         group_id = self.flow_groups.get(t.dst_mac, DEFAULT_GROUP_ID)
         group = registry_lookup(group_id)
-        if self._signer is None:
-            self._signer = ecdsa_generate(group, self.rng.child("mitm-signer"))
+        signer_group = self.signer_groups.get(t.src_mac, group)
+        signer = self._signers.get(signer_group)
+        if signer is None:
+            signer = self._signers[signer_group] = ecdsa_generate(
+                signer_group, self.rng.child("mitm-signer")
+            )
         self._substitutions += 1
         ephemeral = ecdh_generate(group, self.rng.child(f"mitm{self._substitutions}"))
         fake_public = point_to_octets(group, ephemeral.public_point)
@@ -1074,7 +1095,7 @@ class Adversary:
         payload = signed_payload(
             TAG_MESSAGE1, t.src_mac, t.dst_mac, group_id, nonce, fake_public
         )
-        fake = SoapMessage(fake_public, ecdsa_sign(self._signer, payload), nonce)
+        fake = SoapMessage(fake_public, ecdsa_sign(signer, payload), nonce)
         wire = encode_data_frame(
             DataFrame(t.src_mac, t.dst_mac, encode_soap_message(fake), from_ds=True)
         )

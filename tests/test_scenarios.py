@@ -1,11 +1,20 @@
 """Scenario schema, expectation checks, builtins, and the attack suite."""
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool, _RemoteTraceback
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from soapsim import scenarios
 from soapsim.crypto import REGISTRY
 from soapsim.scenarios import (
     ADVERSARY_FIELD_READERS,
@@ -1277,3 +1286,86 @@ class TestSuiteRun:
         assert "FAIL" in text
         assert "failed: station-state client1 (state=ready)" in text
         assert "overall: FAIL" in text
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def python(code, **popen):
+    """A fresh interpreter that runs `code` with this checkout's soapsim."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-W", "error", "-c", code],
+        env={**os.environ, "PYTHONPATH": path}, text=True, **popen,
+    )
+
+
+def running(pid):
+    """Whether `pid` is a live process: not gone, and not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestSuitePool:
+    """The suite's rows run on a pool of worker processes that lasts as long
+    as the process that made it, and no longer.
+
+    No test may call `run_attack_suite` while it has soapsim monkeypatched:
+    the workers are forked once, by the first suite, and keep what they
+    inherited. Patching what only the caller reads, such as SUITE_PLAN, is
+    safe once the pool exists."""
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        assert run_attack_suite(1).passed  # the pool exists before the patch
+        monkeypatch.setattr(
+            scenarios, "SUITE_PLAN", (("bogus", (("only", "no-such-builtin", "secure"),)),)
+        )
+        with pytest.raises(ScenarioError, match="unknown builtin scenario") as raised:
+            run_attack_suite(1)
+        assert isinstance(raised.value.__cause__, _RemoteTraceback)
+        monkeypatch.undo()
+        assert run_attack_suite(1).passed
+
+    def test_a_broken_pool_is_never_reused(self):
+        assert run_attack_suite(2).passed
+        pool = scenarios._pool
+        os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            run_attack_suite(2)
+        assert scenarios._pool is None
+        assert run_attack_suite(2).passed
+        assert scenarios._pool is not pool
+
+    def test_a_fresh_interpreter_exits_clean(self):
+        code = (
+            "import multiprocessing\n"
+            "from soapsim.scenarios import run_attack_suite\n"
+            "assert run_attack_suite(1).passed\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n"
+        )
+        done = python(code, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = done.communicate(timeout=60)
+        assert (done.returncode, err) == (0, "")
+        workers = [int(pid) for pid in out.split()]
+        assert workers and not any(running(pid) for pid in workers)
+
+    def test_workers_die_with_a_killed_caller(self):
+        code = (
+            "import multiprocessing, time\n"
+            "from soapsim.scenarios import run_attack_suite\n"
+            "assert run_attack_suite(1).passed\n"
+            "print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        caller = python(code, stdout=subprocess.PIPE)
+        workers = [int(pid) for pid in caller.stdout.readline().split()]
+        assert workers and all(running(pid) for pid in workers)
+        caller.kill()
+        caller.communicate(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(running(pid) for pid in workers)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soapsim import crypto, handshake, simnet
+from soapsim import crypto, handshake, scenarios, simnet
 from soapsim.frames import (
     BROADCAST_MAC,
     FrameSubtype,
@@ -30,10 +30,10 @@ from soapsim.frames import (
 )
 from soapsim.scenarios import (
     BUILTIN_NAMES,
+    SUITE_PLAN,
     builtin,
     evaluate_expectations,
     load_script,
-    run_attack_suite,
     script_to_dict,
 )
 from soapsim.simnet import (
@@ -573,17 +573,20 @@ class TestHijack:
 
     def test_mitm_against_an_ap_on_a_wider_curve(self):
         # ap1 signs on P-256 and the flow runs on P-224; the adversary signs
-        # its substitute on the flow's curve, so the substitute's signature is
-        # too short for ap1's key and client1's parse refuses it
+        # its substitute on the curve of the key client1 latched from ap1's
+        # beacon, so the substitute parses and fails its signature check
         mitm = builtin("hijack-mitm")
         mitm = replace(mitm, stations=[
             replace(cfg, groups=(26, 19)) if cfg.station_id == "ap1" else cfg
             for cfg in mitm.stations
         ])
         t = run_checked(mitm, 1)
+        substitutes = [r for r in tx_frames(t, "agreement") if r["origin"] == "adversary"]
+        # a P-224 ephemeral key and a P-256 signature: 16 octets over hijack-mitm's
+        assert substitutes and {r["size"] for r in substitutes} == {164}
         discards = events(t, "discard", "client1")
-        assert {(r["reason"], r["detail"]) for r in discards} == {
-            ("malformed", "body of 112 octets does not fit the negotiated widths")
+        assert {(r["reason"], r["context"], r["src"]) for r in discards} == {
+            ("signature", "agreement-msg1", "02:00:00:00:00:01")
         }
         assert [r["tick"] for r in discards] == ticks_of(t, "mitm-substituted")
         assert [r["tick"] for r in discards][:4] == [3, 103, 203, 303]
@@ -625,6 +628,41 @@ class DroppingSimulation(Simulation):
             if self.sent - 1 in self.drops:
                 return
         super()._deliver(tick, t, in_flight)
+
+
+class ManglingSimulation(Simulation):
+    """Overwrites one octet of the first transmission of `kind` from `origin`
+    that it hands out, as a corrupting link would; the rest go out intact."""
+
+    def __init__(self, script, seed, kind, origin, offset, value):
+        super().__init__(script, seed)
+        self.target = (kind, origin)
+        self.offset, self.value = offset, value
+        self.mangled = False
+
+    def _deliver(self, tick, t, in_flight):
+        if not self.mangled and (t.kind, t.origin) == self.target:
+            self.mangled = True
+            wire = bytearray(t.wire)
+            wire[self.offset] = self.value
+            t = Transmission(t.origin, bytes(wire))
+        super()._deliver(tick, t, in_flight)
+
+
+class TestMalformedElement:
+    """A SOAP element that does not parse makes its whole frame malformed:
+    each receiver discards it, and the run goes on."""
+
+    def test_bad_group_count_in_a_beacon_is_a_malformed_discard(self):
+        # octet 49 is the element's group count: 240 groups run past it
+        t = ManglingSimulation(builtin("benign"), 1, "beacon", "ap1", 49, 240).run()
+        assert [(r["tick"], r["reason"], r["detail"]) for r in events(t, "discard")] == [
+            (1, "malformed", "group list runs past the element")
+        ]
+        # the next beacon is intact, and the pair keys from it
+        assert ticks_of(t, "negotiation", station="client1") == [101]
+        assert ticks_of(t, "transition", station="client1", to="established") == [107]
+        assert ticks_of(t, "transition", station="ap1", to="established") == [108]
 
 
 class TestLostFrames:
@@ -1255,7 +1293,11 @@ def memo_leaves(value):
 
 class TestProcessMemos:
     """Verdicts, signatures and scripted identities are remembered once per
-    process; what a run writes does not depend on what they hold."""
+    process; what a run writes does not depend on what they hold.
+
+    No test may call `run_attack_suite` while it has soapsim monkeypatched:
+    the suite's workers are forked once and keep what they inherited, so they
+    would not see the patch, or would keep it for the rest of the session."""
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_transcripts_same_with_memos_cold_and_warm(self, name, fresh_memos):
@@ -1268,6 +1310,7 @@ class TestProcessMemos:
             assert run_scenario(builtin(name), seed).to_json() == cold[seed]
 
     def test_no_ephemeral_secret_in_any_memo(self, monkeypatch, fresh_memos):
+        # the suite's rows at seed 1, run here, where the patches below see them
         scalars, psks = set(), set()
         generate, agree = crypto.ecdh_generate, crypto.ecdh_agree
 
@@ -1285,7 +1328,12 @@ class TestProcessMemos:
             for name, fn in (("ecdh_generate", generating), ("ecdh_agree", agreeing)):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, fn)
-        assert run_attack_suite(1).passed
+        assert all(
+            check.ok
+            for _, variants in SUITE_PLAN
+            for _, name, _ in variants
+            for check in scenarios._suite_row_checks(name, 1)
+        )
         memos = [crypto._key_memo, crypto._decode_memo, crypto._verdict_memo,
                  crypto._signature_memo, simnet._identities]
         assert all(memos)
