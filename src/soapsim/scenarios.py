@@ -4,8 +4,9 @@ attack suite that walks the whole threat table.
 
 The suite's rows are independent runs, so they run on a pool of worker
 processes, one per CPU the process may run on, forked on the first suite
-and kept for the life of the process. Rows are assembled in plan order, so
-the report is identical to a serial run's. The pool pays for itself in a
+and kept for the life of the process. Rows are handed out longest first, by
+the time each took in the last suite, and assembled in plan order, so the
+report is identical to a serial run's. The pool pays for itself in a
 process that runs the suite more than once, where its workers' keys, comb
 tables and memos are already warm; a single run costs about what a serial
 one did."""
@@ -14,8 +15,9 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from itertools import repeat
+from math import inf
 from typing import Callable, NamedTuple
 
 from .crypto import REGISTRY
@@ -1013,6 +1015,13 @@ def _suite_row_checks(scenario_name: str | None, seed: int) -> list[CheckResult]
     return evaluate_expectations(script, run_scenario(script, seed))
 
 
+def _timed_row_checks(scenario_name: str | None, seed: int):
+    """A row's checks and the seconds the worker took to make them."""
+    start = time.perf_counter()
+    checks = _suite_row_checks(scenario_name, seed)
+    return checks, time.perf_counter() - start
+
+
 def _exit_with_caller() -> None:
     """Pool initializer: end the worker once the process that forked it is
     gone, even one that was killed and never shut the pool down."""
@@ -1035,6 +1044,12 @@ def _exit_with_caller() -> None:
 # patch outlives it in the workers. Forking is safe only while the caller
 # runs no threads of its own, which Python 3.12 checks and warns of.
 _pool = None
+
+# The seconds each row took in the last suite that finished, by scenario
+# name. The next suite hands its rows out longest first (Graham's LPT rule),
+# so that no worker is left running a long row while the others idle; a row
+# with no record counts as longest. It outlives the pool.
+_row_seconds: dict[str | None, float] = {}
 
 
 def _suite_pool():
@@ -1069,6 +1084,7 @@ def _close_pool() -> None:
 
 
 def run_attack_suite(seed: int) -> SuiteReport:
+    from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
     plan = [
@@ -1076,14 +1092,25 @@ def run_attack_suite(seed: int) -> SuiteReport:
         for row_name, variants in SUITE_PLAN
         for label, scenario_name, verdict in variants
     ]
+    names = [scenario_name for _, _, scenario_name, _ in plan]
+    pool = _suite_pool()
+    futures = {}
     try:
-        checks = list(
-            _suite_pool().map(_suite_row_checks, [p[2] for p in plan], repeat(seed))
-        )
-    except BrokenProcessPool:
-        _close_pool()
+        for name in sorted(names, key=lambda n: _row_seconds.get(n, inf), reverse=True):
+            futures[name] = pool.submit(_timed_row_checks, name, seed)
+        timed = [futures[name].result() for name in names]
+    except BaseException as error:
+        # cancel the rows no worker has started and let the started ones
+        # finish, so that no row of this suite runs after it has failed
+        for future in futures.values():
+            future.cancel()
+        wait(futures.values())
+        if isinstance(error, BrokenProcessPool):
+            _close_pool()
         raise
+    for name, (_, seconds) in zip(names, timed):
+        _row_seconds[name] = seconds
     return SuiteReport(seed, [
         SuiteRowResult(row, label, name, verdict, all(c.ok for c in row_checks), row_checks)
-        for (row, label, name, verdict), row_checks in zip(plan, checks)
+        for (row, label, name, verdict), (row_checks, _) in zip(plan, timed)
     ])

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -584,6 +585,88 @@ class TestEcdsa:
         sig = scalar_to_octets(group, r) + scalar_to_octets(group, s)
         numbers = key.public_key().public_numbers()
         assert ecdsa_verify(group, (numbers.x, numbers.y), b"cross check", sig)
+
+
+class TestRfc6979Retries:
+    """The retries that RFC 6979 and ECDSA require but that no real input
+    reaches, each forced through a patched HMAC output, point or nonce. The
+    signature made after the retry verifies."""
+
+    MESSAGE = b"retry"
+
+    def verifies(self, key, signature):
+        group, width = key.group, key.group.key_size_octets
+        r = int.from_bytes(signature[:width], "big")
+        s = int.from_bytes(signature[width:], "big")
+        e = message_scalar(group, self.MESSAGE)
+        return crypto._verify(
+            group, key.public_point, self.MESSAGE, signature
+        ) and oracle_verify(group, key.public_point, e, r, s)
+
+    @pytest.mark.parametrize("octet", [b"\x00", b"\xff"])
+    def test_an_out_of_range_candidate_is_drawn_again(self, monkeypatch, octet):
+        key = ecdsa_generate(registry_lookup(26), SeededRng(b"rfc6979 retries"))
+        new, macs = crypto.hmac.new, []
+
+        def forced(k, msg, digestmod):
+            macs.append(new(k, msg, digestmod))
+            # the fifth HMAC is V for the first P-224 candidate: 0, or all
+            # ones, which is at least n
+            if len(macs) == 5:
+                return SimpleNamespace(digest=lambda: octet * 32)
+            return macs[-1]
+
+        monkeypatch.setattr(crypto, "hmac", SimpleNamespace(new=forced))
+        signature = crypto._sign(key, self.MESSAGE)
+        monkeypatch.undo()
+        assert len(macs) == 8  # K and V stepped once more, then one more block
+        assert signature != crypto._sign(key, self.MESSAGE)
+        assert self.verifies(key, signature)
+
+    def test_r_zero_takes_the_nonce_of_the_rehashed_digest(self, monkeypatch):
+        group = registry_lookup(26)
+        key = ecdsa_generate(group, SeededRng(b"rfc6979 retries"))
+        mul, nonces = crypto.point_mul, []
+
+        def forced(g, k, point=None):
+            nonces.append(k)
+            # the first nonce's point gets x = n, so that r = x mod n = 0
+            return (group.order_n, 0) if len(nonces) == 1 else mul(g, k, point)
+
+        monkeypatch.setattr(crypto, "point_mul", forced)
+        signature = crypto._sign(key, self.MESSAGE)
+        monkeypatch.undo()
+        digest = hashlib.sha256(self.MESSAGE).digest()
+        assert nonces == [
+            crypto._deterministic_nonce(group, key.private_scalar, digest),
+            crypto._deterministic_nonce(
+                group, key.private_scalar, hashlib.sha256(digest).digest()
+            ),
+        ]
+        assert self.verifies(key, signature)
+
+    def test_s_zero_takes_the_nonce_of_the_rehashed_digest(self, monkeypatch):
+        group = registry_lookup(26)
+        n = group.order_n
+        k = 0x5EED
+        r = point_mul(group, k)[0] % n
+        # the key for which nonce k makes s = (e + r * d) / k zero
+        e = message_scalar(group, self.MESSAGE)
+        d = -e * pow(r, -1, n) % n
+        key = KeyPair(group, d, point_mul(group, d))
+        assert (e + r * d) % n == 0
+        nonce, digests = crypto._deterministic_nonce, []
+
+        def forced(g, scalar, digest):
+            digests.append(digest)
+            return k if len(digests) == 1 else nonce(g, scalar, digest)
+
+        monkeypatch.setattr(crypto, "_deterministic_nonce", forced)
+        signature = crypto._sign(key, self.MESSAGE)
+        monkeypatch.undo()
+        digest = hashlib.sha256(self.MESSAGE).digest()
+        assert digests == [digest, hashlib.sha256(digest).digest()]
+        assert self.verifies(key, signature)
 
 
 def comb(group, base, k):

@@ -1,12 +1,16 @@
 """Wire codecs: elements, agreement messages, EAPOL-Key, management frames."""
 
+from functools import partial
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soapsim.crypto import known_group_ids, registry_lookup
 from soapsim.frames import (
     BROADCAST_MAC,
+    EAPOL_KEY_BODY_OCTETS,
+    EAPOL_KINDS,
     ELEMENT_ID_MGMT_SIGNATURE,
     ELEMENT_ID_SOAP,
     ELEMENT_ID_SSID,
@@ -41,6 +45,8 @@ from soapsim.frames import (
     soap_ie_from_frame,
 )
 from soapsim.fourway import KEY_DATA_M3, KEY_INFO_M1, KEY_INFO_M3
+from soapsim.scenarios import builtin
+from soapsim.simnet import Transmission, run_scenario
 
 MAC_A = bytes.fromhex("020000000001")
 MAC_B = bytes.fromhex("020000000002")
@@ -515,3 +521,111 @@ class TestHexdump:
 
     def test_empty(self):
         assert hexdump(b"") == ""
+
+
+def _builtin_sources():
+    """The distinct frames that a few builtins put on the air at seed 1, and
+    the EAPOL packet or SOAP element each carries, by what they are."""
+    wires = set()
+    for name in ("benign", "benign-strict", "legacy-client", "hijack-mitm",
+                 "hijack-disassoc-mitigated", "inject-unmitigated"):
+        records = run_scenario(builtin(name), 1).records
+        wires |= {bytes.fromhex(r["hex"]) for r in records if r["event"] == "tx"}
+    sources = {}
+    for wire in sorted(wires):
+        kind = frame_kind(wire)
+        sources.setdefault(kind, []).append(wire)
+        if kind in EAPOL_KINDS:
+            sources.setdefault(f"{kind} packet", []).append(parse_data_frame(wire).payload)
+        else:
+            payload = find_element(parse_management_frame(wire), ELEMENT_ID_SOAP)
+            if payload is not None:
+                element = bytes([ELEMENT_ID_SOAP, len(payload)]) + payload
+                sources.setdefault("soap element", []).append(element)
+    return sources
+
+
+SOURCES = _builtin_sources()
+_GROUP_WIDTHS = sorted({registry_lookup(g).key_size_octets for g in known_group_ids()})
+# Every parser a receiver may hand octets to, with each width hint it may pass.
+PARSERS = (
+    lambda data: soap_ie_from_frame(parse_management_frame(data)),
+    parse_data_frame,
+    parse_soap_ie,
+    parse_soap_message,
+    *(partial(parse_soap_message, key_octets=key, signature_octets=signature)
+      for key in _GROUP_WIDTHS for signature in _GROUP_WIDTHS),
+    parse_eapol_key_frame,
+)
+
+# For each malformed branch that no well-formed run reaches, a mutation of a
+# builtin source that reaches it: (source, truncated length, overwrites).
+REACHING = {
+    "element payload too short for any group list": ("soap element", 2, [(1, 0)]),
+    "body cannot split into key and signature": ("agreement packet", 4, [(2, 0), (3, 0)]),
+    "not an EAPOL-Key packet": ("agreement packet", None, []),
+    "key data length field disagrees with data": (
+        "eapol-key packet", None, [(4 + EAPOL_KEY_BODY_OCTETS - 2, 0xFF)],
+    ),
+    # one octet past the beacon's 12-octet fixed body
+    "truncated element header": ("beacon", MAC_HEADER_OCTETS + 13, []),
+    "frame shorter than its fixed body": ("beacon", MAC_HEADER_OCTETS + 1, []),
+    "frame shorter than its headers": ("agreement", MAC_HEADER_OCTETS, []),
+    "not a data frame": ("beacon", None, []),
+}
+
+
+def mutate(source: bytes, cut, overwrites) -> bytes:
+    """`source` cut to `cut` octets, then each (offset, value) written at
+    offset modulo the length."""
+    data = bytearray(source[:cut])
+    for offset, value in overwrites:
+        if data:
+            data[offset % len(data)] = value
+    return bytes(data)
+
+
+def parse_everywhere(data: bytes) -> set:
+    """Hand `data` to every parser; the reasons of the MalformedFrameErrors
+    raised. Any other exception propagates."""
+    reasons = set()
+    for parse in PARSERS:
+        try:
+            parse(data)
+        except MalformedFrameError as exc:
+            reasons.add(str(exc))
+    return reasons
+
+
+def reaching_examples(test):
+    for label, cut, overwrites in REACHING.values():
+        test = example(source=SOURCES[label][0], cut=cut, overwrites=overwrites)(test)
+    return test
+
+
+class TestMutatedFrames:
+    """Truncated and overwritten builtin frames either parse or raise
+    MalformedFrameError, in every parser and in the receivers' one parse."""
+
+    def test_the_sources_cover_every_kind(self):
+        assert set(SOURCES) >= FRAME_KINDS | {
+            "agreement packet", "eapol-key packet", "soap element"
+        }
+
+    @pytest.mark.parametrize("reason", sorted(REACHING))
+    def test_a_pinned_mutation_reaches_the_branch(self, reason):
+        label, cut, overwrites = REACHING[reason]
+        assert reason in parse_everywhere(mutate(SOURCES[label][0], cut, overwrites))
+
+    @settings(max_examples=1000)
+    @reaching_examples
+    @given(
+        source=st.sampled_from([data for group in SOURCES.values() for data in group]),
+        cut=st.none() | st.integers(0, 300),
+        overwrites=st.lists(st.tuples(st.integers(0, 299), st.integers(0, 255)), max_size=4),
+    )
+    def test_a_mutated_frame_parses_or_is_malformed(self, source, cut, overwrites):
+        data = mutate(source, cut, overwrites)
+        parse_everywhere(data)
+        frame = Transmission("ap1", data).frame
+        assert isinstance(frame, (ManagementFrame, DataFrame, MalformedFrameError))

@@ -51,6 +51,7 @@ from soapsim.simnet import (
     parse_mac,
     run_scenario,
 )
+from test_golden import SUITE_SHA256, sha256
 
 AP = {"station_id": "ap1", "role": "ap", "mac": "02:00:00:00:00:01"}
 CLIENT = {"station_id": "client1", "role": "client", "mac": "02:00:00:00:00:02"}
@@ -1309,23 +1310,53 @@ def running(pid):
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
+PLAN_NAMES = [name for _, variants in SUITE_PLAN for _, name, _ in variants]
+
+
+@pytest.fixture
+def handed_out(monkeypatch):
+    """The (scenario name, future) of each row the next suites hand to the
+    pool, in the order they are handed out. The pool exists before its
+    `submit` is wrapped, and the wrapper lives only in the caller."""
+    assert run_attack_suite(1).passed
+    pool = scenarios._pool
+    submit = pool.submit
+    rows = []
+
+    def recorded(fn, name, seed):
+        future = submit(fn, name, seed)
+        rows.append((name, future))
+        return future
+
+    monkeypatch.setattr(pool, "submit", recorded)
+    return rows
+
+
 class TestSuitePool:
     """The suite's rows run on a pool of worker processes that lasts as long
     as the process that made it, and no longer.
 
     No test may call `run_attack_suite` while it has soapsim monkeypatched:
     the workers are forked once, by the first suite, and keep what they
-    inherited. Patching what only the caller reads, such as SUITE_PLAN, is
-    safe once the pool exists."""
+    inherited. Patching what only the caller reads, such as SUITE_PLAN, the
+    row costs or the pool object, is safe once the pool exists."""
 
-    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
-        assert run_attack_suite(1).passed  # the pool exists before the patch
-        monkeypatch.setattr(
-            scenarios, "SUITE_PLAN", (("bogus", (("only", "no-such-builtin", "secure"),)),)
-        )
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch, handed_out):
+        bogus = ("bogus", (("only", "no-such-builtin", "secure"),))
+        monkeypatch.setattr(scenarios, "SUITE_PLAN", (bogus, *SUITE_PLAN))
         with pytest.raises(ScenarioError, match="unknown builtin scenario") as raised:
             run_attack_suite(1)
         assert isinstance(raised.value.__cause__, _RemoteTraceback)
+        # the bogus row has no recorded cost, so it went out first. When its
+        # error reached the caller, the rows no worker had started were
+        # cancelled and the started ones had finished: no row of the plan
+        # runs after it
+        names = [name for name, _ in handed_out]
+        assert names[0] == "no-such-builtin"
+        assert sorted(names[1:], key=str) == sorted(PLAN_NAMES, key=str)
+        assert all(future.done() for _, future in handed_out)
+        assert any(future.cancelled() for _, future in handed_out)
+        assert "no-such-builtin" not in scenarios._row_seconds
         monkeypatch.undo()
         assert run_attack_suite(1).passed
 
@@ -1369,3 +1400,52 @@ class TestSuitePool:
         while any(running(pid) for pid in workers) and time.monotonic() < deadline:
             time.sleep(0.02)
         assert not any(running(pid) for pid in workers)
+
+
+class TestSuiteDispatch:
+    """The suite hands its rows to the pool longest first, by the seconds each
+    took in the last suite, and still reports them in plan order. These tests
+    change only the caller's record of row costs and wrap only the caller's
+    pool object (see TestSuitePool)."""
+
+    @pytest.mark.parametrize("order", ["plan", "reversed"])
+    @pytest.mark.parametrize("seed", sorted(SUITE_SHA256))
+    def test_any_dispatch_order_gives_the_golden_report(
+        self, monkeypatch, handed_out, order, seed
+    ):
+        costs = range(len(PLAN_NAMES), 0, -1)
+        if order == "reversed":
+            costs = reversed(costs)
+        monkeypatch.setattr(scenarios, "_row_seconds", dict(zip(PLAN_NAMES, costs)))
+        report = run_attack_suite(seed)
+        dispatched = [name for name, _ in handed_out]
+        assert dispatched == (PLAN_NAMES if order == "plan" else PLAN_NAMES[::-1])
+        assert sha256(report.to_json()) == SUITE_SHA256[seed]
+
+    def test_every_row_has_a_cost_after_a_suite(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "_row_seconds", {})
+        assert run_attack_suite(3).passed
+        assert sorted(scenarios._row_seconds, key=str) == sorted(PLAN_NAMES, key=str)
+        assert all(seconds > 0 for seconds in scenarios._row_seconds.values())
+
+    def test_with_no_record_rows_go_out_in_plan_order(self, monkeypatch, handed_out):
+        monkeypatch.setattr(scenarios, "_row_seconds", {})
+        assert run_attack_suite(4).passed
+        assert [name for name, _ in handed_out] == PLAN_NAMES
+
+    def test_the_next_suite_goes_out_longest_first(self, monkeypatch, handed_out):
+        # two rows have no record: they count as longest and keep plan order
+        unrecorded = [PLAN_NAMES[1], PLAN_NAMES[9]]
+        recorded = [name for name in PLAN_NAMES if name not in unrecorded]
+        costs = {name: (7 * i % 11 + 1) / 1000 for i, name in enumerate(recorded)}
+        monkeypatch.setattr(scenarios, "_row_seconds", dict(costs))
+        assert run_attack_suite(5).passed
+        longest_first = sorted(recorded, key=costs.get, reverse=True)
+        assert [name for name, _ in handed_out] == unrecorded + longest_first
+        # the next suite goes by the seconds the rows just took
+        costs = dict(scenarios._row_seconds)
+        del handed_out[:]
+        assert run_attack_suite(6).passed
+        assert [name for name, _ in handed_out] == sorted(
+            PLAN_NAMES, key=costs.get, reverse=True
+        )

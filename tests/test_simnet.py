@@ -27,6 +27,7 @@ from soapsim.frames import (
     parse_data_frame,
     parse_management_frame,
     parse_soap_message,
+    wire_dst_mac,
 )
 from soapsim.scenarios import (
     BUILTIN_NAMES,
@@ -630,6 +631,15 @@ class DroppingSimulation(Simulation):
         super()._deliver(tick, t, in_flight)
 
 
+class DeafClientSimulation(Simulation):
+    """Loses every frame addressed to client1; broadcast beacons still reach
+    it."""
+
+    def _deliver(self, tick, t, in_flight):
+        if wire_dst_mac(t.wire) != parse_mac(CLIENT_MAC):
+            super()._deliver(tick, t, in_flight)
+
+
 class ManglingSimulation(Simulation):
     """Overwrites one octet of the first transmission of `kind` from `origin`
     that it hands out, as a corrupting link would; the rest go out intact."""
@@ -721,6 +731,22 @@ class TestLostFrames:
         assert events(t, "discard") == []
         assert len(t.secrets["client1"]["psks"]) == len(t.secrets["ap1"]["psks"]) == 1
         assert t.secrets["client1"]["kcks"] == t.secrets["ap1"]["kcks"]
+
+    def test_the_ap_gives_up_before_the_client(self):
+        # a rule that keeps an AP from restarting a live session for a
+        # repeated association request relies on this order: the AP drops a
+        # peer that never answers before that client stops waiting for it
+        gives_up_after = simnet.RETRY_TIMEOUT_TICKS * (simnet.MAX_RETRANSMISSIONS + 1)
+        assert gives_up_after < simnet.CLIENT_AWAIT_TIMEOUT_TICKS
+        t = DeafClientSimulation(replace(builtin("benign"), max_ticks=500), 1).run()
+        [request] = [r["tick"] for r in tx_frames(t, "assoc-request")]
+        message1 = tx_frames(t, "agreement")
+        assert [r["origin"] for r in message1] == ["ap1"] * (simnet.MAX_RETRANSMISSIONS + 1)
+        [gave_up] = ticks_of(t, "transition", station="ap1", to="aborted", reason="timeout")
+        [timed_out] = ticks_of(t, "transition", station="client1", reason="timeout")
+        assert gave_up == message1[0]["tick"] + gives_up_after
+        assert timed_out == request + simnet.CLIENT_AWAIT_TIMEOUT_TICKS + 1
+        assert gave_up < timed_out
 
     @staticmethod
     def waiting_in_fourway():
