@@ -227,8 +227,7 @@ class ApSession(_SessionCore):
         self.claimed_group_id: int | None = None
 
     def on_response_element(self, ie: SoapIe) -> str:
-        if self.phase is not Phase.IDLE:
-            return "phase"
+        """Take the client's element, once, on a new session."""
         if ie.group_count != 1:
             return "malformed"
         try:
@@ -239,9 +238,8 @@ class ApSession(_SessionCore):
         return "ok"
 
     def build_message1(self) -> SoapMessage | None:
-        """Sign and emit the AP's ephemeral key; None when the session aborts."""
-        if self.phase is not Phase.IDLE or self.claimed_group_id is None:
-            return None
+        """Sign and emit the AP's ephemeral key, once, after an "ok" from
+        `on_response_element`; None when the session aborts."""
         if self.claimed_group_id not in self.identity.group_ids:
             self.abort("group-not-offered")
             return None

@@ -1007,18 +1007,15 @@ def _key_strength_checks() -> list[CheckResult]:
     ]
 
 
-def _suite_row_checks(scenario_name: str | None, seed: int) -> list[CheckResult]:
-    """The checks of one suite row: what a pool worker runs."""
-    if scenario_name is None:
-        return _key_strength_checks()
-    script = builtin(scenario_name)
-    return evaluate_expectations(script, run_scenario(script, seed))
-
-
-def _timed_row_checks(scenario_name: str | None, seed: int):
-    """A row's checks and the seconds the worker took to make them."""
+def _suite_row_checks(scenario_name: str | None, seed: int):
+    """What a pool worker runs: the checks of one suite row, and the seconds
+    it took to make them."""
     start = time.perf_counter()
-    checks = _suite_row_checks(scenario_name, seed)
+    if scenario_name is None:
+        checks = _key_strength_checks()
+    else:
+        script = builtin(scenario_name)
+        checks = evaluate_expectations(script, run_scenario(script, seed))
     return checks, time.perf_counter() - start
 
 
@@ -1097,7 +1094,7 @@ def run_attack_suite(seed: int) -> SuiteReport:
     futures = {}
     try:
         for name in sorted(names, key=lambda n: _row_seconds.get(n, inf), reverse=True):
-            futures[name] = pool.submit(_timed_row_checks, name, seed)
+            futures[name] = pool.submit(_suite_row_checks, name, seed)
         timed = [futures[name].result() for name in names]
     except BaseException as error:
         # cancel the rows no worker has started and let the started ones

@@ -29,23 +29,25 @@ Time advances by next-event jumps. While a frame in flight has an addressee,
 or there is an adversary to meet it, the clock steps one tick at a time;
 otherwise it jumps straight to the earliest tick at which something can act:
 a beacon, an AP retry deadline, a client await timeout, an adversary action,
-a scheduled action, or the end of the run. Each actor's ``_next_deadline``
-is the first tick at which its ``on_tick`` acts, built from the helpers
-``on_tick`` reads, so the two cannot disagree. The clock keeps it as the
-actor's due tick and recomputes it after the actor ticks, handles a frame or
-is reset, the only calls that move its deadlines. At a stepped tick only the
-actors whose due tick has come run ``on_tick``. Likewise a frame is handed
-only to the addressees that can act on it, and ``Simulation._addressees``
-alone chooses them, for delivery and for the clock: an unsigned, well-formed
-beacon goes only to the listeners, the scanning clients and the stations
-that block a sender (and note its beacons). The clock updates the listeners
-when a station acts, so such a beacon costs no scan of the stations. A
-skipped tick, or a skipped ``on_tick`` or ``on_frame`` call, is one that
-would have emitted nothing, recorded nothing, changed no state and drawn no
-randomness, so skipping it changes no output. An AP encodes (and, under the
-signing mitigation, signs) its beacon once and rebuilds it only when the
-content changes; RFC 6979 signatures are deterministic, so the octets are
-the same.
+a scheduled action, or the end of the run. Every timer is held as the tick at
+which it fires, or None when nothing is armed: a client's give-up tick, each
+AP peer's retry deadline, the adversary's burst and disassociation ticks, and
+the head of the tick-sorted schedule. Each actor's ``_next_deadline``, the
+first tick at which its ``on_tick`` acts, reads the fields ``on_tick`` reads,
+so the two cannot disagree. The clock keeps it as the actor's due tick and
+recomputes it after the actor ticks, handles a frame or is reset, the only
+calls that move its timers. At a stepped tick only the actors whose due tick
+has come run ``on_tick``. Likewise a frame is handed only to the addressees
+that can act on it, and ``Simulation._addressees`` alone chooses them, for
+delivery and for the clock: an unsigned, well-formed beacon goes only to the
+listeners, the scanning clients and the stations that block a sender (and
+note its beacons). The clock updates the listeners when a station acts, so
+such a beacon costs no scan of the stations. A skipped tick, or a skipped
+``on_tick`` or ``on_frame`` call, is one that would have emitted nothing,
+recorded nothing, changed no state and drawn no randomness, so skipping it
+changes no output. An AP encodes (and, under the signing mitigation, signs)
+its beacon once and rebuilds it only when the content changes; RFC 6979
+signatures are deterministic, so the octets are the same.
 
 Record keys are declared once, in `RECORD_KEYS` and `REASONS`, and enforced
 at write time: every record but a ``tx`` is written by `Transcript.note`,
@@ -64,8 +66,7 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -532,7 +533,9 @@ class ClientStation(Station):
         self.session: ClientSession | None = None
         self.supplicant: Supplicant | None = None
         self.ap_mac: bytes | None = None
-        self.await_since: int | None = None
+        # The tick the client gives up waiting at, while it waits in soap or
+        # fourway: set by `_enter`, as every state change goes through it.
+        self.give_up_at: int | None = None
         self.fallback_recorded = False
         self.mode: str | None = None  # "soap" | "legacy" once latched
         # The Message 2 sent, by the (source MAC, payload) of the Message 1 it
@@ -541,6 +544,8 @@ class ClientStation(Station):
 
     def _enter(self, tick: int, state: str, **detail) -> None:
         self.state = state
+        waiting = state in ("soap", "fourway")
+        self.give_up_at = tick + CLIENT_AWAIT_TIMEOUT_TICKS + 1 if waiting else None
         self._transition(tick, "station", state, **detail)
 
     def _restart(self, tick: int, reason: str) -> None:
@@ -549,7 +554,6 @@ class ClientStation(Station):
         self.session = None
         self.supplicant = None
         self.ap_mac = None
-        self.await_since = None
         self.mode = None
         self.answered.clear()
         self._enter(tick, "scanning", reason=reason)
@@ -562,13 +566,10 @@ class ClientStation(Station):
 
     def _next_deadline(self, tick: int) -> int | None:
         """The first tick at which on_tick acts: a waiting client gives up."""
-        if self.state in ("soap", "fourway") and self.await_since is not None:
-            return self.await_since + CLIENT_AWAIT_TIMEOUT_TICKS + 1
-        return None
+        return self.give_up_at
 
     def on_tick(self, tick: int) -> list[Transmission]:
-        deadline = self._next_deadline(tick)
-        if deadline is not None and tick >= deadline:
+        if self.give_up_at is not None and tick >= self.give_up_at:
             self._restart(tick, "timeout")
         return []
 
@@ -620,7 +621,6 @@ class ClientStation(Station):
         self.session = session
         self.ap_mac = frame.src_mac
         self.mode = "soap"
-        self.await_since = tick
         self._note(tick, "negotiation", outcome=f"group-{session.group.group_id}")
         self.known_keys[frame.src_mac] = session.peer_signer
         session.mark_associated()
@@ -635,7 +635,6 @@ class ClientStation(Station):
             self.fallback_recorded = True
         self.ap_mac = frame.src_mac
         self.mode = "legacy"
-        self.await_since = tick
         self._enter(tick, "fourway", mode="legacy")
         return [self._assoc_request(frame.src_mac)]
 
@@ -658,7 +657,6 @@ class ClientStation(Station):
         self.supplicant = Supplicant(
             psk, frame.src_mac, self.mac, self.rng.child(f"supp{self.session_counter}")
         )
-        self.await_since = tick
         self._enter(tick, "fourway")
         sent = self._out_eapol(frame.src_mac, encode_soap_message(reply))
         self.answered[frame.src_mac, frame.payload] = sent
@@ -688,7 +686,6 @@ class ClientStation(Station):
         out = [] if reply is None else [self._out_key(frame.src_mac, reply)]
         if event == "established":
             self.kck_history.append(self.supplicant.keys.kck)
-            self.await_since = None
             self._enter(tick, "established")
         elif event == "mic-mismatch":
             self._transition(tick, "fourway", "failed", reason="mic-mismatch")
@@ -728,17 +725,14 @@ class ApPeer:
     client) and the Message 1 it sent, then the 4-Way authenticator, and the
     retransmission timer of whichever of the two is running."""
 
-    last_tx: int
+    # The tick at which the AP retransmits to, or gives up on, the peer; None
+    # once the AP is done with it (Established, a MIC failure, or given up).
+    deadline: int | None = None
     soap: ApSession | None = None
     message1: Transmission | None = None
     auth: Authenticator | None = None
     attempts: int = 0
     established: bool = False
-    done: bool = False
-
-    def retry_deadline(self) -> int | None:
-        """The tick at which the AP retransmits to, or gives up on, the peer."""
-        return None if self.done else self.last_tx + RETRY_TIMEOUT_TICKS
 
     def summary(self) -> dict:
         return {
@@ -776,9 +770,8 @@ class ApStation(Station):
         or a peer's retry deadline, whichever comes first."""
         due = self._beacon_due(tick)
         for peer in self.peers.values():
-            deadline = peer.retry_deadline()
-            if deadline is not None and deadline < due:
-                due = deadline
+            if peer.deadline is not None and peer.deadline < due:
+                due = peer.deadline
         return due
 
     def _beacon_due(self, tick: int) -> int:
@@ -815,11 +808,10 @@ class ApStation(Station):
     def on_tick(self, tick: int) -> list[Transmission]:
         out = [self._beacon()] if self._beacon_due(tick) == tick else []
         for mac, peer in self.peers.items():
-            deadline = peer.retry_deadline()
-            if deadline is None or tick < deadline:
+            if peer.deadline is None or tick < peer.deadline:
                 continue
             if peer.attempts >= MAX_RETRANSMISSIONS:
-                peer.done = True
+                peer.deadline = None
                 if peer.soap is not None and peer.soap.phase is Phase.AWAIT_MSG2:
                     peer.soap.abort("timeout")
                 self._transition(
@@ -827,7 +819,7 @@ class ApStation(Station):
                 )
                 continue
             peer.attempts += 1
-            peer.last_tx = tick
+            peer.deadline = tick + RETRY_TIMEOUT_TICKS
             self._note(tick, "retransmit", peer=format_mac(mac))
             if peer.auth is None:  # Message 1, as the transmission first sent
                 out.append(peer.message1)
@@ -862,7 +854,7 @@ class ApStation(Station):
             self._note(tick, "note", detail="no legacy psk configured")
             return []
         self.session_counter += 1
-        self.peers[mac] = peer = ApPeer(last_tx=tick)
+        self.peers[mac] = peer = ApPeer()
         self._transition(tick, "session", "fourway", peer=format_mac(mac), mode="legacy")
         return [self._start_fourway(tick, mac, peer, bytes.fromhex(self.cfg.legacy_psk))]
 
@@ -886,7 +878,7 @@ class ApStation(Station):
             return []
         self.known_keys[mac] = session.peer_signer
         message1 = self._out_eapol(mac, encode_soap_message(msg))
-        self.peers[mac] = ApPeer(last_tx=tick, soap=session, message1=message1)
+        self.peers[mac] = ApPeer(tick + RETRY_TIMEOUT_TICKS, soap=session, message1=message1)
         self._transition(tick, "session", "await-msg2", peer=format_mac(mac))
         return [message1]
 
@@ -896,7 +888,7 @@ class ApStation(Station):
             psk, self.mac, mac, self.rng.child(f"auth{self.session_counter}")
         )
         peer.attempts = 0
-        peer.last_tx = tick
+        peer.deadline = tick + RETRY_TIMEOUT_TICKS
         return self._out_key(mac, peer.auth.start())
 
     def _on_agreement(self, tick, frame: DataFrame) -> list[Transmission]:
@@ -928,15 +920,17 @@ class ApStation(Station):
         reply, event = peer.auth.on_frame(key_frame)
         out = []
         if reply is not None:
-            peer.attempts = 0
-            peer.last_tx = tick
+            if peer.deadline is not None:  # a reply re-arms no finished peer
+                peer.attempts = 0
+                peer.deadline = tick + RETRY_TIMEOUT_TICKS
             out.append(self._out_key(mac, reply))
         if event == "established":
-            peer.established = peer.done = True
+            peer.established = True
+            peer.deadline = None
             self.kck_history.append(peer.auth.keys.kck)
             self._transition(tick, "session", "established", peer=format_mac(mac))
         elif event == "mic-mismatch":
-            peer.done = True
+            peer.deadline = None
             self._transition(
                 tick, "session", "failed", peer=format_mac(mac), reason="mic-mismatch"
             )
@@ -1003,8 +997,16 @@ class Adversary:
         self.target_ap_mac = target_ap_mac
         self.target_client_mac = target_client_mac
         self.captured: list[bytes] = []
-        self.replayed = False
-        self.disassoc_sent = False
+        # The ticks of the replay burst and the forged disassociation, each
+        # None once sent or when the adversary lacks what it needs.
+        self.replay_due = cfg.replay_at if "replay" in self.caps else None
+        self.disassoc_due = (
+            cfg.disassoc_at
+            if "disassoc-inject" in self.caps
+            and target_ap_mac is not None
+            and target_client_mac is not None
+            else None
+        )
         self.flow_groups: dict[bytes, int] = {}
         # The curve of the key each AP advertises in its beacons: the key a
         # client latches, and so the curve a substitute must be signed on.
@@ -1101,38 +1103,21 @@ class Adversary:
         )
         return Transmission(ADVERSARY_ID, wire)
 
-    def _replay_deadline(self) -> int | None:
-        if "replay" in self.caps and not self.replayed:
-            return self.cfg.replay_at
-        return None
-
-    def _disassoc_deadline(self) -> int | None:
-        if (
-            "disassoc-inject" in self.caps
-            and not self.disassoc_sent
-            and self.target_ap_mac is not None
-            and self.target_client_mac is not None
-        ):
-            return self.cfg.disassoc_at
-        return None
-
     def _next_deadline(self, tick: int) -> int | None:
         """The first tick at which on_tick acts, as for a station."""
-        deadlines = (self._replay_deadline(), self._disassoc_deadline())
+        deadlines = (self.replay_due, self.disassoc_due)
         return min((d for d in deadlines if d is not None), default=None)
 
     def on_tick(self, tick: int) -> list[Transmission]:
         out: list[Transmission] = []
-        replay_at = self._replay_deadline()
-        if replay_at is not None and tick >= replay_at:
-            self.replayed = True
+        if self.replay_due is not None and tick >= self.replay_due:
+            self.replay_due = None
             self.transcript.note(
                 tick, "replay-burst", ADVERSARY_ID, frames=len(self.captured)
             )
             out.extend(Transmission(ADVERSARY_ID, wire) for wire in self.captured)
-        disassoc_at = self._disassoc_deadline()
-        if disassoc_at is not None and tick >= disassoc_at:
-            self.disassoc_sent = True
+        if self.disassoc_due is not None and tick >= self.disassoc_due:
+            self.disassoc_due = None
             forged = ManagementFrame(
                 FrameSubtype.DISASSOC, self.target_ap_mac, self.target_client_mac
             )
@@ -1218,10 +1203,12 @@ class Simulation:
         for actor in self._due:
             self._refresh(actor, 0)
 
-        self._schedule: dict[int, list[ScheduleAction]] = {}
-        for action in script.schedule:
-            self._schedule.setdefault(action.tick, []).append(action)
-        self._schedule_ticks = sorted(self._schedule)
+        # The scheduled actions still to run, by tick and then in script order;
+        # the head is the next. Only the ticks of the run are ever stepped.
+        self._schedule = deque(sorted(
+            (a for a in script.schedule if 0 <= a.tick < script.max_ticks),
+            key=lambda a: a.tick,
+        ))
 
         self.mac_names = {s.mac: s.cfg.station_id for s in self.receivers}
 
@@ -1284,9 +1271,8 @@ class Simulation:
     def _next_due(self, tick: int) -> int:
         """The earliest tick >= `tick` at which anything acts, or max_ticks."""
         due = [self.script.max_ticks, *self._due.values()]
-        i = bisect_left(self._schedule_ticks, tick)
-        if i < len(self._schedule_ticks):
-            due.append(self._schedule_ticks[i])
+        if self._schedule:
+            due.append(self._schedule[0].tick)
         # a deadline already passed means on_tick acts at `tick` itself
         return max(tick, min(due))
 
@@ -1303,8 +1289,8 @@ class Simulation:
                 for t in actor.on_tick(tick):
                     self._transmit(tick, t, in_flight)
                 self._refresh(actor, tick + 1)
-            for action in self._schedule.get(tick, ()):
-                station = self.by_id[action.station]
+            while self._schedule and self._schedule[0].tick == tick:
+                station = self.by_id[self._schedule.popleft().station]
                 for t in station.reset(tick):
                     self._transmit(tick, t, in_flight)
                 self._refresh(station, tick + 1)

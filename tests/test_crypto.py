@@ -245,6 +245,12 @@ class TestPointArithmetic:
         group = registry_lookup(26)
         assert not is_on_curve(group, (group.gen_x, group.gen_y + 1))
 
+    def test_identity_on_curve_and_unreduced_coordinates_off_it(self):
+        group = registry_lookup(26)
+        assert is_on_curve(group, None)
+        # congruent to the generator, but no field element
+        assert not is_on_curve(group, (group.gen_x + group.field_p, group.gen_y))
+
 
 class TestEncodings:
     """Fixed-width scalar and point codecs."""
@@ -287,6 +293,15 @@ class TestEncodings:
         for k in range(1, 12):
             point = point_mul(group, k)
             assert point_from_x_octets(group, point_x_octets(group, point))[0] == point[0]
+
+    def test_wrong_width_and_out_of_range_x_rejected(self):
+        group = registry_lookup(26)
+        with pytest.raises(InvalidPointError, match="expected 56 octets, got 55"):
+            octets_to_point(group, bytes(55))
+        with pytest.raises(InvalidPointError, match="expected 28 octets, got 29"):
+            point_from_x_octets(group, bytes(29))
+        with pytest.raises(InvalidPointError, match="x coordinate out of field range"):
+            point_from_x_octets(group, b"\xff" * 28)
 
     def test_x_without_curve_point_rejected(self):
         # every curve: Tonelli-Shanks finds a non-residue has no root

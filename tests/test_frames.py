@@ -99,6 +99,19 @@ class TestSoapIeCodec:
             encode_soap_ie(SoapIe(tuple([26] * 200), bytes(60)))
 
     @pytest.mark.parametrize(
+        "ie, message",
+        [
+            (SoapIe((26, 256), bytes(28)), "group ids must fit one octet"),
+            (SoapIe((-1,), bytes(28)), "group ids must fit one octet"),
+            (SoapIe((26,), b""), "key size must fit one octet"),
+            (SoapIe((26,), bytes(256)), "key size must fit one octet"),
+        ],
+    )
+    def test_field_past_one_octet_rejected_on_encode(self, ie, message):
+        with pytest.raises(FrameError, match=message):
+            encode_soap_ie(ie)
+
+    @pytest.mark.parametrize(
         "data",
         [
             b"",
@@ -117,6 +130,19 @@ class TestSoapIeCodec:
 
 class TestSoapMessageCodec:
     """Signed-key packets, with and without the session-nonce trailer."""
+
+    @pytest.mark.parametrize(
+        "msg, message",
+        [
+            (SoapMessage(bytes(55), bytes(56)), "each be a coordinate pair"),
+            (SoapMessage(bytes(56), bytes(57)), "each be a coordinate pair"),
+            (SoapMessage(b"", bytes(56)), "must be non-empty"),
+            (SoapMessage(bytes(56), bytes(56), bytes(7)), "session nonce must be 8 octets"),
+        ],
+    )
+    def test_bad_message_rejected_on_encode(self, msg, message):
+        with pytest.raises(FrameError, match=message):
+            encode_soap_message(msg)
 
     def test_strict_wire_size_default_curve(self):
         msg = SoapMessage(bytes(56), bytes(56))
@@ -336,6 +362,19 @@ class TestManagementFrames:
         signed = self.beacon([(0, b"net")], signature=b"\xab" * 56)
         assert management_signing_input(signed) == encode_management_frame(bare)
         assert management_signing_input(signed) != encode_management_frame(signed)
+
+    @pytest.mark.parametrize(
+        "src, elements, error",
+        [
+            (MAC_A[:5], (), "mac addresses must be 6 octets"),
+            (MAC_A, ((7, bytes(256)),), "element 7 payload exceeds 255 octets"),
+        ],
+    )
+    def test_unencodable_frame_rejected(self, src, elements, error):
+        with pytest.raises(FrameError, match=error):
+            encode_management_frame(
+                ManagementFrame(FrameSubtype.BEACON, src, BROADCAST_MAC, elements)
+            )
 
     def test_truncated_element_area_raises(self):
         frame = self.beacon([(0, b"net")])

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from soapsim import handshake
 from soapsim.crypto import PSK_OCTETS, SeededRng, known_group_ids, registry_lookup
+from soapsim.fourway import Supplicant
 from soapsim.frames import SoapMessage, encode_soap_message, parse_soap_message
 from soapsim.handshake import (
     ApSession,
@@ -149,6 +151,10 @@ class TestNegotiationEdges:
         broken = type(adv)(adv.group_ids, bytes(30))  # width maps to no curve
         _, event = client.on_advertisement(broken, ap_id.mac)
         assert event == "bad-signer"
+
+    def test_identity_needs_a_registered_group(self):
+        with pytest.raises(ValueError, match="at least one registered group"):
+            make_identity(AP_MAC, Role.AP, (999,), SeededRng(0, b"identity-test"))
 
 
 class TestMessage1Handling:
@@ -342,3 +348,19 @@ class TestRunExchange:
         cl_id = make_identity(CLIENT_MAC, Role.CLIENT, (26,), rng.child(b"cl-id"))
         with pytest.raises(ValueError, match="advertisement failed: fallback"):
             run_exchange(ap_id, cl_id, rng.child(b"run"))
+
+    def test_aborted_message1_names_its_reason(self, monkeypatch):
+        # forced: the client run_exchange drives claims a group the AP offers
+        ap_id, cl_id, _, _ = make_pair()
+        monkeypatch.setattr(ApSession, "build_message1", lambda s: s.abort("group-not-offered"))
+        with pytest.raises(ValueError, match="message 1 failed: group-not-offered"):
+            run_exchange(ap_id, cl_id, SeededRng(0, b"exchange-test"))
+
+    def test_failed_fourway_names_its_reason(self, monkeypatch):
+        # a supplicant holding another PMK: the authenticator fails Message 2
+        ap_id, cl_id, _, _ = make_pair()
+        monkeypatch.setattr(
+            handshake, "Supplicant", lambda pmk, *rest: Supplicant(bytes(32), *rest)
+        )
+        with pytest.raises(ValueError, match="4-Way Handshake failed: mic-mismatch"):
+            run_exchange(ap_id, cl_id, SeededRng(0, b"exchange-test"))

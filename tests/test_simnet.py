@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soapsim import crypto, handshake, scenarios, simnet
+from soapsim.fourway import KEY_INFO_M3
 from soapsim.frames import (
     BROADCAST_MAC,
     FrameSubtype,
@@ -25,6 +26,7 @@ from soapsim.frames import (
     frame_kind,
     management_signing_input,
     parse_data_frame,
+    parse_eapol_key_frame,
     parse_management_frame,
     parse_soap_message,
     wire_dst_mac,
@@ -640,23 +642,81 @@ class DeafClientSimulation(Simulation):
             super()._deliver(tick, t, in_flight)
 
 
-class ManglingSimulation(Simulation):
-    """Overwrites one octet of the first transmission of `kind` from `origin`
-    that it hands out, as a corrupting link would; the rest go out intact."""
-
-    def __init__(self, script, seed, kind, origin, offset, value):
-        super().__init__(script, seed)
-        self.target = (kind, origin)
-        self.offset, self.value = offset, value
-        self.mangled = False
+class MuteSupplicantSimulation(Simulation):
+    """Loses every EAPOL-Key frame that client1 sends."""
 
     def _deliver(self, tick, t, in_flight):
-        if not self.mangled and (t.kind, t.origin) == self.target:
-            self.mangled = True
-            wire = bytearray(t.wire)
-            wire[self.offset] = self.value
-            t = Transmission(t.origin, bytes(wire))
+        if (t.kind, t.origin) != ("eapol-key", "client1"):
+            super()._deliver(tick, t, in_flight)
+
+
+class CorruptingSimulation(Simulation):
+    """XORs `mask` into octet `offset` of the first transmission of `target`,
+    a (kind, origin), as it goes on air, as a corrupting link would; so the
+    adversary meets the corrupt frame too, and the rest go out intact. It
+    notes the size of the first transmission of each (kind, origin), and,
+    each time the corrupt frame does not parse, the stations it is handed to
+    and the discards they record."""
+
+    def __init__(self, script, seed, target=None, offset=0, mask=0xFF):
+        super().__init__(script, seed)
+        self.target, self.offset, self.mask = target, offset, mask
+        self.sizes = {}
+        self.corrupt = None
+        self.handed = []
+
+    def _transmit(self, tick, t, in_flight):
+        key = (t.kind, t.origin)
+        if key not in self.sizes:
+            self.sizes[key] = len(t.wire)
+            if key == self.target:
+                wire = bytearray(t.wire)
+                wire[self.offset] ^= self.mask
+                t = self.corrupt = Transmission(t.origin, bytes(wire))
+        super()._transmit(tick, t, in_flight)
+
+    def _deliver(self, tick, t, in_flight):
+        if t is not self.corrupt or not isinstance(t.frame, MalformedFrameError):
+            return super()._deliver(tick, t, in_flight)
+        stations = [
+            s.cfg.station_id for s in self._addressees(t)
+            if s.mac != t.src_mac and t.src_mac not in s.blocked
+        ]
+        records = len(self.transcript.records)
         super()._deliver(tick, t, in_flight)
+        discards = [
+            (r["station"], r["reason"])
+            for r in self.transcript.records[records:] if r["event"] == "discard"
+        ]
+        self.handed.append((stations, discards))
+
+
+class TestCorruptFrames:
+    """No octet crashes a run. Each octet in turn, of the first transmission
+    of each non-beacon (kind, origin), is XORed with 0xFF as it goes on air:
+    each station handed a corrupt frame that does not parse discards it as
+    malformed, and no PSK or KCK octet goes on air."""
+
+    # every octet of benign's frames; every fifth of a MITM's and of a run
+    # under signed management frames
+    @pytest.mark.parametrize(
+        "name, stride", [("benign", 1), ("hijack-mitm", 5), ("hijack-disassoc-mitigated", 5)]
+    )
+    def test_no_octet_crashes_a_run(self, name, stride):
+        plain = CorruptingSimulation(builtin(name), 1)
+        plain.run()
+        unparsed = 0
+        for target, size in plain.sizes.items():
+            if target[0] == "beacon":
+                continue
+            for offset in range(0, size, stride):
+                sim = CorruptingSimulation(builtin(name), 1, target, offset)
+                view = eavesdropper_view(sim.run())
+                assert view["psk_octets_on_wire"] == view["kck_octets_on_wire"] == 0
+                for stations, discards in sim.handed:
+                    assert discards == [(s, "malformed") for s in stations], (target, offset)
+                    unparsed += bool(stations)
+        assert unparsed
 
 
 class TestMalformedElement:
@@ -664,8 +724,8 @@ class TestMalformedElement:
     each receiver discards it, and the run goes on."""
 
     def test_bad_group_count_in_a_beacon_is_a_malformed_discard(self):
-        # octet 49 is the element's group count: 240 groups run past it
-        t = ManglingSimulation(builtin("benign"), 1, "beacon", "ap1", 49, 240).run()
+        # octet 49 is the element's group count, 1: 240 groups run past it
+        t = CorruptingSimulation(builtin("benign"), 1, ("beacon", "ap1"), 49, 1 ^ 240).run()
         assert [(r["tick"], r["reason"], r["detail"]) for r in events(t, "discard")] == [
             (1, "malformed", "group list runs past the element")
         ]
@@ -747,6 +807,25 @@ class TestLostFrames:
         assert gave_up == message1[0]["tick"] + gives_up_after
         assert timed_out == request + simnet.CLIENT_AWAIT_TIMEOUT_TICKS + 1
         assert gave_up < timed_out
+
+    def test_a_late_message2_rearms_no_finished_peer(self):
+        # client1's 4-Way Message 2 is lost each time: ap1 resends Message 1
+        # at 104, 204 and 304, then gives up on the peer at 404
+        sim = MuteSupplicantSimulation(replace(builtin("benign"), max_ticks=420), 1)
+        t = sim.run()
+        assert ticks_of(t, "retransmit", station="ap1") == [104, 204, 304]
+        assert ticks_of(t, "transition", station="ap1", to="aborted") == [404]
+        # the last Message 2 arrives late: ap1 answers it with Message 3, yet
+        # stays done with the peer, so it next acts at its beacon at 600
+        last = [r for r in tx_frames(t, "eapol-key") if r["origin"] == "client1"][-1]
+        in_flight = []
+        late = Transmission("client1", bytes.fromhex(last["hex"]))
+        Simulation._deliver(sim, 420, late, in_flight)
+        [reply] = in_flight
+        assert (reply.origin, reply.kind) == ("ap1", "eapol-key")
+        key_frame = parse_eapol_key_frame(parse_data_frame(reply.wire).payload)
+        assert key_frame.key_info == KEY_INFO_M3
+        assert sim.by_id["ap1"]._next_deadline(501) == 600
 
     @staticmethod
     def waiting_in_fourway():
@@ -1027,6 +1106,23 @@ class TestNextEventClock:
         assert ticks_of(t, "transition", reason="scripted-reset") == [250]
         assert [r["tick"] for r in tx_frames(t, "disassoc")] == [250]
         assert_idle_before(t, 250)
+
+    def test_schedule_runs_by_tick_then_in_script_order(self):
+        # a script built in Python skips the schema, which refuses a negative
+        # tick: actions outside the run never run and hold up none inside it
+        stations = [
+            *pair(), StationConfig("client2", "client", "02:00:00:00:00:03", ssid="publicnet"),
+        ]
+        resets = [
+            ScheduleAction(-1, "client1"), ScheduleAction(250, "client2"),
+            ScheduleAction(200, "client1"), ScheduleAction(250, "client1"),
+            ScheduleAction(400, "client2"),
+        ]
+        t = run_checked(script(max_ticks=400, stations=stations, schedule=resets))
+        assert [
+            (r["tick"], r["station"]) for r in events(t, "transition")
+            if r.get("reason") == "scripted-reset"
+        ] == [(200, "client1"), (250, "client2"), (250, "client1")]
 
     def test_adversary_replay_at(self):
         t = run_checked(adversary_script(["replay"], replay_at=1050, max_ticks=1100))
@@ -1358,7 +1454,7 @@ class TestProcessMemos:
             check.ok
             for _, variants in SUITE_PLAN
             for _, name, _ in variants
-            for check in scenarios._suite_row_checks(name, 1)
+            for check in scenarios._suite_row_checks(name, 1)[0]
         )
         memos = [crypto._key_memo, crypto._decode_memo, crypto._verdict_memo,
                  crypto._signature_memo, simnet._identities]
