@@ -32,6 +32,8 @@ MAC_HEADER_OCTETS = 24
 _DST_MAC = slice(4, 10)
 _SRC_MAC = slice(10, 16)
 LLC_SNAP_HEADER = bytes.fromhex("AAAA03000000888E")
+# Where a data frame's EAPOL packet starts: after the MAC and LLC/SNAP headers.
+_EAPOL_OFFSET = MAC_HEADER_OCTETS + len(LLC_SNAP_HEADER)
 BROADCAST_MAC = b"\xff" * 6
 
 # The EAPOL header: protocol version, packet type, body length.
@@ -62,6 +64,8 @@ _KEY_BODY_FIELDS = (
     ("key_rsc", "8s"), ("key_id", "8s"), ("key_mic", f"{KEY_MIC_OCTETS}s"),
 )
 _EAPOL_KEY_BODY = struct.Struct(">" + "".join(f for _, f in _KEY_BODY_FIELDS) + "H")
+# Each fixed-body field's name, size in octets and whether it is an octet string.
+_KEY_BODY_SIZES = [(n, struct.calcsize(f), f.endswith("s")) for n, f in _KEY_BODY_FIELDS]
 EAPOL_KEY_BODY_OCTETS = _EAPOL_KEY_BODY.size
 # The most key data whose body length still fits the EAPOL header's field.
 _MAX_KEY_DATA_OCTETS = 0xFFFF - EAPOL_KEY_BODY_OCTETS
@@ -235,6 +239,7 @@ class EapolKeyFrame:
     key_mic: bytes = bytes(KEY_MIC_OCTETS)
     key_data: bytes = b""
     descriptor_type: int = KEY_DESCRIPTOR_RSN
+    version: int = EAPOL_VERSION  # as received: the MIC covers it
 
     @property
     def has_mic(self) -> bool:
@@ -242,21 +247,22 @@ class EapolKeyFrame:
 
 
 def encode_eapol_key_frame(frame: EapolKeyFrame) -> bytes:
-    values = [getattr(frame, name) for name, _ in _KEY_BODY_FIELDS]
+    values = [getattr(frame, name) for name, _, _ in _KEY_BODY_SIZES]
     # A struct `s` field pads or truncates silently, and an integer outside
     # its field raises struct.error, so each field is checked before packing.
-    for (name, fmt), value in zip(_KEY_BODY_FIELDS, values):
-        octets = struct.calcsize(fmt)
-        label = name.replace("_", " ")
-        if fmt.endswith("s"):
+    for (name, octets, is_string), value in zip(_KEY_BODY_SIZES, values):
+        if is_string:
             if len(value) != octets:
-                raise FrameError(f"{label} must be {octets} octets")
+                raise FrameError(f"{name.replace('_', ' ')} must be {octets} octets")
         elif not 0 <= value < 1 << 8 * octets:
+            label = name.replace("_", " ")
             raise FrameError(f"{label} {value} is outside [0, {1 << 8 * octets})")
     if len(frame.key_data) > _MAX_KEY_DATA_OCTETS:
         raise FrameError(f"key data must be at most {_MAX_KEY_DATA_OCTETS} octets")
+    if frame.version not in (1, EAPOL_VERSION):
+        raise FrameError(f"EAPOL version {frame.version} is neither 1 nor {EAPOL_VERSION}")
     body = _EAPOL_KEY_BODY.pack(*values, len(frame.key_data)) + frame.key_data
-    return _EAPOL_HEADER.pack(EAPOL_VERSION, EAPOL_TYPE_KEY, len(body)) + body
+    return _EAPOL_HEADER.pack(frame.version, EAPOL_TYPE_KEY, len(body)) + body
 
 
 def parse_eapol_key_frame(data: bytes) -> EapolKeyFrame:
@@ -270,7 +276,7 @@ def parse_eapol_key_frame(data: bytes) -> EapolKeyFrame:
     if len(key_data) != key_data_length:
         raise MalformedFrameError("key data length field disagrees with data")
     fields = {name: value for (name, _), value in zip(_KEY_BODY_FIELDS, values)}
-    return EapolKeyFrame(**fields, key_data=key_data)
+    return EapolKeyFrame(**fields, key_data=key_data, version=version)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +373,8 @@ def parse_management_frame(data: bytes) -> ManagementFrame:
     elements = []
     signature = None
     for eid, payload in iter_elements(body[len(fixed) :]):
+        if signature is not None:
+            raise MalformedFrameError("element after the signature")
         if eid == ELEMENT_ID_MGMT_SIGNATURE:
             signature = payload
         else:
@@ -377,8 +385,14 @@ def parse_management_frame(data: bytes) -> ManagementFrame:
 
 
 def management_signing_input(frame: ManagementFrame) -> bytes:
-    """Octets covered by the optional management-frame signature."""
+    """The octets a signer signs: the frame's encoding up to its signature."""
     return encode_management_frame(replace(frame, signature=None))
+
+
+def signed_octets(wire: bytes, signature: bytes) -> bytes:
+    """The received octets that `signature`, on the management frame `wire`,
+    covers: all before its signature element, which the parse holds last."""
+    return wire[: len(wire) - 2 - len(signature)]
 
 
 def find_element(frame: ManagementFrame, eid: int) -> bytes | None:
@@ -424,17 +438,17 @@ def encode_data_frame(frame: DataFrame) -> bytes:
 
 
 def parse_data_frame(data: bytes) -> DataFrame:
-    if len(data) < MAC_HEADER_OCTETS + len(LLC_SNAP_HEADER):
+    if len(data) < _EAPOL_OFFSET:
         raise MalformedFrameError("frame shorter than its headers")
     if data[0] & 0x0C != 0x08:
         raise MalformedFrameError("not a data frame")
-    llc = data[MAC_HEADER_OCTETS : MAC_HEADER_OCTETS + len(LLC_SNAP_HEADER)]
+    llc = data[MAC_HEADER_OCTETS:_EAPOL_OFFSET]
     if llc != LLC_SNAP_HEADER:
         raise MalformedFrameError("payload is not EAPOL over LLC/SNAP")
     return DataFrame(
         src_mac=wire_src_mac(data),
         dst_mac=wire_dst_mac(data),
-        payload=bytes(data[MAC_HEADER_OCTETS + len(LLC_SNAP_HEADER) :]),
+        payload=bytes(data[_EAPOL_OFFSET:]),
         from_ds=bool(data[1] & 0x02),
     )
 
@@ -453,7 +467,6 @@ _MANAGEMENT_KINDS = {
     FrameSubtype.ASSOC_REQUEST: "assoc-request",
     FrameSubtype.DISASSOC: "disassoc",
 }
-_EAPOL_OFFSET = MAC_HEADER_OCTETS + len(LLC_SNAP_HEADER)
 
 
 def frame_kind(wire: bytes) -> str | None:
@@ -479,11 +492,9 @@ def frame_kind(wire: bytes) -> str | None:
 def frame_wire_size(obj) -> int:
     """Full transmitted size in octets, MAC and LLC/SNAP headers included."""
     if isinstance(obj, SoapMessage):
-        return MAC_HEADER_OCTETS + len(LLC_SNAP_HEADER) + len(encode_soap_message(obj))
+        return _EAPOL_OFFSET + len(encode_soap_message(obj))
     if isinstance(obj, EapolKeyFrame):
-        return (
-            MAC_HEADER_OCTETS + len(LLC_SNAP_HEADER) + len(encode_eapol_key_frame(obj))
-        )
+        return _EAPOL_OFFSET + len(encode_eapol_key_frame(obj))
     if isinstance(obj, ManagementFrame):
         return len(encode_management_frame(obj))
     raise TypeError(f"no wire size for {type(obj).__name__}")

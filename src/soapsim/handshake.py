@@ -318,8 +318,7 @@ def run_exchange(
     ap = ApSession(ap_id, rng.child(b"ap"), cl_id.mac, strict_frames=strict_frames)
     _expect("response element", ap.on_response_element(response), "ok")
     msg1 = ap.build_message1()
-    if msg1 is None:
-        raise ValueError(f"message 1 failed: {ap.abort_reason}")
+    assert msg1 is not None, "the client's group comes from the AP's advertisement"
     msg2, event = client.on_message1(msg1, ap_id.mac)
     _expect("message 1", event, "agreed")
     _expect("message 2", ap.on_message2(msg2, cl_id.mac), "agreed")
@@ -328,6 +327,5 @@ def run_exchange(
     supp = Supplicant(bytes(client.psk), ap_id.mac, cl_id.mac, rng.child(b"supp"))
     key_frames = tuple(run_fourway(auth, supp))
     # The authenticator establishes last, on the supplicant's Message 4.
-    if auth.state is not FourwayState.ESTABLISHED:
-        raise ValueError(f"4-Way Handshake failed: {auth.fail_reason or supp.fail_reason}")
+    assert auth.state is FourwayState.ESTABLISHED, "both ends hold the agreed PSK"
     return Exchange(ap, client, auth, supp, adv, response, msg1, msg2, key_frames)

@@ -1,29 +1,38 @@
 """Deterministic discrete-event radio: stations, an optional adversary, and
 a clock that delivers every transmitted frame one tick later.
 
-`Station` holds what both ends share: admission, blacklisting, frame output
-and one ``on_frame`` that dispatches each delivered frame. Its subclasses are
-`ClientStation` and `ApStation`; an AP keeps an `ApPeer` per client, and a
-rogue AP is an `ApStation` that hears frames after the stations. The actors
-are what has timers: the stations, the rogue AP and the adversary. Beside
-`Adversary` stand its id, its capabilities and the config fields each one
-reads; the scenario loader checks against them, and the rogue AP is built
-from them.
+`Station` holds what both ends share: admission, blacklisting, frame output,
+one ``on_frame`` that dispatches each delivered frame, and two receive steps.
+One takes an EAPOL-Key frame: it parses it, hands it to the role's 4-Way
+machine, sends the reply, records the KCK once Established, and discards a
+replayed or unexpected frame. The other accounts for a signed agreement
+message: its failure, or the agreed PSK and its ``psk-agreed`` transition.
+Each role adds only its phase check and what an outcome means to it. The
+subclasses are `ClientStation` and `ApStation`; an AP keeps an `ApPeer` per
+client, and a rogue AP is an `ApStation` that hears frames after the
+stations. The actors are what has timers: the stations, the rogue AP and the
+adversary. Beside `Adversary` stand its id, its capabilities and the config
+fields each one reads; the scenario loader checks against them, and the rogue
+AP is built from them.
+
+A management frame's signature covers the frame's octets as sent, up to its
+signature element, which must be the last: a receiver verifies the octets it
+received, never a re-encoding of its parse, which keeps only the subtype, the
+two addresses and the elements.
 
 Each transmission's work is done once. Its kind is read from its octets, and
 it is parsed once, by its first reader (the adversary, or the first receiver
 that admits its sender); every later reader gets the same frozen record (or
-the same parse error). Its signing input and the fields of its ``tx`` record
-are likewise made once. A station resends an unchanged frame as the
-transmission that first carried it (an AP its beacon, one per content, and an
-unanswered agreement Message 1; a client its Message 2), so such a frame is
-parsed, and its hex written, once however often it is sent, and the leak scan
-(`eavesdropper_view`) searches each distinct frame once.
-Verdicts and signatures (``crypto``) and scripted identities
-(``_identities``) are remembered per process, so a signed beacon heard by
-many clients is verified once while it is recent. Everything a failed check
-does to a receiver (its discard, its failure count, its blacklist) stays per
-receiver.
+the same parse error), and its ``tx`` record fields are made once. A station
+resends an unchanged frame as the transmission that first carried it (an AP
+its beacon, one per content, and an unanswered agreement Message 1; a client
+its Message 2), so such a frame is parsed, and its hex written, once however
+often it is sent, and the leak scan (`eavesdropper_view`) searches each
+distinct frame once. Verdicts and signatures (``crypto``) and scripted
+identities (``_identities``) are remembered per process, so a signed beacon
+heard by many clients is verified once while it is recent. Everything a
+failed check does to a receiver (its discard, its failure count, its
+blacklist) stays per receiver.
 
 Time advances by next-event jumps. While a frame in flight has an addressee,
 or there is an adversary to meet it, the clock steps one tick at a time;
@@ -85,7 +94,7 @@ from .crypto import (
     point_to_octets,
     registry_lookup,
 )
-from .fourway import Authenticator, Supplicant
+from .fourway import Authenticator, FourwayState, Supplicant
 from .frames import (
     BROADCAST_MAC,
     EAPOL_KINDS,
@@ -107,6 +116,7 @@ from .frames import (
     parse_eapol_key_frame,
     parse_management_frame,
     parse_soap_message,
+    signed_octets,
     soap_ie_element,
     soap_ie_from_frame,
     wire_dst_mac,
@@ -233,11 +243,6 @@ class Transmission:
             return exc
 
     @cached_property
-    def signing_input(self) -> bytes:
-        """The octets a signature on the management frame covers."""
-        return management_signing_input(self.frame)
-
-    @cached_property
     def src_mac(self) -> bytes:
         return wire_src_mac(self.wire)
 
@@ -345,9 +350,9 @@ STATION_STATES = CLIENT_STATES | AP_STATES
 class Station:
     """What both ends of a link share: admission (the blocked list and the
     management-frame signature check), signature-failure blacklisting, frame
-    output, and one dispatch path for delivered frames. A subclass handles
-    what the dispatch hands it in `_on_mgmt`, `_on_agreement` and
-    `_on_eapol_key`."""
+    output, one dispatch path for delivered frames, and the receive steps. A
+    subclass handles `_on_mgmt` and `_on_agreement`, hands `_on_eapol_key`
+    its 4-Way machine in `_fourway`, and acts on its outcome."""
 
     from_ds = False  # the DS bit of the data frames this station sends
 
@@ -385,33 +390,33 @@ class Station:
     def _transition(self, tick: int, scope: str, to: str, **detail) -> None:
         self._note(tick, "transition", scope=scope, to=to, **detail)
 
-    def _parse(self, tick: int, parser, data: bytes, **kw):
-        """`parser(data, **kw)`, or None once a malformed frame is discarded."""
+    def _parse(self, tick: int, parser, *args):
+        """`parser(*args)`, or None once a malformed frame is discarded."""
         try:
-            return parser(data, **kw)
+            return parser(*args)
         except MalformedFrameError as exc:
             self._discard(tick, "malformed", detail=str(exc))
             return None
 
     def _parse_agreement(self, tick: int, session, payload: bytes):
-        return self._parse(
-            tick,
-            parse_soap_message,
-            payload,
-            key_octets=session.group.key_size_octets,
-            signature_octets=session.peer_signer[0].key_size_octets,
-        )
+        widths = (session.group.key_size_octets, session.peer_signer[0].key_size_octets)
+        return self._parse(tick, parse_soap_message, payload, *widths)
 
-    def _agreed(self, tick: int, src: bytes, event: str, context: str) -> bool:
-        """Account for the outcome of a signed agreement message from `src`."""
+    def _agreed(self, tick: int, src: bytes, soap, event: str, context: str, **detail):
+        """Account for the outcome of agreement session `soap` on a signed
+        message from `src`: the PSK it agreed, recorded with the role's
+        `detail`, or None once the failure is recorded."""
         if event == "signature":
             self._sig_failure(tick, src, context)
-            return False
+            return None
         if event != "agreed":
             self._discard(tick, event, src=format_mac(src))
-            return False
+            return None
         self.fail_counts[src] = 0
-        return True
+        psk = bytes(soap.psk)
+        self.psk_history.append(psk)
+        self._transition(tick, "soap", "psk-agreed", **detail)
+        return psk
 
     def _ssid_matches(self, frame: ManagementFrame) -> bool:
         ssid = find_element(frame, ELEMENT_ID_SSID)
@@ -447,33 +452,27 @@ class Station:
     def _on_blacklisted(self, tick: int, mac: bytes) -> None:
         """Called once, when `mac` joins the blocked list."""
 
-    def _signed_by(self, signer: tuple, t: Transmission) -> bool:
-        """Whether the management frame `t` carries a valid signature by `signer`."""
-        return ecdsa_verify(*signer, t.signing_input, t.frame.signature)
-
     def _mgmt_signature_ok(self, tick: int, t: Transmission) -> bool:
-        """Admission check for management frames under the signing mitigation."""
+        """Admission under the signing mitigation: a frame must verify under
+        its sender's known key, else, when signed, under the key it advertises."""
         if not self.mitigations.sign_management_frames:
             return True
         frame = t.frame
-        known = self.known_keys.get(frame.src_mac)
-        if known is not None:
-            if frame.signature is None or not self._signed_by(known, t):
-                self._sig_failure(tick, frame.src_mac, "mgmt")
+        known = signer = self.known_keys.get(frame.src_mac)
+        if known is None:
+            if frame.signature is None or t.soap_ie is None:
+                return True
+            try:
+                signer = negotiation.resolve_signer(t.soap_ie)
+            except ValueError:
                 return False
+        if frame.signature is None or not ecdsa_verify(
+            *signer, signed_octets(t.wire, frame.signature), frame.signature
+        ):
+            self._sig_failure(tick, frame.src_mac, "mgmt")
+            return False
+        if known is not None:
             self.fail_counts[frame.src_mac] = 0
-            return True
-        if frame.signature is not None:
-            # No provisioned key: check self-consistency against the key the
-            # frame itself advertises, when it advertises one.
-            if t.soap_ie is not None:
-                try:
-                    signer = negotiation.resolve_signer(t.soap_ie)
-                except ValueError:
-                    return False
-                if not self._signed_by(signer, t):
-                    self._sig_failure(tick, frame.src_mac, "mgmt")
-                    return False
         return True
 
     # -- frame dispatch ----------------------------------------------------
@@ -501,6 +500,26 @@ class Station:
         if not self._mgmt_signature_ok(tick, t):
             return []
         return self._on_mgmt(tick, frame, t.soap_ie)
+
+    def _on_eapol_key(self, tick: int, frame: DataFrame) -> list[Transmission]:
+        """Hand an EAPOL-Key frame to the role's 4-Way machine for its sender,
+        send the reply, record the KCK once Established, discard a replayed
+        or unexpected frame, and let the role act on the outcome."""
+        src = frame.src_mac
+        machine = self._fourway(src)
+        if machine is None:
+            self._discard(tick, "phase")
+            return []
+        key_frame = self._parse(tick, parse_eapol_key_frame, frame.payload)
+        if key_frame is None:
+            return []
+        reply, event = machine.on_frame(key_frame)
+        if event in ("replay", "unexpected"):
+            self._discard(tick, event)
+        elif event == "established":
+            self.kck_history.append(machine.keys.kck)
+        self._fourway_outcome(tick, src, event)
+        return [] if reply is None else [self._out_key(src, reply)]
 
     # -- summaries ---------------------------------------------------------
 
@@ -551,10 +570,7 @@ class ClientStation(Station):
     def _restart(self, tick: int, reason: str) -> None:
         if self.session is not None and self.session.phase is not Phase.ABORTED:
             self.session.abort(reason)
-        self.session = None
-        self.supplicant = None
-        self.ap_mac = None
-        self.mode = None
+        self.session = self.supplicant = self.ap_mac = self.mode = None
         self.answered.clear()
         self._enter(tick, "scanning", reason=reason)
 
@@ -580,8 +596,7 @@ class ClientStation(Station):
     ) -> list[Transmission]:
         if frame.subtype is FrameSubtype.DISASSOC:
             if self.ap_mac == frame.src_mac and self.state in ("fourway", "established"):
-                self.session = None
-                self.supplicant = None
+                self.session = self.supplicant = None
                 self._enter(tick, "halted", reason="disassociated")
             return []
         if (
@@ -639,60 +654,47 @@ class ClientStation(Station):
         return [self._assoc_request(frame.src_mac)]
 
     def _on_agreement(self, tick, frame: DataFrame) -> list[Transmission]:
-        sent = self.answered.get((frame.src_mac, frame.payload))
+        src = frame.src_mac
+        sent = self.answered.get((src, frame.payload))
         if sent is not None and self.state == "fourway":
             return [sent]  # a resent Message 1: its Message 2 was lost
         if self.session is None or self.state != "soap":
-            self._discard(tick, "phase", src=format_mac(frame.src_mac))
+            self._discard(tick, "phase", src=format_mac(src))
             return []
         msg = self._parse_agreement(tick, self.session, frame.payload)
         if msg is None:
             return []
-        reply, event = self.session.on_message1(msg, frame.src_mac)
-        if not self._agreed(tick, frame.src_mac, event, "agreement-msg1"):
+        reply, event = self.session.on_message1(msg, src)
+        detail = {"session": self.session_counter}
+        psk = self._agreed(tick, src, self.session, event, "agreement-msg1", **detail)
+        if psk is None:
             return []
-        psk = self.session.psk
-        self.psk_history.append(bytes(psk))
-        self._transition(tick, "soap", "psk-agreed", session=self.session_counter)
         self.supplicant = Supplicant(
-            psk, frame.src_mac, self.mac, self.rng.child(f"supp{self.session_counter}")
+            psk, src, self.mac, self.rng.child(f"supp{self.session_counter}")
         )
         self._enter(tick, "fourway")
-        sent = self._out_eapol(frame.src_mac, encode_soap_message(reply))
-        self.answered[frame.src_mac, frame.payload] = sent
+        sent = self._out_eapol(src, encode_soap_message(reply))
+        self.answered[src, frame.payload] = sent
         return [sent]
 
-    def _on_eapol_key(self, tick, frame: DataFrame) -> list[Transmission]:
-        if (
-            self.supplicant is None
-            and self.mode == "legacy"
-            and self.state == "fourway"
-            and frame.src_mac == self.ap_mac
-        ):
+    def _fourway(self, src: bytes) -> Supplicant | None:
+        """The supplicant for the latched AP; its first key frame starts a legacy one."""
+        if src != self.ap_mac:
+            return None
+        if self.supplicant is None and self.mode == "legacy" and self.state == "fourway":
             self.session_counter += 1
             self.supplicant = Supplicant(
-                bytes.fromhex(self.cfg.legacy_psk),
-                self.ap_mac,
-                self.mac,
+                bytes.fromhex(self.cfg.legacy_psk), self.ap_mac, self.mac,
                 self.rng.child(f"supp{self.session_counter}"),
             )
-        if self.supplicant is None or frame.src_mac != self.ap_mac:
-            self._discard(tick, "phase")
-            return []
-        key_frame = self._parse(tick, parse_eapol_key_frame, frame.payload)
-        if key_frame is None:
-            return []
-        reply, event = self.supplicant.on_frame(key_frame)
-        out = [] if reply is None else [self._out_key(frame.src_mac, reply)]
+        return self.supplicant
+
+    def _fourway_outcome(self, tick: int, src: bytes, event: str) -> None:
         if event == "established":
-            self.kck_history.append(self.supplicant.keys.kck)
             self._enter(tick, "established")
         elif event == "mic-mismatch":
             self._transition(tick, "fourway", "failed", reason="mic-mismatch")
             self._restart(tick, "fourway-failed")
-        elif event in ("replay", "unexpected"):
-            self._discard(tick, event)
-        return out
 
     # -- scheduled resets and summaries ------------------------------------
 
@@ -732,7 +734,10 @@ class ApPeer:
     message1: Transmission | None = None
     auth: Authenticator | None = None
     attempts: int = 0
-    established: bool = False
+
+    @property
+    def established(self) -> bool:
+        return self.auth is not None and self.auth.state is FourwayState.ESTABLISHED
 
     def summary(self) -> dict:
         return {
@@ -841,8 +846,7 @@ class ApStation(Station):
             frame
         ):
             return []
-        existing = self.peers.get(mac)
-        if existing is not None and existing.established:
+        if mac in self.peers and self.peers[mac].established:
             self._discard(
                 tick, "replay", detail="association from established client",
                 src=format_mac(mac),
@@ -901,42 +905,28 @@ class ApStation(Station):
         if msg is None:
             return []
         event = peer.soap.on_message2(msg, mac)
-        if not self._agreed(tick, mac, event, "agreement-msg2"):
+        detail = {"peer": format_mac(mac)}
+        psk = self._agreed(tick, mac, peer.soap, event, "agreement-msg2", **detail)
+        if psk is None:
             return []
-        psk = peer.soap.psk
-        self.psk_history.append(bytes(psk))
-        self._transition(tick, "soap", "psk-agreed", peer=format_mac(mac))
         return [self._start_fourway(tick, mac, peer, psk)]
 
-    def _on_eapol_key(self, tick, frame: DataFrame) -> list[Transmission]:
-        mac = frame.src_mac
-        peer = self.peers.get(mac)
-        if peer is None or peer.auth is None:
-            self._discard(tick, "phase")
-            return []
-        key_frame = self._parse(tick, parse_eapol_key_frame, frame.payload)
-        if key_frame is None:
-            return []
-        reply, event = peer.auth.on_frame(key_frame)
-        out = []
-        if reply is not None:
-            if peer.deadline is not None:  # a reply re-arms no finished peer
-                peer.attempts = 0
-                peer.deadline = tick + RETRY_TIMEOUT_TICKS
-            out.append(self._out_key(mac, reply))
-        if event == "established":
-            peer.established = True
+    def _fourway(self, src: bytes) -> Authenticator | None:
+        """The authenticator for a key frame from `src`, once it has one."""
+        peer = self.peers.get(src)
+        return None if peer is None else peer.auth
+
+    def _fourway_outcome(self, tick: int, src: bytes, event: str) -> None:
+        peer = self.peers[src]
+        if event == "m2-verified" and peer.deadline is not None:
+            peer.attempts = 0  # a reply re-arms no finished peer
+            peer.deadline = tick + RETRY_TIMEOUT_TICKS
+        elif event == "established":
             peer.deadline = None
-            self.kck_history.append(peer.auth.keys.kck)
-            self._transition(tick, "session", "established", peer=format_mac(mac))
+            self._transition(tick, "session", "established", peer=format_mac(src))
         elif event == "mic-mismatch":
             peer.deadline = None
-            self._transition(
-                tick, "session", "failed", peer=format_mac(mac), reason="mic-mismatch"
-            )
-        elif event in ("replay", "unexpected"):
-            self._discard(tick, event)
-        return out
+            self._transition(tick, "session", "failed", peer=format_mac(src), reason=event)
 
     def summary(self, mac_names: dict) -> dict:
         sessions = {

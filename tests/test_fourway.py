@@ -98,6 +98,14 @@ class TestMicKat:
         with_mic = replace(m2, key_mic=b"\xff" * 16)
         assert compute_mic(keys.kck, m2) == compute_mic(keys.kck, with_mic)
 
+    def test_eapol_version_covered(self):
+        # a Message 2 received as version 1 verifies under its own version only
+        auth, supp = make_pair()
+        m2 = supp.on_frame(auth.start())[0]
+        v1 = replace(m2, version=1)
+        assert compute_mic(supp.keys.kck, v1) != m2.key_mic
+        assert auth.on_frame(v1) == (None, "mic-mismatch")
+
 
 class TestHappyPath:
     """M1 through M4, both machines finishing established."""

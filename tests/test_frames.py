@@ -41,6 +41,7 @@ from soapsim.frames import (
     parse_management_frame,
     parse_soap_ie,
     parse_soap_message,
+    signed_octets,
     soap_ie_element,
     soap_ie_from_frame,
 )
@@ -249,6 +250,14 @@ class TestEapolKeyCodec:
         )
         assert parse_eapol_key_frame(encode_eapol_key_frame(frame)) == frame
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_kept_as_received(self, version):
+        frame = EapolKeyFrame(key_info=KEY_INFO_M1, replay_counter=0, key_nonce=bytes(32))
+        wire = bytes([version]) + encode_eapol_key_frame(frame)[1:]
+        parsed = parse_eapol_key_frame(wire)
+        assert parsed.version == version
+        assert encode_eapol_key_frame(parsed) == wire
+
     def test_known_answer(self):
         # Every field distinct and nonzero, so a layout that moves or swaps
         # two fields of one width fails here though it round-trips.
@@ -297,8 +306,12 @@ class TestEapolKeyCodec:
             ("descriptor_type", 256, "descriptor type 256 is outside"),
             ("replay_counter", 2**64, f"replay counter {2**64} is outside"),
             ("key_data", bytes(65536), "key data must be at most 65440 octets"),
+            ("version", 3, "EAPOL version 3 is neither 1 nor 2"),
         ],
-        ids=["key_info", "key_length", "descriptor_type", "replay_counter", "key_data"],
+        ids=[
+            "key_info", "key_length", "descriptor_type", "replay_counter", "key_data",
+            "version",
+        ],
     )
     def test_out_of_range_field_rejected(self, field, value, message):
         frame = EapolKeyFrame(key_info=KEY_INFO_M1, replay_counter=0, key_nonce=bytes(32))
@@ -362,6 +375,25 @@ class TestManagementFrames:
         signed = self.beacon([(0, b"net")], signature=b"\xab" * 56)
         assert management_signing_input(signed) == encode_management_frame(bare)
         assert management_signing_input(signed) != encode_management_frame(signed)
+
+    def test_signed_octets_are_the_octets_as_sent(self):
+        # every octet before the signature element is covered, the ones the
+        # parse drops too: duration, BSSID, sequence control and fixed body
+        signed = self.beacon([(0, b"net")], signature=b"\xab" * 56)
+        wire = encode_management_frame(signed)
+        assert signed_octets(wire, signed.signature) == management_signing_input(signed)
+        for offset in (2, 16, 22, 32, 34):
+            altered = bytearray(wire)
+            altered[offset] ^= 1
+            assert parse_management_frame(bytes(altered)) == signed
+            assert signed_octets(bytes(altered), signed.signature) == altered[:-58]
+
+    @pytest.mark.parametrize("trailer", [b"\x07\x01\x00", b"\xfc\x01\xab"])
+    def test_element_after_the_signature_is_malformed(self, trailer):
+        # an element, a second signature too, after the signature escapes it
+        wire = encode_management_frame(self.beacon([(0, b"net")], signature=b"\xab" * 56))
+        with pytest.raises(MalformedFrameError, match="element after the signature"):
+            parse_management_frame(wire + trailer)
 
     @pytest.mark.parametrize(
         "src, elements, error",

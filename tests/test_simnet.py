@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soapsim import crypto, handshake, scenarios, simnet
-from soapsim.fourway import KEY_INFO_M3
+from soapsim.fourway import KEY_INFO_M1, KEY_INFO_M3, KEY_INFO_M4
 from soapsim.frames import (
     BROADCAST_MAC,
+    EapolKeyFrame,
     FrameSubtype,
     MalformedFrameError,
     ManagementFrame,
@@ -733,6 +734,161 @@ class TestMalformedElement:
         assert ticks_of(t, "negotiation", station="client1") == [101]
         assert ticks_of(t, "transition", station="client1", to="established") == [107]
         assert ticks_of(t, "transition", station="ap1", to="established") == [108]
+
+
+class TestCoveredOctets:
+    """A management frame's signature covers the frame as sent, and an
+    EAPOL-Key MIC covers the EAPOL version: either altered in flight fails
+    its check."""
+
+    # the BSSID, the sequence control, the beacon interval and the capability,
+    # none of which the parse of a beacon keeps
+    @pytest.mark.parametrize("offset", [16, 22, 32, 34])
+    def test_altered_signed_beacon_is_a_signature_discard(self, offset):
+        beacon = ("beacon", "ap1")
+        sim = CorruptingSimulation(builtin("hijack-disassoc-mitigated"), 1, beacon, offset, 1)
+        t = sim.run()
+        assert parse_management_frame(sim.corrupt.wire).signature is not None
+        assert [(r["tick"], r["reason"], r["context"]) for r in events(t, "discard")][:1] == [
+            (1, "signature", "mgmt")
+        ]
+        # client1 latches the next beacon, which is intact
+        assert ticks_of(t, "negotiation", station="client1") == [101]
+        assert ticks_of(t, "transition", station="client1", to="established") == [107]
+
+    def test_altered_eapol_version_fails_the_mic(self):
+        # octet 32 is the EAPOL version of client1's 4-Way Message 2: 2 becomes 1
+        sim = CorruptingSimulation(builtin("benign"), 1, ("eapol-key", "client1"), 32, 3)
+        t = sim.run()
+        assert sim.corrupt.wire[32] == 1
+        parse_eapol_key_frame(parse_data_frame(sim.corrupt.wire).payload)  # it parses
+        assert ticks_of(t, "transition", station="ap1", scope="session") == [2, 6, 502, 508]
+        assert ticks_of(t, "transition", station="ap1", reason="mic-mismatch") == [6]
+        assert ticks_of(t, "transition", station="ap1", to="established") == [508]
+
+
+class TestEapolKeyReceive:
+    """The one EAPOL-Key receive step, as each role takes it: the records,
+    the reply and the KCK of every outcome. In benign under seed 1, ap1 sends
+    4-Way Messages 1 and 3 at ticks 4 and 6, and client1 Messages 2 and 4 at
+    5 and 7; a run stopped at a tick leaves that tick's frames undelivered."""
+
+    @staticmethod
+    def stopped(max_ticks):
+        """benign stopped at `max_ticks`: the simulation, its transcript and
+        the last EAPOL-Key frame sent, as a Transmission and as parsed."""
+        sim = Simulation(replace(builtin("benign"), max_ticks=max_ticks), 1)
+        t = sim.run()
+        last = tx_frames(t, "eapol-key")[-1]
+        sent = Transmission(last["origin"], bytes.fromhex(last["hex"]))
+        return sim, t, sent, parse_eapol_key_frame(parse_data_frame(sent.wire).payload)
+
+    @staticmethod
+    def received(station, tick, t, frame):
+        """Hand `frame` to `station`: its replies, as parsed key frames, and
+        the records it wrote, without their station."""
+        count = len(t.records)
+        replies = station.on_frame(tick, frame)
+        keys = [parse_eapol_key_frame(parse_data_frame(r.wire).payload) for r in replies]
+        return keys, [{k: v for k, v in r.items() if k != "station"} for r in t.records[count:]]
+
+    def test_client_established_records_the_kck(self):
+        sim, t, m3, _ = self.stopped(7)
+        client = sim.by_id["client1"]
+        replies, records = self.received(client, 7, t, m3)
+        assert [r.key_info for r in replies] == [KEY_INFO_M4]
+        assert records == [
+            {"tick": 7, "event": "transition", "scope": "station", "to": "established"}
+        ]
+        assert client.kck_history == [client.supplicant.keys.kck]
+
+    def test_client_answers_a_resent_message3_once_established(self):
+        sim, t, m3, _ = self.stopped(7)
+        client, ap = sim.by_id["client1"], sim.by_id["ap1"]
+        client.on_frame(7, m3)
+        resent = ap._out_key(client.mac, ap.peers[client.mac].auth.retransmit())
+        replies, records = self.received(client, 8, t, resent)
+        assert [(r.key_info, r.replay_counter) for r in replies] == [(KEY_INFO_M4, 3)]
+        assert records == []
+        assert len(client.kck_history) == 1
+
+    def test_client_discards_a_replayed_and_an_unexpected_frame(self):
+        sim, t, m3, _ = self.stopped(7)
+        client, ap = sim.by_id["client1"], sim.by_id["ap1"]
+        client.on_frame(7, m3)
+        # the same Message 3 again, then a Message 1 under a fresh counter
+        fresh = EapolKeyFrame(key_info=KEY_INFO_M1, replay_counter=9, key_nonce=bytes(32))
+        for frame, reason in ((m3, "replay"), (ap._out_key(client.mac, fresh), "unexpected")):
+            replies, records = self.received(client, 8, t, frame)
+            assert replies == []
+            assert records == [{"tick": 8, "event": "discard", "reason": reason}]
+        assert len(client.kck_history) == 1
+        assert client.state == "established"
+
+    def test_client_mic_failure_restarts_the_scan(self):
+        sim, t, _, m3 = self.stopped(7)
+        client, ap = sim.by_id["client1"], sim.by_id["ap1"]
+        forged = ap._out_key(client.mac, replace(m3, key_mic=bytes(16)))
+        replies, records = self.received(client, 7, t, forged)
+        assert replies == []
+        assert records == [
+            {"tick": 7, "event": "transition", "scope": "fourway", "to": "failed",
+             "reason": "mic-mismatch"},
+            {"tick": 7, "event": "transition", "scope": "station", "to": "scanning",
+             "reason": "fourway-failed"},
+        ]
+        assert client.kck_history == []
+        assert client.supplicant is None
+
+    def test_ap_message2_rearms_the_peer(self):
+        sim, t, m2, _ = self.stopped(6)
+        ap = sim.by_id["ap1"]
+        peer = ap.peers[parse_mac(CLIENT_MAC)]
+        replies, records = self.received(ap, 6, t, m2)
+        assert [r.key_info for r in replies] == [KEY_INFO_M3]
+        assert records == []
+        assert (peer.attempts, peer.deadline) == (0, 6 + simnet.RETRY_TIMEOUT_TICKS)
+
+    def test_ap_established_records_the_kck(self):
+        sim, t, m4, _ = self.stopped(8)
+        ap = sim.by_id["ap1"]
+        peer = ap.peers[parse_mac(CLIENT_MAC)]
+        assert not peer.established
+        replies, records = self.received(ap, 8, t, m4)
+        assert replies == []
+        assert records == [{
+            "tick": 8, "event": "transition", "scope": "session", "to": "established",
+            "peer": CLIENT_MAC,
+        }]
+        assert ap.kck_history == [peer.auth.keys.kck]
+        assert peer.established and peer.deadline is None
+
+    def test_ap_discards_a_replayed_and_an_unexpected_frame(self):
+        sim, t, m4, _ = self.stopped(8)
+        ap = sim.by_id["ap1"]
+        ap.on_frame(8, m4)
+        # Message 2, under an old counter, then the same Message 4 again
+        m2 = [r for r in tx_frames(t, "eapol-key") if r["origin"] == "client1"][0]
+        m2 = Transmission("client1", bytes.fromhex(m2["hex"]))
+        for frame, reason in ((m2, "replay"), (m4, "unexpected")):
+            replies, records = self.received(ap, 9, t, frame)
+            assert replies == []
+            assert records == [{"tick": 9, "event": "discard", "reason": reason}]
+        assert len(ap.kck_history) == 1
+
+    def test_ap_mic_failure_fails_the_session(self):
+        sim, t, _, m4 = self.stopped(8)
+        ap, client = sim.by_id["ap1"], sim.by_id["client1"]
+        peer = ap.peers[client.mac]
+        forged = client._out_key(ap.mac, replace(m4, key_mic=bytes(16)))
+        replies, records = self.received(ap, 8, t, forged)
+        assert replies == []
+        assert records == [{
+            "tick": 8, "event": "transition", "scope": "session", "to": "failed",
+            "peer": CLIENT_MAC, "reason": "mic-mismatch",
+        }]
+        assert ap.kck_history == []
+        assert not peer.established and peer.deadline is None
 
 
 class TestLostFrames:
