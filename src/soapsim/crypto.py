@@ -14,11 +14,15 @@ nonzero digit adds its table's affine entry with one mixed addition.
 - k*G is COMB_BLOCKS pairs: the generator's comb (Alg. 3.44, COMB_TEETH
   teeth d bits apart) cut into blocks of e = ceil(d / COMB_BLOCKS)
   columns (Lim and Lee, CRYPTO '94), so k*G doubles e times, not d.
-  Block b's 255-point table sums the teeth 2^(i*d + b*e)*G, and G's
+  The comb is signed (Hedabou, Pinel and Beneteau, ePrint 2004/342): an
+  odd k is read as +-1 digits, an even k as n - k with every digit
+  negated, so each column adds one of block b's 128 points, the top tooth
+  plus or minus each lower tooth 2^(i*d + b*e)*G, or its negation.  G's
   tables are built on a curve's first k*G.  A comb table is built in
   affine coordinates: its teeth come from one doubling chain made affine
-  with one batched inversion (Montgomery's trick), and each tooth is added
-  to every entry built so far with one batched inversion across blocks.
+  with one batched inversion (Montgomery's trick), and each entry after
+  the first is an earlier one plus twice a tooth, with one batched
+  inversion per tooth across blocks.
 - k*P for any other point is one pair: width-WNAF_WIDTH NAF digits
   (Alg. 3.36) into P's odd table, P, 3P, 5P, 7P and their negations.
 - ECDSA verification computes u1*G + u2*Q in one loop, G's pairs beside
@@ -68,17 +72,18 @@ class InvalidPointError(ValueError):
 
 
 Point = tuple[int, int]
-# A base's comb: one table per block of columns, entry 0 of each unused.
+# A base's comb: one table per block of columns, entry 0 of each unused and
+# entry -j, counted from the end, the negation of entry j.
 Comb = tuple[tuple[Point | None, ...], ...]
 
-# Comb teeth: a comb table holds 2^COMB_TEETH - 1 points.
+# Comb teeth: a comb table holds 2^(COMB_TEETH - 1) points and their negations.
 COMB_TEETH = 8
 # The generator's comb is cut into this many blocks of columns, one table each.
 COMB_BLOCKS = 4
 # wNAF window for k*P: 2^(WNAF_WIDTH - 2) precomputed odd multiples.
 WNAF_WIDTH = 4
 # Signer keys remembered, least recently used out first: their x-only decodes,
-# and as verify keys their comb tables (44 KiB on P-224, 64 KiB on P-521).
+# and as verify keys their comb tables (37 KiB on P-224, 52 KiB on P-521).
 KEY_MEMO_ENTRIES = 16
 # Verdicts and signatures remembered, a few hundred octets each.
 MEMO_ENTRIES = 64
@@ -393,43 +398,58 @@ def _to_affine(points, p) -> list[Point]:
 
 
 def _comb_table(group: EcGroup, base: Point, blocks: int = 1) -> Comb:
-    """base's comb, one table per block of e = ceil(d / blocks) columns.
+    """base's signed comb, one table per block of e = ceil(d / blocks) columns.
 
-    Entry j of block b is the sum of 2^(i*d + b*e)*base over the set bits i
-    of j (entry 0 unused).  The teeth come from one doubling chain.  Each
-    entry is affine: entry j + 2^i is entry j plus tooth i, by the affine
-    addition law, whose slopes for tooth i in every block share one batched
-    inversion.  base has prime order n, and entry j plus tooth i is below
-    twice the top tooth's multiplier, 2^(7d + (blocks - 1)e + 1) < n, so no
-    entry is +-tooth i and no slope divides by 0.
+    With tooth i of block b the point 2^(i*d + b*e)*base, T[u] for u below
+    2^(COMB_TEETH - 1) is the top tooth, plus tooth i for each set bit i of
+    u and less it for each clear bit.  Entry u + 1 of a block's table is
+    T[u] and entry -(u + 1) is -T[u], counted from the end (entry 0 unused).
+    The teeth and the doubles of all but the top one come from one doubling
+    chain.  T[0] is summed from the teeth in Jacobian form; then T[u + 2^i]
+    is T[u] plus twice tooth i, by the affine addition law, whose slopes for
+    tooth i in every block share one batched inversion.  base has prime
+    order n.  Where T[u] meets twice tooth i, T[u] is m*2^(b*e)*base with
+    2^(i*d + 1) < m < 2^(7d + 1), so m -+ 2^(i*d + 1) times 2^(b*e) lies in
+    (0, 2^(7d + (blocks - 1)e + 2)), and 2^(7d + (blocks - 1)e + 2) < n:
+    T[u] is never +-(twice tooth i), and no slope divides by 0.
     """
     p = group.field_p
-    double = group._formulas[0]
+    double, add = group._formulas
     d = group._comb_spacing
     e = -(-d // blocks)
+    top = COMB_TEETH - 1
+    # (blocks - 1) * e < d, so tooth i of the last block and its double lie
+    # below tooth i + 1 of the first, and one rising chain meets them all
+    shifts = sorted({i * d + b * e + j for i in range(COMB_TEETH) for b in range(blocks)
+                     for j in range(1 + (i < top))})
     chain = []
     x, y, z = *base, 1
     done = 0
-    # (blocks - 1) * e < d, so the shifts rise and one chain meets them all
-    for shift in (i * d + b * e for i in range(COMB_TEETH) for b in range(blocks)):
+    for shift in shifts:
         for _ in range(shift - done):
             x, y, z = double(x, y, z, p)
         done = shift
         chain.append((x, y, z))
-    teeth = _to_affine(chain, p)  # tooth i of block b at i * blocks + b
-    tables = [[None, tooth] for tooth in teeth[:blocks]]
-    for i in range(1, COMB_TEETH):
-        row = teeth[i * blocks : (i + 1) * blocks]
+    points = dict(zip(shifts, _to_affine(chain, p)))
+    firsts = []
+    for b in range(blocks):
+        x, y, z = *points[top * d + b * e], 1
+        for i in range(top):
+            tx, ty = points[i * d + b * e]
+            x, y, z = add(x, y, z, tx, p - ty, p)
+        firsts.append((x, y, z))
+    tables = [[first] for first in _to_affine(firsts, p)]
+    for i in range(top):
+        row = [points[i * d + b * e + 1] for b in range(blocks)]
         slopes = iter(_inverses(
-            [tx - x for (tx, _), table in zip(row, tables) for x, _ in table[1:]], p
+            [tx - x for (tx, _), table in zip(row, tables) for x, _ in table], p
         ))
         for (tx, ty), table in zip(row, tables):
-            table.append((tx, ty))
-            for x, y in table[1 : 1 << i]:
+            for x, y in table[: 1 << i]:
                 m = (ty - y) * next(slopes) % p
                 x3 = (m * m - x - tx) % p
                 table.append((x3, (m * (x - x3) - y) % p))
-    return tuple(map(tuple, tables))
+    return tuple((None, *table, *((x, p - y) for x, y in reversed(table))) for table in tables)
 
 
 def _odd_table(group: EcGroup, point: Point) -> list[Point | None]:
@@ -452,23 +472,35 @@ def _odd_table(group: EcGroup, point: Point) -> list[Point | None]:
     return table
 
 
-def _comb_digits(group: EcGroup, scalar: int) -> list[int]:
-    """scalar's column indices into a one-block _comb_table, top column first."""
-    d = group._comb_spacing
-    width = COMB_TEETH * d
-    # Row i of a comb is bits [i*d, (i+1)*d) of the scalar, top row first,
-    # so each column read top-down is the table index for that bit position.
-    bits = format(scalar, f"0{width}b")
-    rows = (bits[i : i + d] for i in range(0, width, d))
-    return [int("".join(column), 2) for column in zip(*rows)]
+# A signed comb column's digit, indexed by its tooth digits read top-down as
+# bits, 1 for +1 and 0 for -1: that index less 2^(COMB_TEETH - 1), 0 skipped.
+_COLUMN_DIGITS = (*range(-(1 << (COMB_TEETH - 1)), 0), *range(1, (1 << (COMB_TEETH - 1)) + 1))
 
 
 def _comb_pairs(group: EcGroup, tables: Comb, scalar: int) -> list:
-    """(table, digits) pairs that spell scalar*base over base's comb tables:
-    the _comb_digits cut into runs of e columns, the lowest run first."""
+    """(table, digits) pairs that spell scalar*base over base's comb tables,
+    for 0 <= scalar < n: one signed digit per column, cut into runs of e
+    columns, the lowest run first and each run top column first.
+
+    An odd scalar is the sum of +-2^j over j < 8d, + where bit j of
+    (scalar >> 1) | 2^(8d - 1) is set; an even one runs as n - scalar with
+    every digit negated, every such bit flipped.  A column's +-1 digits, one
+    per tooth, sum to T[u] (digit u + 1) when its top digit is +1, else to
+    -T[u] for the complement u of its lower ones (digit -(u + 1)), so no
+    digit is 0.
+    """
     d = group._comb_spacing
     e = -(-d // len(tables))
-    digits = _comb_digits(group, scalar)
+    width = COMB_TEETH * d
+    if scalar & 1:
+        signs = (scalar >> 1) | (1 << (width - 1))
+    else:
+        signs = ((group.order_n - scalar) >> 1) ^ ((1 << (width - 1)) - 1)
+    # Row i of a comb is bits [i*d, (i+1)*d) of signs, top row first, so
+    # each column read top-down is the _COLUMN_DIGITS index of its digit.
+    bits = format(signs, f"0{width}b")
+    rows = (bits[i : i + d] for i in range(0, width, d))
+    digits = [_COLUMN_DIGITS[int("".join(column), 2)] for column in zip(*rows)]
     return [
         (table, digits[max(d - (b + 1) * e, 0) : d - b * e]) for b, table in enumerate(tables)
     ]

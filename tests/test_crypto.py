@@ -182,8 +182,8 @@ class TestPointArithmetic:
             k = rng.uniform_scalar(group)
             for scalar in (k & ~mask, k & mask, mask % group.order_n):
                 assert point_mul(group, scalar) == oracle_mul(group, scalar), (b, scalar)
-            digits = crypto._comb_pairs(group, group._comb, k & ~mask)[b][1]
-            assert not any(digits)
+            # a signed comb adds in every column, the zero block's included
+            assert all(crypto._comb_pairs(group, group._comb, k & ~mask)[b][1])
 
     def test_block_lengths(self):
         # (d, e) per curve; P-521's 66 columns leave its top block 15
@@ -1073,9 +1073,12 @@ class TestCombTable:
 
     @pytest.mark.parametrize("gid", sorted(REGISTRY))
     def test_every_entry_is_the_oracle_sum_of_its_teeth(self, gid):
-        # G's COMB_BLOCKS tables, and the one-block tables of two verify keys
+        # G's COMB_BLOCKS tables, and the one-block tables of two verify keys:
+        # entry u + 1 is the top tooth plus or minus each lower tooth i as
+        # bit i of u is set or clear, and entry -(u + 1) is its negation
         group = registry_lookup(gid)
         p, a, d = group.field_p, group.curve_a, group._comb_spacing
+        half = 1 << (COMB_TEETH - 1)
         keys = [signed(group, seed)[0] for seed in (b"table-1", b"table-2")]
         combs = [(group.generator, COMB_BLOCKS, group._comb)]
         combs += [(q, 1, crypto._comb_table(group, q)) for q in keys]
@@ -1084,11 +1087,14 @@ class TestCombTable:
             assert len(tables) == blocks
             for b, table in enumerate(tables):
                 teeth = [oracle_mul(group, 1 << (i * d + b * e), base) for i in range(COMB_TEETH)]
-                expected = [None]
-                for j in range(1, 1 << COMB_TEETH):
-                    top = j.bit_length() - 1
-                    expected.append(affine_add(p, a, expected[j - (1 << top)], teeth[top]))
-                assert list(table) == expected, (base, b)
+                assert len(table) == 2 * half + 1 and table[0] is None
+                for u in range(half):
+                    expected = teeth[-1]
+                    for i, tooth in enumerate(teeth[:-1]):
+                        signed_tooth = tooth if u >> i & 1 else negate(group, tooth)
+                        expected = affine_add(p, a, expected, signed_tooth)
+                    assert table[u + 1] == expected, (base, b, u)
+                    assert table[-(u + 1)] == negate(group, expected), (base, b, u)
 
     @pytest.mark.parametrize("gid", sorted(REGISTRY))
     def test_a_base_multiple_doubles_once_per_block_column(self, formula_calls, gid):
@@ -1103,8 +1109,9 @@ class TestCombTable:
 
     @pytest.mark.parametrize("gid", sorted(REGISTRY))
     def test_a_build_makes_one_inversion_per_tooth(self, monkeypatch, gid):
-        # one for the teeth, and one for each tooth after the first, shared
-        # by every block
+        # one for the doubling chain, then one per tooth, shared by every
+        # block: the top tooth's for each block's T[0], and each lower
+        # tooth's for the entries that add twice that tooth
         inversions = []
 
         def counted(base, exponent, modulus=None):
@@ -1117,7 +1124,89 @@ class TestCombTable:
         for blocks in (1, COMB_BLOCKS):
             inversions.clear()
             crypto._comb_table(group, group.generator, blocks)
-            assert len(inversions) == COMB_TEETH
+            assert len(inversions) == COMB_TEETH + 1
+
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_no_build_addition_divides_by_zero(self, gid):
+        # Integers only.  Each affine addition of a build is T[u] plus twice
+        # tooth i, T[u] = m*B for the block's base B = 2^(b*e)*base; its slope
+        # divides by 0 only when m = +-2^(i*d + 1) mod n.  Every m lies in
+        # (2^(i*d + 1), 2^(7d + 1)), so the _comb_table docstring's bound
+        # 2^(7d + (blocks - 1)e + 2) < n rules that out in every block.
+        group = registry_lookup(gid)
+        n, d = group.order_n, group._comb_spacing
+        top = COMB_TEETH - 1
+        for blocks in (1, COMB_BLOCKS):
+            e = -(-d // blocks)
+            assert 1 << (top * d + (blocks - 1) * e + 2) < n
+            for i in range(top):
+                step = 1 << (i * d + 1)
+                for u in range(1 << i):
+                    m = (1 << (top * d)) + sum(
+                        (1 if u >> j & 1 else -1) << (j * d) for j in range(top)
+                    )
+                    assert step < m < 1 << (top * d + 1)
+                    for b in range(blocks):
+                        assert ((m - step) << (b * e)) % n and ((m + step) << (b * e)) % n
+
+
+def spelled(group, blocks, k):
+    """The integer _comb_pairs' digits for k spell over a comb of `blocks`
+    blocks, each column's +-1 tooth digits weighted by 2^(i*d + b*e + j) for
+    column j of block b; every digit is first checked nonzero and at most
+    2^(COMB_TEETH - 1) in size."""
+    d = group._comb_spacing
+    e = -(-d // blocks)
+    top = COMB_TEETH - 1
+    pairs = crypto._comb_pairs(group, (None,) * blocks, k)
+    assert [len(digits) for _, digits in pairs] == [
+        min(e, d - b * e) for b in range(blocks)
+    ]
+    total = 0
+    for b, (_, digits) in enumerate(pairs):
+        for j, digit in enumerate(reversed(digits)):
+            assert digit and abs(digit) <= 1 << top, (b, j, digit)
+            u = abs(digit) - 1
+            teeth = [(1 if u >> i & 1 else -1) << (i * d) for i in range(top)]
+            column = (1 << (top * d)) + sum(teeth)
+            total += (column if digit > 0 else -column) << (b * e + j)
+    return total
+
+
+def column_scalars(group):
+    """For the lowest and the top column of each block of k*G: the column's
+    lowest bit, its top bit and all its bits, each mod n."""
+    d, e = block_columns(group)
+    n = group.order_n
+    scalars = []
+    for b in range(COMB_BLOCKS):
+        for c in (b * e, min((b + 1) * e, d) - 1):
+            teeth = sum(1 << (i * d + c) for i in range(COMB_TEETH))
+            scalars += [1 << c, (1 << ((COMB_TEETH - 1) * d + c)) % n, teeth % n]
+    return scalars
+
+
+class TestSignedCombDigits:
+    """_comb_pairs' signed digits, with integers alone: every digit nonzero
+    and within the table, and together they spell k mod n."""
+
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_edge_scalars_are_spelled(self, gid):
+        group = registry_lookup(gid)
+        n = group.order_n
+        scalars = [0, n - 1] + [k % n for k in edge_scalars(group)] + column_scalars(group)
+        # each scalar and its neighbour, so both parities run
+        for k in scalars + [(k + 1) % n for k in scalars]:
+            for blocks in (1, COMB_BLOCKS):
+                assert spelled(group, blocks, k) % n == k, (blocks, k)
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(sorted(REGISTRY)), st.integers(min_value=0, max_value=2**530))
+    def test_any_scalar_is_spelled(self, gid, k):
+        group = registry_lookup(gid)
+        k %= group.order_n
+        for blocks in (1, COMB_BLOCKS):
+            assert spelled(group, blocks, k) % group.order_n == k
 
 
 class TestNoGenericFormulaOnP521:
