@@ -26,13 +26,14 @@ nonzero digit adds its table's affine entry with one mixed addition.
 - k*P for any other point is one pair: width-WNAF_WIDTH NAF digits
   (Alg. 3.36) into P's odd table, P, 3P, 5P, 7P and their negations.
 - ECDSA verification computes u1*G + u2*Q in one loop, G's pairs beside
-  Q's, and inverts once.
+  Q's, and compares x with r in Jacobian form, with no inversion.
   A verify key is long-lived (an AP's signer key rides in every beacon),
   so crypto remembers the KEY_MEMO_ENTRIES keys verified most recently.
   A key's first verify pairs G's comb with Q's odd table; its second
-  builds the key a one-block comb table, which later verifies pair with
-  G's, one doubling per comb column.  A key enters the memo only once
-  the signature's range check and the key's on-curve check pass.
+  builds the key a comb of G's geometry, COMB_BLOCKS tables, whose pairs
+  later verifies run beside G's, e doublings in all.  A key enters the
+  memo only once the signature's range check and the key's on-curve check
+  pass.
 - P-384's and P-521's primes are 2^k - c with c small (2^128 + 2^96 -
   2^32 + 1, and 1), so their doubling and mixed addition fold each product
   at 2^k onto c instead of dividing by p (Solinas; HMV section 2.2.6).
@@ -78,12 +79,14 @@ Comb = tuple[tuple[Point | None, ...], ...]
 
 # Comb teeth: a comb table holds 2^(COMB_TEETH - 1) points and their negations.
 COMB_TEETH = 8
-# The generator's comb is cut into this many blocks of columns, one table each.
+# Every comb, G's and each verify key's, is cut into this many blocks of
+# columns, one table each.
 COMB_BLOCKS = 4
 # wNAF window for k*P: 2^(WNAF_WIDTH - 2) precomputed odd multiples.
 WNAF_WIDTH = 4
 # Signer keys remembered, least recently used out first: their x-only decodes,
-# and as verify keys their comb tables (37 KiB on P-224, 52 KiB on P-521).
+# and as verify keys their comb tables (148 KiB on P-224, 208 KiB on P-521,
+# so at most 16 x 208 KiB, about 3.3 MiB, for a full memo of P-521 keys).
 KEY_MEMO_ENTRIES = 16
 # Verdicts and signatures remembered, a few hundred octets each.
 MEMO_ENTRIES = 64
@@ -121,7 +124,7 @@ class EcGroup:
 
     @functools.cached_property
     def _comb(self) -> Comb:
-        return _comb_table(self, self.generator, COMB_BLOCKS)
+        return _comb_table(self, self.generator)
 
     @functools.cached_property
     def _formulas(self):
@@ -397,8 +400,8 @@ def _to_affine(points, p) -> list[Point]:
     return affine
 
 
-def _comb_table(group: EcGroup, base: Point, blocks: int = 1) -> Comb:
-    """base's signed comb, one table per block of e = ceil(d / blocks) columns.
+def _comb_table(group: EcGroup, base: Point) -> Comb:
+    """base's signed comb, one table per block of e = ceil(d / COMB_BLOCKS) columns.
 
     With tooth i of block b the point 2^(i*d + b*e)*base, T[u] for u below
     2^(COMB_TEETH - 1) is the top tooth, plus tooth i for each set bit i of
@@ -410,17 +413,18 @@ def _comb_table(group: EcGroup, base: Point, blocks: int = 1) -> Comb:
     tooth i in every block share one batched inversion.  base has prime
     order n.  Where T[u] meets twice tooth i, T[u] is m*2^(b*e)*base with
     2^(i*d + 1) < m < 2^(7d + 1), so m -+ 2^(i*d + 1) times 2^(b*e) lies in
-    (0, 2^(7d + (blocks - 1)e + 2)), and 2^(7d + (blocks - 1)e + 2) < n:
-    T[u] is never +-(twice tooth i), and no slope divides by 0.
+    (0, 2^(7d + (COMB_BLOCKS - 1)e + 2)), and 2^(7d + (COMB_BLOCKS - 1)e + 2)
+    < n: T[u] is never +-(twice tooth i), and no slope divides by 0.
     """
     p = group.field_p
     double, add = group._formulas
     d = group._comb_spacing
-    e = -(-d // blocks)
+    e = -(-d // COMB_BLOCKS)
     top = COMB_TEETH - 1
-    # (blocks - 1) * e < d, so tooth i of the last block and its double lie
-    # below tooth i + 1 of the first, and one rising chain meets them all
-    shifts = sorted({i * d + b * e + j for i in range(COMB_TEETH) for b in range(blocks)
+    blocks = range(COMB_BLOCKS)
+    # (COMB_BLOCKS - 1) * e < d, so tooth i of the last block and its double
+    # lie below tooth i + 1 of the first, and one rising chain meets them all
+    shifts = sorted({i * d + b * e + j for i in range(COMB_TEETH) for b in blocks
                      for j in range(1 + (i < top))})
     chain = []
     x, y, z = *base, 1
@@ -432,7 +436,7 @@ def _comb_table(group: EcGroup, base: Point, blocks: int = 1) -> Comb:
         chain.append((x, y, z))
     points = dict(zip(shifts, _to_affine(chain, p)))
     firsts = []
-    for b in range(blocks):
+    for b in blocks:
         x, y, z = *points[top * d + b * e], 1
         for i in range(top):
             tx, ty = points[i * d + b * e]
@@ -440,7 +444,7 @@ def _comb_table(group: EcGroup, base: Point, blocks: int = 1) -> Comb:
         firsts.append((x, y, z))
     tables = [[first] for first in _to_affine(firsts, p)]
     for i in range(top):
-        row = [points[i * d + b * e + 1] for b in range(blocks)]
+        row = [points[i * d + b * e + 1] for b in blocks]
         slopes = iter(_inverses(
             [tx - x for (tx, _), table in zip(row, tables) for x, _ in table], p
         ))
@@ -756,9 +760,11 @@ def _recall(memo: OrderedDict, key, make, entries: int = MEMO_ENTRIES):
 
 
 # (group id, verify key) -> the key's comb tables, or None until its second
-# verify; ordered from least to most recently verified.  A table costs one to
-# two verifies to build, so a key verified once never pays for one, and a run
-# that cycles through more keys than the memo holds (the 30-client crowd
+# verify; ordered from least to most recently verified.  A key's comb costs
+# about eight verifies under it to build, twice a one-block comb, and repays
+# that difference after 12 to 19 verifies of the key; a long-lived AP key
+# makes far more.  A key verified once never pays for one, and a run that
+# cycles through more keys than the memo holds (the 30-client crowd
 # scenario) builds none instead of one per verify.
 _key_memo: OrderedDict = OrderedDict()
 _decode_memo: OrderedDict = OrderedDict()  # (group id, x octets) -> signer key
@@ -882,7 +888,12 @@ def _verify(group: EcGroup, public_point: Point, message: bytes, signature: byte
         second = [(_odd_table(group, public_point), _wnaf_digits(u2))]
     else:
         second = _comb_pairs(group, tables, u2)
-    x, y, z = _mul(group, _comb_pairs(group, group._comb, u1) + second)
+    x, _, z = _mul(group, _comb_pairs(group, group._comb, u1) + second)
     if not z:
         return False
-    return _to_affine([(x, y, z)], group.field_p)[0][0] % n == r
+    # The affine x/z^2 lies in [0, p) and p < 2n, so it is r mod n just when
+    # it is r, or r + n below p: compare x with r*z^2 and (r + n)*z^2 and
+    # make no inversion (libsecp256k1's secp256k1_gej_eq_x_var).
+    p = group.field_p
+    zz = z * z % p
+    return x == r * zz % p or (r < p - n and x == (r + n) * zz % p)

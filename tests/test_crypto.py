@@ -551,6 +551,45 @@ class TestEcdsa:
         assert verdicts == [oracle_verify(group, public, e, rr, s) for public, rr in cases]
         assert verdicts[1:] == [False, True, False]
 
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_x_of_the_sum_at_or_above_n(self, key_memo, fresh_memos, gid):
+        # p > n, so an x of u1*G + u2*Q in [n, p) reads as r = x - n.  Pick
+        # such a point R, e and s, and recover the key Q = (R - u1*G)/u2 that
+        # (r, s) verifies under; r - 1 and r + 1 must not verify, either on
+        # a key's first verify or under its comb.
+        _, builds = key_memo
+        group = registry_lookup(gid)
+        p, a, b, n = group.field_p, group.curve_a, group.curve_b, group.order_n
+        x = n + (p - n) // 3
+        while (y := crypto._mod_sqrt(group, x**3 + a * x + b)) is None:
+            x += 1
+        assert n <= x < p and (y * y - (x**3 + a * x + b)) % p == 0
+        message = b"x above the order"
+        e = message_scalar(group, message)
+        s = SeededRng(b"r + n", group.name.encode()).uniform_scalar(group)
+        r = x - n
+        w = pow(s, -1, n)
+        u1, u2 = e * w % n, r * w % n
+        rest = affine_add(p, a, (x, y), negate(group, oracle_mul(group, u1)))
+        public = oracle_mul(group, pow(u2, -1, n), rest)
+        cases = [r, r - 1, r + 1]
+        expected = [oracle_verify(group, public, e, rr, s) for rr in cases]
+        assert expected == [True, False, False]
+
+        def verify(rr):
+            signature = scalar_to_octets(group, rr) + scalar_to_octets(group, s)
+            return ecdsa_verify(group, public, message, signature)
+
+        first = []
+        for rr in cases:  # each a first verify: wNAF digits for the key
+            fresh_memos()
+            first.append(verify(rr))
+        assert builds == []
+        crypto._verdict_memo.clear()
+        under_comb = [verify(rr) for rr in cases]  # the first builds the key's comb
+        assert builds == [(gid, public)]
+        assert first == under_comb == expected
+
     def test_malformed_signature_width_rejected(self):
         group = registry_lookup(26)
         key = ecdsa_generate(group, SeededRng(b"width"))
@@ -685,13 +724,9 @@ class TestRfc6979Retries:
 
 
 def comb(group, base, k):
-    """base's one-block comb table with k's comb digits: one pair for the loop."""
+    """base's comb in COMB_BLOCKS tables with k's digits cut to match, as k*G
+    and a verify under a built key table run: COMB_BLOCKS pairs for the loop."""
     return crypto._comb_pairs(group, crypto._comb_table(group, base), k)
-
-
-def blocked(group, base, k):
-    """base's comb in COMB_BLOCKS tables with k's digits cut to match, as k*G runs."""
-    return crypto._comb_pairs(group, crypto._comb_table(group, base, COMB_BLOCKS), k)
 
 
 def wnaf(group, base, k):
@@ -725,10 +760,10 @@ def key_memo(monkeypatch, fresh_memos):
     builds = []
     build = crypto._comb_table
 
-    def counted(group, base, *blocks):
+    def counted(group, base):
         if base != group.generator:
             builds.append((group.group_id, base))
-        return build(group, base, *blocks)
+        return build(group, base)
 
     monkeypatch.setattr(crypto, "_comb_table", counted)
     yield crypto._key_memo, builds
@@ -849,7 +884,7 @@ class TestKeyMemo:
                 assert ecdsa_verify(group, public, message, signature)
                 tables_built.append(builds.count(key))
             assert tables_built == [0, 1, 1]
-            assert len(memo[key]) == 1  # a verify key's comb is one block
+            assert len(memo[key]) == COMB_BLOCKS  # a verify key's comb is G's geometry
         assert len(builds) == len(ALL_GROUPS)
 
     def test_key_past_the_bound_evicts_least_recent(self, key_memo):
@@ -1036,6 +1071,20 @@ def formula_calls(monkeypatch, key_memo):
     return calls
 
 
+@pytest.fixture
+def inversions(monkeypatch):
+    """The modulus of each pow(x, -1, modulus) crypto makes, in call order."""
+    moduli = []
+
+    def counted(base, exponent, modulus=None):
+        if exponent == -1:
+            moduli.append(modulus)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(crypto, "pow", counted, raising=False)
+    return moduli
+
+
 class TestFormulaDispatch:
     """The group's prime alone picks which point formulas a multiplication runs."""
 
@@ -1073,18 +1122,18 @@ class TestCombTable:
 
     @pytest.mark.parametrize("gid", sorted(REGISTRY))
     def test_every_entry_is_the_oracle_sum_of_its_teeth(self, gid):
-        # G's COMB_BLOCKS tables, and the one-block tables of two verify keys:
-        # entry u + 1 is the top tooth plus or minus each lower tooth i as
-        # bit i of u is set or clear, and entry -(u + 1) is its negation
+        # G's COMB_BLOCKS tables, and those of two verify keys: entry u + 1
+        # is the top tooth plus or minus each lower tooth i as bit i of u is
+        # set or clear, and entry -(u + 1) is its negation
         group = registry_lookup(gid)
-        p, a, d = group.field_p, group.curve_a, group._comb_spacing
+        p, a = group.field_p, group.curve_a
+        d, e = block_columns(group)
         half = 1 << (COMB_TEETH - 1)
         keys = [signed(group, seed)[0] for seed in (b"table-1", b"table-2")]
-        combs = [(group.generator, COMB_BLOCKS, group._comb)]
-        combs += [(q, 1, crypto._comb_table(group, q)) for q in keys]
-        for base, blocks, tables in combs:
-            e = -(-d // blocks)
-            assert len(tables) == blocks
+        combs = [(group.generator, group._comb)]
+        combs += [(q, crypto._comb_table(group, q)) for q in keys]
+        for base, tables in combs:
+            assert len(tables) == COMB_BLOCKS
             for b, table in enumerate(tables):
                 teeth = [oracle_mul(group, 1 << (i * d + b * e), base) for i in range(COMB_TEETH)]
                 assert len(table) == 2 * half + 1 and table[0] is None
@@ -1108,22 +1157,38 @@ class TestCombTable:
             assert formula_calls[double] == e
 
     @pytest.mark.parametrize("gid", sorted(REGISTRY))
-    def test_a_build_makes_one_inversion_per_tooth(self, monkeypatch, gid):
+    def test_a_table_verify_doubles_once_per_block_column(
+        self, formula_calls, key_memo, inversions, gid
+    ):
+        # Once a key's comb is built, u1*G + u2*Q runs G's blocks beside the
+        # key's: e doublings, and x is compared with r in Jacobian form, so
+        # the one inversion is s's, mod n.
+        _, builds = key_memo
+        group = registry_lookup(gid)
+        _, e = block_columns(group)
+        assert e == {26: 7, 19: 8, 20: 12, 21: 17}[gid]
+        double = "folded_double" if gid in FOLDED else "_jacobian_double"
+        public, inputs = signed_many(group, b"table verify", 4)
+        for message, signature in inputs[:2]:  # enters the key, then builds its comb
+            assert ecdsa_verify(group, public, message, signature)
+        assert builds == [(gid, public)]
+        for message, signature in inputs[2:]:
+            formula_calls.clear()
+            inversions.clear()
+            assert ecdsa_verify(group, public, message, signature)
+            assert formula_calls[double] == e
+            assert inversions == [group.order_n]
+        assert builds == [(gid, public)]
+
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_a_build_makes_one_inversion_per_tooth(self, inversions, gid):
         # one for the doubling chain, then one per tooth, shared by every
         # block: the top tooth's for each block's T[0], and each lower
         # tooth's for the entries that add twice that tooth
-        inversions = []
-
-        def counted(base, exponent, modulus=None):
-            if exponent == -1:
-                inversions.append(base)
-            return pow(base, exponent, modulus)
-
-        monkeypatch.setattr(crypto, "pow", counted, raising=False)
         group = registry_lookup(gid)
-        for blocks in (1, COMB_BLOCKS):
+        for base in (group.generator, signed(group, b"inversions")[0]):
             inversions.clear()
-            crypto._comb_table(group, group.generator, blocks)
+            crypto._comb_table(group, base)
             assert len(inversions) == COMB_TEETH + 1
 
     @pytest.mark.parametrize("gid", sorted(REGISTRY))
@@ -1132,22 +1197,21 @@ class TestCombTable:
         # tooth i, T[u] = m*B for the block's base B = 2^(b*e)*base; its slope
         # divides by 0 only when m = +-2^(i*d + 1) mod n.  Every m lies in
         # (2^(i*d + 1), 2^(7d + 1)), so the _comb_table docstring's bound
-        # 2^(7d + (blocks - 1)e + 2) < n rules that out in every block.
+        # 2^(7d + (COMB_BLOCKS - 1)e + 2) < n rules that out in every block.
         group = registry_lookup(gid)
-        n, d = group.order_n, group._comb_spacing
+        n = group.order_n
+        d, e = block_columns(group)
         top = COMB_TEETH - 1
-        for blocks in (1, COMB_BLOCKS):
-            e = -(-d // blocks)
-            assert 1 << (top * d + (blocks - 1) * e + 2) < n
-            for i in range(top):
-                step = 1 << (i * d + 1)
-                for u in range(1 << i):
-                    m = (1 << (top * d)) + sum(
-                        (1 if u >> j & 1 else -1) << (j * d) for j in range(top)
-                    )
-                    assert step < m < 1 << (top * d + 1)
-                    for b in range(blocks):
-                        assert ((m - step) << (b * e)) % n and ((m + step) << (b * e)) % n
+        assert 1 << (top * d + (COMB_BLOCKS - 1) * e + 2) < n
+        for i in range(top):
+            step = 1 << (i * d + 1)
+            for u in range(1 << i):
+                m = (1 << (top * d)) + sum(
+                    (1 if u >> j & 1 else -1) << (j * d) for j in range(top)
+                )
+                assert step < m < 1 << (top * d + 1)
+                for b in range(COMB_BLOCKS):
+                    assert ((m - step) << (b * e)) % n and ((m + step) << (b * e)) % n
 
 
 def spelled(group, blocks, k):

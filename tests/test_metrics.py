@@ -192,10 +192,32 @@ class TestBenchReport:
             signs.clear()
             report = bench_crypto(26, iterations=100)
             rows = {row.operation: row.samples for row in report.rows}
-            # every verify of the row misses the verdict memo and verifies
-            assert rows["ecdsa-verify"] == len(real_verifies) == 100
-            assert len({key for key, _ in real_verifies}) == 100
+            # two untimed warm-up verifies, then every verify of the row
+            # misses the verdict memo and verifies
+            timed = real_verifies[2:]
+            assert rows["ecdsa-verify"] == len(timed) == 100
+            assert len({key for key, _ in timed}) == 100
             assert all(ok for _, ok in real_verifies)
-            # 100 signatures for the verify row, then 100 timed signs
+            # 100 signatures for the verify row and 2 for the warm-ups, then
+            # 100 timed signs
             assert rows["ecdsa-sign"] == 100
-            assert len(signs) == 200 and len(set(signs)) == 100
+            assert len(signs) == 202 and len(set(signs)) == 102
+
+    def test_verify_row_builds_no_table_while_timed(
+        self, monkeypatch, fresh_memos, real_verifies
+    ):
+        # the signer key's comb table is built in the second warm-up verify,
+        # so the timed verifies all run under it and none builds one
+        builds = []
+        build = crypto._comb_table
+
+        def counted(group, base):
+            if base != group.generator:
+                builds.append(len(real_verifies))  # verifies done before this build
+            return build(group, base)
+
+        monkeypatch.setattr(crypto, "_comb_table", counted)
+        bench_crypto(26, iterations=100)
+        messages = [key[2] for key, _ in real_verifies]
+        assert messages[2:] == [i.to_bytes(8, "big") for i in range(100)]  # the timed ones
+        assert builds == [1]  # inside the second verify, the last untimed one
