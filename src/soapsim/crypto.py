@@ -14,6 +14,8 @@ nonzero digit adds its table's affine entry with one mixed addition.
 - k*G is COMB_BLOCKS pairs: the generator's comb (Alg. 3.44, COMB_TEETH
   teeth d bits apart) cut into blocks of e = ceil(d / COMB_BLOCKS)
   columns (Lim and Lee, CRYPTO '94), so k*G doubles e times, not d.
+  Every comb, G's and each verify key's, has the one geometry (d, e) of
+  EcGroup._comb_geometry, which its build and its digits both read.
   The comb is signed (Hedabou, Pinel and Beneteau, ePrint 2004/342): an
   odd k is read as +-1 digits, an even k as n - k with every digit
   negated, so each column adds one of block b's 128 points, the top tooth
@@ -117,10 +119,12 @@ class EcGroup:
     def generator(self) -> Point:
         return (self.gen_x, self.gen_y)
 
-    @property
-    def _comb_spacing(self) -> int:
-        """Bits between adjacent comb teeth: ceil(bitlen(n) / COMB_TEETH)."""
-        return -(-self.order_n.bit_length() // COMB_TEETH)
+    @functools.cached_property
+    def _comb_geometry(self) -> tuple[int, int]:
+        """(d, e): d = ceil(bitlen(n) / COMB_TEETH) bits between adjacent comb
+        teeth, and e = ceil(d / COMB_BLOCKS) columns in each block."""
+        d = -(-self.order_n.bit_length() // COMB_TEETH)
+        return d, -(-d // COMB_BLOCKS)
 
     @functools.cached_property
     def _comb(self) -> Comb:
@@ -418,8 +422,7 @@ def _comb_table(group: EcGroup, base: Point) -> Comb:
     """
     p = group.field_p
     double, add = group._formulas
-    d = group._comb_spacing
-    e = -(-d // COMB_BLOCKS)
+    d, e = group._comb_geometry
     top = COMB_TEETH - 1
     blocks = range(COMB_BLOCKS)
     # (COMB_BLOCKS - 1) * e < d, so tooth i of the last block and its double
@@ -493,8 +496,7 @@ def _comb_pairs(group: EcGroup, tables: Comb, scalar: int) -> list:
     -T[u] for the complement u of its lower ones (digit -(u + 1)), so no
     digit is 0.
     """
-    d = group._comb_spacing
-    e = -(-d // len(tables))
+    d, e = group._comb_geometry
     width = COMB_TEETH * d
     if scalar & 1:
         signs = (scalar >> 1) | (1 << (width - 1))

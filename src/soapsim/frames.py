@@ -16,7 +16,7 @@ frame is dropped silently or counted.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 # Information element ids. 251 carries the ECDH group negotiation payload;
@@ -184,17 +184,12 @@ def _read_eapol_header(data: bytes) -> tuple[int, int, int, bytes]:
     return (*_EAPOL_HEADER.unpack_from(data), bytes(data[_EAPOL_HEADER.size :]))
 
 
-def parse_soap_message(
-    data: bytes,
-    key_octets: int | None = None,
-    signature_octets: int | None = None,
-) -> SoapMessage:
+def parse_soap_message(data: bytes, key_octets: int, signature_octets: int) -> SoapMessage:
     """Parse an EAPOL packet into a key-agreement message.
 
-    With no width hints the body splits into equal halves (the layout when
-    both stations run the same curve). A receiver that negotiated group
-    widths passes key_octets (and signature_octets when the peer signs on a
-    different curve than the ECDH group) to fix the split exactly.
+    A message parses only under the widths its receiver negotiated: key_octets
+    for the ECDH group's coordinates and signature_octets for the curve the
+    peer signs on, which may differ.
     """
     version, packet_type, body_length, rest = _read_eapol_header(data)
     if version != AGREEMENT_PROTOCOL_VERSION or packet_type != AGREEMENT_PACKET_TYPE:
@@ -205,21 +200,12 @@ def parse_soap_message(
         nonce = rest[body_length:]
     else:
         raise MalformedFrameError("body length field disagrees with data")
-    body = rest[:body_length]
-    if key_octets is not None:
-        split = 2 * key_octets
-        expected = split + 2 * (
-            signature_octets if signature_octets is not None else key_octets
+    split = 2 * key_octets
+    if body_length != split + 2 * signature_octets:
+        raise MalformedFrameError(
+            f"body of {body_length} octets does not fit the negotiated widths"
         )
-        if body_length != expected:
-            raise MalformedFrameError(
-                f"body of {body_length} octets does not fit the negotiated widths"
-            )
-    else:
-        if body_length == 0 or body_length % 4:
-            raise MalformedFrameError("body cannot split into key and signature")
-        split = body_length // 2
-    return SoapMessage(body[:split], body[split:], nonce)
+    return SoapMessage(rest[:split], rest[split:body_length], nonce)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +368,6 @@ def parse_management_frame(data: bytes) -> ManagementFrame:
     return ManagementFrame(
         subtype, wire_src_mac(data), wire_dst_mac(data), tuple(elements), signature
     )
-
-
-def management_signing_input(frame: ManagementFrame) -> bytes:
-    """The octets a signer signs: the frame's encoding up to its signature."""
-    return encode_management_frame(replace(frame, signature=None))
 
 
 def signed_octets(wire: bytes, signature: bytes) -> bytes:

@@ -109,6 +109,7 @@ class _SessionCore:
     peer_mac: bytes | None = None
     peer_signer: tuple[EcGroup, Point] | None = None
     psk: SharedPsk | None = None
+    session_nonce: bytes | None = None
     _ephemeral: KeyPair | None = field(default=None, repr=False)
 
     def abort(self, reason: str) -> None:
@@ -153,7 +154,6 @@ class ClientSession(_SessionCore):
         super().__init__(identity, rng, strict_frames)
         self.pinned_ap_key = pinned_ap_key
         self.seen_nonces = seen_nonces if seen_nonces is not None else set()
-        self.session_nonce: bytes | None = None
 
     def on_advertisement(self, ie: SoapIe, ap_mac: bytes):
         """Returns (response element or None, event)."""
@@ -223,7 +223,6 @@ class ApSession(_SessionCore):
     ):
         super().__init__(identity, rng, strict_frames)
         self.peer_mac = bytes(client_mac)
-        self.session_nonce: bytes | None = None
         self.claimed_group_id: int | None = None
 
     def on_response_element(self, ie: SoapIe) -> str:

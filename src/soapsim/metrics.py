@@ -88,14 +88,6 @@ class SizeRow:
         return (self.soap_octets - self.baseline_octets) / self.soap_octets
 
 
-@dataclass(frozen=True)
-class AddedFrame:
-    """A frame the key agreement introduces that has no baseline analogue."""
-
-    kind: str
-    octets: int
-
-
 @dataclass
 class SizeReport:
     group_id: int
@@ -106,7 +98,6 @@ class SizeReport:
     ie_octets: int
     message_octets: int
     rows: list[SizeRow] = field(default_factory=list)
-    added: list[AddedFrame] = field(default_factory=list)
 
     @property
     def ie_key_fraction(self) -> float:
@@ -132,8 +123,9 @@ class SizeReport:
                 f"{row.kind:<24} {row.baseline_octets:>9} {row.soap_octets:>15} "
                 f"{row.overhead_fraction:>8.1%}"
             )
-        for extra in self.added:
-            lines.append(f"{extra.kind:<24} {'-':>9} {extra.octets:>15} {'added':>9}")
+        # the two agreement messages are added frames, with no baseline analogue
+        for kind in ("agreement-message-1", "agreement-message-2"):
+            lines.append(f"{kind:<24} {'-':>9} {self.message_octets:>15} {'added':>9}")
         return "\n".join(lines)
 
 
@@ -198,11 +190,6 @@ def size_report(group_id: int, group_count: int = 1, strict: bool = True) -> Siz
     # either way, so they appear with a zero overhead fraction.
     rows.extend(SizeRow(kind, octets, octets) for kind, octets in key_sizes)
 
-    added = [
-        AddedFrame("agreement-message-1", message_octets),
-        AddedFrame("agreement-message-2", message_octets),
-    ]
-
     report = SizeReport(
         group_id=group.group_id,
         group_name=group.name,
@@ -212,7 +199,6 @@ def size_report(group_id: int, group_count: int = 1, strict: bool = True) -> Siz
         ie_octets=ie_octets,
         message_octets=message_octets,
         rows=rows,
-        added=added,
     )
     for row in report.rows:
         assert 0 <= row.overhead_fraction < 1

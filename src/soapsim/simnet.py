@@ -111,7 +111,6 @@ from .frames import (
     encode_soap_message,
     find_element,
     frame_kind,
-    management_signing_input,
     parse_data_frame,
     parse_eapol_key_frame,
     parse_management_frame,
@@ -424,10 +423,9 @@ class Station:
 
     def _out_mgmt(self, frame: ManagementFrame) -> Transmission:
         if self.mitigations.sign_management_frames:
-            frame = replace(
-                frame,
-                signature=ecdsa_sign(self.identity.ecdsa, management_signing_input(frame)),
-            )
+            # an unsigned frame encodes to the octets that signed_octets covers
+            signature = ecdsa_sign(self.identity.ecdsa, encode_management_frame(frame))
+            frame = replace(frame, signature=signature)
         return Transmission(self.cfg.station_id, encode_management_frame(frame))
 
     def _out_eapol(self, dst: bytes, packet: bytes) -> Transmission:
@@ -568,8 +566,6 @@ class ClientStation(Station):
         self._transition(tick, "station", state, **detail)
 
     def _restart(self, tick: int, reason: str) -> None:
-        if self.session is not None and self.session.phase is not Phase.ABORTED:
-            self.session.abort(reason)
         self.session = self.supplicant = self.ap_mac = self.mode = None
         self.answered.clear()
         self._enter(tick, "scanning", reason=reason)
@@ -1068,13 +1064,16 @@ class Adversary:
     def _substitute_message1(self, t: Transmission) -> Transmission | None:
         if isinstance(t.frame, MalformedFrameError):
             return None
-        try:
-            original = parse_soap_message(t.frame.payload)
-        except MalformedFrameError:
-            return None
+        # the widths the substitute is built with, and the target parses under
         group_id = self.flow_groups.get(t.dst_mac, DEFAULT_GROUP_ID)
         group = registry_lookup(group_id)
         signer_group = self.signer_groups.get(t.src_mac, group)
+        try:
+            original = parse_soap_message(
+                t.frame.payload, group.key_size_octets, signer_group.key_size_octets
+            )
+        except MalformedFrameError:
+            return None
         signer = self._signers.get(signer_group)
         if signer is None:
             signer = self._signers[signer_group] = ecdsa_generate(

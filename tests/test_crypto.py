@@ -122,8 +122,7 @@ class TestRegistry:
 
 def block_columns(group):
     """d, the bits between comb teeth, and e, the columns in each block of k*G."""
-    d = group._comb_spacing
-    return d, -(-d // COMB_BLOCKS)
+    return group._comb_geometry
 
 
 def edge_scalars(group):
@@ -1214,17 +1213,16 @@ class TestCombTable:
                     assert ((m - step) << (b * e)) % n and ((m + step) << (b * e)) % n
 
 
-def spelled(group, blocks, k):
-    """The integer _comb_pairs' digits for k spell over a comb of `blocks`
+def spelled(group, k):
+    """The integer _comb_pairs' digits for k spell over a comb of COMB_BLOCKS
     blocks, each column's +-1 tooth digits weighted by 2^(i*d + b*e + j) for
     column j of block b; every digit is first checked nonzero and at most
     2^(COMB_TEETH - 1) in size."""
-    d = group._comb_spacing
-    e = -(-d // blocks)
+    d, e = block_columns(group)
     top = COMB_TEETH - 1
-    pairs = crypto._comb_pairs(group, (None,) * blocks, k)
+    pairs = crypto._comb_pairs(group, (None,) * COMB_BLOCKS, k)
     assert [len(digits) for _, digits in pairs] == [
-        min(e, d - b * e) for b in range(blocks)
+        min(e, d - b * e) for b in range(COMB_BLOCKS)
     ]
     total = 0
     for b, (_, digits) in enumerate(pairs):
@@ -1261,16 +1259,14 @@ class TestSignedCombDigits:
         scalars = [0, n - 1] + [k % n for k in edge_scalars(group)] + column_scalars(group)
         # each scalar and its neighbour, so both parities run
         for k in scalars + [(k + 1) % n for k in scalars]:
-            for blocks in (1, COMB_BLOCKS):
-                assert spelled(group, blocks, k) % n == k, (blocks, k)
+            assert spelled(group, k) % n == k, k
 
     @settings(max_examples=200)
     @given(st.sampled_from(sorted(REGISTRY)), st.integers(min_value=0, max_value=2**530))
     def test_any_scalar_is_spelled(self, gid, k):
         group = registry_lookup(gid)
         k %= group.order_n
-        for blocks in (1, COMB_BLOCKS):
-            assert spelled(group, blocks, k) % group.order_n == k
+        assert spelled(group, k) % group.order_n == k
 
 
 class TestNoGenericFormulaOnP521:

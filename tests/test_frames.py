@@ -35,7 +35,6 @@ from soapsim.frames import (
     frame_kind,
     frame_wire_size,
     hexdump,
-    management_signing_input,
     parse_data_frame,
     parse_eapol_key_frame,
     parse_management_frame,
@@ -165,7 +164,7 @@ class TestSoapMessageCodec:
             b"\x55" * (2 * s),
             bytes(8) if nonce else None,
         )
-        assert parse_soap_message(encode_soap_message(msg)) == msg
+        assert parse_soap_message(encode_soap_message(msg), s, s) == msg
 
     def test_nonce_excluded_from_length_field(self):
         plain = encode_soap_message(SoapMessage(bytes(56), bytes(56)))
@@ -180,23 +179,22 @@ class TestSoapMessageCodec:
         parsed = parse_soap_message(wire, key_octets=32, signature_octets=48)
         assert parsed == msg
 
-    def test_no_hints_assumes_equal_halves(self):
-        # without negotiated widths the parser can only split down the middle
+    def test_widths_fix_the_split(self):
+        # the body alone does not say where the key ends: the widths do
         msg = SoapMessage(b"\x01" * 64, b"\x02" * 96)
-        parsed = parse_soap_message(encode_soap_message(msg))
+        parsed = parse_soap_message(encode_soap_message(msg), 40, 40)
         assert parsed != msg
         assert len(parsed.ecdh_public) == len(parsed.signature) == 80
 
-    def test_no_hints_rejects_odd_body(self):
-        wire = bytearray(encode_soap_message(SoapMessage(bytes(56), bytes(56))))
-        wire[3] += 2  # body length no longer divisible by four
-        with pytest.raises(MalformedFrameError):
-            parse_soap_message(bytes(wire[:-6]))
-
     def test_hint_mismatch_rejected(self):
         wire = encode_soap_message(SoapMessage(bytes(56), bytes(56)))
-        with pytest.raises(MalformedFrameError):
-            parse_soap_message(wire, key_octets=32)
+        for key, signature in ((32, 32), (28, 32), (32, 28)):
+            with pytest.raises(MalformedFrameError, match="negotiated widths"):
+                parse_soap_message(wire, key_octets=key, signature_octets=signature)
+        odd = bytearray(wire)
+        odd[3] += 2  # a body two octets longer than 28-octet widths give
+        with pytest.raises(MalformedFrameError, match="negotiated widths"):
+            parse_soap_message(bytes(odd) + bytes(2), 28, 28)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -211,7 +209,7 @@ class TestSoapMessageCodec:
     def test_malformed_rejected(self, mutate):
         wire = encode_soap_message(SoapMessage(bytes(56), bytes(56)))
         with pytest.raises(MalformedFrameError):
-            parse_soap_message(mutate(wire))
+            parse_soap_message(mutate(wire), 28, 28)
 
 
 class TestEapolKeyCodec:
@@ -371,17 +369,21 @@ class TestManagementFrames:
         assert wire[-58] == ELEMENT_ID_MGMT_SIGNATURE
 
     def test_signing_input_excludes_signature(self):
+        # a signer signs the unsigned frame's encoding: all that precedes the
+        # signature element once the signature is appended
         bare = self.beacon([(0, b"net")])
         signed = self.beacon([(0, b"net")], signature=b"\xab" * 56)
-        assert management_signing_input(signed) == encode_management_frame(bare)
-        assert management_signing_input(signed) != encode_management_frame(signed)
+        wire = encode_management_frame(signed)
+        assert signed_octets(wire, signed.signature) == encode_management_frame(bare)
+        assert signed_octets(wire, signed.signature) != wire
 
     def test_signed_octets_are_the_octets_as_sent(self):
         # every octet before the signature element is covered, the ones the
         # parse drops too: duration, BSSID, sequence control and fixed body
         signed = self.beacon([(0, b"net")], signature=b"\xab" * 56)
         wire = encode_management_frame(signed)
-        assert signed_octets(wire, signed.signature) == management_signing_input(signed)
+        bare = encode_management_frame(self.beacon([(0, b"net")]))
+        assert signed_octets(wire, signed.signature) == bare
         for offset in (2, 16, 22, 32, 34):
             altered = bytearray(wire)
             altered[offset] ^= 1
@@ -618,12 +620,11 @@ def _builtin_sources():
 
 SOURCES = _builtin_sources()
 _GROUP_WIDTHS = sorted({registry_lookup(g).key_size_octets for g in known_group_ids()})
-# Every parser a receiver may hand octets to, with each width hint it may pass.
+# Every parser a receiver may hand octets to, with each pair of widths it may pass.
 PARSERS = (
     lambda data: soap_ie_from_frame(parse_management_frame(data)),
     parse_data_frame,
     parse_soap_ie,
-    parse_soap_message,
     *(partial(parse_soap_message, key_octets=key, signature_octets=signature)
       for key in _GROUP_WIDTHS for signature in _GROUP_WIDTHS),
     parse_eapol_key_frame,
@@ -633,7 +634,9 @@ PARSERS = (
 # builtin source that reaches it: (source, truncated length, overwrites).
 REACHING = {
     "element payload too short for any group list": ("soap element", 2, [(1, 0)]),
-    "body cannot split into key and signature": ("agreement packet", 4, [(2, 0), (3, 0)]),
+    "body of 0 octets does not fit the negotiated widths": (
+        "agreement packet", 4, [(2, 0), (3, 0)],
+    ),
     "not an EAPOL-Key packet": ("agreement packet", None, []),
     "key data length field disagrees with data": (
         "eapol-key packet", None, [(4 + EAPOL_KEY_BODY_OCTETS - 2, 0xFF)],

@@ -5,8 +5,9 @@ The transcript and suite digests were taken from the fixed-step tick loop.
 Any change to the simulator that alters a transcript, a summary or a report
 fails here, so a refactor or an optimisation of the loop must reproduce these
 bytes exactly. The ``frames`` digests cover the golden hex dumps and the size
-table on all four curves, with two advertised groups and in strict mode, so a
-change to the in-memory exchange driver must reproduce those bytes too.
+table on all four curves, with one, two and four advertised groups, each with
+and without strict mode, so a change to the in-memory exchange driver, the
+codecs or the size report must reproduce those bytes too.
 """
 
 import hashlib
@@ -131,14 +132,68 @@ SUITE_SHA256 = {
 
 FRAMES_SHA256 = {
     ("--group", "19"): "4e8e3f74e5695601e986aa6557e390f23e67e9dd31898309661c4012429cff1b",
+    ("--group", "19", "--strict"): (
+        "73008420316113ee4bcf3737944799182c4c6cafcdcd84357a7192867cb66379"
+    ),
+    ("--group", "19", "--m", "2"): (
+        "0d20811301ad8ea99a87ebc503615709dfe0034400c30d17f61e336eeab91070"
+    ),
+    ("--group", "19", "--m", "2", "--strict"): (
+        "3e51bf9b547fdb8f38340327663e8a88f2449572d8ccd110ed8cbce3b765c755"
+    ),
+    ("--group", "19", "--m", "4"): (
+        "92ed334f9525512fe4cc4fea6ec36956a5b05483601eec709ba839923898c7c4"
+    ),
+    ("--group", "19", "--m", "4", "--strict"): (
+        "8f81414e3f8e69d60da031cbc2d7458b7d37076f4830405459d396f1889efcba"
+    ),
     ("--group", "20"): "9f3057807177343b76db50809eb37afc1930661918a6984af9dd7188a6984b6e",
+    ("--group", "20", "--strict"): (
+        "a8456033828ef267816c3a120763e72bdb7f40a1f0b66d0b341e86dd634292dc"
+    ),
+    ("--group", "20", "--m", "2"): (
+        "3336ad5658dd219086e33084d4ecc5c2e04edffccfc17bcc068025d84014115b"
+    ),
+    ("--group", "20", "--m", "2", "--strict"): (
+        "a01870300f2608bc343b032105f4cf9090c2784e0b580d25fb740411ea057d43"
+    ),
+    ("--group", "20", "--m", "4"): (
+        "fb55ba6dc5cb38a1021cc3db5580f3bc0ff0f9da5c3f1eda032eede44878de12"
+    ),
+    ("--group", "20", "--m", "4", "--strict"): (
+        "948c696ce76a70c1c066778d549e8d238ad8373b4d2080519389b6094ac3cc42"
+    ),
     ("--group", "21"): "9a930877484c172b28896b69ef530d3fc34679da43bc72c83cae14e985caca6f",
+    ("--group", "21", "--strict"): (
+        "4fcc58bc40409b633fc0faf551bb627af9c654d8a46def791d521867cb37a0d3"
+    ),
+    ("--group", "21", "--m", "2"): (
+        "334a3cb90c9b18ea8b55af01e5aa78375c83aecbb7a8eb0f9c7bbe52a565c74f"
+    ),
+    ("--group", "21", "--m", "2", "--strict"): (
+        "f72719e7b62c6b2d3aae60faaf9c467cb26bec85df8dd89e636211a4e82e3e93"
+    ),
+    ("--group", "21", "--m", "4"): (
+        "5eb08485d6aa30667adef8315e60a856ac3b09fb4e94c9a75e65bbffa27ccbf8"
+    ),
+    ("--group", "21", "--m", "4", "--strict"): (
+        "572a7e4f25677170dca53b10f7fc774c07593ab06b98b16a8391bfa68e3cf987"
+    ),
     ("--group", "26"): "6d18daad8ab159141bbd16bbd43a1a46c2dcf812beb53a6798acb4c52672eacf",
+    ("--group", "26", "--strict"): (
+        "c4090252bf33d1520c9cfe91e03421307eaf9d08feead7b444be71d21073af0a"
+    ),
     ("--group", "26", "--m", "2"): (
         "fa57f07ab4806023cd88998e5cb6a61701fab5282eb3309f1d20b6a01d0e80d6"
     ),
-    ("--group", "26", "--strict"): (
-        "c4090252bf33d1520c9cfe91e03421307eaf9d08feead7b444be71d21073af0a"
+    ("--group", "26", "--m", "2", "--strict"): (
+        "77cf92fd4745555804895a730488ba8c3aad1d248ff3262cf65c73aeaad24ef8"
+    ),
+    ("--group", "26", "--m", "4"): (
+        "5bc960007d2bccdee9f49bf8b0792016f8c52f9d3892e0b61405a46cb906f860"
+    ),
+    ("--group", "26", "--m", "4", "--strict"): (
+        "cb0aaf734a9122476d4b4cce728c33e098783f73c3a3a29a8e0ac542395949ce"
     ),
 }
 

@@ -31,6 +31,11 @@ def make_pair(seed=0, ap_groups=(26,), client_groups=(26,), strict=False, **clie
     return ap_id, cl_id, ap, client
 
 
+def widths(session):
+    """The widths a receiver parses an agreement message under, as a station does."""
+    return session.group.key_size_octets, session.peer_signer[0].key_size_octets
+
+
 def run_flow(ap_id, ap, client, groups=(26,)):
     adv = advertisement_ie(ap_id.ecdsa, groups)
     response, event = client.on_advertisement(adv, ap_id.mac)
@@ -76,10 +81,11 @@ class TestHappyPath:
         response, _ = client.on_advertisement(adv, ap_id.mac)
         client.mark_associated()
         ap.on_response_element(response)
-        msg1 = parse_soap_message(encode_soap_message(ap.build_message1()))
+        msg1 = parse_soap_message(encode_soap_message(ap.build_message1()), *widths(client))
         msg2, event = client.on_message1(msg1, ap_id.mac)
         assert event == "agreed"
-        assert ap.on_message2(parse_soap_message(encode_soap_message(msg2)), CLIENT_MAC) == "agreed"
+        msg2 = parse_soap_message(encode_soap_message(msg2), *widths(ap))
+        assert ap.on_message2(msg2, CLIENT_MAC) == "agreed"
 
     def test_heterogeneous_signer_curves(self):
         # AP identity key on P-521, negotiated ECDH group P-384

@@ -25,6 +25,11 @@ def bench():
     return bench_crypto(26)
 
 
+def added_rows(report):
+    """The text table's rows for frames with no baseline analogue, split."""
+    return [line.split() for line in report.to_text().splitlines() if line.endswith(" added")]
+
+
 class TestGoldenSizes:
     """Anchor octet counts for the default 224-bit group."""
 
@@ -68,9 +73,9 @@ class TestGoldenSizes:
         }
 
     def test_added_frames(self, p224_report):
-        assert [(a.kind, a.octets) for a in p224_report.added] == [
-            ("agreement-message-1", 148),
-            ("agreement-message-2", 148),
+        assert added_rows(p224_report) == [
+            ["agreement-message-1", "-", "148", "added"],
+            ["agreement-message-2", "-", "148", "added"],
         ]
 
 
@@ -118,7 +123,7 @@ class TestSizeRendering:
 
     def test_row_and_added_counts(self, p224_report):
         assert len(p224_report.rows) == 7
-        assert len(p224_report.added) == 2
+        assert len(added_rows(p224_report)) == 2
 
     def test_overhead_fraction_property(self):
         assert SizeRow("x", 100, 125).overhead_fraction == pytest.approx(0.2)

@@ -25,11 +25,11 @@ from soapsim.frames import (
     encode_management_frame,
     encode_soap_message,
     frame_kind,
-    management_signing_input,
     parse_data_frame,
     parse_eapol_key_frame,
     parse_management_frame,
     parse_soap_message,
+    signed_octets,
     wire_dst_mac,
 )
 from soapsim.scenarios import (
@@ -1349,14 +1349,18 @@ class TestBeaconCache:
         return built, [a[0].hex() for a in parsed if frame_kind(a[0]) == "beacon"], t
 
     def test_signed_beacon_built_once(self, monkeypatch):
+        signs = record_calls(monkeypatch, "ecdsa_sign")
         built, parsed, t = self.count_beacon_work(
             monkeypatch,
             script(mitigations=Mitigations(sign_management_frames=True)),
         )
         beacons = tx_frames(t, "beacon")
         assert len(beacons) == 6
-        assert len(built) == 1
-        assert built[0].signature is not None
+        # one signature, over the octets every beacon sent carries before it
+        [(_, message)] = [a for a in signs if frame_kind(a[1]) == "beacon"]
+        wire = bytes.fromhex(beacons[0]["hex"])
+        assert built[-1].signature is not None
+        assert message == signed_octets(wire, built[-1].signature)
         assert len({r["hex"] for r in beacons}) == 1
         assert parsed == [beacons[0]["hex"]]
 
@@ -1537,7 +1541,7 @@ class TestParseAndVerifyOnce:
         ap = sim.by_id["ap1"]
         tampered = parse_management_frame(bytes.fromhex(beacons[1]["hex"]))
         key = (26, ap.identity.ecdsa.public_point)
-        message = management_signing_input(tampered)
+        message = signed_octets(bytes.fromhex(beacons[1]["hex"]), tampered.signature)
         assert (key + (message, tampered.signature), False) in calls
         # one verify of the good beacon and one of the tampered one, which
         # signs the same elements, however many receptions
