@@ -191,8 +191,12 @@ class TestSoapMessageCodec:
         for key, signature in ((32, 32), (28, 32), (32, 28)):
             with pytest.raises(MalformedFrameError, match="negotiated widths"):
                 parse_soap_message(wire, key_octets=key, signature_octets=signature)
-        odd = bytearray(wire)
-        odd[3] += 2  # a body two octets longer than 28-octet widths give
+
+    def test_no_hints_rejects_odd_body(self):
+        # no split is guessed from the body: one two octets longer than the
+        # 28-octet widths give is refused, not divided some other way
+        odd = bytearray(encode_soap_message(SoapMessage(bytes(56), bytes(56))))
+        odd[3] += 2
         with pytest.raises(MalformedFrameError, match="negotiated widths"):
             parse_soap_message(bytes(odd) + bytes(2), 28, 28)
 
