@@ -8,11 +8,12 @@ memory, from the advertisement through the 4-Way Handshake.
 
 Authentication binds each signature to the session by default: the signed
 payload covers a role tag, both MAC addresses, the negotiated group and an
-8-octet session nonce along with the ephemeral public key. strict_frames
-mode drops the nonce trailer and signs the raw public key only, matching
-the minimal message layout at the cost of the cross-session replay check.
-A strict session's nonce is None, as on the wire, and ``signed_payload`` is
-the one place that rule is written; the message layouts live in ``frames``.
+8-octet session nonce along with the ephemeral public key. strict_frames mode
+drops the nonce trailer and signs the raw public key only, matching the minimal
+message layout at the cost of the cross-session replay check. A strict
+session's nonce is None, as on the wire. ``signed_payload`` is the one rule for
+what a signature covers and ``signed_message`` the one builder of a signed
+message, for both roles and the simulated MITM; the layouts live in ``frames``.
 A peer's signing key is one (curve, point) pair, ``peer_signer``, resolved
 from its element; a client's pinned AP key is such a pair, compared whole.
 """
@@ -98,6 +99,20 @@ def signed_payload(
     return tag + sender_mac + receiver_mac + bytes([group_id]) + session_nonce + ecdh_public
 
 
+def signed_message(
+    key: KeyPair, group: EcGroup, rng: SeededRng, tag: bytes,
+    sender_mac: bytes, receiver_mac: bytes, session_nonce: bytes | None,
+) -> tuple[KeyPair, SoapMessage]:
+    """Draw an ephemeral on `group` from `rng` and sign its public key under
+    `key`: the ephemeral and the agreement message that carries it."""
+    ephemeral = ecdh_generate(group, rng)
+    public = point_to_octets(group, ephemeral.public_point)
+    payload = signed_payload(
+        tag, sender_mac, receiver_mac, group.group_id, session_nonce, public
+    )
+    return ephemeral, SoapMessage(public, ecdsa_sign(key, payload), session_nonce)
+
+
 @dataclass
 class _SessionCore:
     identity: StationIdentity
@@ -110,33 +125,30 @@ class _SessionCore:
     peer_signer: tuple[EcGroup, Point] | None = None
     psk: SharedPsk | None = None
     session_nonce: bytes | None = None
+    # The private scalar is never serialized; dropping the reference is the
+    # zeroization this model supports.
     _ephemeral: KeyPair | None = field(default=None, repr=False)
 
     def abort(self, reason: str) -> None:
         self.phase = Phase.ABORTED
         self.abort_reason = reason
-        self._drop_ephemeral()
-
-    def _drop_ephemeral(self) -> None:
-        # The private scalar is never serialized; dropping the reference is
-        # the zeroization this model supports.
         self._ephemeral = None
 
-    def _verify_peer(self, tag: bytes, sender: bytes, receiver: bytes,
-                     nonce: bytes | None, msg: SoapMessage) -> bool:
-        assert self.group is not None and self.peer_signer is not None
-        payload = signed_payload(
-            tag, sender, receiver, self.group.group_id, nonce, msg.ecdh_public
-        )
-        return ecdsa_verify(*self.peer_signer, payload, msg.signature)
+    def _checked_point(self, tag: bytes, nonce: bytes | None, msg: SoapMessage):
+        """The peer's verified and decoded ECDH point, or "signature" or "point"."""
+        payload = signed_payload(tag, self.peer_mac, self.identity.mac, self.group.group_id,
+                                 nonce, msg.ecdh_public)
+        if not ecdsa_verify(*self.peer_signer, payload, msg.signature):
+            return "signature"
+        try:
+            return octets_to_point(self.group, msg.ecdh_public)
+        except ValueError:
+            return "point"
 
-    def _sign_own(self, tag: bytes, receiver: bytes, nonce: bytes | None,
-                  ecdh_public: bytes) -> bytes:
-        assert self.group is not None
-        payload = signed_payload(
-            tag, self.identity.mac, receiver, self.group.group_id, nonce, ecdh_public
-        )
-        return ecdsa_sign(self.identity.ecdsa, payload)
+    def _agree(self, peer_public: Point) -> None:
+        self.psk = ecdh_agree(self._ephemeral, peer_public)
+        self._ephemeral = None
+        self.phase = Phase.PSK_AGREED
 
 
 class ClientSession(_SessionCore):
@@ -192,22 +204,18 @@ class ClientSession(_SessionCore):
             if msg.session_nonce in self.seen_nonces:
                 return None, "replay"
             nonce = msg.session_nonce
-        if not self._verify_peer(TAG_MESSAGE1, src_mac, self.identity.mac, nonce, msg):
-            return None, "signature"
-        try:
-            peer_public = octets_to_point(self.group, msg.ecdh_public)
-        except ValueError:
-            return None, "point"
+        peer_public = self._checked_point(TAG_MESSAGE1, nonce, msg)
+        if isinstance(peer_public, str):
+            return None, peer_public
         if nonce is not None:
             self.seen_nonces.add(nonce)
         self.session_nonce = nonce
-        self._ephemeral = ecdh_generate(self.group, self.rng)
-        own_public = point_to_octets(self.group, self._ephemeral.public_point)
-        self.psk = ecdh_agree(self._ephemeral, peer_public)
-        signature = self._sign_own(TAG_MESSAGE2, self.peer_mac, nonce, own_public)
-        self._drop_ephemeral()
-        self.phase = Phase.PSK_AGREED
-        return SoapMessage(own_public, signature, nonce), "agreed"
+        self._ephemeral, reply = signed_message(
+            self.identity.ecdsa, self.group, self.rng, TAG_MESSAGE2,
+            self.identity.mac, self.peer_mac, nonce,
+        )
+        self._agree(peer_public)
+        return reply, "agreed"
 
 
 class ApSession(_SessionCore):
@@ -245,13 +253,12 @@ class ApSession(_SessionCore):
         self.group = registry_lookup(self.claimed_group_id)
         if not self.strict_frames:
             self.session_nonce = self.rng.randbytes(SESSION_NONCE_OCTETS)
-        self._ephemeral = ecdh_generate(self.group, self.rng)
-        own_public = point_to_octets(self.group, self._ephemeral.public_point)
-        signature = self._sign_own(
-            TAG_MESSAGE1, self.peer_mac, self.session_nonce, own_public
+        self._ephemeral, msg = signed_message(
+            self.identity.ecdsa, self.group, self.rng, TAG_MESSAGE1,
+            self.identity.mac, self.peer_mac, self.session_nonce,
         )
         self.phase = Phase.AWAIT_MSG2
-        return SoapMessage(own_public, signature, self.session_nonce)
+        return msg
 
     def on_message2(self, msg: SoapMessage, src_mac: bytes) -> str:
         if self.phase is Phase.PSK_AGREED:
@@ -262,17 +269,10 @@ class ApSession(_SessionCore):
             # A replayed or cross-session message carries the wrong echo;
             # the signature check would fail regardless.
             return "replay"
-        if not self._verify_peer(
-            TAG_MESSAGE2, src_mac, self.identity.mac, self.session_nonce, msg
-        ):
-            return "signature"
-        try:
-            peer_public = octets_to_point(self.group, msg.ecdh_public)
-        except ValueError:
-            return "point"
-        self.psk = ecdh_agree(self._ephemeral, peer_public)
-        self._drop_ephemeral()
-        self.phase = Phase.PSK_AGREED
+        peer_public = self._checked_point(TAG_MESSAGE2, self.session_nonce, msg)
+        if isinstance(peer_public, str):
+            return peer_public
+        self._agree(peer_public)
         return "agreed"
 
 

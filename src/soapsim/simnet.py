@@ -86,12 +86,10 @@ from .crypto import (
     KeyPair,
     SeededRng,
     _recall,
-    ecdh_generate,
     ecdsa_generate,
     ecdsa_sign,
     ecdsa_verify,
     group_for_key_size,
-    point_to_octets,
     registry_lookup,
 )
 from .fourway import Authenticator, FourwayState, Supplicant
@@ -104,7 +102,6 @@ from .frames import (
     MalformedFrameError,
     ManagementFrame,
     SoapIe,
-    SoapMessage,
     encode_data_frame,
     encode_eapol_key_frame,
     encode_management_frame,
@@ -129,7 +126,7 @@ from .handshake import (
     Role,
     StationIdentity,
     make_identity,
-    signed_payload,
+    signed_message,
 )
 
 RETRY_TIMEOUT_TICKS = 100
@@ -1065,8 +1062,7 @@ class Adversary:
         if isinstance(t.frame, MalformedFrameError):
             return None
         # the widths the substitute is built with, and the target parses under
-        group_id = self.flow_groups.get(t.dst_mac, DEFAULT_GROUP_ID)
-        group = registry_lookup(group_id)
+        group = registry_lookup(self.flow_groups.get(t.dst_mac, DEFAULT_GROUP_ID))
         signer_group = self.signer_groups.get(t.src_mac, group)
         try:
             original = parse_soap_message(
@@ -1080,13 +1076,10 @@ class Adversary:
                 signer_group, self.rng.child("mitm-signer")
             )
         self._substitutions += 1
-        ephemeral = ecdh_generate(group, self.rng.child(f"mitm{self._substitutions}"))
-        fake_public = point_to_octets(group, ephemeral.public_point)
-        nonce = original.session_nonce
-        payload = signed_payload(
-            TAG_MESSAGE1, t.src_mac, t.dst_mac, group_id, nonce, fake_public
+        _, fake = signed_message(
+            signer, group, self.rng.child(f"mitm{self._substitutions}"), TAG_MESSAGE1,
+            t.src_mac, t.dst_mac, original.session_nonce,
         )
-        fake = SoapMessage(fake_public, ecdsa_sign(signer, payload), nonce)
         wire = encode_data_frame(
             DataFrame(t.src_mac, t.dst_mac, encode_soap_message(fake), from_ds=True)
         )
@@ -1133,7 +1126,6 @@ class Simulation:
 
     def __init__(self, script: ScenarioScript, seed: int):
         self.script = script
-        self.seed = seed
         self.transcript = Transcript(script.name, seed)
         run_rng = SeededRng(seed, b"run")
         identities = {

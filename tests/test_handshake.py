@@ -4,9 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from soapsim.crypto import PSK_OCTETS, SeededRng, known_group_ids, registry_lookup
+from soapsim.crypto import (
+    PSK_OCTETS,
+    SeededRng,
+    ecdsa_sign,
+    known_group_ids,
+    registry_lookup,
+)
 from soapsim.frames import SoapMessage, encode_soap_message, parse_soap_message
 from soapsim.handshake import (
+    TAG_MESSAGE1,
+    TAG_MESSAGE2,
     ApSession,
     ClientSession,
     Phase,
@@ -34,6 +42,17 @@ def make_pair(seed=0, ap_groups=(26,), client_groups=(26,), strict=False, **clie
 def widths(session):
     """The widths a receiver parses an agreement message under, as a station does."""
     return session.group.key_size_octets, session.peer_signer[0].key_size_octets
+
+
+def off_curve(msg, signer, tag, sender_mac, receiver_mac):
+    """`msg` with its ECDH point moved off the curve, re-signed under `signer`
+    so that the signature check passes and the point check decides."""
+    bad_public = bytearray(msg.ecdh_public)
+    bad_public[-1] ^= 0x01
+    payload = signed_payload(
+        tag, sender_mac, receiver_mac, 26, msg.session_nonce, bytes(bad_public)
+    )
+    return SoapMessage(bytes(bad_public), ecdsa_sign(signer, payload), msg.session_nonce)
 
 
 def run_flow(ap_id, ap, client, groups=(26,)):
@@ -172,6 +191,15 @@ class TestMessage1Handling:
         ap.on_response_element(response)
         return ap_id, ap, client
 
+    def assert_answered_as_by_twin(self, client, msg1):
+        """A refused message draws nothing: after one, `client` answers the
+        genuine `msg1` with the Message 2 of a twin, built alike from the
+        same seed, that never saw the refused message."""
+        _, _, twin = self.ready_client()
+        reply, event = client.on_message1(msg1, AP_MAC)
+        assert event == "agreed"
+        assert (reply, event) == twin.on_message1(msg1, AP_MAC)
+
     def test_bad_signature_rejected(self):
         ap_id, ap, client = self.ready_client()
         msg1 = ap.build_message1()
@@ -184,6 +212,7 @@ class TestMessage1Handling:
         assert reply is None
         assert event == "signature"
         assert client.phase is Phase.AWAIT_MSG1  # still waiting for a good one
+        self.assert_answered_as_by_twin(client, msg1)
 
     def test_wrong_source_rejected(self):
         ap_id, ap, client = self.ready_client()
@@ -226,15 +255,11 @@ class TestMessage1Handling:
     def test_off_curve_public_rejected(self):
         ap_id, ap, client = self.ready_client()
         msg1 = ap.build_message1()
-        bad_public = bytearray(msg1.ecdh_public)
-        bad_public[-1] ^= 0x01
-        # re-sign so the signature check passes and the point check decides
-        nonce = msg1.session_nonce
-        signature = ap._sign_own(b"\x01", CLIENT_MAC, nonce, bytes(bad_public))
-        forged = SoapMessage(bytes(bad_public), signature, nonce)
+        forged = off_curve(msg1, ap_id.ecdsa, TAG_MESSAGE1, AP_MAC, CLIENT_MAC)
         reply, event = client.on_message1(forged, ap_id.mac)
         assert reply is None
         assert event == "point"
+        self.assert_answered_as_by_twin(client, msg1)
 
 
 class TestMessage2Handling:
@@ -260,6 +285,16 @@ class TestMessage2Handling:
         ap_id, ap, client, msg1, msg2 = self.agreed_pair()
         forged = SoapMessage(msg2.ecdh_public, bytes(len(msg2.signature)), msg2.session_nonce)
         assert ap.on_message2(forged, CLIENT_MAC) == "signature"
+        assert ap.on_message2(msg2, CLIENT_MAC) == "agreed"
+        assert ap.psk == client.psk
+
+    def test_off_curve_public_rejected(self):
+        ap_id, ap, client, msg1, msg2 = self.agreed_pair()
+        forged = off_curve(msg2, client.identity.ecdsa, TAG_MESSAGE2, CLIENT_MAC, AP_MAC)
+        assert ap.on_message2(forged, CLIENT_MAC) == "point"
+        assert ap.phase is Phase.AWAIT_MSG2
+        assert ap.on_message2(msg2, CLIENT_MAC) == "agreed"
+        assert ap.psk == client.psk
 
     def test_wrong_source_rejected(self):
         ap_id, ap, client, msg1, msg2 = self.agreed_pair()
@@ -280,6 +315,12 @@ class TestMessage2Handling:
         assert ap.build_message1() is None
         assert ap.phase is Phase.ABORTED
         assert ap.abort_reason == "group-not-offered"
+
+    def test_response_element_of_two_groups_malformed(self):
+        ap_id, cl_id, ap, client = make_pair(client_groups=(26, 19))
+        two_groups = advertisement_ie(cl_id.ecdsa, (26, 19))
+        assert ap.on_response_element(two_groups) == "malformed"
+        assert ap.peer_signer is None
 
 
 class TestMitmSubstitution:
