@@ -51,10 +51,16 @@ that can act on it, and ``Simulation._addressees`` alone chooses them, for
 delivery and for the clock: an unsigned, well-formed beacon goes only to the
 listeners, the scanning clients and the stations that block a sender (and
 note its beacons). The clock updates the listeners when a station acts, so
-such a beacon costs no scan of the stations. A skipped tick, or a skipped
-``on_tick`` or ``on_frame`` call, is one that would have emitted nothing,
-recorded nothing, changed no state and drawn no randomness, so skipping it
-changes no output. An AP encodes (and, under the signing mitigation, signs)
+such a beacon costs no scan of the stations. Where nothing is in flight, there
+is no adversary and no one is handed the APs' beacons, the clock steps no tick
+until something else can act (a client, an AP peer's timer, the schedule or
+the end of the run): it writes each beacon of that stretch, by tick and then
+in script order, in one pass. A skipped tick, or a skipped ``on_tick`` or
+``on_frame`` call, is one that would have emitted nothing, recorded nothing,
+changed no state and drawn no randomness, so skipping it changes no output.
+A beacon written without its AP's ``on_tick`` is all that call would have
+done, and delivering it would have done nothing, so its ``tx`` record is its
+only output. An AP encodes (and, under the signing mitigation, signs)
 its beacon once and rebuilds it only when the content changes; RFC 6979
 signatures are deterministic, so the octets are the same.
 
@@ -766,11 +772,15 @@ class ApStation(Station):
     def _next_deadline(self, tick: int) -> int:
         """The first tick from `tick` on at which on_tick acts: the next beacon
         or a peer's retry deadline, whichever comes first."""
+        retry = self._retry_due()
         due = self._beacon_due(tick)
-        for peer in self.peers.values():
-            if peer.deadline is not None and peer.deadline < due:
-                due = peer.deadline
-        return due
+        return due if retry is None else min(due, retry)
+
+    def _retry_due(self) -> int | None:
+        """The earliest peer retry deadline, None while no peer's timer runs."""
+        return min(
+            (p.deadline for p in self.peers.values() if p.deadline is not None), default=None
+        )
 
     def _beacon_due(self, tick: int) -> int:
         """The first beacon tick at or after `tick`."""
@@ -1175,6 +1185,7 @@ class Simulation:
         # block a sender (and note its beacons). Kept by `_refresh`.
         self._position = {station: i for i, station in enumerate(self.receivers)}
         self._listeners: dict[int, Station] = {}
+        self._aps = [s for s in self.stations if isinstance(s, ApStation)]
 
         # Each actor's due tick: the earliest tick at which its on_tick can act
         # (max_ticks when it has no timer running). Actors tick in this order:
@@ -1249,6 +1260,40 @@ class Simulation:
                 self._transmit(tick, reply, in_flight)
             self._refresh(station, tick)
 
+    def _write_unheard_beacons(self, tick: int) -> int:
+        """Write the AP beacons of the stretch from `tick` in which APs only
+        beacon and no one is handed a beacon, and return the stretch end, or
+        `tick` when there is no such stretch. It ends at the earliest of the
+        schedule head, max_ticks, every client's due tick and every AP peer's
+        retry deadline, so no station acts in it: each AP's beacon and the
+        listeners stay as they are, and one `_addressees` call per beacon
+        decides for the whole stretch. The beacons are written as stepped
+        ticks would write them, by tick and then in script order, and none is
+        delivered."""
+        if self.adversary is not None or self._listeners:
+            return tick  # every beacon is handed to a listener
+        end = self._schedule[0].tick if self._schedule else self.script.max_ticks
+        for station in self.stations:
+            due = station._retry_due() if isinstance(station, ApStation) else self._due[station]
+            if due is not None and due < end:
+                end = due
+        first = {ap: ap._beacon_due(tick) for ap in self._aps}
+        beaconing = [ap for ap in self._aps if first[ap] < end]
+        beacons = [ap._beacon() for ap in beaconing]
+        if not beacons or any(map(self._addressees, beacons)):
+            return tick
+        writes = sorted(
+            (at, i)
+            for i, ap in enumerate(beaconing)
+            for at in range(first[ap], end, ap.cfg.beacon_period)
+        )
+        dropped: list[Transmission] = []
+        for at, i in writes:
+            self._transmit(at, beacons[i], dropped)
+        for ap in beaconing:
+            self._refresh(ap, end)
+        return end
+
     def _next_due(self, tick: int) -> int:
         """The earliest tick >= `tick` at which anything acts, or max_ticks."""
         due = [self.script.max_ticks, *self._due.values()]
@@ -1261,6 +1306,11 @@ class Simulation:
         in_flight: list[Transmission] = []
         tick = self._next_due(0)
         while tick < self.script.max_ticks:
+            if not in_flight:
+                end = self._write_unheard_beacons(tick)
+                if end > tick:
+                    tick = self._next_due(end)
+                    continue
             deliveries, in_flight = in_flight, []
             for t in deliveries:
                 passed = self.adversary.intercept(tick, t) if self.adversary else [t]
@@ -1275,13 +1325,13 @@ class Simulation:
                 for t in station.reset(tick):
                     self._transmit(tick, t, in_flight)
                 self._refresh(station, tick + 1)
-            # frames no adversary meets and no one is handed change nothing: the
-            # clock jumps as if none were in flight, dropping them past tick + 1
-            busy = self.adversary or any(map(self._addressees, in_flight))
-            due = tick + 1 if in_flight and busy else self._next_due(tick + 1)
-            if due > tick + 1:
+            # frames no adversary meets and no one is handed change nothing: they
+            # are dropped, and the clock jumps as if none were in flight to the
+            # next tick at which anything acts; from there, beacons no one is
+            # handed cost their records and no stepped tick
+            if not (self.adversary or any(map(self._addressees, in_flight))):
                 in_flight = []
-            tick = due
+            tick = tick + 1 if in_flight else self._next_due(tick + 1)
         adversary = {ADVERSARY_ID: self.adversary} if self.adversary else {}
         for name, reporter in {**self.by_id, **adversary}.items():
             self.transcript.summaries[name] = reporter.summary(self.mac_names)

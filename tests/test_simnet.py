@@ -1127,6 +1127,7 @@ def random_scripts(draw):
             beacon_period=draw(st.integers(min_value=20, max_value=150)),
             beacon_offset=draw(st.integers(min_value=0, max_value=200)),
             advertise_bogus_key=draw(st.booleans()),
+            debug_leak_psk=draw(st.booleans()),
             **link(),
         )
         for k in range(1, aps + 1)
@@ -1655,6 +1656,37 @@ def campus(signed=False):
     )
 
 
+def unheard_beacons(transcript):
+    """(tick, origin) of each beacon that no one hears in an unsigned run
+    without blocked lists: no client is scanning when it is delivered at the
+    next tick, so none is at the end of the tick it is sent in."""
+    clients = [s for s, summary in transcript.summaries.items() if summary["role"] == "client"]
+    moves = [
+        (r["tick"], r["station"], r["to"])
+        for r in events(transcript, "transition") if r["scope"] == "station"
+    ]
+
+    def scanning(tick):
+        state = dict.fromkeys(clients, "scanning")
+        state.update((station, to) for at, station, to in moves if at <= tick)
+        return "scanning" in state.values()
+
+    return [
+        (r["tick"], r["origin"]) for r in tx_frames(transcript, "beacon")
+        if not scanning(r["tick"])
+    ]
+
+
+def record_stepped(monkeypatch, kind=Simulation):
+    """The ticks a `kind` clock steps, in order."""
+    stepped = []
+    ticking = kind._ticking
+    monkeypatch.setattr(
+        kind, "_ticking", lambda self, tick: stepped.append(tick) or ticking(self, tick)
+    )
+    return stepped
+
+
 def against_fixed_step(script, calls):
     """The `calls` recorded by a next-event run of `script` and by the
     reference run, which must write the same transcript."""
@@ -1696,10 +1728,17 @@ class TestDueTicksAndDelivery:
         stepped, reference = against_fixed_step(campus(), self.record_ticks(monkeypatch))
         assert len(reference) == 3000 * 8
         due = [(tick, station) for tick, station, reached in reference if reached]
-        assert [(tick, station) for tick, station, _ in stepped] == due
-        assert all(reached for *_, reached in stepped)
         # 30 beacons from each AP; no client waits long enough to time out
-        assert len(stepped) == 4 * 30
+        assert len(due) == 4 * 30
+        # a beacon no one hears is written without its AP's on_tick
+        unheard = set(unheard_beacons(run_scenario(campus(), 0)))
+        assert [(tick, station) for tick, station, _ in stepped] == [
+            call for call in due if call not in unheard
+        ]
+        assert all(reached for *_, reached in stepped)
+        # the four beacons the scanning clients hear at the start, and the
+        # two heard by client2 after its reset at tick 1130
+        assert [tick for tick, *_ in stepped] == [3, 17, 45, 88, 1145, 1188]
 
     def test_adversary_and_rogue_tick_only_when_due(self, monkeypatch):
         attack = adversary_script(
@@ -1774,6 +1813,15 @@ class TestDueTicksAndDelivery:
         assert len([call for call in stepped if call[2] == "beacon"]) == 7 * len(delivered)
 
 
+def aps_only(max_ticks=1000):
+    """Two APs and no other station: no one hears a beacon."""
+    aps = [
+        StationConfig("ap1", "ap", AP_MAC, beacon_offset=17),
+        StationConfig("ap2", "ap", "02:00:00:00:00:03", beacon_period=40, beacon_offset=5),
+    ]
+    return ScenarioScript("aps-only", aps, max_ticks=max_ticks)
+
+
 class TestIdleBeacons:
     """A beacon resent to stations it cannot change costs its record only: it
     is handed to the listeners (the scanning clients and the stations that
@@ -1790,24 +1838,14 @@ class TestIdleBeacons:
             "tick", "event", "origin", "frame", "src", "dst", "size", "hex"
         ]
 
-    def test_idle_beacon_steps_one_tick(self, monkeypatch):
+    def test_unheard_beacons_step_no_tick(self, monkeypatch):
         # no station is handed an AP-only script's beacons, so the clock
-        # steps each beacon's tick and skips the tick that would deliver it
-        aps = [
-            StationConfig("ap1", "ap", AP_MAC, beacon_offset=17),
-            StationConfig("ap2", "ap", "02:00:00:00:00:03", beacon_period=40,
-                          beacon_offset=5),
-        ]
-        stepped = []
-        ticking = Simulation._ticking
-        monkeypatch.setattr(
-            Simulation, "_ticking",
-            lambda self, tick: stepped.append(tick) or ticking(self, tick),
-        )
-        t = run_checked(ScenarioScript("aps-only", aps, max_ticks=1000))
+        # writes each one without stepping a tick
+        stepped = record_stepped(monkeypatch)
+        t = run_checked(aps_only())
         beacons = [r["tick"] for r in tx_frames(t, "beacon")]
         assert len(beacons) == 10 + 25
-        assert stepped == sorted(beacons)
+        assert stepped == []
 
     def blacklist_script(self):
         """The client blacklists the rogue, then keys with ap1."""
@@ -1877,3 +1915,98 @@ class TestIdleBeacons:
             (station, "malformed")
             for station in ("ap1", "ap2", "ap3", "client0", "client1", "client2", "client3")
         ]
+
+
+class TestUnheardStretches:
+    """A stretch in which APs only beacon and no one hears a beacon is written
+    without a stepped tick. It ends at the first tick at which anything else
+    can act, and writes what stepped ticks would."""
+
+    def test_cut_by_a_scheduled_reset(self, monkeypatch):
+        stepped = record_stepped(monkeypatch)
+        t = run_checked(script(max_ticks=400, schedule=[ScheduleAction(250, "client1")]))
+        # Established at tick 8, the client hears no beacon until its reset
+        # at 250 sends it scanning; it keys again off the beacon at 300
+        assert ticks_of(t, "transition", station="client1", reason="scripted-reset") == [250]
+        assert [r["tick"] for r in tx_frames(t, "beacon")] == [0, 100, 200, 300]
+        assert stepped == [*range(9), 250, 251, *range(300, 309)]
+
+    def test_cut_by_a_client_give_up(self, monkeypatch):
+        stepped = record_stepped(monkeypatch)
+        t = run_checked(stalled_link())
+        # the beacons at 100-400 go out while the client waits, unheard
+        assert ticks_of(t, "transition", station="client1", reason="timeout") == [452]
+        assert [r["tick"] for r in tx_frames(t, "beacon")] == list(range(0, 700, 100))
+        assert stepped == [0, 1, 2, 452, 500, 501, 502]
+
+    def test_cut_by_a_retransmit_deadline(self, monkeypatch):
+        # the client cannot verify Message 1 under the key the AP advertises,
+        # so the AP resends it two ticks after each beacon, then gives up
+        stepped = record_stepped(monkeypatch)
+        t = run_checked(script(ap_kw={"advertise_bogus_key": True}, max_ticks=700))
+        assert ticks_of(t, "retransmit", station="ap1") == [102, 202, 302, 602]
+        assert ticks_of(t, "transition", station="ap1", to="aborted") == [402]
+        assert [r["tick"] for r in tx_frames(t, "beacon")] == list(range(0, 700, 100))
+        assert stepped == [
+            0, 1, 2, 3, 102, 103, 202, 203, 302, 303, 402, 452, 500, 501, 502, 503, 602, 603
+        ]
+
+    @pytest.mark.parametrize("max_ticks", [965, 966, 1000])
+    def test_max_ticks_mid_period(self, monkeypatch, max_ticks):
+        # ap2 beacons at 965; the run ends at it, just past it, or mid-period
+        stepped = record_stepped(monkeypatch)
+        t = run_checked(aps_only(max_ticks))
+        beacons = [(r["tick"], r["origin"]) for r in tx_frames(t, "beacon")]
+        assert beacons[-1] == ((965, "ap2") if max_ticks > 965 else (925, "ap2"))
+        assert stepped == []
+
+    def test_same_tick_beacons_in_script_order(self, monkeypatch):
+        # ap2 comes first in the script but after ap1 by MAC and by id
+        stations = [
+            StationConfig("ap2", "ap", "02:00:00:00:00:03", beacon_period=50, beacon_offset=5),
+            StationConfig("ap1", "ap", AP_MAC, beacon_offset=5),
+        ]
+        stepped = record_stepped(monkeypatch)
+        t = run_checked(ScenarioScript("same-tick", stations, max_ticks=400))
+        beacons = [(r["tick"], r["origin"]) for r in tx_frames(t, "beacon")]
+        assert beacons[:3] == [(5, "ap2"), (5, "ap1"), (55, "ap2")]
+        assert len(beacons) == 8 + 4
+        assert stepped == []
+
+    def test_blocking_ap_is_a_listener(self, monkeypatch):
+        # ap2 blocks ap1, so it is handed and notes ap1's every beacon, also
+        # once the client is Established: the clock steps each one
+        stations = [*pair(), StationConfig("ap2", "ap", "02:00:00:00:00:03", beacon_offset=50)]
+        stepped = record_stepped(monkeypatch)
+        transcripts = []
+        for kind in (Simulation, FixedStepSimulation):
+            sim = kind(script(max_ticks=500, stations=stations), 0)
+            ap2 = sim.by_id["ap2"]
+            ap2.blocked.add(sim.by_id["ap1"].mac)
+            sim._refresh(ap2, 0)
+            transcripts.append(sim.run())
+        assert transcripts[0].to_json() == transcripts[1].to_json()
+        t = transcripts[0]
+        assert t.summaries["client1"]["state"] == "established"
+        ap1_beacons = [r["tick"] for r in tx_frames(t, "beacon") if r["origin"] == "ap1"]
+        assert ticks_of(t, "blocked", station="ap2") == [tick + 1 for tick in ap1_beacons]
+        # every beacon is handed to ap2, if only to be dropped as its own
+        beacons = [r["tick"] for r in tx_frames(t, "beacon")]
+        assert stepped == [*range(9), *(at + d for at in beacons[1:] for d in (0, 1))]
+
+    def test_leaked_psk_beacon_rebuilt_in_a_stretch(self, monkeypatch):
+        # the first beacon after agreement carries the PSK: it is built for
+        # the stretch that writes it
+        stepped = record_stepped(monkeypatch)
+        t = run_checked(script(ap_kw={"debug_leak_psk": True}, max_ticks=450))
+        psk = t.secrets["ap1"]["psks"][0]
+        beacons = tx_frames(t, "beacon")
+        assert [r["tick"] for r in beacons] == [0, 100, 200, 300, 400]
+        assert psk not in beacons[0]["hex"]
+        assert all(psk in r["hex"] for r in beacons[1:])
+        assert stepped == list(range(9))
+
+    def test_reference_steps_every_tick(self, monkeypatch):
+        stepped = record_stepped(monkeypatch, FixedStepSimulation)
+        FixedStepSimulation(aps_only(), 0).run()
+        assert stepped == list(range(1000))
