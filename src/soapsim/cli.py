@@ -15,7 +15,6 @@ fails, 2 on usage errors or invalid input.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -39,7 +38,7 @@ from .scenarios import (
     load_script,
     run_attack_suite,
 )
-from .simnet import run_scenario
+from .simnet import _render_json, run_scenario
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -82,15 +81,13 @@ def cmd_run(args) -> int:
     passed = all(c.ok for c in checks)
     if args.format == "json":
         print(
-            json.dumps(
+            _render_json(
                 {
                     "scenario": script.name,
                     "seed": seed,
                     "passed": passed,
                     "checks": [asdict(c) for c in checks],
-                },
-                sort_keys=True,
-                indent=2,
+                }
             )
         )
     else:
@@ -147,7 +144,7 @@ def cmd_frames(args) -> int:
 def cmd_bench(args) -> int:
     report = bench_crypto(args.group, args.iterations)
     if args.format == "json":
-        print(json.dumps(asdict(report), sort_keys=True, indent=2))
+        print(_render_json(asdict(report)))
     else:
         print(report.to_text())
     return EXIT_OK

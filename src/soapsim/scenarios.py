@@ -38,6 +38,7 @@ from .simnet import (
     ScheduleAction,
     StationConfig,
     Transcript,
+    _render_json,
     eavesdropper_view,
     parse_mac,
     run_scenario,
@@ -985,14 +986,12 @@ class SuiteReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _render_json(
             {
                 "seed": self.seed,
                 "passed": self.passed,
                 "rows": [asdict(r) for r in self.rows],
-            },
-            sort_keys=True,
-            indent=2,
+            }
         )
 
 

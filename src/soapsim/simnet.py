@@ -79,11 +79,12 @@ byte-identical transcripts.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 
 from . import negotiation
 from .crypto import (
@@ -298,6 +299,53 @@ REASONS = {
 }
 
 
+def _render_json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    The domain is dicts with str keys, lists, tuples, str, int, finite float,
+    bool and None; anything else raises TypeError, and a NaN or infinity
+    ValueError. json.dumps cannot use CPython's C encoder once it indents: its
+    pure-Python one yields every token as a chunk of its own. This joins each
+    dict or list in one ``str.join`` and quotes strings with the C quoter.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return "true" if value is True else "false" if value is False else int.__repr__(value)
+    if isinstance(value, dict):
+        return _render_dict(value, newline)
+    if isinstance(value, (list, tuple)):
+        return _render_list(value, newline)
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"{value!r} has no JSON rendering")
+        return float.__repr__(value)
+    raise TypeError(f"a {type(value).__name__} has no JSON rendering")
+
+
+def _render_list(value, newline: str) -> str:
+    inner = newline + "  "
+    return _enclose("[]", [_render_json(v, inner) for v in value], inner, newline)
+
+
+def _render_dict(value: dict, newline: str) -> str:
+    inner = newline + "  "
+    # the C quoter raises TypeError for a key that is not a str
+    items = [_quote(k) + ": " + _render_json(v, inner) for k, v in sorted(value.items())]
+    return _enclose("{}", items, inner, newline)
+
+
+def _enclose(brackets: str, items: list, inner: str, newline: str) -> str:
+    if not items:
+        return brackets
+    # the brackets join the end items, so the joined text is never copied
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += newline + brackets[1]
+    return ("," + inner).join(items)
+
+
 class Transcript:
     """Append-only run record with a deterministic JSON rendering."""
 
@@ -325,16 +373,14 @@ class Transcript:
         self.records.append(record)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _render_json(
             {
                 "scenario": self.scenario,
                 "seed": self.seed,
                 "records": self.records,
                 "summaries": self.summaries,
                 "secrets": self.secrets,
-            },
-            sort_keys=True,
-            indent=2,
+            }
         )
 
 

@@ -42,6 +42,7 @@ class TestRun:
         )
         assert code == EXIT_OK
         data = json.loads(out)
+        assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
         assert data["passed"] is True
         assert data["scenario"] == "benign"
         assert all(c["ok"] for c in data["checks"])
@@ -251,6 +252,7 @@ class TestBench:
         )
         assert code == EXIT_OK
         data = json.loads(out)
+        assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
         assert data["message_count_delta"] == 2
         assert len(data["rows"]) == 6
 
@@ -275,6 +277,7 @@ class TestAttackSuite:
         )
         assert code == EXIT_OK
         data = json.loads(out)
+        assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
         assert data["passed"] is True
         assert len(data["rows"]) == 12
 

@@ -5,8 +5,9 @@ import dataclasses
 import itertools
 import json
 import re
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import replace
+from enum import IntEnum
 from types import SimpleNamespace
 
 import pytest
@@ -1059,6 +1060,76 @@ class TestTranscriptWriter:
             t.note(0, event, "client1", **detail)
         assert {r["event"] for r in t.records} == set(RECORD_KEYS) - {"tx"}
         assert len(t.records) == len(RECORD_KEYS) - 1 + sum(map(len, REASONS.values()))
+
+
+class Level(IntEnum):
+    LOW = -3
+
+
+class Name(str):
+    pass
+
+
+def canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+# any character, lone surrogates included: the control, non-ASCII and non-BMP
+# ones are escaped
+ANY_TEXT = st.text(st.characters(blacklist_categories=()))
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**128)
+    | st.integers(max_value=-(2**128))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 1e-7, 1e16, 5e-324, 1.7976931348623157e308])
+    | ANY_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(ANY_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestRenderJson:
+    """`simnet._render_json`, the one renderer of the transcript, the attack
+    suite's report and the CLI's JSON, writes what
+    `json.dumps(value, sort_keys=True, indent=2)` writes, and raises outside
+    its domain."""
+
+    @settings(max_examples=400)
+    @given(JSON_VALUES)
+    @example({"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": {"f": []}}})
+    @example(["\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", "\ud800", {"\U0001f600": "\n"}])
+    @example([-1, 0, 2**128, -(2**128) - 1, 10**400])
+    @example([-0.0, 0.0, 1e-7, 1e16, 1.5, -2.5e-300, 1e22])
+    @example([True, False, None, {"t": True, "f": False, "n": None}])
+    @example([Name("str"), Level.LOW, OrderedDict([("b", 1), ("a", Name("x"))]), Counter("abca")])
+    def test_equals_json_dumps(self, value):
+        assert simnet._render_json(value) == canonical(value)
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            (b"octets", TypeError),
+            ({1, 2}, TypeError),
+            ({1: "int key"}, TypeError),
+            ({"a": 1, 2: "b"}, TypeError),
+            ({"nested": [object()]}, TypeError),
+            (float("nan"), ValueError),
+            ([float("inf")], ValueError),
+            ({"x": -float("inf")}, ValueError),
+        ],
+        ids=["bytes", "set", "int-key", "mixed-keys", "object", "nan", "inf", "-inf"],
+    )
+    def test_outside_the_domain_raises(self, value, error):
+        with pytest.raises(error):
+            simnet._render_json(value)
 
 
 class FixedStepSimulation(Simulation):
