@@ -23,16 +23,18 @@ two addresses and the elements.
 Each transmission's work is done once. Its kind is read from its octets, and
 it is parsed once, by its first reader (the adversary, or the first receiver
 that admits its sender); every later reader gets the same frozen record (or
-the same parse error), and its ``tx`` record fields are made once. A station
-resends an unchanged frame as the transmission that first carried it (an AP
-its beacon, one per content, and an unanswered agreement Message 1; a client
-its Message 2), so such a frame is parsed, and its hex written, once however
-often it is sent, and the leak scan (`eavesdropper_view`) searches each
-distinct frame once. Verdicts and signatures (``crypto``) and scripted
-identities (``_identities``) are remembered per process, so a signed beacon
-heard by many clients is verified once while it is recent. Everything a
-failed check does to a receiver (its discard, its failure count, its
-blacklist) stays per receiver.
+the same parse error), and its ``tx`` record fields are made once. Each of
+its ``tx`` records (a `TxRecord`) keeps the transmission, so the transcript's
+JSON renders those fields once per transmission, and a later record costs
+only its tick. A station resends an unchanged frame as the transmission that
+first carried it (an AP its beacon, one per content, and an unanswered
+agreement Message 1; a client its Message 2), so such a frame is parsed, and
+its hex written and rendered, once however often it is sent, and the leak
+scan (`eavesdropper_view`) searches each distinct frame once. Verdicts and
+signatures (``crypto``) and scripted identities (``_identities``) are
+remembered per process, so a signed beacon heard by many clients is verified
+once while it is recent. Everything a failed check does to a receiver (its
+discard, its failure count, its blacklist) stays per receiver.
 
 Time advances by next-event jumps. While a frame in flight has an addressee,
 or there is an adversary to meet it, the clock steps one tick at a time;
@@ -225,6 +227,9 @@ class Transmission:
     # The SOAP element of a management frame, None when it carries none. The
     # parse in `frame` sets it, so it is read only once `frame` has parsed.
     soap_ie: SoapIe | None = field(default=None, init=False, repr=False, compare=False)
+    # The rendered text of its `tx` records up to their tick's value, by
+    # indent: what `_render_tx` cut from the first one it rendered there.
+    rendered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def kind(self) -> str | None:
@@ -307,12 +312,16 @@ def _render_json(value, newline: str = "\n") -> str:
     ValueError. json.dumps cannot use CPython's C encoder once it indents: its
     pure-Python one yields every token as a chunk of its own. This joins each
     dict or list in one ``str.join`` and quotes strings with the C quoter.
+    One record type is rendered from a cache: a `TxRecord`, whose fields but
+    its tick are rendered once per transmission and indent (`_render_tx`).
     """
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, int):
         return "true" if value is True else "false" if value is False else int.__repr__(value)
     if isinstance(value, dict):
+        if isinstance(value, TxRecord):
+            return _render_tx(value, newline)
         return _render_dict(value, newline)
     if isinstance(value, (list, tuple)):
         return _render_list(value, newline)
@@ -337,6 +346,19 @@ def _render_dict(value: dict, newline: str) -> str:
     return _enclose("{}", items, inner, newline)
 
 
+def _render_tx(record: TxRecord, newline: str) -> str:
+    """What `_render_dict` renders for `record`. Its tick sorts last, so the
+    text up to the tick's value is the same for every record of its
+    transmission at this indent: it is cut from the first one rendered."""
+    heads = record.transmission.rendered
+    head = heads.get(newline)
+    if head is None:
+        text = _render_dict(record, newline)
+        heads[newline] = text[: text.rfind(": ") + 2]
+        return text
+    return f"{head}{int.__repr__(record['tick'])}{newline}}}"
+
+
 def _enclose(brackets: str, items: list, inner: str, newline: str) -> str:
     if not items:
         return brackets
@@ -344,6 +366,15 @@ def _enclose(brackets: str, items: list, inner: str, newline: str) -> str:
     items[0] = brackets[0] + inner + items[0]
     items[-1] += newline + brackets[1]
     return ("," + inner).join(items)
+
+
+class TxRecord(dict):
+    """A ``tx`` record: the dict every reader reads, which also keeps the
+    transmission it records. Every record of one transmission holds the same
+    fields but its tick, so `_render_json` renders those fields once. A
+    written record is never changed."""
+
+    __slots__ = ("transmission",)
 
 
 class Transcript:
@@ -357,7 +388,9 @@ class Transcript:
         self.secrets: dict = {}
 
     def tx(self, tick: int, t: Transmission) -> None:
-        self.records.append({"tick": tick, "event": "tx", **t.record})
+        record = TxRecord({"tick": tick, "event": "tx", **t.record})
+        record.transmission = t
+        self.records.append(record)
 
     def note(self, tick: int, event: str, station: str, **detail) -> None:
         """Append a record of `event`, whose keys must lie in RECORD_KEYS and

@@ -1132,6 +1132,45 @@ class TestRenderJson:
             simnet._render_json(value)
 
 
+class TestTxRecordRendering:
+    """A `tx` record renders its transmission's fields once per indent, then
+    its own tick: the transcript is still json.dumps's text."""
+
+    def test_tick_sorts_last(self):
+        assert max(RECORD_KEYS["tx"]) == "tick"
+
+    def test_records_of_one_transmission(self):
+        first = next(r for r in run_scenario(builtin("benign"), 1).records if r["event"] == "tx")
+        sent = Transmission(first["origin"], bytes.fromhex(first["hex"]))
+        t = Transcript("s", 0)
+        t.tx(3, sent)
+        t.tx(10, sent)
+        assert t.records == [{"tick": tick, "event": "tx", **sent.record} for tick in (3, 10)]
+        assert all(r.transmission is sent for r in t.records)
+        assert simnet._render_json(t.records) == canonical(t.records)
+
+    # campus: resent beacons and a scripted reset; hijack-mitm: the
+    # adversary's substitute Message 1 is a transmission of its own
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + ("campus",))
+    def test_transcript_equals_json_dumps(self, name):
+        transcript = run_scenario(campus() if name == "campus" else builtin(name), 1)
+        records = transcript.records
+        parts = {
+            "scenario": transcript.scenario,
+            "seed": transcript.seed,
+            "records": records,
+            "summaries": transcript.summaries,
+            "secrets": transcript.secrets,
+        }
+        assert transcript.to_json() == canonical(parts)
+        assert transcript.to_json() == canonical(parts)
+        # indents the first render cached no text at
+        assert simnet._render_json(records) == canonical(records)
+        assert simnet._render_json({"r": {"r": records}}) == canonical({"r": {"r": records}})
+        if name == "hijack-mitm":
+            assert any(r.get("origin") == simnet.ADVERSARY_ID for r in records)
+
+
 class FixedStepSimulation(Simulation):
     """Reference clock: steps every tick, ticks every actor (the rogue AP, the
     adversary and every station) at it and hands every frame to every
