@@ -62,6 +62,11 @@ def _resolve_seed(value: int | None) -> int:
 
 def _load_scenario(args):
     if args.builtin is not None:
+        if args.scenario is not None:
+            raise ScenarioError(
+                f"give a scenario file or --builtin NAME, not both: {args.scenario!r} "
+                f"and --builtin {args.builtin}"
+            )
         return builtin(args.builtin)
     if args.scenario is None:
         raise ScenarioError("give a scenario file or --builtin NAME")
@@ -103,9 +108,13 @@ def cmd_run(args) -> int:
 def cmd_frames(args) -> int:
     """Dump every frame of one exchange from fixed demo seeds; the AP offers
     the requested group plus the first others, --m groups in all."""
-    # raises on an unknown group or --m below 1 before anything is printed
+    # raises on an unknown group or an --m the demo AP cannot advertise
+    # before anything is printed
     report = size_report(args.group, args.m, args.strict)
-    others = tuple(g for g in known_group_ids() if g != args.group)
+    registered = known_group_ids()
+    if args.m > len(registered):
+        raise ValueError(f"--m {args.m} is more than the {len(registered)} registered groups")
+    others = tuple(g for g in registered if g != args.group)
     ids = ((args.group,) + others)[: args.m]
     rng = SeededRng(0, b"frames-demo")
     ap_id = make_identity(_DEMO_AP_MAC, Role.AP, ids, rng.child(b"ap-identity"))

@@ -24,9 +24,13 @@ nonzero digit adds its table's affine entry with one mixed addition.
   affine coordinates: its teeth come from one doubling chain made affine
   with one batched inversion (Montgomery's trick), and each entry after
   the first is an earlier one plus twice a tooth, with one batched
-  inversion per tooth across blocks.
+  inversion per tooth across blocks.  A column's digit is one lookup of
+  its tooth bits, cut from the scalar by one shift and one mask, in a
+  per-curve table (EcGroup._column_digits) made on the first k*G too.
 - k*P for any other point is one pair: width-WNAF_WIDTH NAF digits
-  (Alg. 3.36) into P's odd table, P, 3P, 5P, 7P and their negations.
+  (Alg. 3.36) into P's odd table, P, 3P, 5P, 7P and their negations.  The
+  table is summed on an isomorphic curve on which 2P is affine, so one
+  batched inversion makes it affine (co-Z, after Meloni and Longa-Miri).
 - ECDSA verification computes u1*G + u2*Q in one loop, G's pairs beside
   Q's, and compares x with r in Jacobian form, with no inversion.
   A verify key is long-lived (an AP's signer key rides in every beacon),
@@ -39,7 +43,9 @@ nonzero digit adds its table's affine entry with one mixed addition.
 - P-384's and P-521's primes are 2^k - c with c small (2^128 + 2^96 -
   2^32 + 1, and 1), so their doubling and mixed addition fold each product
   at 2^k onto c instead of dividing by p (Solinas; HMV section 2.2.6).
-  P-224's and P-256's c are too wide for a fold to beat one %.
+  Each fold is written out in the formula, not called; P-521's intermediate
+  products fold once, its coordinates out twice.  P-224's and P-256's c
+  are too wide for a fold to beat one %.
 - x-only decoding runs Tonelli-Shanks on every curve from one pow, its
   per-curve constants computed once.  Only signer keys travel x-only, so
   the KEY_MEMO_ENTRIES most recent decodes are remembered as well, keyed
@@ -125,6 +131,17 @@ class EcGroup:
         teeth, and e = ceil(d / COMB_BLOCKS) columns in each block."""
         d = -(-self.order_n.bit_length() // COMB_TEETH)
         return d, -(-d // COMB_BLOCKS)
+
+    @functools.cached_property
+    def _column_digits(self) -> tuple[int, dict[int, int]]:
+        """(mask, digits): mask has bit i*d set for each tooth i, and digits
+        maps a comb column's tooth bits, (signs >> j) & mask for column j, to
+        its signed digit, the _COLUMN_DIGITS entry of those bits read top-down."""
+        d, _ = self._comb_geometry
+        digits = {}
+        for index, digit in enumerate(_COLUMN_DIGITS):
+            digits[sum((index >> i & 1) << (i * d) for i in range(COMB_TEETH))] = digit
+        return sum(1 << (i * d) for i in range(COMB_TEETH)), digits
 
     @functools.cached_property
     def _comb(self) -> Comb:
@@ -331,47 +348,100 @@ def _jacobian_add_affine(x1, y1, z1, x2, y2, p):
 
 def _folded_formulas(p):
     """The doubling and mixed addition above for a k-bit prime p, each product
-    folded at 2^k onto c = 2^k mod p rather than divided.  Coordinates out lie
-    within 2^262 (P-384) or 2^64 (P-521) of [0, 2^k), and so may those in;
-    zero tests, and h and r, still reduce with %."""
+    t folded at 2^k onto c = 2^k mod p, (t & mask) + (t >> k) * c, rather than
+    divided.  Every fold is written out where its product is: a call to a
+    fold function cost more than the fold.  Coordinates out lie within 2^262
+    (P-384) or 2^64 (P-521) of [0, 2^k), and so may those in; zero tests,
+    and h and r, still reduce with %.
+
+    P-384 folds every product twice.  P-521's c is 1, so a fold adds just
+    t >> 521: with coordinates in below 2^522 in size, one fold leaves each
+    intermediate (yy, zz, s, m; z1z1, hh, hhh, v) below 2^530 in size, in
+    the 18 30-bit digits a reduced coordinate takes.  Those fold once.  The
+    coordinates out fold twice, which leaves them within 2^20 of [0, 2^521),
+    inside the 2^64 above.  h and r fold once and twice before their %.
+    """
     k = p.bit_length()
     mask, c = (1 << k) - 1, (1 << k) % p
     if c == 1:
-        def fold(t):
-            t = (t & mask) + (t >> k)
-            return (t & mask) + (t >> k)
+        def double(x, y, z, p):
+            if not y % p:
+                return 0, 1, 0
+            yy = ((t := y * y) & mask) + (t >> k)
+            s = ((t := 4 * x * yy) & mask) + (t >> k)
+            zz = ((t := z * z) & mask) + (t >> k)
+            m = ((t := 3 * (x - zz) * (x + zz)) & mask) + (t >> k)
+            x3 = ((t := m * m - 2 * s) & mask) + (t >> k)
+            x3 = (x3 & mask) + (x3 >> k)
+            y3 = ((t := m * (s - x3) - 8 * yy * yy) & mask) + (t >> k)
+            y3 = (y3 & mask) + (y3 >> k)
+            z3 = ((t := 2 * y * z) & mask) + (t >> k)
+            return x3, y3, (z3 & mask) + (z3 >> k)
+
+        def add_affine(x1, y1, z1, x2, y2, p):
+            if not z1 % p:
+                return x2, y2, 1
+            z1z1 = ((t := z1 * z1) & mask) + (t >> k)
+            h = (((t := x2 * z1z1) & mask) + (t >> k) - x1) % p
+            r = ((t := y2 * z1 * z1z1) & mask) + (t >> k)
+            r = ((r & mask) + (r >> k) - y1) % p
+            if not h:
+                if not r:
+                    return double(x1, y1, z1, p)
+                return 0, 1, 0
+            hh = ((t := h * h) & mask) + (t >> k)
+            hhh = ((t := h * hh) & mask) + (t >> k)
+            v = ((t := x1 * hh) & mask) + (t >> k)
+            x3 = ((t := r * r - hhh - 2 * v) & mask) + (t >> k)
+            x3 = (x3 & mask) + (x3 >> k)
+            y3 = ((t := r * (v - x3) - y1 * hhh) & mask) + (t >> k)
+            y3 = (y3 & mask) + (y3 >> k)
+            z3 = ((t := z1 * h) & mask) + (t >> k)
+            return x3, y3, (z3 & mask) + (z3 >> k)
     else:
-        def fold(t):
-            t = (t & mask) + (t >> k) * c
-            return (t & mask) + (t >> k) * c
+        def double(x, y, z, p):
+            if not y % p:
+                return 0, 1, 0
+            yy = ((t := y * y) & mask) + (t >> k) * c
+            yy = (yy & mask) + (yy >> k) * c
+            s = ((t := 4 * x * yy) & mask) + (t >> k) * c
+            s = (s & mask) + (s >> k) * c
+            zz = ((t := z * z) & mask) + (t >> k) * c
+            zz = (zz & mask) + (zz >> k) * c
+            m = ((t := 3 * (x - zz) * (x + zz)) & mask) + (t >> k) * c
+            m = (m & mask) + (m >> k) * c
+            x3 = ((t := m * m - 2 * s) & mask) + (t >> k) * c
+            x3 = (x3 & mask) + (x3 >> k) * c
+            y3 = ((t := m * (s - x3) - 8 * yy * yy) & mask) + (t >> k) * c
+            y3 = (y3 & mask) + (y3 >> k) * c
+            z3 = ((t := 2 * y * z) & mask) + (t >> k) * c
+            return x3, y3, (z3 & mask) + (z3 >> k) * c
 
-    def double(x, y, z, p):
-        if not y % p:
-            return 0, 1, 0
-        yy = fold(y * y)
-        s = fold(4 * x * yy)
-        zz = fold(z * z)
-        m = fold(3 * (x - zz) * (x + zz))
-        x3 = fold(m * m - 2 * s)
-        y3 = fold(m * (s - x3) - 8 * yy * yy)
-        return x3, y3, fold(2 * y * z)
-
-    def add_affine(x1, y1, z1, x2, y2, p):
-        if not z1 % p:
-            return x2, y2, 1
-        z1z1 = fold(z1 * z1)
-        h = (fold(x2 * z1z1) - x1) % p
-        r = (fold(y2 * z1 * z1z1) - y1) % p
-        if not h:
-            if not r:
-                return double(x1, y1, z1, p)
-            return 0, 1, 0
-        hh = fold(h * h)
-        hhh = fold(h * hh)
-        v = fold(x1 * hh)
-        x3 = fold(r * r - hhh - 2 * v)
-        y3 = fold(r * (v - x3) - y1 * hhh)
-        return x3, y3, fold(z1 * h)
+        def add_affine(x1, y1, z1, x2, y2, p):
+            if not z1 % p:
+                return x2, y2, 1
+            z1z1 = ((t := z1 * z1) & mask) + (t >> k) * c
+            z1z1 = (z1z1 & mask) + (z1z1 >> k) * c
+            h = ((t := x2 * z1z1) & mask) + (t >> k) * c
+            h = ((h & mask) + (h >> k) * c - x1) % p
+            r = ((t := y2 * z1 * z1z1) & mask) + (t >> k) * c
+            r = ((r & mask) + (r >> k) * c - y1) % p
+            if not h:
+                if not r:
+                    return double(x1, y1, z1, p)
+                return 0, 1, 0
+            hh = ((t := h * h) & mask) + (t >> k) * c
+            hh = (hh & mask) + (hh >> k) * c
+            hhh = ((t := h * hh) & mask) + (t >> k) * c
+            hhh = (hhh & mask) + (hhh >> k) * c
+            v = ((t := x1 * hh) & mask) + (t >> k) * c
+            v = (v & mask) + (v >> k) * c
+            x3 = ((t := r * r - hhh - 2 * v) & mask) + (t >> k) * c
+            x3 = (x3 & mask) + (x3 >> k) * c
+            y3 = ((t := r * (v - x3) - y1 * hhh) & mask) + (t >> k) * c
+            y3 = (y3 & mask) + (y3 >> k) * c
+            z3 = ((t := z1 * h) & mask) + (t >> k) * c
+            return x3, y3, (z3 & mask) + (z3 >> k) * c
 
     return double, add_affine
 
@@ -464,17 +534,26 @@ def _odd_table(group: EcGroup, point: Point) -> list[Point | None]:
 
     P, 3P, 5P and 7P sit at 1, 3, 5 and 7, their negations (x, p - y) at
     -1, -3, -5 and -7, so a wNAF digit indexes its multiple of either sign.
-    2P is made affine first, so each odd multiple is one mixed addition.
+
+    One inversion makes the table affine (co-Z precomputation: Meloni, WAIFI
+    2007; Longa and Miri, PKC 2008).  With 2P = (X2 : Y2 : Z2), the map
+    (x, y) -> (x*Z2^2, y*Z2^3) takes the curve to an isomorphic one on which
+    2P is the affine (X2, Y2).  There P is summed into 3P, 5P and 7P by the
+    mixed addition, which reads neither a nor b, and each sum (X : Y : Z)
+    there is (X : Y : Z*Z2) here.  The addition's doubling fallback, which
+    would assume a = -3, never runs: it needs P, 3P or 5P to be +-2P, and
+    the curve's order is a prime above 7.
     """
     p = group.field_p
     double, add = group._formulas
     x, y = point
-    tx, ty = _to_affine([double(x, y, 1, p)], p)[0]
-    odd = [(x, y, 1)]
+    x2, y2, z2 = double(x, y, 1, p)
+    zz = z2 * z2 % p
+    odd = [(x * zz % p, y * zz * z2 % p, 1)]
     for _ in range(1, 1 << (WNAF_WIDTH - 2)):
-        odd.append(add(*odd[-1], tx, ty, p))
+        odd.append(add(*odd[-1], x2, y2, p))
     table = [None] * (1 << WNAF_WIDTH)
-    for i, (x, y) in enumerate(_to_affine(odd, p)):
+    for i, (x, y) in enumerate(_to_affine([(x, y, z * z2) for x, y, z in odd], p)):
         table[2 * i + 1], table[-2 * i - 1] = (x, y), (x, p - y)
     return table
 
@@ -494,7 +573,9 @@ def _comb_pairs(group: EcGroup, tables: Comb, scalar: int) -> list:
     every digit negated, every such bit flipped.  A column's +-1 digits, one
     per tooth, sum to T[u] (digit u + 1) when its top digit is +1, else to
     -T[u] for the complement u of its lower ones (digit -(u + 1)), so no
-    digit is 0.
+    digit is 0.  Column j's tooth digits are bits j, d + j, ..., 7d + j of
+    those signs: (signs >> j) & mask cuts them out together, and one lookup
+    in EcGroup._column_digits gives the column's digit.
     """
     d, e = group._comb_geometry
     width = COMB_TEETH * d
@@ -502,11 +583,8 @@ def _comb_pairs(group: EcGroup, tables: Comb, scalar: int) -> list:
         signs = (scalar >> 1) | (1 << (width - 1))
     else:
         signs = ((group.order_n - scalar) >> 1) ^ ((1 << (width - 1)) - 1)
-    # Row i of a comb is bits [i*d, (i+1)*d) of signs, top row first, so
-    # each column read top-down is the _COLUMN_DIGITS index of its digit.
-    bits = format(signs, f"0{width}b")
-    rows = (bits[i : i + d] for i in range(0, width, d))
-    digits = [_COLUMN_DIGITS[int("".join(column), 2)] for column in zip(*rows)]
+    mask, column_digits = group._column_digits
+    digits = [column_digits[signs >> j & mask] for j in range(d - 1, -1, -1)]
     return [
         (table, digits[max(d - (b + 1) * e, 0) : d - b * e]) for b, table in enumerate(tables)
     ]

@@ -90,6 +90,15 @@ class TestRun:
         assert code == EXIT_USAGE
         assert err.startswith("error:")
 
+    def test_file_and_builtin_exits_two(self, capsys, tmp_path):
+        # both name a scenario, so neither is run, even when the file exists
+        for path in (write_script(tmp_path, builtin("benign")), str(tmp_path / "ghost.json")):
+            code, out, err = run_cli(capsys, "run", path, "--builtin", "crowd")
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.startswith("error:")
+            assert repr(path) in err and "--builtin crowd" in err
+
     def test_no_scenario_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "run")
         assert code == EXIT_USAGE
@@ -223,6 +232,14 @@ class TestFrames:
         assert code == EXIT_USAGE
         assert out == ""
         assert "at least one advertised group is required" in err
+
+    @pytest.mark.parametrize("m", ["5", "9"])
+    def test_more_advertised_groups_than_registered_exits_two_before_output(self, capsys, m):
+        # the demo AP can advertise each registered group once, four in all
+        code, out, err = run_cli(capsys, "frames", "--m", m)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--m {m} is more than the 4 registered groups" in err
 
     def test_unknown_group_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "frames", "--group", "0")

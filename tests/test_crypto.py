@@ -1213,6 +1213,41 @@ class TestCombTable:
                     assert ((m - step) << (b * e)) % n and ((m + step) << (b * e)) % n
 
 
+class TestOddTable:
+    """A point's odd table: every entry against the oracle, made affine with
+    one inversion mod p."""
+
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_one_inversion_makes_the_table(self, inversions, gid):
+        group = registry_lookup(gid)
+        point = signed(group, b"odd table")[0]
+        inversions.clear()
+        table = crypto._odd_table(group, point)
+        assert inversions == [group.field_p]
+        assert len(table) == 1 << crypto.WNAF_WIDTH
+        for i in range(1, 1 << (crypto.WNAF_WIDTH - 1), 2):
+            assert table[i] == oracle_mul(group, i, point)
+            assert table[-i] == negate(group, table[i])
+
+    @pytest.mark.parametrize("gid", sorted(REGISTRY))
+    def test_an_agree_and_a_first_verify(self, inversions, key_memo, gid):
+        # an agree inverts for the peer's odd table and for the shared point;
+        # a first verify for s mod n and the key's odd table, and compares x
+        # with r in Jacobian form
+        group = registry_lookup(gid)
+        assert group._comb  # built before counting
+        own = ecdh_generate(group, SeededRng(b"own", group.name.encode()))
+        peer = ecdh_generate(group, SeededRng(b"peer", group.name.encode()))
+        public, signature = signed(group, b"first verify")
+        inversions.clear()
+        ecdh_agree(own, peer.public_point)
+        assert inversions == [group.field_p] * 2
+        inversions.clear()
+        assert ecdsa_verify(group, public, b"memo", signature)
+        assert inversions == [group.order_n, group.field_p]
+        assert key_memo[1] == []  # a first verify: no key table
+
+
 def spelled(group, k):
     """The integer _comb_pairs' digits for k spell over a comb of COMB_BLOCKS
     blocks, each column's +-1 tooth digits weighted by 2^(i*d + b*e + j) for
